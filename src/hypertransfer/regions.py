@@ -421,39 +421,37 @@ def m_hat_partials(
 # direct integrator (valid for every g_y > 0)
 
 
-def _subtract_interval(
-    segs: list[tuple[float, float]], lo: float, hi: float
-) -> list[tuple[float, float]]:
-    if hi <= lo:
-        return segs
-    out: list[tuple[float, float]] = []
-    for a, b in segs:
-        if hi <= a or b <= lo:
-            out.append((a, b))
-            continue
-        if a < lo:
-            out.append((a, lo))
-        if hi < b:
-            out.append((hi, b))
-    return out
+def _section_cuts(
+    x: float, c: ANCoords
+) -> tuple[float, float, Optional[tuple[float, float, float]]]:
+    """The cuts of the y-section at abscissa x: the circle height ymin, the
+    line cut top (y >= top is excluded; math.inf when g_x >= 0), and the
+    ellipse roots (lo, hi, q) with q the root of the radicand, or None where
+    the ellipse misses the abscissa."""
+    ymin = math.sqrt(max(1.0 - x * x, 0.0))
+    top = -(1.0 + 2.0 * x) / (2.0 * c.g_x) if c.g_x < 0.0 else math.inf
+    rad = _radicand(x, c)
+    if rad <= 0.0:
+        return ymin, top, None
+    s = c.g_x * c.g_x + c.g_y * c.g_y
+    q = math.sqrt(rad)
+    return ymin, top, ((-q - (x + 1.0) * c.g_x) / s, (q - (x + 1.0) * c.g_x) / s, q)
 
 
 def section_intervals(x: float, c: ANCoords) -> list[tuple[float, float]]:
     """Allowed y-intervals of the region above the circle at abscissa x; the
     upper endpoint may be math.inf."""
-    ymin = math.sqrt(max(1.0 - x * x, 0.0))
-    if ymin <= 0.0:
+    ymin, top, ell = _section_cuts(x, c)
+    if not 0.0 < ymin < top:
         return []
-    segs = [(ymin, math.inf)]
-    rad = _radicand(x, c)
-    if rad > 0.0:
-        s = c.g_x * c.g_x + c.g_y * c.g_y
-        q = math.sqrt(rad)
-        lo = (-q - (x + 1.0) * c.g_x) / s
-        hi = (q - (x + 1.0) * c.g_x) / s
-        segs = _subtract_interval(segs, lo, hi)
-    if c.g_x < 0.0:
-        segs = _subtract_interval(segs, -(1.0 + 2.0 * x) / (2.0 * c.g_x), math.inf)
+    if ell is None or ell[1] <= ymin or ell[0] >= top:
+        return [(ymin, top)]
+    lo, hi, _ = ell
+    segs: list[tuple[float, float]] = []
+    if ymin < lo:
+        segs.append((ymin, lo))
+    if hi < top:
+        segs.append((hi, top))
     return segs
 
 
@@ -462,6 +460,34 @@ def _section_mass(x: float, c: ANCoords) -> float:
     total = 0.0
     for a, b in section_intervals(x, c):
         total += 1.0 / a - (0.0 if math.isinf(b) else 1.0 / b)
+    return total
+
+
+def _section_mass_partial(x: float, c: ANCoords, wrt_gx: bool) -> float:
+    """d/dg_x (wrt_gx) or d/dg_y of _section_mass at abscissa x.
+
+    Only the endpoints that survive the cuts of section_intervals move: ymin
+    does not depend on the parameters, an ellipse root y with slope +-q
+    contributes the derivative of 1/y along the ellipse, g_y/(+-q) or
+    (x + g_x y + 1)/(+-q y), and the line cut 1/top = -2 g_x/(1 + 2x)
+    contributes -2/(1 + 2x) to d/dg_x only.
+    """
+    ymin, top, ell = _section_cuts(x, c)
+    if not 0.0 < ymin < top:
+        return 0.0
+    d_top = -2.0 / (1.0 + 2.0 * x) if wrt_gx and c.g_x < 0.0 else 0.0
+
+    def d_root(y: float, slope: float) -> float:
+        return (x + c.g_x * y + 1.0) / (slope * y) if wrt_gx else c.g_y / slope
+
+    if ell is None or ell[1] <= ymin or ell[0] >= top:
+        return -d_top
+    lo, hi, q = ell
+    total = 0.0
+    if ymin < lo:
+        total -= d_root(lo, -q)
+    if hi < top:
+        total += d_root(hi, q) - d_top
     return total
 
 
@@ -511,6 +537,44 @@ def m_hat_direct(
         raise DomainError(f"unknown mode {mode!r}")
     v, _ = integrate(lambda x: _section_mass(x, c), -0.5, 0.5, q, points=_section_breakpoints(c))
     return _clamp_unit(v * 3.0 / math.pi)
+
+
+def _ellipse_circle_abscissas(c: ANCoords) -> list[float]:
+    """Abscissas in (-1/2, 1/2) where the ellipse crosses the unit circle.
+
+    With t = tan(phi/2) at the circle point (cos phi, sin phi), the crossing
+    condition is t^4 - (4s - 2) t^2 - 8 g_x t - 3 = 0, s = g_x^2 + g_y^2, and
+    x in (-1/2, 1/2) is t in (1/sqrt(3), sqrt(3)). A near-tangent complex pair
+    is kept too: a spare breakpoint costs one subinterval, a missed one a
+    jump that the adaptive rule can misjudge.
+    """
+    s = c.g_x * c.g_x + c.g_y * c.g_y
+    roots = np.roots([1.0, 0.0, 2.0 - 4.0 * s, -8.0 * c.g_x, -3.0])
+    ts = [t.real for t in roots if abs(t.imag) < 1e-6 and 1.0 / SQRT3 < t.real < SQRT3]
+    return [(1.0 - t * t) / (1.0 + t * t) for t in ts]
+
+
+def _m_hat_direct_partial(c: ANCoords, q: QuadratureConfig, wrt_gx: bool) -> float:
+    # the partial jumps where an ellipse root crosses the circle height, a
+    # point the value's breakpoints leave out (the value only kinks there)
+    v, _ = integrate(
+        lambda x: _section_mass_partial(x, c, wrt_gx),
+        -0.5,
+        0.5,
+        q,
+        points=_section_breakpoints(c) + _ellipse_circle_abscissas(c),
+    )
+    return v * 3.0 / math.pi
+
+
+def m_hat_direct_dgx(c: ANCoords, q: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+    """d m_hat / d g_x by section-exact x-quadrature; valid for every g_y > 0."""
+    return _m_hat_direct_partial(c, q, wrt_gx=True)
+
+
+def m_hat_direct_dgy(c: ANCoords, q: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+    """d m_hat / d g_y by section-exact x-quadrature; valid for every g_y > 0."""
+    return _m_hat_direct_partial(c, q, wrt_gx=False)
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,13 @@ def test_interchange_against_finite_difference():
         lie_derivative_mtilde_fd(cartan_a(0.2), LieDirection.X1, step=0.0)
 
 
+def test_adjoint_x2_vanishes_by_bi_k_invariance():
+    # m_tilde is bi-K-invariant, so its derivative along the transported X2
+    # is zero; finite-difference partials in the fallback band left 2e-8
+    for r in (0.1, 0.3):
+        assert abs(lie_derivative_mtilde_adjoint(r, LieDirection.X2)) < 1e-9
+
+
 def test_hm_table_contract():
     rows = hm_table([0.1, 0.2])
     assert [row.r for row in rows] == [0.1, 0.2]

@@ -11,6 +11,7 @@ from hypertransfer.errors import DomainError, RegimeError, SingularLineError
 from hypertransfer.quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 from hypertransfer.regions import (
     CaseRegime,
+    _ellipse_circle_abscissas,
     boundary_values,
     case8_dgx_factor,
     case_transition_thetas,
@@ -25,6 +26,10 @@ from hypertransfer.regions import (
     line_y,
     m_hat_case,
     m_hat_direct,
+    m_hat_direct_dgx,
+    m_hat_direct_dgy,
+    m_hat_dgx,
+    m_hat_dgy,
     m_hat_mc,
     m_hat_partials,
     m_tilde,
@@ -172,6 +177,8 @@ def test_intersections_circle_point():
         rec = intersections(c, case)
         assert abs(rec.a_x ** 2 + rec.a_y ** 2 - 1.0) < 1e-10
         assert abs(ellipse_residual(rec.a_x, rec.a_y, c)) < 1e-10
+        # the quartic the direct partials take their breakpoints from
+        assert min(abs(x - rec.a_x) for x in _ellipse_circle_abscissas(c)) < 1e-10
         if case is CaseRegime.CASE2:
             assert rec.a_x <= -SQRT3 * gx / 2.0 + 1e-12
         if case is CaseRegime.CASE5:
@@ -252,6 +259,52 @@ def test_partials_match_finite_differences():
         fdy = (m_hat_case(ANCoords(gx, gy + h)) - m_hat_case(ANCoords(gx, gy - h))) / (2 * h)
         assert abs(px - fdx) <= 1e-3 * max(abs(fdx), 1e-6)
         assert abs(py - fdy) <= 1e-3 * max(abs(fdy), 1e-6)
+
+
+def test_direct_partials_match_case_partials():
+    # two independent routes to each partial: the case formulas and the
+    # section-exact derivative of the direct integrand
+    rng = np.random.default_rng(29)
+    checked = 0
+    while checked < 120:
+        gy = float(rng.uniform(0.02, 0.5) if checked % 2 else rng.uniform(1.16, 3.0))
+        c = ANCoords(float(rng.uniform(-1.3, 0.6)), gy)
+        if classify_case(c) is CaseRegime.FALLBACK:
+            continue
+        checked += 1
+        assert abs(m_hat_direct_dgx(c) - m_hat_dgx(c)) < 1e-6
+        assert abs(m_hat_direct_dgy(c) - m_hat_dgy(c)) < 1e-6
+    # the ellipse meets the circle 1.1e-3 from the end of its x-extent; with
+    # only the value's breakpoints the direct g_x-partial missed by 3.6e-3
+    c = ANCoords(0.24670000817211535, 0.21929332666967025)
+    assert classify_case(c) is CaseRegime.CASE2
+    assert abs(m_hat_direct_dgx(c) - m_hat_dgx(c)) < 1e-6
+
+
+def test_direct_partials_match_finite_differences_in_fallback_band():
+    tight = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-12)
+
+    def diff(f, h=1e-4):
+        # central differences at h and h/2, Richardson-combined: near g_x = 0
+        # the h^2 term alone reaches 3e-6 at h = 1e-4
+        d1 = (f(h) - f(-h)) / (2.0 * h)
+        d2 = (f(h / 2.0) - f(-h / 2.0)) / h
+        return (4.0 * d2 - d1) / 3.0
+
+    rng = np.random.default_rng(31)
+    points = [(-0.18558571330701756, 0.7773898562284995), (0.3, 0.8), (-0.6, 1.0)]
+    points += [(float(rng.uniform(-1.5, 1.0)), float(rng.uniform(0.51, 2.0 / SQRT3))) for _ in range(6)]
+    points += [(0.4, 1.5), (-1.4, 1.3)]  # g_y > 2/sqrt(3), outside the Case-8 window
+    for gx, gy in points:
+        c = ANCoords(gx, gy)
+        assert classify_case(c) is CaseRegime.FALLBACK
+        fdx = diff(lambda h: m_hat_direct(ANCoords(gx + h, gy), tight))
+        fdy = diff(lambda h: m_hat_direct(ANCoords(gx, gy + h), tight))
+        assert abs(m_hat_direct_dgx(c) - fdx) < 1e-6
+        assert abs(m_hat_direct_dgy(c) - fdy) < 1e-6
+    # a finite difference with h = 1e-5 at the default tolerances gave 0.1672223
+    c = ANCoords(-0.18558571330701756, 0.7773898562284995)
+    assert abs(m_hat_direct_dgy(c) - 0.1674010104) < 1e-9
 
 
 def test_case2_derivative_bound():
