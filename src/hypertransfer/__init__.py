@@ -1,7 +1,7 @@
 """Numerical toolkit for a lattice-averaged multiplier on the 2x2 special
 linear group: modular reduction, the lattice cocycle, the region integral in
-AN coordinates with its case-by-case closed forms, first-order decay tables,
-and small discrete reference symbols.
+AN coordinates in closed form, first-order decay tables, and small discrete
+reference symbols.
 """
 
 from .cocycle import (
@@ -42,7 +42,6 @@ from .errors import (
     GeometryError,
     HypertransferError,
     RegimeError,
-    SingularLineError,
 )
 from .modular import (
     IntMat2,
@@ -65,14 +64,8 @@ from .regions import (
     boundary_values,
     case8_dgx_factor,
     classify_case,
-    ellipse_x_left,
-    ellipse_x_right,
-    ellipse_y_lower,
-    ellipse_y_upper,
     intersections,
     iwasawa_image_coords,
-    line_x,
-    line_y,
     m_hat_case,
     m_hat_direct,
     m_hat_mc,

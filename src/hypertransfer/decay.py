@@ -19,15 +19,11 @@ from .errors import DomainError, RegimeError
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate
 from .regions import (
     SQRT3,
-    CaseRegime,
     case_transition_thetas,
-    classify_case,
     iwasawa_image_coords,
     m_hat_dgx,
     m_hat_dgy,
     m_hat_direct,  # unused here; the benchmark tracer wraps decay.m_hat_direct
-    m_hat_direct_dgx,
-    m_hat_direct_dgy,
 )
 from .sl2 import ANCoords, RealMat2, rotation
 
@@ -68,24 +64,14 @@ def lie_exponential(direction: LieDirection, t: float) -> RealMat2:
     return rotation(-t)
 
 
-def _an_partial(c: ANCoords, q: QuadratureConfig, wrt_gx: bool) -> float:
-    """d m_hat/d g_x (wrt_gx) or d m_hat/d g_y: the case formula when
-    classified, otherwise the direct route's section-exact derivative."""
-    if classify_case(c) is CaseRegime.FALLBACK:
-        return m_hat_direct_dgx(c, q) if wrt_gx else m_hat_direct_dgy(c, q)
-    return m_hat_dgx(c, q) if wrt_gx else m_hat_dgy(c, q)
-
-
-def lie_derivative_mtt(
-    c: ANCoords, direction: LieDirection, q: QuadratureConfig = DEFAULT_QUADRATURE
-) -> float:
+def lie_derivative_mtt(c: ANCoords, direction: LieDirection) -> float:
     """Right Lie derivative of the inner symbol in the AN chart:
     X1 -> 2 g_y d/dg_y, X2 -> g_y d/dg_x, X3 -> 0."""
     if direction is LieDirection.X3:
         return 0.0
     if direction is LieDirection.X1:
-        return 2.0 * c.g_y * _an_partial(c, q, wrt_gx=False)
-    return c.g_y * _an_partial(c, q, wrt_gx=True)
+        return 2.0 * c.g_y * m_hat_dgy(c)
+    return c.g_y * m_hat_dgx(c)
 
 
 def _residual_angle(r: float, theta: float) -> float:
@@ -123,7 +109,7 @@ def lie_derivative_mtilde(
     r = _decay_radius(r)
     pts = list(case_transition_thetas(r)) + [0.0]
     val, _ = integrate(
-        lambda t: lie_derivative_mtt(iwasawa_image_coords(r, t), direction, q),
+        lambda t: lie_derivative_mtt(iwasawa_image_coords(r, t), direction),
         -_HALF_PI,
         _HALF_PI,
         _outer_config(q),
@@ -145,9 +131,7 @@ def lie_derivative_mtilde_adjoint(
     def integrand(t: float) -> float:
         c = iwasawa_image_coords(r, t)
         c1, c2, _ = adjoint_action(_residual_angle(r, t), direction)
-        dgx = _an_partial(c, q, wrt_gx=True)
-        dgy = _an_partial(c, q, wrt_gx=False)
-        return c1 * 2.0 * c.g_y * dgy + c2 * c.g_y * dgx
+        return c1 * 2.0 * c.g_y * m_hat_dgy(c) + c2 * c.g_y * m_hat_dgx(c)
 
     val, _ = integrate(integrand, -_HALF_PI, _HALF_PI, _outer_config(q), points=pts)
     return val / math.pi

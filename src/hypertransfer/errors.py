@@ -12,10 +12,6 @@ class DomainError(HypertransferError, ValueError):
     nonpositive height, radicand below tolerance, ...)."""
 
 
-class SingularLineError(DomainError):
-    """Line-boundary evaluation with |g_x| below the singularity cutoff."""
-
-
 class RegimeError(HypertransferError, ValueError):
     """Parameters outside the regime where a closed form is valid."""
 

@@ -2,10 +2,14 @@
 
 The integration region is {x + g_x*y > -1/2} intersect {(x + g_x*y + 1)^2 +
 (g_y*y)^2 > 1} intersect the fundamental domain, weighted by dx dy / y^2 and
-normalized by 3/pi. Eight parameter regimes admit explicit one-dimensional
-integrals over pieces of the region boundary (a line, a slanted ellipse, the
-unit circle); everything else goes through a direct section-exact integrator.
-"""
+normalized by 3/pi. Its y-section at abscissa x has an exact 1/y^2-mass, a sum
+of 1/y terms at the cuts by the unit circle, the line and the slanted
+ellipse. Between the breakpoints where the active cuts change, every term has
+an elementary antiderivative in x (asin, log, and asin/log along the ellipse),
+so m_hat and both of its partials are closed-form sums over segments for
+every g_y > 0. The eight case regimes survive as labels and as the exact 1
+and 0 of Cases 1 and 7. Section-exact adaptive quadrature and Monte-Carlo
+membership are kept as independent oracles."""
 
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import DomainError, GeometryError, RegimeError, SingularLineError
+from .errors import DomainError, GeometryError, RegimeError
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate
 from .sl2 import ANCoords, RealMat2, operator_norm
 
@@ -42,60 +46,6 @@ class CaseRegime(enum.Enum):
     @property
     def tag(self) -> str:
         return self.value
-
-
-# ---------------------------------------------------------------------------
-# boundary curves
-
-
-def _radicand(x: float, c: ANCoords) -> float:
-    return c.g_x * c.g_x - c.g_y * c.g_y * x * (x + 2.0)
-
-
-def _sqrt_radicand(x: float, c: ANCoords) -> float:
-    rad = _radicand(x, c)
-    if rad < -1e-12:
-        raise DomainError(f"ellipse radicand {rad!r} negative at x={x!r}")
-    return math.sqrt(max(rad, 0.0))
-
-
-def ellipse_y_upper(x: float, c: ANCoords) -> float:
-    """Upper branch in y of (x + g_x y + 1)^2 + (g_y y)^2 = 1."""
-    q = _sqrt_radicand(x, c)
-    return (q - (x + 1.0) * c.g_x) / (c.g_x * c.g_x + c.g_y * c.g_y)
-
-
-def ellipse_y_lower(x: float, c: ANCoords) -> float:
-    q = _sqrt_radicand(x, c)
-    return (-q - (x + 1.0) * c.g_x) / (c.g_x * c.g_x + c.g_y * c.g_y)
-
-
-def _sqrt_one_minus_ysq(y: float, c: ANCoords) -> float:
-    rad = 1.0 - y * y * c.g_y * c.g_y
-    if rad < -1e-12:
-        raise DomainError(f"ellipse radicand {rad!r} negative at y={y!r}")
-    return math.sqrt(max(rad, 0.0))
-
-
-def ellipse_x_right(y: float, c: ANCoords) -> float:
-    """Right branch in x of the same ellipse."""
-    return -y * c.g_x + _sqrt_one_minus_ysq(y, c) - 1.0
-
-
-def ellipse_x_left(y: float, c: ANCoords) -> float:
-    return -y * c.g_x - _sqrt_one_minus_ysq(y, c) - 1.0
-
-
-def line_y(x: float, c: ANCoords) -> float:
-    """y on the line x + g_x y = -1/2."""
-    if abs(c.g_x) < 1e-14:
-        raise SingularLineError("line boundary is vertical: |g_x| below cutoff")
-    return -(1.0 + 2.0 * x) / (2.0 * c.g_x)
-
-
-def line_x(y: float, c: ANCoords) -> float:
-    """x on the line x + g_x y = -1/2 (equals -1/2 at y = 0)."""
-    return -y * c.g_x - 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -225,200 +175,7 @@ def intersections(c: ANCoords, case: CaseRegime) -> Intersections:
 
 
 # ---------------------------------------------------------------------------
-# case integrands (all in the chart where a y-interval [p, q] weighs 1/p - 1/q)
-
-
-def _inv_circle(x: float) -> float:
-    return 1.0 / math.sqrt(1.0 - x * x)
-
-
-def _inv_ellipse_upper(x: float, c: ANCoords) -> float:
-    """1/E_y_upper in a cancellation-free form on the active x-ranges."""
-    q = _sqrt_radicand(x, c)
-    gx = c.g_x
-    if gx >= 0.0:
-        # rationalized; x(x+2) < 0 on the Case-2 range
-        return -(q + (x + 1.0) * gx) / (x * (x + 2.0))
-    return (gx * gx + c.g_y * c.g_y) / (q - (x + 1.0) * gx)
-
-
-def _inv_ellipse_lower(x: float, c: ANCoords) -> float:
-    """1/E_y_lower, rationalized; Cases 5-6 use it on x > 0 only."""
-    q = _sqrt_radicand(x, c)
-    return (q - (x + 1.0) * c.g_x) / (x * (x + 2.0))
-
-
-def _inv_line(x: float, c: ANCoords) -> float:
-    return -2.0 * c.g_x / (1.0 + 2.0 * x)
-
-
-def _f_ellipse_sliver(x: float, c: ANCoords) -> float:
-    # band between the circle and the ellipse top arc, signed for m_hat
-    return _inv_ellipse_upper(x, c) - _inv_circle(x)
-
-
-def _f_circle_to_line(x: float, c: ANCoords) -> float:
-    return _inv_circle(x) - _inv_line(x, c)
-
-
-def _f_circle_to_ellipse_lower(x: float, c: ANCoords) -> float:
-    return _inv_circle(x) - _inv_ellipse_lower(x, c)
-
-
-def _f_ellipse_upper_to_line(x: float, c: ANCoords) -> float:
-    return _inv_ellipse_upper(x, c) - _inv_line(x, c)
-
-
-def m_hat_case(c: ANCoords, q: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    case = classify_case(c)
-    if case is CaseRegime.FALLBACK:
-        raise RegimeError(f"no case formula at {c}; use m_hat_direct")
-    return _m_hat_case_known(c, case, q)
-
-
-def _m_hat_case_known(c: ANCoords, case: CaseRegime, q: QuadratureConfig) -> float:
-    if case is CaseRegime.CASE1:
-        return 1.0
-    if case is CaseRegime.CASE7:
-        return 0.0
-    its = intersections(c, case)
-    pref = 3.0 / math.pi
-    if case is CaseRegime.CASE2:
-        v, _ = integrate(lambda x: _f_ellipse_sliver(x, c), -0.5, its.a_x, q)
-        return _clamp_unit(1.0 + pref * v)
-    if case is CaseRegime.CASE3:
-        v1, _ = integrate(lambda x: _f_circle_to_line(x, c), its.b_x, 0.5, q)
-        v2, _ = integrate(lambda x: _f_ellipse_sliver(x, c), its.b_x, its.a_x, q)
-        return _clamp_unit(pref * (v1 + v2))
-    if case is CaseRegime.CASE4:
-        v1, _ = integrate(
-            lambda y: (0.5 - math.sqrt(1.0 - y * y)) / (y * y), SQRT3 / 2.0, its.a_y, q
-        )
-        v2, _ = integrate(
-            lambda y: (0.5 - ellipse_x_right(y, c)) / (y * y), its.a_y, its.b_y, q
-        )
-        v3, _ = integrate(
-            lambda y: (1.0 + y * c.g_x) / (y * y), its.b_y, its.c_y, q
-        )
-        return _clamp_unit(pref * (v1 + v2 + v3))
-    if case is CaseRegime.CASE5:
-        v1, _ = integrate(lambda x: _f_circle_to_ellipse_lower(x, c), its.a_x, 0.5, q)
-        v2, _ = integrate(lambda x: _f_ellipse_upper_to_line(x, c), its.b_x, 0.5, q)
-        return _clamp_unit(pref * (v1 + v2))
-    if case is CaseRegime.CASE6:
-        v1, _ = integrate(lambda x: _f_circle_to_ellipse_lower(x, c), its.a_x, 0.5, q)
-        return _clamp_unit(pref * v1)
-    if case is CaseRegime.CASE8:
-        v1, _ = integrate(lambda x: _f_circle_to_line(x, c), its.d_x, 0.5, q)
-        return _clamp_unit(pref * v1)
-    raise RegimeError(f"unhandled case {case}")
-
-
-def _clamp_unit(v: float) -> float:
-    # quadrature may overshoot [0, 1] by tolerance-level dust only
-    if -1e-6 < v < 0.0:
-        return 0.0
-    if 1.0 < v < 1.0 + 1e-6:
-        return 1.0
-    return v
-
-
-# ---------------------------------------------------------------------------
-# partial derivatives
-
-
-def case8_dgx_factor(gx: float) -> float:
-    """The Case-8 logarithm log(2(gx^2+1)/(gx(gx - sqrt(4gx^2+3)))); the
-    g_x-derivative of m_hat is 3/pi times this."""
-    if not (-2.0 / SQRT3 < gx < 0.0):
-        raise RegimeError(f"Case-8 factor needs g_x in (-2/sqrt(3), 0), got {gx!r}")
-    return math.log(
-        2.0 * (gx * gx + 1.0) / (gx * (gx - math.sqrt(4.0 * gx * gx + 3.0)))
-    )
-
-
-def _d_sliver_dgx(x: float, c: ANCoords) -> float:
-    q = _sqrt_radicand(x, c)
-    return -(c.g_x / q + x + 1.0) / (x * (x + 2.0))
-
-
-def _d_dgy(x: float, c: ANCoords) -> float:
-    # shared by every ellipse-arc integrand: d/dg_y of 1/E_y_* is g_y/Q
-    return c.g_y / _sqrt_radicand(x, c)
-
-
-def _d_lower_dgx(x: float, c: ANCoords) -> float:
-    q = _sqrt_radicand(x, c)
-    return (-c.g_x / q + x + 1.0) / (x * (x + 2.0))
-
-
-def _d_upper_line_dgx(x: float, c: ANCoords) -> float:
-    q = _sqrt_radicand(x, c)
-    return 2.0 / (1.0 + 2.0 * x) - (c.g_x / q + x + 1.0) / (x * (x + 2.0))
-
-
-def m_hat_dgx(c: ANCoords, q: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    case = classify_case(c)
-    if case is CaseRegime.FALLBACK:
-        raise RegimeError(f"no case derivative at {c}")
-    pref = 3.0 / math.pi
-    if case in (CaseRegime.CASE1, CaseRegime.CASE7):
-        return 0.0
-    its = intersections(c, case)
-    if case is CaseRegime.CASE2:
-        v, _ = integrate(lambda x: _d_sliver_dgx(x, c), -0.5, its.a_x, q)
-        return pref * v
-    if case is CaseRegime.CASE3:
-        v, _ = integrate(lambda x: _d_sliver_dgx(x, c), its.b_x, its.a_x, q)
-        return pref * (math.log(2.0 / (1.0 + 2.0 * its.b_x)) + v)
-    if case is CaseRegime.CASE4:
-        return pref * math.log(its.c_y / its.a_y)
-    if case is CaseRegime.CASE5:
-        v1, _ = integrate(lambda x: _d_lower_dgx(x, c), its.a_x, 0.5, q)
-        v2, _ = integrate(lambda x: _d_upper_line_dgx(x, c), its.b_x, 0.5, q)
-        return pref * (v1 + v2)
-    if case is CaseRegime.CASE6:
-        v1, _ = integrate(lambda x: _d_lower_dgx(x, c), its.a_x, 0.5, q)
-        return pref * v1
-    if case is CaseRegime.CASE8:
-        return pref * case8_dgx_factor(c.g_x)
-    raise RegimeError(f"unhandled case {case}")
-
-
-def m_hat_dgy(c: ANCoords, q: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    case = classify_case(c)
-    if case is CaseRegime.FALLBACK:
-        raise RegimeError(f"no case derivative at {c}")
-    pref = 3.0 / math.pi
-    if case in (CaseRegime.CASE1, CaseRegime.CASE7, CaseRegime.CASE8):
-        return 0.0
-    its = intersections(c, case)
-    if case is CaseRegime.CASE2:
-        v, _ = integrate(lambda x: _d_dgy(x, c), -0.5, its.a_x, q)
-        return pref * v
-    if case is CaseRegime.CASE3:
-        v, _ = integrate(lambda x: _d_dgy(x, c), its.b_x, its.a_x, q)
-        return pref * v
-    if case is CaseRegime.CASE4:
-        return pref * (_THIRD_PI - math.asin(c.g_y * its.a_y))
-    if case is CaseRegime.CASE5:
-        v1, _ = integrate(lambda x: _d_dgy(x, c), its.a_x, 0.5, q)
-        v2, _ = integrate(lambda x: _d_dgy(x, c), its.b_x, 0.5, q)
-        return pref * (v1 + v2)
-    if case is CaseRegime.CASE6:
-        v1, _ = integrate(lambda x: _d_dgy(x, c), its.a_x, 0.5, q)
-        return pref * v1
-    raise RegimeError(f"unhandled case {case}")
-
-
-def m_hat_partials(
-    c: ANCoords, q: QuadratureConfig = DEFAULT_QUADRATURE
-) -> tuple[float, float]:
-    return m_hat_dgx(c, q), m_hat_dgy(c, q)
-
-
-# ---------------------------------------------------------------------------
-# direct integrator (valid for every g_y > 0)
+# y-sections of the region
 
 
 def _section_cuts(
@@ -430,7 +187,7 @@ def _section_cuts(
     the ellipse misses the abscissa."""
     ymin = math.sqrt(max(1.0 - x * x, 0.0))
     top = -(1.0 + 2.0 * x) / (2.0 * c.g_x) if c.g_x < 0.0 else math.inf
-    rad = _radicand(x, c)
+    rad = c.g_x * c.g_x - c.g_y * c.g_y * x * (x + 2.0)
     if rad <= 0.0:
         return ymin, top, None
     s = c.g_x * c.g_x + c.g_y * c.g_y
@@ -492,6 +249,10 @@ def _section_mass_partial(x: float, c: ANCoords, wrt_gx: bool) -> float:
 
 
 def _section_breakpoints(c: ANCoords) -> list[float]:
+    """Abscissas in (-1/2, 1/2) where the section mass may kink: the ends of
+    the ellipse's x-extent, the line's crossings with the circle and the
+    ellipse, and the ellipse's crossings with the circle. Between two of them
+    the set of cuts that bound the section does not change."""
     gx, gy = c.g_x, c.g_y
     pts: list[float] = []
     ext = math.sqrt(1.0 + gx * gx / (gy * gy))
@@ -501,7 +262,204 @@ def _section_breakpoints(c: ANCoords) -> list[float]:
         den = 2.0 * (gx * gx + 1.0)
         pts.extend(((-1.0 - disc) / den, (-1.0 + disc) / den))  # line/circle
         pts.append(-(SQRT3 * gx + gy) / (2.0 * gy))  # line/ellipse
+    pts.extend(_ellipse_circle_abscissas(c))
     return [p for p in pts if -0.5 < p < 0.5]
+
+
+def _ellipse_circle_abscissas(c: ANCoords) -> list[float]:
+    """Abscissas in (-1/2, 1/2) where the ellipse crosses the unit circle.
+
+    With t = tan(phi/2) at the circle point (cos phi, sin phi), the crossing
+    condition is p(t) = t^4 - (4s - 2) t^2 - 8 g_x t - 3 = 0, s = g_x^2 + g_y^2,
+    and x in (-1/2, 1/2) is t in (1/sqrt(3), sqrt(3)). The real roots of
+    p'(t)/4 = t^3 + (1 - 2s) t - 2 g_x cut that range into pieces where p is
+    monotone, and each sign change of p on a piece is one crossing. A critical
+    point where p nearly touches zero, |p| < 1e-12 |p''|/2 (a root pair within
+    1e-6 of the real axis), is kept too: a spare breakpoint costs one segment,
+    a missed one a kink inside a segment.
+    """
+    gx = c.g_x
+    b2 = 2.0 - 4.0 * (gx * gx + c.g_y * c.g_y)
+
+    def p(t: float) -> float:
+        return ((t * t + b2) * t - 8.0 * gx) * t - 3.0
+
+    def dp(t: float) -> float:
+        return (4.0 * t * t + 2.0 * b2) * t - 8.0 * gx
+
+    lo, hi = 1.0 / SQRT3, SQRT3
+    crit = sorted(t for t in _depressed_cubic_roots(0.5 * b2, -2.0 * gx) if lo < t < hi)
+    ts = [t for t in crit if abs(p(t)) < 1e-12 * abs(6.0 * t * t + b2)]
+    knots = [lo, *crit, hi]
+    for a, b in zip(knots, knots[1:]):
+        fa, fb = p(a), p(b)
+        if (fa < 0.0) != (fb < 0.0):
+            ts.append(_bracketed_root(p, dp, a, b, fa))
+    return [(1.0 - t * t) / (1.0 + t * t) for t in ts]
+
+
+def _depressed_cubic_roots(p: float, q: float) -> list[float]:
+    """Real roots of t^3 + p t + q: trigonometric when there are three,
+    Cardano in its cancellation-free form when there is one."""
+    if p < 0.0:
+        m = 2.0 * math.sqrt(-p / 3.0)
+        arg = 3.0 * q / (p * m)
+        if abs(arg) <= 1.0:
+            phi = math.acos(arg) / 3.0
+            return [m * math.cos(phi - 2.0 * math.pi * k / 3.0) for k in range(3)]
+    d = math.sqrt(max(0.25 * q * q + p * p * p / 27.0, 0.0))
+    big = -math.copysign((0.5 * abs(q) + d) ** (1.0 / 3.0), q)
+    return [big - p / (3.0 * big) if big != 0.0 else 0.0]
+
+
+def _bracketed_root(f, df, a: float, b: float, fa: float) -> float:
+    """Root of f in [a, b], given that f(a) = fa and f(b) differ in sign:
+    Newton steps, with bisection whenever a step leaves the bracket."""
+    t = 0.5 * (a + b)
+    for _ in range(200):
+        ft = f(t)
+        if ft == 0.0:
+            return t
+        if (ft < 0.0) == (fa < 0.0):
+            a = t
+        else:
+            b = t
+        d = df(t)
+        nxt = t - ft / d if d != 0.0 else t
+        if not a < nxt < b:
+            nxt = 0.5 * (a + b)
+        if abs(nxt - t) <= 4e-16:
+            return nxt
+        t = nxt
+    return t
+
+
+# ---------------------------------------------------------------------------
+# closed-form evaluator (valid for every g_y > 0)
+
+
+def _ellipse_antiderivative(
+    x: float, c: ANCoords, ext: float, lower: bool, upper: bool
+) -> tuple[float, float]:
+    """x-antiderivatives at x of d/dg_x and d/dg_y of the ellipse-root terms
+    of the section mass: -1/lo when lower, +1/hi when upper.
+
+    With u = x + 1, S = g_x^2 + g_y^2 and a = asin(g_y u/sqrt(S)), a root
+    y = (+-q - u g_x)/S contributes -+ln y to d/dg_x and a to d/dg_y (on the
+    ellipse dy/dg_x = y dy/dx), and the term +-1/y itself integrates to g_x
+    times the first plus g_y times the second, up to a constant. ext =
+    sqrt(S)/g_y is the ellipse's x-extent about x = -1, so the radicand
+    g_y^2 (ext - u)(ext + u) is exactly 0 at the extent's breakpoint.
+    """
+    gx = c.g_x
+    u = x + 1.0
+    r = math.sqrt(max((ext - u) * (ext + u), 0.0))
+    q = c.g_y * r
+    s = gx * gx + c.g_y * c.g_y
+    # lo * hi = x (x + 2)/S; take the root free of cancellation from q
+    if gx <= 0.0:
+        big = q - u * gx
+        lo, hi = x * (x + 2.0) / big, big / s
+    else:
+        big = -q - u * gx
+        lo, hi = big / s, x * (x + 2.0) / big
+    dgx = (math.log(lo) if lower else 0.0) - (math.log(hi) if upper else 0.0)
+    return dgx, math.atan2(u, r) * (lower + upper)
+
+
+def _m_hat_closed_form(c: ANCoords) -> tuple[float, float, float]:
+    """(m_hat, d m_hat/d g_x, d m_hat/d g_y) as sums of antiderivative
+    differences over the segments between _section_breakpoints.
+
+    On a segment the active terms of the section mass (1/ymin, -1/lo, +1/hi
+    and -1/top, as in section_intervals) do not change, so they are read once
+    at its midpoint. 1/ymin = 1/sqrt(1 - x^2) integrates to asin x, the line
+    term -1/top = 2 g_x/(1 + 2x) to g_x ln(1 + 2x), and the root terms are in
+    _ellipse_antiderivative. The mass is continuous in x, so the motion of
+    the segment edges adds nothing to the partials. No active term is
+    singular: a root term has y > ymin >= sqrt(3)/2, and the line term
+    1 + 2x > sqrt(3)|g_x|, which also floors the logarithm against rounding.
+    """
+    gx, gy = c.g_x, c.g_y
+    ext = math.sqrt(1.0 + gx * gx / (gy * gy))
+    edges = sorted({-0.5, 0.5, *_section_breakpoints(c)})
+    circle = dgx = dgy = 0.0
+    for a, b in zip(edges, edges[1:]):
+        ymin, top, ell = _section_cuts(0.5 * (a + b), c)
+        if not 0.0 < ymin < top:
+            continue
+        if ell is None or ell[1] <= ymin or ell[0] >= top:
+            lower = upper = False
+            from_circle = to_top = True
+        else:
+            lower, upper = ymin < ell[0], ell[1] < top
+            from_circle, to_top = lower, upper
+        if from_circle:
+            circle += math.asin(b) - math.asin(a)
+        if to_top and gx < 0.0:
+            floor = -SQRT3 * gx
+            dgx += math.log(max(1.0 + 2.0 * b, floor)) - math.log(max(1.0 + 2.0 * a, floor))
+        if lower or upper:
+            bx, by = _ellipse_antiderivative(b, c, ext, lower, upper)
+            ax, ay = _ellipse_antiderivative(a, c, ext, lower, upper)
+            dgx += bx - ax
+            dgy += by - ay
+    pref = 3.0 / math.pi
+    return pref * (circle + gx * dgx + gy * dgy), pref * dgx, pref * dgy
+
+
+def m_hat_case(c: ANCoords) -> float:
+    """m_hat(g_x, g_y) in closed form; valid for every g_y > 0."""
+    return _m_hat_case_known(c, classify_case(c))
+
+
+def _m_hat_case_known(c: ANCoords, case: CaseRegime) -> float:
+    if case is CaseRegime.CASE1:
+        return 1.0
+    if case is CaseRegime.CASE7:
+        return 0.0
+    return _clamp_unit(_m_hat_closed_form(c)[0])
+
+
+def _clamp_unit(v: float) -> float:
+    # quadrature or rounding may overshoot [0, 1] by tolerance-level dust only
+    if -1e-6 < v < 0.0:
+        return 0.0
+    if 1.0 < v < 1.0 + 1e-6:
+        return 1.0
+    return v
+
+
+def case8_dgx_factor(gx: float) -> float:
+    """The Case-8 logarithm log(2(gx^2+1)/(gx(gx - sqrt(4gx^2+3)))); the
+    g_x-derivative of m_hat is 3/pi times this."""
+    if not (-2.0 / SQRT3 < gx < 0.0):
+        raise RegimeError(f"Case-8 factor needs g_x in (-2/sqrt(3), 0), got {gx!r}")
+    return math.log(
+        2.0 * (gx * gx + 1.0) / (gx * (gx - math.sqrt(4.0 * gx * gx + 3.0)))
+    )
+
+
+def m_hat_dgx(c: ANCoords) -> float:
+    """d m_hat/d g_x in closed form; valid for every g_y > 0."""
+    if classify_case(c) in (CaseRegime.CASE1, CaseRegime.CASE7):
+        return 0.0
+    return _m_hat_closed_form(c)[1]
+
+
+def m_hat_dgy(c: ANCoords) -> float:
+    """d m_hat/d g_y in closed form; valid for every g_y > 0."""
+    if classify_case(c) in (CaseRegime.CASE1, CaseRegime.CASE7):
+        return 0.0
+    return _m_hat_closed_form(c)[2]
+
+
+def m_hat_partials(c: ANCoords) -> tuple[float, float]:
+    return m_hat_dgx(c), m_hat_dgy(c)
+
+
+# ---------------------------------------------------------------------------
+# direct oracles (valid for every g_y > 0)
 
 
 def m_hat_mc(c: ANCoords, n: int, rng_seed: int) -> tuple[float, float]:
@@ -539,30 +497,13 @@ def m_hat_direct(
     return _clamp_unit(v * 3.0 / math.pi)
 
 
-def _ellipse_circle_abscissas(c: ANCoords) -> list[float]:
-    """Abscissas in (-1/2, 1/2) where the ellipse crosses the unit circle.
-
-    With t = tan(phi/2) at the circle point (cos phi, sin phi), the crossing
-    condition is t^4 - (4s - 2) t^2 - 8 g_x t - 3 = 0, s = g_x^2 + g_y^2, and
-    x in (-1/2, 1/2) is t in (1/sqrt(3), sqrt(3)). A near-tangent complex pair
-    is kept too: a spare breakpoint costs one subinterval, a missed one a
-    jump that the adaptive rule can misjudge.
-    """
-    s = c.g_x * c.g_x + c.g_y * c.g_y
-    roots = np.roots([1.0, 0.0, 2.0 - 4.0 * s, -8.0 * c.g_x, -3.0])
-    ts = [t.real for t in roots if abs(t.imag) < 1e-6 and 1.0 / SQRT3 < t.real < SQRT3]
-    return [(1.0 - t * t) / (1.0 + t * t) for t in ts]
-
-
 def _m_hat_direct_partial(c: ANCoords, q: QuadratureConfig, wrt_gx: bool) -> float:
-    # the partial jumps where an ellipse root crosses the circle height, a
-    # point the value's breakpoints leave out (the value only kinks there)
     v, _ = integrate(
         lambda x: _section_mass_partial(x, c, wrt_gx),
         -0.5,
         0.5,
         q,
-        points=_section_breakpoints(c) + _ellipse_circle_abscissas(c),
+        points=_section_breakpoints(c),
     )
     return v * 3.0 / math.pi
 
@@ -597,14 +538,12 @@ def m_hat_at_angle(
     q: QuadratureConfig = DEFAULT_QUADRATURE,
     force_direct: bool = False,
 ) -> float:
-    """m_hat along the Cartan circle: case engine when available, direct otherwise."""
+    """m_hat along the Cartan circle: the closed form, or the direct oracle
+    with force_direct."""
     c = iwasawa_image_coords(r, theta)
     if force_direct:
         return m_hat_direct(c, q)
-    case = classify_case(c)
-    if case is CaseRegime.FALLBACK:
-        return m_hat_direct(c, q)
-    return _m_hat_case_known(c, case, q)
+    return _m_hat_case_known(c, classify_case(c))
 
 
 @functools.lru_cache(maxsize=256)

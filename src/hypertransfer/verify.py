@@ -1,5 +1,6 @@
 """Self-check suites behind the verify command: exact cocycle algebra, the
-case engine against the direct integrator, and decay-table sanity.
+closed-form region integral against the direct integrator, and decay-table
+sanity.
 
 Each suite returns a JSON-able report dict; every numeric payload is cast to
 built-in types so reports serialize deterministically.
@@ -173,8 +174,8 @@ def suite_cases(seed: int = DEFAULT_SEED) -> dict:
     checks: list[dict] = []
     q = DEFAULT_QUADRATURE
 
-    c1 = m_hat_case(ANCoords(1.0, 0.3), q)
-    c7 = m_hat_case(ANCoords(-5.0, 0.3), q)
+    c1 = m_hat_case(ANCoords(1.0, 0.3))
+    c7 = m_hat_case(ANCoords(-5.0, 0.3))
     checks.append(_check("case1_and_case7_exact", c1 == 1.0 and c7 == 0.0))
 
     worst = 0.0
@@ -182,7 +183,7 @@ def suite_cases(seed: int = DEFAULT_SEED) -> dict:
     ok = True
     for c, case in _case_grid():
         ref = m_hat_direct(c, q)
-        val = m_hat_case(c, q)
+        val = m_hat_case(c)
         gap = abs(val - ref)
         if gap > worst:
             worst, worst_at = gap, f"{case.tag}@({c.g_x:.6f},{c.g_y})"

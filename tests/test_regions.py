@@ -1,29 +1,27 @@
-"""Region-integral engine: boundary curves, case classification, closed-form
-intersections, per-case m_hat with partials, the direct 2-D oracle, and the
+"""Region-integral engine: case classification, closed-form intersections,
+the closed-form m_hat with partials, the direct 2-D oracles, and the
 angle-averaged m_tilde."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from hypertransfer.errors import DomainError, RegimeError, SingularLineError
+import hypertransfer.regions as regions
+from hypertransfer.errors import DomainError, RegimeError
 from hypertransfer.quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 from hypertransfer.regions import (
     CaseRegime,
+    _ellipse_antiderivative,
     _ellipse_circle_abscissas,
+    _m_hat_closed_form,
     boundary_values,
     case8_dgx_factor,
     case_transition_thetas,
     classify_case,
-    ellipse_x_left,
-    ellipse_x_right,
-    ellipse_y_lower,
-    ellipse_y_upper,
     intersections,
     iwasawa_image_coords,
-    line_x,
-    line_y,
     m_hat_case,
     m_hat_direct,
     m_hat_direct_dgx,
@@ -65,43 +63,6 @@ FROZEN_M_TILDE = {0.1: 0.500089570700, 0.2: 0.501097857385, 0.5: 0.527502748974}
 
 def ellipse_residual(x: float, y: float, c: ANCoords) -> float:
     return (x + c.g_x * y + 1.0) ** 2 + (c.g_y * y) ** 2 - 1.0
-
-
-def test_curve_closed_forms():
-    for gx in (0.3, -0.2):
-        c = ANCoords(gx, 0.25)
-        want = (abs(gx) - gx) / (gx * gx + 0.25 * 0.25)
-        assert abs(ellipse_y_upper(0.0, c) - want) < 1e-14
-        assert line_x(0.0, c) == -0.5
-    assert ellipse_y_upper(0.0, ANCoords(0.4, 0.3)) == 0.0  # g_x > 0 branch
-
-
-def test_curve_plugback():
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        c = ANCoords(float(rng.uniform(-1, 1)), float(rng.uniform(0.05, 2.0)))
-        ext = math.sqrt(1.0 + (c.g_x / c.g_y) ** 2)
-        x = float(rng.uniform(-1.0 - ext, -1.0 + ext))
-        for f in (ellipse_y_upper, ellipse_y_lower):
-            assert abs(ellipse_residual(x, f(x, c), c)) < 1e-10
-        y = float(rng.uniform(-1.0, 1.0)) / c.g_y
-        for g in (ellipse_x_right, ellipse_x_left):
-            assert abs(ellipse_residual(g(y, c), y, c)) < 1e-10
-        yl = float(rng.uniform(0.1, 5.0))
-        assert abs(line_x(yl, c) + c.g_x * yl + 0.5) < 1e-14
-        if abs(c.g_x) > 1e-3:
-            xl = float(rng.uniform(-0.5, 0.5))
-            assert abs(xl + c.g_x * line_y(xl, c) + 0.5) < 1e-12
-
-
-def test_curve_errors():
-    c = ANCoords(0.1, 0.5)
-    with pytest.raises(DomainError):
-        ellipse_y_upper(5.0, c)  # radicand < 0 far outside the ellipse
-    with pytest.raises(DomainError):
-        ellipse_x_right(100.0, c)
-    with pytest.raises(SingularLineError):
-        line_y(0.2, ANCoords(0.0, 0.5))
 
 
 def test_boundary_values_examples():
@@ -177,7 +138,7 @@ def test_intersections_circle_point():
         rec = intersections(c, case)
         assert abs(rec.a_x ** 2 + rec.a_y ** 2 - 1.0) < 1e-10
         assert abs(ellipse_residual(rec.a_x, rec.a_y, c)) < 1e-10
-        # the quartic the direct partials take their breakpoints from
+        # the crossing finder every section route takes its breakpoints from
         assert min(abs(x - rec.a_x) for x in _ellipse_circle_abscissas(c)) < 1e-10
         if case is CaseRegime.CASE2:
             assert rec.a_x <= -SQRT3 * gx / 2.0 + 1e-12
@@ -262,7 +223,7 @@ def test_partials_match_finite_differences():
 
 
 def test_direct_partials_match_case_partials():
-    # two independent routes to each partial: the case formulas and the
+    # two independent routes to each partial: the closed form and the
     # section-exact derivative of the direct integrand
     rng = np.random.default_rng(29)
     checked = 0
@@ -305,6 +266,135 @@ def test_direct_partials_match_finite_differences_in_fallback_band():
     # a finite difference with h = 1e-5 at the default tolerances gave 0.1672223
     c = ANCoords(-0.18558571330701756, 0.7773898562284995)
     assert abs(m_hat_direct_dgy(c) - 0.1674010104) < 1e-9
+
+
+def _log_uniform_points(rng, n):
+    return [
+        (float(rng.uniform(-3.0, 3.0)), float(math.exp(rng.uniform(math.log(0.02), math.log(5.0)))))
+        for _ in range(n)
+    ]
+
+
+def test_closed_form_matches_direct_oracle():
+    # the evaluator itself, before the Case-1/Case-7 shortcuts, against the
+    # section-exact quadrature. The partials' integrands have inverse-square-
+    # root ends at the ellipse's x-extent, where the adaptive rule stops short
+    # of 1e-13 and misjudges its error by up to a few 1e-10, so their
+    # reference runs at 1e-10
+    value_ref = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-12)
+    partial_ref = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-10)
+    rng = np.random.default_rng(41)
+    points = _log_uniform_points(rng, 200)
+    points += [(float(rng.uniform(-1.5, 1.0)), float(rng.uniform(0.5, 2.0 / SQRT3))) for _ in range(40)]
+    for gx, gy in points:
+        c = ANCoords(gx, gy)
+        value, dgx, dgy = _m_hat_closed_form(c)
+        assert abs(value - m_hat_direct(c, value_ref)) < 1e-9
+        assert abs(dgx - m_hat_direct_dgx(c, partial_ref)) < 1e-9
+        assert abs(dgy - m_hat_direct_dgy(c, partial_ref)) < 1e-9
+
+
+def test_closed_form_makes_no_quadrature_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("inner quadrature on the closed-form path")
+
+    monkeypatch.setattr(regions, "integrate", refuse)
+    for gx, gy in ((0.2, 0.3), (-0.19, 0.3), (-0.3265, 0.69), (-0.5, 1.5), (0.4, 1.5)):
+        c = ANCoords(gx, gy)
+        assert 0.0 < m_hat_case(c) <= 1.0
+        assert math.isfinite(m_hat_dgx(c)) and math.isfinite(m_hat_dgy(c))
+
+
+def test_closed_form_matches_monte_carlo_in_fallback_band():
+    # membership sampling shares nothing with the section decomposition
+    for gx, gy in ((-0.3265, 0.69), (0.2, 0.55), (-0.6, 1.0)):
+        c = ANCoords(gx, gy)
+        assert classify_case(c) is CaseRegime.FALLBACK
+        est, se = m_hat_mc(c, 200_000, 17)
+        assert se > 0.0
+        assert abs(m_hat_case(c) - est) <= 4.0 * se
+
+
+def test_m_hat_direct_takes_the_crossings_as_breakpoints():
+    # the section mass kinks where the ellipse crosses the circle; without
+    # that breakpoint default-tolerance m_hat_direct erred by 7.2e-7 here
+    c = ANCoords(-0.3265, 0.69)
+    assert classify_case(c) is CaseRegime.FALLBACK
+    assert abs(m_hat_direct(c) - m_hat_case(c)) < 1e-8
+
+
+def test_antiderivatives_differentiate_to_their_integrands():
+    # in mpmath at 30 digits: each antiderivative's x-derivative is its
+    # integrand, with the ellipse roots and their parameter derivatives taken
+    # straight from the root formula; the float evaluator matches the
+    # antiderivatives it is built from
+    mp = mpmath.mp
+    rng = np.random.default_rng(43)
+    with mpmath.workdps(30):
+
+        def root(x, gx, gy, sigma):
+            u = x + 1
+            s = gx * gx + gy * gy
+            return (sigma * mpmath.sqrt(s - gy * gy * u * u) - u * gx) / s
+
+        def parts(x, gx, gy, sigma):
+            # antiderivatives of d/dg_x and d/dg_y of sigma/y_sigma
+            u = x + 1
+            a = mpmath.asin(gy * u / mpmath.sqrt(gx * gx + gy * gy))
+            return -sigma * mpmath.log(root(x, gx, gy, sigma)), a
+
+        checked = 0
+        while checked < 40:
+            sigma = 1 if checked % 2 else -1
+            gx = mp.mpf(float(rng.uniform(-1.5, 1.0)))
+            gy = mp.mpf(float(rng.uniform(0.1, 1.5)))
+            x = mp.mpf(float(rng.uniform(-0.5, 0.5)))
+            u = x + 1
+            if gy * gy * u * u >= gx * gx + gy * gy or root(x, gx, gy, sigma) <= 0:
+                continue
+            checked += 1
+            integrand = sigma / root(x, gx, gy, sigma)
+            d_gx = mpmath.diff(lambda g: sigma / root(x, g, gy, sigma), gx)
+            d_gy = mpmath.diff(lambda g: sigma / root(x, gx, g, sigma), gy)
+            px = mpmath.diff(lambda t: parts(t, gx, gy, sigma)[0], x)
+            py = mpmath.diff(lambda t: parts(t, gx, gy, sigma)[1], x)
+            assert abs(px - d_gx) < mp.mpf(10) ** -20 * max(1, abs(d_gx))
+            assert abs(py - d_gy) < mp.mpf(10) ** -20 * max(1, abs(d_gy))
+            assert abs(gx * px + gy * py - integrand) < mp.mpf(10) ** -20 * max(1, abs(integrand))
+
+            c = ANCoords(float(gx), float(gy))
+            ext = math.sqrt(1.0 + c.g_x * c.g_x / (c.g_y * c.g_y))
+            got = _ellipse_antiderivative(float(x), c, ext, sigma < 0, sigma > 0)
+            for g, want in zip(got, parts(x, gx, gy, sigma)):
+                assert abs(g - float(want)) < 1e-12 * max(1.0, abs(float(want)))
+
+        for x in (mp.mpf("-0.4"), mp.mpf("0.1"), mp.mpf("0.45")):
+            gx = mp.mpf("-0.7")
+            assert abs(mpmath.diff(mpmath.asin, x) - 1 / mpmath.sqrt(1 - x * x)) < mp.mpf(10) ** -25
+            line = mpmath.diff(lambda t: gx * mpmath.log(1 + 2 * t), x)
+            assert abs(line - 2 * gx / (1 + 2 * x)) < mp.mpf(10) ** -25
+
+
+def test_crossing_finder_matches_companion_matrix_roots():
+    def reference(c):
+        s = c.g_x * c.g_x + c.g_y * c.g_y
+        roots = np.roots([1.0, 0.0, 2.0 - 4.0 * s, -8.0 * c.g_x, -3.0])
+        ts = {t.real for t in roots if abs(t.imag) < 1e-6 and 1.0 / SQRT3 < t.real < SQRT3}
+        return sorted((1.0 - t * t) / (1.0 + t * t) for t in ts)
+
+    rng = np.random.default_rng(47)
+    for gx, gy in _log_uniform_points(rng, 2000):
+        c = ANCoords(gx, gy)
+        got, want = sorted(_ellipse_circle_abscissas(c)), reference(c)
+        assert len(got) == len(want)
+        assert all(abs(g - w) < 1e-12 for g, w in zip(got, want))
+    # a tangency at t0 = 1.2: p(t0) = p'(t0) = 0 fixes s and g_x
+    t0 = 1.2
+    s = (3.0 * t0 ** 4 + 2.0 * t0 ** 2 + 3.0) / (4.0 * t0 ** 2)
+    gx = (t0 ** 3 + (1.0 - 2.0 * s) * t0) / 2.0
+    c = ANCoords(gx, math.sqrt(s - gx * gx))
+    x0 = (1.0 - t0 * t0) / (1.0 + t0 * t0)
+    assert min(abs(x - x0) for x in _ellipse_circle_abscissas(c)) < 1e-6
 
 
 def test_case2_derivative_bound():

@@ -37,11 +37,13 @@ def test_reports_deterministic():
 
 
 def test_sign_flip_mutation_is_caught(monkeypatch):
-    # corrupt the band integrand between the circle and the ellipse top arc:
-    # the case engine drifts while the direct oracle stays put, and the
-    # case-vs-direct check must notice
-    orig = regions._f_ellipse_sliver
-    monkeypatch.setattr(regions, "_f_ellipse_sliver", lambda x, c: -orig(x, c))
+    # flip the sign of the ellipse-root antiderivative: the closed form
+    # drifts while the direct oracle stays put, and the case-vs-direct check
+    # must notice
+    orig = regions._ellipse_antiderivative
+    monkeypatch.setattr(
+        regions, "_ellipse_antiderivative", lambda *args: tuple(-v for v in orig(*args))
+    )
     report = suite_cases(DEFAULT_SEED)
     assert report["passed"] is False
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
