@@ -245,8 +245,3 @@ def transferred_symbol_mc(
     est = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return est, se
-
-
-def beta_of_sample(p: DomainPoint, g: RealMat2) -> IntMat2:
-    """Convenience accessor used by verification suites."""
-    return cocycle_beta(p, g).beta

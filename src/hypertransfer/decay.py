@@ -18,12 +18,14 @@ import numpy as np
 from .errors import DomainError, RegimeError
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate
 from .regions import (
-    SQRT3,
+    _tan_roots,
+    _transition_quadratics,
     case_transition_thetas,
     iwasawa_image_coords,
     m_hat_dgx,
     m_hat_dgy,
     m_hat_direct,  # unused here; the benchmark tracer wraps decay.m_hat_direct
+    m_hat_partials,
 )
 from .sl2 import ANCoords, RealMat2, rotation
 
@@ -131,7 +133,8 @@ def lie_derivative_mtilde_adjoint(
     def integrand(t: float) -> float:
         c = iwasawa_image_coords(r, t)
         c1, c2, _ = adjoint_action(_residual_angle(r, t), direction)
-        return c1 * 2.0 * c.g_y * m_hat_dgy(c) + c2 * c.g_y * m_hat_dgx(c)
+        dgx, dgy = m_hat_partials(c)
+        return c1 * 2.0 * c.g_y * dgy + c2 * c.g_y * dgx
 
     val, _ = integrate(integrand, -_HALF_PI, _HALF_PI, _outer_config(q), points=pts)
     return val / math.pi
@@ -210,22 +213,26 @@ class ThetaBoundaries:
     theta8: float
 
 
+def _root_pair(r: float, boundary: str) -> list[float]:
+    """Both angles, ascending, where the Cartan circle of norm r in (0, 1)
+    crosses the b7 or b8 curve; both lie in (0, pi/2), and both quadratics
+    have real roots while 9r^8 - 66r^4 + 9 >= 0 (r <= 0.61)."""
+    if not (math.isfinite(r) and 0.0 < r < 1.0):
+        raise DomainError(f"need r in (0, 1), got {r!r}")
+    roots = _tan_roots(*_transition_quadratics(r)[boundary])
+    if len(roots) < 2:
+        raise DomainError(f"no {boundary} crossing on the Cartan circle at r={r!r}")
+    return roots
+
+
 def theta_boundaries(r: float) -> ThetaBoundaries:
-    """Case-transition angles along the Cartan circle for small r; closed forms
-    valid while 9r^8 - 66r^4 + 9 >= 0 (r <= 0.5 comfortably)."""
-    if not (math.isfinite(r) and r > 0.0):
-        raise DomainError(f"need r > 0, got {r!r}")
-    r4 = r ** 4
-    rad = 9.0 * r4 * r4 - 66.0 * r4 + 9.0
-    if rad < 0.0:
-        raise DomainError(f"theta boundary radicand negative at r={r!r}")
-    root = math.sqrt(rad)
-    inner = (16.0 * r4 - 3.0 * root - 12.0) / (28.0 * (r4 - 1.0))
-    if not (0.0 <= inner <= 1.0):
-        raise DomainError(f"theta7 radicand {inner!r} outside [0, 1] at r={r!r}")
-    theta7 = math.acos(math.sqrt(inner))
-    theta8 = math.atan2(4.0 * SQRT3, 3.0 - 3.0 * r4 - root)
-    return ThetaBoundaries(theta2=-math.pi / 6.0, theta7=theta7, theta8=theta8)
+    """Case-transition angles along the Cartan circle for r in (0, 1): theta7,
+    where g_x meets b7 (the m_hat = 0 cutoff of the small-g_y regime), and
+    theta8, the re-entry into the narrow window through g_x = -2/sqrt(3)."""
+    # the larger b7 root is no cutoff: it lies on the branch that squaring
+    # added, or above g_y = 1/2
+    theta7 = _root_pair(r, "b7")[0]
+    return ThetaBoundaries(theta2=-math.pi / 6.0, theta7=theta7, theta8=_root_pair(r, "b8")[1])
 
 
 def case8_second_derivative_factor(gx: float) -> float:
@@ -246,13 +253,7 @@ def divergence_probe_onset(r: float) -> float:
     the re-entry near pi/2, this is the onset. The probe integrates from here
     so the window survives eps down to 1e-2 (the re-entry sits within
     ~1.16 r^4 of pi/2, inside every such eps)."""
-    if not (math.isfinite(r) and 0.0 < r < 1.0):
-        raise DomainError(f"need r in (0, 1), got {r!r}")
-    r4 = r ** 4
-    rad = 9.0 * r4 * r4 - 66.0 * r4 + 9.0
-    if rad < 0.0:
-        raise DomainError(f"onset radicand negative at r={r!r}")
-    return math.atan2(4.0 * SQRT3, 3.0 - 3.0 * r4 + math.sqrt(rad))
+    return _root_pair(r, "b8")[0]
 
 
 def second_order_divergence_probe(

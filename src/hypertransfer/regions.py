@@ -440,22 +440,22 @@ def case8_dgx_factor(gx: float) -> float:
     )
 
 
+def m_hat_partials(c: ANCoords) -> tuple[float, float]:
+    """(d m_hat/d g_x, d m_hat/d g_y) in closed form; valid for every g_y > 0."""
+    if classify_case(c) in (CaseRegime.CASE1, CaseRegime.CASE7):
+        return 0.0, 0.0
+    _, dgx, dgy = _m_hat_closed_form(c)
+    return dgx, dgy
+
+
 def m_hat_dgx(c: ANCoords) -> float:
     """d m_hat/d g_x in closed form; valid for every g_y > 0."""
-    if classify_case(c) in (CaseRegime.CASE1, CaseRegime.CASE7):
-        return 0.0
-    return _m_hat_closed_form(c)[1]
+    return m_hat_partials(c)[0]
 
 
 def m_hat_dgy(c: ANCoords) -> float:
     """d m_hat/d g_y in closed form; valid for every g_y > 0."""
-    if classify_case(c) in (CaseRegime.CASE1, CaseRegime.CASE7):
-        return 0.0
-    return _m_hat_closed_form(c)[2]
-
-
-def m_hat_partials(c: ANCoords) -> tuple[float, float]:
-    return m_hat_dgx(c), m_hat_dgy(c)
+    return m_hat_partials(c)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -480,19 +480,8 @@ def m_hat_mc(c: ANCoords, n: int, rng_seed: int) -> tuple[float, float]:
     return est, se
 
 
-def m_hat_direct(
-    c: ANCoords,
-    q: QuadratureConfig = DEFAULT_QUADRATURE,
-    mode: str = "adaptive2d",
-    n: int = 200_000,
-    rng_seed: int = 0,
-) -> float:
-    """Region integral by section-exact x-quadrature ("adaptive2d") or by
-    Monte-Carlo membership ("montecarlo")."""
-    if mode == "montecarlo":
-        return m_hat_mc(c, n, rng_seed)[0]
-    if mode != "adaptive2d":
-        raise DomainError(f"unknown mode {mode!r}")
+def m_hat_direct(c: ANCoords, q: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+    """Region integral by section-exact x-quadrature."""
     v, _ = integrate(lambda x: _section_mass(x, c), -0.5, 0.5, q, points=_section_breakpoints(c))
     return _clamp_unit(v * 3.0 / math.pi)
 
@@ -546,39 +535,53 @@ def m_hat_at_angle(
     return _m_hat_case_known(c, classify_case(c))
 
 
+def _transition_quadratics(r: float) -> dict[str, tuple[float, float, float]]:
+    """(a, b, c) with a t^2 + b t + c = 0 at t = tan(theta) on each curve that
+    classify_case (margin 0) switches on, along the Cartan circle of norm r:
+    with R = r^4, g_x = (R - 1) t/(1 + R t^2), g_y = r^2 (1 + t^2)/(1 + R t^2)
+    and g_x^2 + g_y^2 = (R + t^2)/(1 + R t^2). The square-root boundaries b2,
+    b4 and b7 are squared, so their roots include the other branch's."""
+    big_r, r2 = r ** 4, r * r
+    k, h = 2.0 / SQRT3, math.sqrt(5.0) / 2.0
+    return {
+        "g_y=1/2": (r2 - 0.5 * big_r, 0.0, r2 - 0.5),
+        "g_y=2/sqrt3": (r2 - k * big_r, 0.0, r2 - k),
+        "b2": (1.0, -k, -1.0),  # over R - 1: theta = pi/3, -pi/6 for every r != 1
+        "b3": (1.0, 0.0, 0.0),  # g_x = 0, which is b9 too
+        "b4": (1.0, 2.0 * (big_r - 1.0), big_r),
+        "b5": (h * r2, big_r - 1.0, h * r2),
+        "b6": (k * r2, big_r - 1.0, k * r2),
+        "b7": (1.0 + 5.0 * big_r / 3.0, 2.0 * SQRT3 * (big_r - 1.0), big_r + 5.0 / 3.0),
+        "b8": (k * big_r, big_r - 1.0, k),
+    }
+
+
+def _tan_roots(a: float, b: float, c: float) -> list[float]:
+    """Ascending angles in (-pi/2, pi/2) whose tangents solve a t^2 + b t + c = 0.
+    The roots q/a and c/q, q = -(b + sign(b) sqrt(b^2 - 4ac))/2, are free of
+    cancellation; atan2 of numerator and denominator keeps a root near pi/2 to
+    full precision, and a zero denominator (a root at pi/2, or none) is dropped."""
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return []
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    roots = ((q, a), (c, q))
+    return sorted(math.atan2(n, d) if d > 0.0 else math.atan2(-n, -d) for n, d in roots if d != 0.0)
+
+
 @functools.lru_cache(maxsize=256)
 def case_transition_thetas(r: float) -> tuple[float, ...]:
-    """Angles where the case classification changes along theta, found by a
-    scan plus bisection; used as quadrature breakpoints.
-
-    The scan grid is uniform plus log-spaced clusters at 0 and +-pi/2: the
-    regime where g_x sweeps its full range compresses into windows of width
-    about max(r, 1/r)^(-4) against those angles, far below any uniform step.
-    """
-    def tag(t: float) -> str:
-        return classify_case(iwasawa_image_coords(r, t), hybrid_margin=0.0).value
-
-    eps = 1e-13
-    grid = [np.linspace(-_HALF_PI + eps, _HALF_PI - eps, 720)]
-    offsets = 10.0 ** -np.arange(1.0, 12.0)
-    for anchor, signs in ((-_HALF_PI, (1.0,)), (0.0, (-1.0, 1.0)), (_HALF_PI, (-1.0,))):
-        for s in signs:
-            grid.append(anchor + s * offsets)
-    ts = np.unique(np.concatenate(grid))
-    tags = [tag(float(t)) for t in ts]
-    pts: list[float] = []
-    for i in range(len(ts) - 1):
-        if tags[i] != tags[i + 1]:
-            lo, hi = float(ts[i]), float(ts[i + 1])
-            tlo = tags[i]
-            for _ in range(55):
-                mid = 0.5 * (lo + hi)
-                if tag(mid) == tlo:
-                    lo = mid
-                else:
-                    hi = mid
-            pts.append(0.5 * (lo + hi))
-    return tuple(pts)
+    """Angles in (-pi/2, pi/2) where the case classification changes along
+    theta; used as quadrature breakpoints. Every such angle is a root of
+    _transition_quadratics, so the tag is constant between neighbouring roots;
+    a root is kept where the tags at the midpoints of its two gaps differ."""
+    cands = sorted({t for quad in _transition_quadratics(r).values() for t in _tan_roots(*quad)})
+    edges = [-_HALF_PI, *cands, _HALF_PI]
+    tags = [
+        classify_case(iwasawa_image_coords(r, 0.5 * (lo + hi)), hybrid_margin=0.0)
+        for lo, hi in zip(edges, edges[1:])
+    ]
+    return tuple(t for t, left, right in zip(cands, tags, tags[1:]) if left is not right)
 
 
 def m_tilde_full(

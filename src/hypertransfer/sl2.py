@@ -51,9 +51,6 @@ class RealMat2:
     def inv(self) -> "RealMat2":
         return RealMat2.renormalized(self.d, -self.b, -self.c, self.a)
 
-    def transpose(self) -> "RealMat2":
-        return RealMat2(self.a, self.c, self.b, self.d)
-
     def neg(self) -> "RealMat2":
         return RealMat2(-self.a, -self.b, -self.c, -self.d)
 
@@ -74,9 +71,6 @@ class HalfPlanePoint:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.x) and math.isfinite(self.y) and self.y > 0.0):
             raise DomainError(f"{self.x!r}+{self.y!r}i is not in the upper half-plane")
-
-    def as_complex(self) -> complex:
-        return complex(self.x, self.y)
 
 
 @dataclass(frozen=True)

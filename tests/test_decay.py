@@ -166,6 +166,8 @@ def test_theta_boundaries_closed_forms():
         theta_boundaries(0.8)  # radicand negative between the regime roots
     with pytest.raises(DomainError):
         theta_boundaries(-0.2)
+    with pytest.raises(DomainError):
+        theta_boundaries(1.0)
 
 
 def test_case8_second_derivative_factor():

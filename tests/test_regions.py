@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import hypertransfer.regions as regions
+from hypertransfer.decay import theta_boundaries
 from hypertransfer.errors import DomainError, RegimeError
 from hypertransfer.quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 from hypertransfer.regions import (
@@ -187,11 +188,9 @@ def test_m_hat_direct_examples():
     assert abs(m_hat_direct(ANCoords(10.0, 0.3)) - 1.0) <= 1e-6
     # tangency point: the excluded disc only touches the domain corner
     v = m_hat_direct(ANCoords(0.0, 1.0))
-    mc = m_hat_direct(ANCoords(0.0, 1.0), mode="montecarlo", n=100_000, rng_seed=4)
+    mc = m_hat_mc(ANCoords(0.0, 1.0), 100_000, 4)[0]
     assert abs(v - 1.0) <= 1e-9
     assert mc == 1.0
-    with pytest.raises(DomainError):
-        m_hat_direct(ANCoords(0.0, 1.0), mode="bogus")
 
 
 def test_m_hat_monotone_in_gx():
@@ -461,9 +460,26 @@ def test_iwasawa_image_coords_vs_decomposition():
         assert abs(coords.g_y - ref.g_y) < 1e-10 * max(1.0, ref.g_y)
 
 
+def _boundary_functions(c: ANCoords) -> list[float]:
+    # every curve classify_case switches on, as a function that is 0 on it
+    gx, gy = c.g_x, c.g_y
+    s = gx * gx + gy * gy
+    return [
+        gy - 0.5,
+        gy - 2.0 / SQRT3,
+        s + 2.0 * gx / SQRT3 - 1.0,
+        gx,
+        s + 2.0 * gx,
+        gx + math.sqrt(5.0) * gy / 2.0,
+        gx + 2.0 * gy / SQRT3,
+        s + 2.0 * SQRT3 * gx + 5.0 / 3.0,
+        gx + 2.0 / SQRT3,
+    ]
+
+
 def test_case_transition_sliver_present():
-    # for r < 1 a thin large-g_y window hugs theta = +-pi/2; the transition
-    # scan must resolve it even though it is far below the uniform grid pitch
+    # for r < 1 a thin large-g_y window hugs theta = +-pi/2; the transitions
+    # must resolve it even though it is far below any uniform grid pitch
     r = 0.1
     ts = case_transition_thetas(r)
     half = math.pi / 2.0
@@ -478,6 +494,41 @@ def test_case_transition_sliver_present():
         tag = classify_case(iwasawa_image_coords(r, mid), hybrid_margin=0.0)
         for t in (lo + 0.25 * (hi - lo), lo + 0.75 * (hi - lo)):
             assert classify_case(iwasawa_image_coords(r, t), hybrid_margin=0.0) is tag
+    # the CASE4 -> 5 -> 6 pair 3.7e-4 apart: both the b5 and the b6 crossing
+    for near, k in ((0.01118, math.sqrt(5.0) / 2.0), (0.01155, 2.0 / SQRT3)):
+        hits = [t for t in ts if abs(t - near) < 1e-5]
+        assert len(hits) == 1
+        c = iwasawa_image_coords(r, hits[0])
+        assert abs(c.g_x + k * c.g_y) < 1e-12
+    assert len(case_transition_thetas(10.0)) == 9
+    for r in (0.05, 0.1, 0.3):
+        ts = case_transition_thetas(r)
+        for t in ts:
+            # a zero of one boundary function, up to the change that one ulp
+            # of theta makes: 3.6e-11 in g_x at the b8 re-entry for r = 0.05,
+            # where the float nearest the root leaves a residual of 1.1e-11
+            u = math.ulp(t)
+            vals = zip(*(_boundary_functions(iwasawa_image_coords(r, t + d)) for d in (0.0, -u, u)))
+            assert any(abs(f) < 1e-12 + abs(fp - fm) for f, fm, fp in vals)
+        tb = theta_boundaries(r)
+        for angle in (tb.theta7, tb.theta8):
+            assert min(abs(angle - t) for t in ts) < 1e-14
+
+
+def test_case_transitions_classify_once_per_gap(monkeypatch):
+    calls = []
+
+    def counting(c, hybrid_margin=regions.DEFAULT_HYBRID_MARGIN):
+        calls.append(c)
+        return classify_case(c, hybrid_margin)
+
+    monkeypatch.setattr(regions, "classify_case", counting)
+    for r in (0.1, 0.3, 5.0, 50.0):
+        case_transition_thetas.cache_clear()
+        calls.clear()
+        case_transition_thetas(r)
+        assert 0 < len(calls) <= 20
+    case_transition_thetas.cache_clear()
 
 
 def test_m_tilde_frozen_values():
