@@ -39,7 +39,6 @@ from .errors import (
     AccuracyError,
     DegeneracyError,
     DomainError,
-    GeometryError,
     HypertransferError,
     RegimeError,
 )
@@ -60,11 +59,8 @@ from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 from .regions import (
     BoundaryValues,
     CaseRegime,
-    Intersections,
     boundary_values,
-    case8_dgx_factor,
     classify_case,
-    intersections,
     iwasawa_image_coords,
     m_hat_case,
     m_hat_direct,

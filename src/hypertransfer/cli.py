@@ -45,11 +45,7 @@ def _json_dump(obj) -> str:
 
 
 def _quad_config(args: argparse.Namespace) -> QuadratureConfig:
-    return QuadratureConfig(
-        abs_tol=args.abs_tol,
-        rel_tol=args.rel_tol,
-        max_subdivisions=DEFAULT_QUADRATURE.max_subdivisions,
-    )
+    return QuadratureConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
@@ -178,6 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", default=None, help="write to a file instead of stdout")
+
+    def tolerances(p: argparse.ArgumentParser) -> None:
         p.add_argument("--abs-tol", type=float, default=DEFAULT_QUADRATURE.abs_tol)
         p.add_argument("--rel-tol", type=float, default=DEFAULT_QUADRATURE.rel_tol)
 
@@ -193,6 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=100_000, help="Monte-Carlo sample count")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     common(p)
+    tolerances(p)
     p.set_defaults(func=cmd_symbol)
 
     p = sub.add_parser("region", help="boundary polylines of the active region")
@@ -206,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rmin", type=float, default=0.05)
     p.add_argument("--rmax", type=float, default=0.5)
     p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     common(p)
+    tolerances(p)
     p.set_defaults(func=cmd_decay)
 
     p = sub.add_parser("verify", help="run the self-check suites (JSON report)")

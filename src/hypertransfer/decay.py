@@ -86,11 +86,7 @@ def _outer_config(q: QuadratureConfig) -> QuadratureConfig:
     # for cost: without the floor the default ten-row table takes 1.2x the
     # outer and 1.6x the inner integrand evaluations, and the table reports no
     # error bar that a tighter target would serve
-    return QuadratureConfig(
-        abs_tol=max(q.abs_tol, 1e-7),
-        rel_tol=max(q.rel_tol, 1e-6),
-        max_subdivisions=q.max_subdivisions,
-    )
+    return QuadratureConfig(abs_tol=max(q.abs_tol, 1e-7), rel_tol=max(q.rel_tol, 1e-6))
 
 
 def _decay_radius(r: float) -> float:
@@ -228,10 +224,17 @@ def _root_pair(r: float, boundary: str) -> list[float]:
 def theta_boundaries(r: float) -> ThetaBoundaries:
     """Case-transition angles along the Cartan circle for r in (0, 1): theta7,
     where g_x meets b7 (the m_hat = 0 cutoff of the small-g_y regime), and
-    theta8, the re-entry into the narrow window through g_x = -2/sqrt(3)."""
+    theta8, the re-entry into the narrow window through g_x = -2/sqrt(3).
+    theta7 exists for r up to about 0.56462."""
     # the larger b7 root is no cutoff: it lies on the branch that squaring
     # added, or above g_y = 1/2
     theta7 = _root_pair(r, "b7")[0]
+    g_y = iwasawa_image_coords(r, theta7).g_y
+    if g_y > 0.5:
+        raise DomainError(
+            f"no theta7 at r={r!r}: the b7 crossing lies at g_y = {g_y!r} > 1/2, "
+            "where b7 bounds no case"
+        )
     return ThetaBoundaries(theta2=-math.pi / 6.0, theta7=theta7, theta8=_root_pair(r, "b8")[1])
 
 

@@ -16,10 +16,6 @@ class RegimeError(HypertransferError, ValueError):
     """Parameters outside the regime where a closed form is valid."""
 
 
-class GeometryError(HypertransferError, RuntimeError):
-    """Bracketed root-finding failed: the expected intersection degenerated."""
-
-
 class DegeneracyError(HypertransferError, RuntimeError):
     """Iteration cap exceeded in a reduction loop."""
 

@@ -15,16 +15,17 @@ from scipy import integrate as _spi
 
 from .errors import AccuracyError, DomainError
 
+MAX_SUBDIVISIONS = 2000
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     abs_tol: float = 1e-8
     rel_tol: float = 1e-7
-    max_subdivisions: int = 2000
 
     def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0 and self.max_subdivisions > 0):
-            raise DomainError(f"tolerances and subdivision cap must be positive: {self}")
+        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
+            raise DomainError(f"tolerances must be positive: {self}")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -57,7 +58,7 @@ def integrate(
         b,
         epsabs=cfg.abs_tol,
         epsrel=cfg.rel_tol,
-        limit=cfg.max_subdivisions,
+        limit=MAX_SUBDIVISIONS,
         points=interior,
         full_output=1,
     )

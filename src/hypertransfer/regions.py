@@ -20,16 +20,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import DomainError, GeometryError, RegimeError
+from .errors import DomainError, RegimeError
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate
 from .sl2 import ANCoords, RealMat2, operator_norm
 
 SQRT3 = math.sqrt(3.0)
-_THIRD_PI = math.pi / 3.0
 _HALF_PI = math.pi / 2.0
-DEFAULT_HYBRID_MARGIN = 1e-6
 
 
 class CaseRegime(enum.Enum):
@@ -83,17 +80,12 @@ def boundary_values(g_y: float) -> BoundaryValues:
     )
 
 
-def classify_case(c: ANCoords, hybrid_margin: float = DEFAULT_HYBRID_MARGIN) -> CaseRegime:
-    """Open-interval classification; FALLBACK in the band 1/2 < g_y <= 2/sqrt(3),
-    within the hybrid margin of any boundary, and wherever no case applies."""
-    if hybrid_margin < 0.0:
-        raise DomainError("hybrid margin must be nonnegative")
+def classify_case(c: ANCoords) -> CaseRegime:
+    """Open-interval classification; FALLBACK in the band 1/2 < g_y <= 2/sqrt(3)
+    and wherever no case applies."""
     gx, gy = c.g_x, c.g_y
     if gy <= 0.5:
         bv = boundary_values(gy)
-        cuts = (bv.b2, bv.b3, bv.b4, bv.b5, bv.b6, bv.b7)
-        if any(abs(gx - b) < hybrid_margin for b in cuts):
-            return CaseRegime.FALLBACK
         if gx > bv.b2:
             return CaseRegime.CASE1
         if gx > bv.b3:
@@ -107,71 +99,9 @@ def classify_case(c: ANCoords, hybrid_margin: float = DEFAULT_HYBRID_MARGIN) -> 
         if gx > bv.b7:
             return CaseRegime.CASE6
         return CaseRegime.CASE7
-    if gy > 2.0 / SQRT3:
-        if -2.0 / SQRT3 + hybrid_margin < gx < -hybrid_margin:
-            return CaseRegime.CASE8
-        return CaseRegime.FALLBACK
+    if gy > 2.0 / SQRT3 and -2.0 / SQRT3 < gx < 0.0:
+        return CaseRegime.CASE8
     return CaseRegime.FALLBACK
-
-
-# ---------------------------------------------------------------------------
-# intersection points
-
-
-@dataclass(frozen=True)
-class Intersections:
-    a_x: Optional[float] = None
-    a_y: Optional[float] = None
-    b_x: Optional[float] = None
-    b_y: Optional[float] = None
-    c_y: Optional[float] = None
-    d_x: Optional[float] = None
-
-
-def _ellipse_circle_point(c: ANCoords) -> tuple[float, float]:
-    """Ellipse/unit-circle crossing on the top arc, via the circle angle.
-
-    Bracket: the right corner of the fundamental domain is outside the ellipse
-    for g_x > b7 and the left corner inside for g_x < b2, so the sign change
-    on [pi/3, 2pi/3] is guaranteed in Cases 2-6.
-    """
-    gx, gy = c.g_x, c.g_y
-
-    def h(phi: float) -> float:
-        x, y = math.cos(phi), math.sin(phi)
-        t = x + gx * y + 1.0
-        return t * t + gy * gy * y * y - 1.0
-
-    try:
-        phi = brentq(h, _THIRD_PI, 2.0 * _THIRD_PI, xtol=1e-14, rtol=8.9e-16)
-    except ValueError as exc:
-        raise GeometryError(f"ellipse/circle bracket failed at {c}: {exc}") from exc
-    return math.cos(phi), math.sin(phi)
-
-
-def intersections(c: ANCoords, case: CaseRegime) -> Intersections:
-    if case is CaseRegime.FALLBACK:
-        raise RegimeError("no closed-form intersections in the fallback regime")
-    gx, gy = c.g_x, c.g_y
-    a_x = a_y = b_x = b_y = c_y = d_x = None
-    if case in (
-        CaseRegime.CASE2,
-        CaseRegime.CASE3,
-        CaseRegime.CASE4,
-        CaseRegime.CASE5,
-        CaseRegime.CASE6,
-    ):
-        a_x, a_y = _ellipse_circle_point(c)
-    if case in (CaseRegime.CASE3, CaseRegime.CASE4, CaseRegime.CASE5):
-        # line/ellipse crossing: substituting x + g_x y = -1/2 into the
-        # ellipse leaves (g_y y)^2 = 3/4
-        b_y = SQRT3 / (2.0 * gy)
-        b_x = -(SQRT3 * gx + gy) / (2.0 * gy)
-    if case is CaseRegime.CASE4:
-        c_y = -1.0 / gx
-    if case is CaseRegime.CASE8:
-        d_x = -(gx * math.sqrt(4.0 * gx * gx + 3.0) + 1.0) / (2.0 * gx * gx + 2.0)
-    return Intersections(a_x=a_x, a_y=a_y, b_x=b_x, b_y=b_y, c_y=c_y, d_x=d_x)
 
 
 # ---------------------------------------------------------------------------
@@ -180,34 +110,41 @@ def intersections(c: ANCoords, case: CaseRegime) -> Intersections:
 
 def _section_cuts(
     x: float, c: ANCoords
-) -> tuple[float, float, Optional[tuple[float, float, float]]]:
-    """The cuts of the y-section at abscissa x: the circle height ymin, the
-    line cut top (y >= top is excluded; math.inf when g_x >= 0), and the
-    ellipse roots (lo, hi, q) with q the root of the radicand, or None where
-    the ellipse misses the abscissa."""
+) -> tuple[tuple[float, float, float, float, float], tuple[bool, bool, bool, bool]]:
+    """The cuts of the y-section at abscissa x and which of its four mass
+    terms are active; the one place that decides which cuts bound the section.
+
+    The cuts are (ymin, top, lo, hi, q): the circle height ymin, the line cut
+    top (y >= top is excluded; math.inf when g_x >= 0) and the ellipse roots
+    lo < hi with q the root of the radicand (NaN where the ellipse misses the
+    abscissa). The flags are (circle, lower, upper, line) for the terms 1/ymin,
+    -1/lo, +1/hi and -1/top: the section is [ymin, lo) if lower, else
+    [ymin, top), when circle, and [hi, top) when upper.
+    """
+    gx, gy = c.g_x, c.g_y
     ymin = math.sqrt(max(1.0 - x * x, 0.0))
-    top = -(1.0 + 2.0 * x) / (2.0 * c.g_x) if c.g_x < 0.0 else math.inf
-    rad = c.g_x * c.g_x - c.g_y * c.g_y * x * (x + 2.0)
-    if rad <= 0.0:
-        return ymin, top, None
-    s = c.g_x * c.g_x + c.g_y * c.g_y
-    q = math.sqrt(rad)
-    return ymin, top, ((-q - (x + 1.0) * c.g_x) / s, (q - (x + 1.0) * c.g_x) / s, q)
+    top = -(1.0 + 2.0 * x) / (2.0 * gx) if gx < 0.0 else math.inf
+    rad = gx * gx - gy * gy * x * (x + 2.0)
+    lo = hi = q = math.nan
+    if rad > 0.0:
+        s = gx * gx + gy * gy
+        q = math.sqrt(rad)
+        lo, hi = (-q - (x + 1.0) * gx) / s, (q - (x + 1.0) * gx) / s
+    cuts = (ymin, top, lo, hi, q)
+    if not 0.0 < ymin < top:
+        return cuts, (False, False, False, False)
+    if rad <= 0.0 or hi <= ymin or lo >= top:
+        return cuts, (True, False, False, gx < 0.0)
+    lower, upper = ymin < lo, hi < top
+    return cuts, (lower, lower, upper, upper and gx < 0.0)
 
 
 def section_intervals(x: float, c: ANCoords) -> list[tuple[float, float]]:
     """Allowed y-intervals of the region above the circle at abscissa x; the
     upper endpoint may be math.inf."""
-    ymin, top, ell = _section_cuts(x, c)
-    if not 0.0 < ymin < top:
-        return []
-    if ell is None or ell[1] <= ymin or ell[0] >= top:
-        return [(ymin, top)]
-    lo, hi, _ = ell
-    segs: list[tuple[float, float]] = []
-    if ymin < lo:
-        segs.append((ymin, lo))
-    if hi < top:
+    (ymin, top, lo, hi, _), (circle, lower, upper, _) = _section_cuts(x, c)
+    segs = [(ymin, lo if lower else top)] if circle else []
+    if upper:
         segs.append((hi, top))
     return segs
 
@@ -216,34 +153,26 @@ def _section_mass(x: float, c: ANCoords) -> float:
     """Exact 1/y^2-mass of the allowed y-section at abscissa x."""
     total = 0.0
     for a, b in section_intervals(x, c):
-        total += 1.0 / a - (0.0 if math.isinf(b) else 1.0 / b)
+        total += 1.0 / a - 1.0 / b  # 1/inf is 0
     return total
 
 
 def _section_mass_partial(x: float, c: ANCoords, wrt_gx: bool) -> float:
     """d/dg_x (wrt_gx) or d/dg_y of _section_mass at abscissa x.
 
-    Only the endpoints that survive the cuts of section_intervals move: ymin
-    does not depend on the parameters, an ellipse root y with slope +-q
-    contributes the derivative of 1/y along the ellipse, g_y/(+-q) or
+    Only the active cuts other than ymin move: an ellipse root y with slope
+    +-q contributes the derivative of 1/y along the ellipse, g_y/(+-q) or
     (x + g_x y + 1)/(+-q y), and the line cut 1/top = -2 g_x/(1 + 2x)
     contributes -2/(1 + 2x) to d/dg_x only.
     """
-    ymin, top, ell = _section_cuts(x, c)
-    if not 0.0 < ymin < top:
-        return 0.0
-    d_top = -2.0 / (1.0 + 2.0 * x) if wrt_gx and c.g_x < 0.0 else 0.0
+    (_, _, lo, hi, q), (circle, lower, upper, line) = _section_cuts(x, c)
+    d_top = -2.0 / (1.0 + 2.0 * x) if wrt_gx and line else 0.0
 
     def d_root(y: float, slope: float) -> float:
         return (x + c.g_x * y + 1.0) / (slope * y) if wrt_gx else c.g_y / slope
 
-    if ell is None or ell[1] <= ymin or ell[0] >= top:
-        return -d_top
-    lo, hi, q = ell
-    total = 0.0
-    if ymin < lo:
-        total -= d_root(lo, -q)
-    if hi < top:
+    total = -(d_root(lo, -q) if lower else d_top) if circle else 0.0
+    if upper:
         total += d_root(hi, q) - d_top
     return total
 
@@ -372,8 +301,8 @@ def _m_hat_closed_form(c: ANCoords) -> tuple[float, float, float]:
     differences over the segments between _section_breakpoints.
 
     On a segment the active terms of the section mass (1/ymin, -1/lo, +1/hi
-    and -1/top, as in section_intervals) do not change, so they are read once
-    at its midpoint. 1/ymin = 1/sqrt(1 - x^2) integrates to asin x, the line
+    and -1/top) do not change, so _section_cuts reads them once at its
+    midpoint. 1/ymin = 1/sqrt(1 - x^2) integrates to asin x, the line
     term -1/top = 2 g_x/(1 + 2x) to g_x ln(1 + 2x), and the root terms are in
     _ellipse_antiderivative. The mass is continuous in x, so the motion of
     the segment edges adds nothing to the partials. No active term is
@@ -385,18 +314,10 @@ def _m_hat_closed_form(c: ANCoords) -> tuple[float, float, float]:
     edges = sorted({-0.5, 0.5, *_section_breakpoints(c)})
     circle = dgx = dgy = 0.0
     for a, b in zip(edges, edges[1:]):
-        ymin, top, ell = _section_cuts(0.5 * (a + b), c)
-        if not 0.0 < ymin < top:
-            continue
-        if ell is None or ell[1] <= ymin or ell[0] >= top:
-            lower = upper = False
-            from_circle = to_top = True
-        else:
-            lower, upper = ymin < ell[0], ell[1] < top
-            from_circle, to_top = lower, upper
+        _, (from_circle, lower, upper, line) = _section_cuts(0.5 * (a + b), c)
         if from_circle:
             circle += math.asin(b) - math.asin(a)
-        if to_top and gx < 0.0:
+        if line:
             floor = -SQRT3 * gx
             dgx += math.log(max(1.0 + 2.0 * b, floor)) - math.log(max(1.0 + 2.0 * a, floor))
         if lower or upper:
@@ -428,16 +349,6 @@ def _clamp_unit(v: float) -> float:
     if 1.0 < v < 1.0 + 1e-6:
         return 1.0
     return v
-
-
-def case8_dgx_factor(gx: float) -> float:
-    """The Case-8 logarithm log(2(gx^2+1)/(gx(gx - sqrt(4gx^2+3)))); the
-    g_x-derivative of m_hat is 3/pi times this."""
-    if not (-2.0 / SQRT3 < gx < 0.0):
-        raise RegimeError(f"Case-8 factor needs g_x in (-2/sqrt(3), 0), got {gx!r}")
-    return math.log(
-        2.0 * (gx * gx + 1.0) / (gx * (gx - math.sqrt(4.0 * gx * gx + 3.0)))
-    )
 
 
 def m_hat_partials(c: ANCoords) -> tuple[float, float]:
@@ -537,7 +448,7 @@ def m_hat_at_angle(
 
 def _transition_quadratics(r: float) -> dict[str, tuple[float, float, float]]:
     """(a, b, c) with a t^2 + b t + c = 0 at t = tan(theta) on each curve that
-    classify_case (margin 0) switches on, along the Cartan circle of norm r:
+    classify_case switches on, along the Cartan circle of norm r:
     with R = r^4, g_x = (R - 1) t/(1 + R t^2), g_y = r^2 (1 + t^2)/(1 + R t^2)
     and g_x^2 + g_y^2 = (R + t^2)/(1 + R t^2). The square-root boundaries b2,
     b4 and b7 are squared, so their roots include the other branch's."""
@@ -578,8 +489,7 @@ def case_transition_thetas(r: float) -> tuple[float, ...]:
     cands = sorted({t for quad in _transition_quadratics(r).values() for t in _tan_roots(*quad)})
     edges = [-_HALF_PI, *cands, _HALF_PI]
     tags = [
-        classify_case(iwasawa_image_coords(r, 0.5 * (lo + hi)), hybrid_margin=0.0)
-        for lo, hi in zip(edges, edges[1:])
+        classify_case(iwasawa_image_coords(r, 0.5 * (lo + hi))) for lo, hi in zip(edges, edges[1:])
     ]
     return tuple(t for t, left, right in zip(cands, tags, tags[1:]) if left is not right)
 
@@ -593,8 +503,8 @@ def m_tilde_full(
     with the achieved quadrature error estimate."""
     r = operator_norm(g)
     if r < 1.0 + 1e-12:
-        # the whole circle sits at (g_x, g_y) = (0, 1)
-        return _clamp_unit(m_hat_direct(ANCoords(0.0, 1.0), q)), q.abs_tol
+        # the whole circle sits at (g_x, g_y) = (0, 1), the image of theta = 0
+        return m_hat_at_angle(1.0, 0.0, q, force_direct), q.abs_tol
     pts = list(case_transition_thetas(r)) + [0.0]
     val, err = integrate(
         lambda t: m_hat_at_angle(r, t, q, force_direct), -_HALF_PI, _HALF_PI, q, points=pts

@@ -27,6 +27,19 @@ def test_parser_requires_command():
     assert exc.value.code == 2
 
 
+def test_unread_options_are_rejected():
+    # tolerances only on symbol and decay, --seed only on symbol and verify
+    for argv in (
+        ["reduce", "5", "2", "--abs-tol", "1e-9"],
+        ["region", "0", "1", "--rel-tol", "1e-9"],
+        ["verify", "--abs-tol", "1e-9"],
+        ["decay", "--seed", "7"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
 def test_reduce_csv(capsys):
     code, out = run(capsys, ["reduce", "5", "2"])
     assert code == 0

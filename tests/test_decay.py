@@ -25,7 +25,12 @@ from hypertransfer.decay import (
     worker_count,
 )
 from hypertransfer.errors import DomainError, RegimeError
-from hypertransfer.regions import boundary_values, iwasawa_image_coords, m_hat_case
+from hypertransfer.regions import (
+    boundary_values,
+    case_transition_thetas,
+    iwasawa_image_coords,
+    m_hat_case,
+)
 from hypertransfer.sl2 import ANCoords, cartan_a, rotation
 
 SQRT3 = math.sqrt(3.0)
@@ -162,6 +167,13 @@ def test_theta_boundaries_closed_forms():
     tb = theta_boundaries(1e-3)
     assert abs(tb.theta7 - math.pi / 6.0) < 1e-6
     assert abs(tb.theta8 - math.pi / 2.0) < 1e-3
+    for r in np.linspace(0.02, 0.56, 28):
+        assert theta_boundaries(float(r)).theta7 in case_transition_thetas(float(r))
+    # above r = 0.56462 the smaller b7 root lies above g_y = 1/2, where
+    # classify_case does not use b7
+    for r in (0.58, 0.6):
+        with pytest.raises(DomainError, match="g_y"):
+            theta_boundaries(r)
     with pytest.raises(DomainError):
         theta_boundaries(0.8)  # radicand negative between the regime roots
     with pytest.raises(DomainError):

@@ -46,7 +46,7 @@ def test_accuracy_error_carries_achieved():
             lambda x: 1.0 / math.sqrt(x),
             0.0,
             1.0,
-            QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=2000),
+            QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300),
         )
     assert exc.value.achieved > 0.0
     assert "achieved" in str(exc.value)
@@ -55,11 +55,6 @@ def test_accuracy_error_carries_achieved():
 def test_config_validation():
     assert DEFAULT_QUADRATURE.abs_tol == 1e-8
     assert DEFAULT_QUADRATURE.rel_tol == 1e-7
-    assert DEFAULT_QUADRATURE.max_subdivisions == 2000
-    for bad in (
-        dict(abs_tol=0.0),
-        dict(rel_tol=-1e-9),
-        dict(max_subdivisions=0),
-    ):
+    for bad in (dict(abs_tol=0.0), dict(rel_tol=-1e-9)):
         with pytest.raises(DomainError):
             QuadratureConfig(**bad)

@@ -1,6 +1,7 @@
-"""Region-integral engine: case classification, closed-form intersections,
-the closed-form m_hat with partials, the direct 2-D oracles, and the
-angle-averaged m_tilde."""
+"""Region-integral engine: case classification, the section cuts and the
+ellipse/unit-circle crossings, the closed-form m_hat with partials and its
+antiderivatives, the direct 2-D oracles, the closed-form case-transition
+angles, and the angle-averaged m_tilde."""
 
 import math
 
@@ -18,10 +19,8 @@ from hypertransfer.regions import (
     _ellipse_circle_abscissas,
     _m_hat_closed_form,
     boundary_values,
-    case8_dgx_factor,
     case_transition_thetas,
     classify_case,
-    intersections,
     iwasawa_image_coords,
     m_hat_case,
     m_hat_direct,
@@ -99,52 +98,26 @@ def test_classify_examples():
     assert classify_case(ANCoords(-2.0, 1.5)) is CaseRegime.FALLBACK
 
 
-def test_classify_hybrid_margin():
-    bv = boundary_values(0.3)
-    for b in (bv.b2, bv.b3, bv.b4, bv.b5, bv.b6, bv.b7):
-        assert classify_case(ANCoords(b + 5e-7, 0.3)) is CaseRegime.FALLBACK
-        assert classify_case(ANCoords(b - 5e-7, 0.3)) is CaseRegime.FALLBACK
-    # widening the margin widens the fallback collar
-    assert classify_case(ANCoords(bv.b3 + 1e-3, 0.3)) is CaseRegime.CASE2
-    assert classify_case(ANCoords(bv.b3 + 1e-3, 0.3), hybrid_margin=1e-2) is CaseRegime.FALLBACK
-    with pytest.raises(DomainError):
-        classify_case(ANCoords(0.1, 0.3), hybrid_margin=-1.0)
-
-
-def test_intersections_closed_forms():
-    c = ANCoords(-0.19, 0.3)  # a Case-4 point
-    rec = intersections(c, CaseRegime.CASE4)
-    assert abs(rec.b_y - SQRT3 / (2.0 * 0.3)) < 1e-14
-    assert abs(rec.b_x + (SQRT3 * c.g_x + c.g_y) / (2.0 * c.g_y)) < 1e-14
-    assert abs(rec.c_y + 1.0 / c.g_x) < 1e-14
-    assert rec.b_y > SQRT3 / 2.0
-    d = intersections(ANCoords(-1.0, 1.5), CaseRegime.CASE8)
-    assert abs(d.d_x - (math.sqrt(7.0) - 1.0) / 4.0) < 1e-12
-    assert abs(d.d_x - 0.41144) < 1e-5
-    with pytest.raises(RegimeError):
-        intersections(ANCoords(0.0, 1.0), CaseRegime.FALLBACK)
-
-
 def test_intersections_circle_point():
-    # point A lies on the unit circle and the ellipse, inside the one-sided
-    # bounds the closed-form cases assume
+    # in Cases 2-6 the ellipse crosses the top arc of the unit circle; the
+    # crossing finder every section route takes its breakpoints from returns
+    # that point, inside the one-sided bounds of Cases 2 and 5
     for gx, gy, case in [
         (0.28, 0.1, CaseRegime.CASE2),
-        (-0.02, 0.1, CaseRegime.CASE3),
+        (-0.02, 0.1, CaseRegime.CASE4),
         (-0.19, 0.3, CaseRegime.CASE4),
         (-0.34, 0.3, CaseRegime.CASE5),
         (-0.48, 0.3, CaseRegime.CASE6),
     ]:
         c = ANCoords(gx, gy)
-        rec = intersections(c, case)
-        assert abs(rec.a_x ** 2 + rec.a_y ** 2 - 1.0) < 1e-10
-        assert abs(ellipse_residual(rec.a_x, rec.a_y, c)) < 1e-10
-        # the crossing finder every section route takes its breakpoints from
-        assert min(abs(x - rec.a_x) for x in _ellipse_circle_abscissas(c)) < 1e-10
+        assert classify_case(c) is case
+        (x,) = _ellipse_circle_abscissas(c)
+        y = math.sqrt(1.0 - x * x)
+        assert abs(ellipse_residual(x, y, c)) < 1e-10
         if case is CaseRegime.CASE2:
-            assert rec.a_x <= -SQRT3 * gx / 2.0 + 1e-12
+            assert x <= -SQRT3 * gx / 2.0 + 1e-12
         if case is CaseRegime.CASE5:
-            assert rec.a_x >= gy / 4.0 - 1e-12
+            assert x >= gy / 4.0 - 1e-12
 
 
 def test_m_hat_trivial_cases():
@@ -404,16 +377,6 @@ def test_case2_derivative_bound():
         assert 0.0 < dgx <= bound
 
 
-def test_case8_factor():
-    want = math.log(4.0 / (1.0 + math.sqrt(7.0)))
-    assert abs(case8_dgx_factor(-1.0) - want) < 1e-14
-    assert abs(want - 0.0927) < 1e-4
-    with pytest.raises(RegimeError):
-        case8_dgx_factor(0.0)
-    with pytest.raises(RegimeError):
-        case8_dgx_factor(-2.0)
-
-
 def test_section_intervals_membership():
     rng = np.random.default_rng(6)
     for _ in range(300):
@@ -491,9 +454,9 @@ def test_case_transition_sliver_present():
         if hi - lo < 1e-12:
             continue
         mid = 0.5 * (lo + hi)
-        tag = classify_case(iwasawa_image_coords(r, mid), hybrid_margin=0.0)
+        tag = classify_case(iwasawa_image_coords(r, mid))
         for t in (lo + 0.25 * (hi - lo), lo + 0.75 * (hi - lo)):
-            assert classify_case(iwasawa_image_coords(r, t), hybrid_margin=0.0) is tag
+            assert classify_case(iwasawa_image_coords(r, t)) is tag
     # the CASE4 -> 5 -> 6 pair 3.7e-4 apart: both the b5 and the b6 crossing
     for near, k in ((0.01118, math.sqrt(5.0) / 2.0), (0.01155, 2.0 / SQRT3)):
         hits = [t for t in ts if abs(t - near) < 1e-5]
@@ -518,9 +481,9 @@ def test_case_transition_sliver_present():
 def test_case_transitions_classify_once_per_gap(monkeypatch):
     calls = []
 
-    def counting(c, hybrid_margin=regions.DEFAULT_HYBRID_MARGIN):
+    def counting(c):
         calls.append(c)
-        return classify_case(c, hybrid_margin)
+        return classify_case(c)
 
     monkeypatch.setattr(regions, "classify_case", counting)
     for r in (0.1, 0.3, 5.0, 50.0):
