@@ -1,7 +1,8 @@
 """Command-line surface: reduce, symbol, region, decay, verify.
 
 Output is CSV (header row, '.' decimal, 17 significant digits) or JSON with
-sorted keys; identical seeds and flags give byte-identical bytes. Exit codes:
+sorted keys, where an undefined number is null; verify writes JSON only.
+Identical seeds and flags give byte-identical bytes. Exit codes:
 0 success, 1 verification failure, 2 usage or input error, 3 accuracy not
 achieved.
 """
@@ -41,11 +42,8 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 
 def _json_dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _quad_config(args: argparse.Namespace) -> QuadratureConfig:
-    return QuadratureConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
+    # allow_nan=False: NaN and infinity are not JSON, so no output may hold them
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
@@ -71,7 +69,7 @@ def cmd_symbol(args: argparse.Namespace) -> int:
     if not (math.isfinite(args.r) and args.r > 0.0):
         raise HypertransferError(f"need r > 0, got {args.r!r}")
     g = cartan_a(args.r)
-    q = _quad_config(args)
+    q = QuadratureConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
     if args.mode == "mc":
         value, err = transferred_symbol_mc(symbol_m_word, g, args.n, args.seed)
     else:
@@ -130,7 +128,7 @@ def cmd_decay(args: argparse.Namespace) -> int:
     if args.steps < 1:
         raise HypertransferError("need steps >= 1")
     grid = [float(r) for r in np.linspace(args.rmin, args.rmax, args.steps)]
-    rows = hm_table(grid, _quad_config(args))
+    rows = hm_table(grid)
     max_weighted = max(row.weighted for row in rows)
     if len(rows) >= 2:
         mags = [abs(row.f1) + abs(row.f2) for row in rows]
@@ -143,7 +141,7 @@ def cmd_decay(args: argparse.Namespace) -> int:
                 {"r": row.r, "f1": row.f1, "f2": row.f2, "weighted": row.weighted}
                 for row in rows
             ],
-            "slope": slope,
+            "slope": None if math.isnan(slope) else slope,
             "max_weighted": float(max_weighted),
         }
         _emit(_json_dump(payload), args.output)
@@ -171,13 +169,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+    def output(p: argparse.ArgumentParser) -> None:
         p.add_argument("--output", default=None, help="write to a file instead of stdout")
 
-    def tolerances(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--abs-tol", type=float, default=DEFAULT_QUADRATURE.abs_tol)
-        p.add_argument("--rel-tol", type=float, default=DEFAULT_QUADRATURE.rel_tol)
+    def common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        output(p)
 
     p = sub.add_parser("reduce", help="reduce x+iy to the fundamental domain")
     p.add_argument("x", type=float)
@@ -191,7 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=100_000, help="Monte-Carlo sample count")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     common(p)
-    tolerances(p)
+    p.add_argument("--abs-tol", type=float, default=DEFAULT_QUADRATURE.abs_tol)
+    p.add_argument("--rel-tol", type=float, default=DEFAULT_QUADRATURE.rel_tol)
     p.set_defaults(func=cmd_symbol)
 
     p = sub.add_parser("region", help="boundary polylines of the active region")
@@ -206,13 +204,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rmax", type=float, default=0.5)
     p.add_argument("--steps", type=int, default=10)
     common(p)
-    tolerances(p)
     p.set_defaults(func=cmd_decay)
 
     p = sub.add_parser("verify", help="run the self-check suites (JSON report)")
     p.add_argument("--suite", choices=("cocycle", "cases", "decay", "all"), default="all")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    common(p)
+    output(p)
     p.set_defaults(func=cmd_verify)
 
     return parser

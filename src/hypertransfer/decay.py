@@ -3,6 +3,11 @@ table behind the multiplier estimate, and the second-order divergence probe.
 
 Conventions: f_j(r) denotes the right Lie derivative of the K-averaged symbol
 along X_j at the Cartan point diag(r, 1/r), r in (0, 1); f_j(r) = f_j(1/r).
+
+The table is a first-order estimate and reports no error bar, so the theta
+integrals behind f_j run at one fixed target (_OUTER_QUADRATURE) and no
+function here takes a tolerance. Table rows run on up to worker_count threads;
+their values and order never depend on the thread count.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RegimeError
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate
+from .quadrature import QuadratureConfig, integrate
 from .regions import (
     _tan_roots,
     _transition_quadratics,
@@ -30,6 +35,12 @@ from .regions import (
 from .sl2 import ANCoords, RealMat2, rotation
 
 _HALF_PI = math.pi / 2.0
+
+# the theta quadrature of the Lie derivatives targets 1e-7 absolute, 1e-6
+# relative, for cost: at the package's 1e-8/1e-7 default the ten-row table
+# takes 1.2x the outer and 1.6x the inner integrand evaluations, and the table
+# reports no error bar that a tighter target would serve
+_OUTER_QUADRATURE = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-6)
 
 
 class LieDirection(enum.Enum):
@@ -81,14 +92,6 @@ def _residual_angle(r: float, theta: float) -> float:
     return math.atan2(r * math.sin(theta), math.cos(theta) / r)
 
 
-def _outer_config(q: QuadratureConfig) -> QuadratureConfig:
-    # the theta-quadrature target is floored at 1e-7 absolute, 1e-6 relative
-    # for cost: without the floor the default ten-row table takes 1.2x the
-    # outer and 1.6x the inner integrand evaluations, and the table reports no
-    # error bar that a tighter target would serve
-    return QuadratureConfig(abs_tol=max(q.abs_tol, 1e-7), rel_tol=max(q.rel_tol, 1e-6))
-
-
 def _decay_radius(r: float) -> float:
     if not (math.isfinite(r) and r > 0.0):
         raise DomainError(f"need r > 0, got {r!r}")
@@ -97,58 +100,46 @@ def _decay_radius(r: float) -> float:
     return r if r < 1.0 else 1.0 / r
 
 
-def lie_derivative_mtilde(
-    r: float, direction: LieDirection, q: QuadratureConfig = DEFAULT_QUADRATURE
-) -> float:
-    """f_j(r): differentiation under the K-average, with the chart combination
-    evaluated pointwise along the Cartan circle."""
+def _lie_average(r: float, direction: LieDirection, adjoint: bool) -> float:
+    """f_j(r) as (1/pi) times the theta integral over the Cartan circle, split
+    at the case transitions and at theta = 0."""
     if direction is LieDirection.X3:
         return 0.0
     r = _decay_radius(r)
-    pts = list(case_transition_thetas(r)) + [0.0]
-    val, _ = integrate(
-        lambda t: lie_derivative_mtt(iwasawa_image_coords(r, t), direction),
-        -_HALF_PI,
-        _HALF_PI,
-        _outer_config(q),
-        points=pts,
-    )
-    return val / math.pi
-
-
-def lie_derivative_mtilde_adjoint(
-    r: float, direction: LieDirection, q: QuadratureConfig = DEFAULT_QUADRATURE
-) -> float:
-    """f_j(r) with the direction transported by the adjoint of the residual
-    rotation; this is the variant a finite difference of the average matches."""
-    if direction is LieDirection.X3:
-        return 0.0
-    r = _decay_radius(r)
-    pts = list(case_transition_thetas(r)) + [0.0]
 
     def integrand(t: float) -> float:
         c = iwasawa_image_coords(r, t)
+        if not adjoint:
+            return lie_derivative_mtt(c, direction)
         c1, c2, _ = adjoint_action(_residual_angle(r, t), direction)
         dgx, dgy = m_hat_partials(c)
         return c1 * 2.0 * c.g_y * dgy + c2 * c.g_y * dgx
 
-    val, _ = integrate(integrand, -_HALF_PI, _HALF_PI, _outer_config(q), points=pts)
+    pts = list(case_transition_thetas(r)) + [0.0]
+    val, _ = integrate(integrand, -_HALF_PI, _HALF_PI, _OUTER_QUADRATURE, points=pts)
     return val / math.pi
 
 
-def lie_derivative_mtilde_fd(
-    g: RealMat2,
-    direction: LieDirection,
-    q: QuadratureConfig = DEFAULT_QUADRATURE,
-    step: float = 1e-4,
-) -> float:
+def lie_derivative_mtilde(r: float, direction: LieDirection) -> float:
+    """f_j(r): differentiation under the K-average, with the chart combination
+    evaluated pointwise along the Cartan circle."""
+    return _lie_average(r, direction, adjoint=False)
+
+
+def lie_derivative_mtilde_adjoint(r: float, direction: LieDirection) -> float:
+    """f_j(r) with the direction transported by the adjoint of the residual
+    rotation; this is the variant a finite difference of the average matches."""
+    return _lie_average(r, direction, adjoint=True)
+
+
+def lie_derivative_mtilde_fd(g: RealMat2, direction: LieDirection, step: float = 1e-4) -> float:
     """Central difference of the K-averaged symbol along g exp(t X_j)."""
     from .regions import m_tilde
 
     if step <= 0.0:
         raise DomainError("step must be positive")
-    up = m_tilde(g @ lie_exponential(direction, step), q)
-    dn = m_tilde(g @ lie_exponential(direction, -step), q)
+    up = m_tilde(g @ lie_exponential(direction, step))
+    dn = m_tilde(g @ lie_exponential(direction, -step))
     return (up - dn) / (2.0 * step)
 
 
@@ -165,28 +156,17 @@ class DecayRow:
 
 
 def worker_count(n_jobs: int) -> int:
-    """Worker cap honoring the HYPERTRANSFER_THREADS environment variable."""
-    cap = os.cpu_count() or 1
-    env = os.environ.get("HYPERTRANSFER_THREADS")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise DomainError(f"HYPERTRANSFER_THREADS must be an integer, got {env!r}") from exc
-        if cap < 1:
-            raise DomainError("HYPERTRANSFER_THREADS must be >= 1")
-    return max(1, min(cap, n_jobs))
+    """Threads for n_jobs table rows: at most one per row and one per CPU."""
+    return max(1, min(os.cpu_count() or 1, n_jobs))
 
 
-def _decay_row(r: float, q: QuadratureConfig) -> DecayRow:
-    f1 = lie_derivative_mtilde(r, LieDirection.X1, q)
-    f2 = lie_derivative_mtilde(r, LieDirection.X2, q)
+def _decay_row(r: float) -> DecayRow:
+    f1 = lie_derivative_mtilde(r, LieDirection.X1)
+    f2 = lie_derivative_mtilde(r, LieDirection.X2)
     return DecayRow(r=r, f1=f1, f2=f2, weighted=(abs(f1) + abs(f2)) / r)
 
 
-def hm_table(
-    r_grid: "list[float] | tuple[float, ...]", q: QuadratureConfig = DEFAULT_QUADRATURE
-) -> list[DecayRow]:
+def hm_table(r_grid: "list[float] | tuple[float, ...]") -> list[DecayRow]:
     """Weighted first-order decay table over a grid in (0, 1); row order follows
     the input grid regardless of scheduling."""
     rs = [float(r) for r in r_grid]
@@ -197,9 +177,9 @@ def hm_table(
         return []
     workers = worker_count(len(rs))
     if workers == 1:
-        return [_decay_row(r, q) for r in rs]
+        return [_decay_row(r) for r in rs]
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda r: _decay_row(r, q), rs))
+        return list(pool.map(_decay_row, rs))
 
 
 @dataclass(frozen=True)
@@ -260,9 +240,7 @@ def divergence_probe_onset(r: float) -> float:
 
 
 def second_order_divergence_probe(
-    r: float,
-    eps_grid: "list[float] | tuple[float, ...]",
-    q: QuadratureConfig = DEFAULT_QUADRATURE,
+    r: float, eps_grid: "list[float] | tuple[float, ...]"
 ) -> list[float]:
     """Partial integrals of (3/pi) g_y^2 * case8_second_derivative_factor(g_x)
     over [onset, pi/2 - eps]; the sequence grows like log(1/eps) (the integrand
@@ -291,7 +269,7 @@ def second_order_divergence_probe(
     total = 0.0
     out: list[float] = []
     for lo, hi in zip(bounds, bounds[1:]):
-        seg, _ = integrate(integrand, lo, hi, q)
+        seg, _ = integrate(integrand, lo, hi)
         total += seg
         out.append(total)
     return out

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DegeneracyError, DomainError
@@ -14,6 +15,7 @@ from .sl2 import HalfPlanePoint
 
 _ITER_CAP = 100_000
 _CIRCLE_TOL = 1e-12
+_TINY = sys.float_info.min  # below this, x^2 + y^2 has underflowed
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,19 @@ class Letter(enum.Enum):
     R_PREFIX = "R_PREFIX"
 
 
+def _invert_scaled(x: float, y: float) -> tuple[float, float]:
+    """-1/z for z = x + iy where x^2 + y^2 underflows: z is scaled by its
+    largest part first. The reduction takes this path only on underflow, so
+    every other input keeps its bits."""
+    s = max(abs(x), y)
+    xs, ys = x / s, y / s
+    rr = xs * xs + ys * ys
+    nx, ny = -xs / rr / s, ys / rr / s
+    if not (math.isfinite(nx) and math.isfinite(ny)):
+        raise DomainError(f"-1/z overflows for z = {x!r}+{y!r}i")
+    return nx, ny
+
+
 @dataclass(frozen=True)
 class ReducedPoint:
     gamma: IntMat2
@@ -99,7 +114,7 @@ def reduce_to_fundamental_domain(z: HalfPlanePoint) -> ReducedPoint:
             g = g @ t_power(n)
         rr = x * x + y * y
         if rr < 1.0 - _CIRCLE_TOL:
-            x, y = -x / rr, y / rr
+            x, y = (-x / rr, y / rr) if rr >= _TINY else _invert_scaled(x, y)
             g = g @ S_INV
         else:
             break

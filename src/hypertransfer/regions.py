@@ -27,6 +27,9 @@ from .sl2 import ANCoords, RealMat2, operator_norm
 
 SQRT3 = math.sqrt(3.0)
 _HALF_PI = math.pi / 2.0
+# largest operator norm m_tilde_full accepts: the discriminants of the
+# transition quadratics grow like r^8 and overflow from about 2.7e38 on
+MAX_NORM = 1e38
 
 
 class CaseRegime(enum.Enum):
@@ -502,6 +505,11 @@ def m_tilde_full(
     """K-averaged symbol (1/pi) * integral of m_hat over the Cartan circle,
     with the achieved quadrature error estimate."""
     r = operator_norm(g)
+    if not r <= MAX_NORM:
+        raise DomainError(
+            f"operator norm {r!r} is outside the supported range [1, {MAX_NORM:g}] "
+            f"(diag(r, 1/r) needs r in [{1.0 / MAX_NORM:g}, {MAX_NORM:g}])"
+        )
     if r < 1.0 + 1e-12:
         # the whole circle sits at (g_x, g_y) = (0, 1), the image of theta = 0
         return m_hat_at_angle(1.0, 0.0, q, force_direct), q.abs_tol

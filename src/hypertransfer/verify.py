@@ -37,7 +37,6 @@ from .modular import (
     symbol_m_word,
     word_decompose,
 )
-from .quadrature import DEFAULT_QUADRATURE
 from .regions import (
     ANCoords,
     CaseRegime,
@@ -172,7 +171,6 @@ def _case_grid() -> list[tuple[ANCoords, CaseRegime]]:
 
 def suite_cases(seed: int = DEFAULT_SEED) -> dict:
     checks: list[dict] = []
-    q = DEFAULT_QUADRATURE
 
     c1 = m_hat_case(ANCoords(1.0, 0.3))
     c7 = m_hat_case(ANCoords(-5.0, 0.3))
@@ -182,7 +180,7 @@ def suite_cases(seed: int = DEFAULT_SEED) -> dict:
     worst_at = ""
     ok = True
     for c, case in _case_grid():
-        ref = m_hat_direct(c, q)
+        ref = m_hat_direct(c)
         val = m_hat_case(c)
         gap = abs(val - ref)
         if gap > worst:
@@ -194,12 +192,12 @@ def suite_cases(seed: int = DEFAULT_SEED) -> dict:
     gy = 0.3
     bv = boundary_values(gy)
     xs = np.linspace(bv.b7 + 0.01, bv.b2 - 0.01, 9)
-    vals = [m_hat_direct(ANCoords(float(x), gy), q) for x in xs]
+    vals = [m_hat_direct(ANCoords(float(x), gy)) for x in xs]
     mono = all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
     rng_ok = all(0.0 <= v <= 1.0 for v in vals)
     checks.append(_check("monotone_in_gx", mono and rng_ok, values=[float(v) for v in vals]))
 
-    ident = m_tilde(IDENTITY, q)
+    ident = m_tilde(IDENTITY)
     mc, se = transferred_symbol_mc(symbol_m_word, IDENTITY, 1000, seed)
     checks.append(
         _check(
@@ -215,15 +213,14 @@ def suite_cases(seed: int = DEFAULT_SEED) -> dict:
 
 def suite_decay(seed: int = DEFAULT_SEED) -> dict:
     checks: list[dict] = []
-    q = DEFAULT_QUADRATURE
 
-    f3 = lie_derivative_mtilde(0.2, LieDirection.X3, q)
+    f3 = lie_derivative_mtilde(0.2, LieDirection.X3)
     checks.append(_check("x3_exactly_zero", f3 == 0.0))
 
-    f1 = lie_derivative_mtilde(0.1, LieDirection.X1, q)
+    f1 = lie_derivative_mtilde(0.1, LieDirection.X1)
     checks.append(_check("f1_small_r_bound", abs(f1) <= 0.12, value=float(f1)))
 
-    rows = hm_table([0.1, 0.3], q)
+    rows = hm_table([0.1, 0.3])
     finite = all(math.isfinite(row.weighted) for row in rows)
     checks.append(
         _check(
@@ -243,7 +240,7 @@ def suite_decay(seed: int = DEFAULT_SEED) -> dict:
         )
     )
 
-    probe = second_order_divergence_probe(0.3, [1e-2, 1e-3], q)
+    probe = second_order_divergence_probe(0.3, [1e-2, 1e-3])
     checks.append(
         _check(
             "divergence_probe_increasing",

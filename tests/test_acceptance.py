@@ -251,7 +251,7 @@ def test_13_triangular_symbol_and_tent_checks():
 def test_14_cli_outputs_are_byte_identical(tmp_path):
     with budget("CLI determinism across repeated runs", 60):
         pairs = [
-            ["verify", "--suite", "all", "--seed", "7", "--format", "json"],
+            ["verify", "--suite", "all", "--seed", "7"],
             ["symbol", "0.2", "--mode", "mc", "--n", "50000", "--seed", "7"],
             ["symbol", "0.3", "--format", "json"],
         ]

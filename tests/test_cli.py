@@ -28,12 +28,16 @@ def test_parser_requires_command():
 
 
 def test_unread_options_are_rejected():
-    # tolerances only on symbol and decay, --seed only on symbol and verify
+    # tolerances only on symbol, --seed only on symbol and verify, and no
+    # --format on verify, which always writes JSON
     for argv in (
         ["reduce", "5", "2", "--abs-tol", "1e-9"],
         ["region", "0", "1", "--rel-tol", "1e-9"],
         ["verify", "--abs-tol", "1e-9"],
         ["decay", "--seed", "7"],
+        ["decay", "--abs-tol", "1e-9"],
+        ["decay", "--rel-tol", "1e-9"],
+        ["verify", "--format", "json"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -52,18 +56,22 @@ def test_reduce_csv(capsys):
 
 
 def test_reduce_json(capsys):
-    code, out = run(capsys, ["reduce", "0", "0.1", "--format", "json"])
-    assert code == 0
-    payload = json.loads(out.out)
-    assert payload["gamma"] == [0, -1, 1, 0]
-    assert abs(payload["z0_y"] - 10.0) < 1e-12
-    assert list(payload) == sorted(payload)
+    # at y = 1e-300, x^2 + y^2 underflows to 0, but -1/z = 1e300 i is representable
+    for y, z0_y in (("0.1", 10.0), ("1e-300", 1e300)):
+        code, out = run(capsys, ["reduce", "0", y, "--format", "json"])
+        assert code == 0
+        payload = json.loads(out.out)
+        assert payload["gamma"] == [0, -1, 1, 0]
+        assert payload["z0_y"] == pytest.approx(z0_y, rel=1e-15)
+        assert list(payload) == sorted(payload)
 
 
 def test_reduce_invalid_point(capsys):
-    code, out = run(capsys, ["reduce", "0", "-1"])
-    assert code == 2
-    assert "error" in out.err
+    # -1/z overflows for the smallest subnormal height
+    for y in ("-1", "5e-324"):
+        code, out = run(capsys, ["reduce", "0", y])
+        assert code == 2
+        assert out.err.startswith("error: ")
 
 
 def test_symbol_identity(capsys):
@@ -92,6 +100,10 @@ def test_symbol_modes_agree(capsys):
 def test_symbol_rejects_bad_r(capsys):
     assert run(capsys, ["symbol", "0"])[0] == 2
     assert run(capsys, ["symbol", "-2"])[0] == 2
+    for r in ("1e39", "1e80", "1e-80"):
+        code, out = run(capsys, ["symbol", r])
+        assert code == 2
+        assert "supported range [1, 1e+38]" in out.err
 
 
 def test_symbol_accuracy_exit(capsys):
@@ -154,11 +166,22 @@ def test_decay_table(capsys):
 
 
 def test_decay_json_and_range_errors(capsys):
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
     code, out = run(capsys, ["decay", "--rmin", "0.1", "--rmax", "0.2", "--steps", "2",
                              "--format", "json"])
     assert code == 0
-    payload = json.loads(out.out)
+    payload = json.loads(out.out, parse_constant=reject)
     assert len(payload["rows"]) == 2 and "slope" in payload and "max_weighted" in payload
+    assert isinstance(payload["slope"], float)
+    # one row has no slope: null in JSON, nan in CSV
+    code, out = run(capsys, ["decay", "--rmin", "0.1", "--rmax", "0.2", "--steps", "1",
+                             "--format", "json"])
+    assert code == 0
+    assert json.loads(out.out, parse_constant=reject)["slope"] is None
+    code, out = run(capsys, ["decay", "--rmin", "0.1", "--rmax", "0.2", "--steps", "1"])
+    assert out.out.strip().splitlines()[-1].startswith("# slope=nan ")
     assert run(capsys, ["decay", "--rmin", "0.5", "--rmax", "0.2"])[0] == 2
     assert run(capsys, ["decay", "--rmin", "0.1", "--rmax", "1.5"])[0] == 2
     assert run(capsys, ["decay", "--rmin", "0.1", "--rmax", "0.2", "--steps", "0"])[0] == 2
@@ -185,6 +208,6 @@ def test_output_files_byte_identical(tmp_path):
     assert main(["symbol", "0.3", "--mode", "mc", "--seed", "11", "--output", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     c, d = tmp_path / "c.json", tmp_path / "d.json"
-    assert main(["verify", "--suite", "cases", "--format", "json", "--output", str(c)]) == 0
-    assert main(["verify", "--suite", "cases", "--format", "json", "--output", str(d)]) == 0
+    assert main(["verify", "--suite", "cases", "--output", str(c)]) == 0
+    assert main(["verify", "--suite", "cases", "--output", str(d)]) == 0
     assert c.read_bytes() == d.read_bytes()

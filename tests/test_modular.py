@@ -60,6 +60,22 @@ def test_reduce_examples():
     assert abs(rp.z0.x) < 1e-12 and abs(rp.z0.y - 10.0) < 1e-12
 
 
+def test_reduce_underflowing_point():
+    # x^2 + y^2 underflows to 0 for these points, but -1/z is representable
+    rp = reduce_to_fundamental_domain(HalfPlanePoint(0.0, 1e-300))
+    assert rp.gamma == S_MAT.canonical_sign()
+    assert rp.z0.x == 0.0 and rp.z0.y == pytest.approx(1e300, rel=1e-15)
+    # -1/z = (-3 + 4i) / 25e-200, then a translation by about 1.2e199
+    rp = reduce_to_fundamental_domain(HalfPlanePoint(3e-200, 4e-200))
+    assert (rp.gamma.a, rp.gamma.b, rp.gamma.c) == (0, -1, 1)
+    assert rp.gamma.d == pytest.approx(-1.2e199, rel=1e-15)
+    assert rp.z0.y == pytest.approx(1.6e199, rel=1e-15)
+    # where -1/z overflows, the error is named
+    for x, y in ((0.0, 5e-324), (1e-320, 1e-320)):
+        with pytest.raises(DomainError, match="overflows"):
+            reduce_to_fundamental_domain(HalfPlanePoint(x, y))
+
+
 def test_reduce_invariants_bulk():
     rng = np.random.default_rng(41)
     for _ in range(1000):

@@ -31,6 +31,7 @@ from hypertransfer.regions import (
     m_hat_mc,
     m_hat_partials,
     m_tilde,
+    m_tilde_full,
     section_intervals,
 )
 from hypertransfer.sl2 import ANCoords, RealMat2, an_coords, cartan_a, iwasawa_decompose, rotation
@@ -506,3 +507,18 @@ def test_m_tilde_symmetries():
     assert abs(m_tilde(cartan_a(5.0)) - m_tilde(cartan_a(0.2))) < 1e-6
     k = rotation(0.8) @ g @ rotation(-0.3)
     assert abs(m_tilde(k) - m_tilde(g)) < 1e-6
+
+
+def test_m_tilde_supported_norm_range():
+    # beyond MAX_NORM the transition quadratics overflow (r^8 terms), and
+    # operator_norm itself overflows near 1e77; both fail with one named error
+    assert regions.MAX_NORM == 1e38
+    for r in (1e38, 1e-38):
+        for direct in (False, True):
+            value, err = m_tilde_full(cartan_a(r), force_direct=direct)
+            assert abs(value - 0.5) < 1e-9 and err <= 1e-7
+    past = math.nextafter(regions.MAX_NORM, math.inf)
+    for r in (past, 1e39, 1e80, 1e-80):
+        for direct in (False, True):
+            with pytest.raises(DomainError, match=r"supported range \[1, 1e\+38\]"):
+                m_tilde_full(cartan_a(r), force_direct=direct)
