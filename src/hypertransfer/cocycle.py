@@ -31,12 +31,17 @@ from .sl2 import (
     an_matrix,
     halfplane_image,
     iwasawa_decompose,
+    operator_norm,
     rotation,
 )
 
 _SQRT3_HALF = math.sqrt(3.0) / 2.0
 _VEC_ITER_CAP = 200
 _INT64_SAFE = 1_300_000_000  # probe products stay inside int64 below this
+_INT64_HEADROOM = 2.0 ** 62
+# the largest operator norm at which the int64 reduction keeps room for
+# every sample of a 200 000-sample run (measured; past it DomainError)
+MC_MAX_NORM = 1e15
 
 
 @dataclass(frozen=True)
@@ -126,6 +131,10 @@ def domain_measure_mc(rng_seed: int, n: int) -> tuple[float, float]:
     return est, se
 
 
+def _abs_max(*arrays: np.ndarray) -> float:
+    return float(max(max(a.max(), -a.min()) for a in arrays))
+
+
 def _beta_batch(
     x: np.ndarray, y: np.ndarray, theta: np.ndarray, g: RealMat2
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -154,10 +163,33 @@ def _beta_batch(
     C = np.zeros(n, dtype=np.int64)
     D = np.ones(n, dtype=np.int64)
     active = np.ones(n, dtype=bool)
+    bound = 1.0  # an upper bound on every |entry| of A, B, C, D
     for _ in range(_VEC_ITER_CAP):
         if not active.any():
             break
-        step = np.where(active, np.floor(zx + 0.5), 0.0).astype(np.int64)
+        stepf = np.where(active, np.floor(zx + 0.5), 0.0)
+        # a translation maps B to B + A step and D to D + C step, a flip only
+        # permutes and negates. Keep every entry below 2^62 before the cast
+        # and the products, so that neither can overflow int64: compound the
+        # largest step of each round, and when that bound passes 2^62, bound
+        # by the largest entries now, then sample by sample (NaN fails all)
+        big = max(float(stepf.max()), -float(stepf.min()))
+        grown = bound * (1.0 + big)
+        if not grown < _INT64_HEADROOM:
+            grown = _abs_max(B, D) + _abs_max(A, C) * big
+        if not grown < _INT64_HEADROOM:
+            size = np.abs(stepf)
+            grown = float(
+                np.max(((np.abs(B) + np.abs(A) * size).max(), (np.abs(D) + np.abs(C) * size).max()))
+            )
+            if not grown < _INT64_HEADROOM:
+                raise DomainError(
+                    f"the cocycle reduction of a sample needs lattice entries past 2^62 "
+                    f"(int64) at operator norm {operator_norm(g):.3g}; the Monte-Carlo "
+                    f"route supports operator norms up to about {MC_MAX_NORM:g}"
+                )
+        bound = grown
+        step = stepf.astype(np.int64)
         zx = zx - step
         B += A * step
         D += C * step

@@ -7,9 +7,10 @@ of 1/y terms at the cuts by the unit circle, the line and the slanted
 ellipse. Between the breakpoints where the active cuts change, every term has
 an elementary antiderivative in x (asin, log, and asin/log along the ellipse),
 so m_hat and both of its partials are closed-form sums over segments for
-every g_y > 0. The eight case regimes survive as labels and as the exact 1
-and 0 of Cases 1 and 7. Section-exact adaptive quadrature and Monte-Carlo
-membership are kept as independent oracles."""
+every g_y > 0, evaluated for a whole array of points at once. The eight case
+regimes survive as labels and as the exact 1 and 0 of Cases 1 and 7.
+Section-exact adaptive quadrature and Monte-Carlo membership are kept as
+independent oracles."""
 
 from __future__ import annotations
 
@@ -109,58 +110,71 @@ def classify_case(c: ANCoords) -> CaseRegime:
 
 # ---------------------------------------------------------------------------
 # y-sections of the region
+#
+# The section functions take arrays: x and (g_x, g_y) broadcast against each
+# other, so one call covers every node of a quadrature round, or every
+# segment of every point of a closed-form batch.
 
 
-def _section_cuts(
-    x: float, c: ANCoords
-) -> tuple[tuple[float, float, float, float, float], tuple[bool, bool, bool, bool]]:
+def _extent(gx, gy):
+    """ext = sqrt(g_x^2 + g_y^2)/g_y: the ellipse spans u = x + 1 in [-ext, ext].
+
+    The section code writes the radicand g_x^2 - g_y^2 x (x + 2) as
+    g_y^2 ((ext - 1) - x)(ext + 1 + x), which is exactly 0 at the extent's
+    breakpoint x_e = -1 + ext and exact near it: the difference (ext - 1) - x
+    of two nearby floats has no rounding error."""
+    return np.hypot(gx, gy) / gy
+
+
+def _section_cuts(x, gx, gy):
     """The cuts of the y-section at abscissa x and which of its four mass
     terms are active; the one place that decides which cuts bound the section.
 
     The cuts are (ymin, top, lo, hi, q): the circle height ymin, the line cut
-    top (y >= top is excluded; math.inf when g_x >= 0) and the ellipse roots
+    top (y >= top is excluded; inf when g_x >= 0) and the ellipse roots
     lo < hi with q the root of the radicand (NaN where the ellipse misses the
-    abscissa). The flags are (circle, lower, upper, line) for the terms 1/ymin,
-    -1/lo, +1/hi and -1/top: the section is [ymin, lo) if lower, else
-    [ymin, top), when circle, and [hi, top) when upper.
+    abscissa). The flags are boolean arrays (circle, lower, upper, line) for
+    the terms 1/ymin, -1/lo, +1/hi and -1/top: the section is [ymin, lo) if
+    lower, else [ymin, top), when circle, and [hi, top) when upper.
     """
-    gx, gy = c.g_x, c.g_y
-    ymin = math.sqrt(max(1.0 - x * x, 0.0))
-    top = -(1.0 + 2.0 * x) / (2.0 * gx) if gx < 0.0 else math.inf
-    rad = gx * gx - gy * gy * x * (x + 2.0)
-    lo = hi = q = math.nan
-    if rad > 0.0:
+    ext = _extent(gx, gy)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ymin = np.sqrt(np.maximum(1.0 - x * x, 0.0))
+        top = np.where(gx < 0.0, -(1.0 + 2.0 * x) / (2.0 * gx), np.inf)
+        rad = (gy * ((ext - 1.0) - x)) * (gy * (ext + 1.0 + x))
         s = gx * gx + gy * gy
-        q = math.sqrt(rad)
+        q = np.where(rad > 0.0, np.sqrt(rad), np.nan)
         lo, hi = (-q - (x + 1.0) * gx) / s, (q - (x + 1.0) * gx) / s
-    cuts = (ymin, top, lo, hi, q)
-    if not 0.0 < ymin < top:
-        return cuts, (False, False, False, False)
-    if rad <= 0.0 or hi <= ymin or lo >= top:
-        return cuts, (True, False, False, gx < 0.0)
-    lower, upper = ymin < lo, hi < top
-    return cuts, (lower, lower, upper, upper and gx < 0.0)
+    valid = (0.0 < ymin) & (ymin < top)
+    ellipse = (hi > ymin) & (lo < top)  # False where q is NaN
+    lower = valid & ellipse & (ymin < lo)
+    upper = valid & ellipse & (hi < top)
+    circle = valid & (~ellipse | lower)
+    line = valid & (gx < 0.0) & (~ellipse | upper)
+    return (ymin, top, lo, hi, q), (circle, lower, upper, line)
 
 
 def section_intervals(x: float, c: ANCoords) -> list[tuple[float, float]]:
     """Allowed y-intervals of the region above the circle at abscissa x; the
     upper endpoint may be math.inf."""
-    (ymin, top, lo, hi, _), (circle, lower, upper, _) = _section_cuts(x, c)
-    segs = [(ymin, lo if lower else top)] if circle else []
+    (ymin, top, lo, hi, _), (circle, lower, upper, _) = _section_cuts(
+        np.float64(x), c.g_x, c.g_y
+    )
+    segs = [(float(ymin), float(lo if lower else top))] if circle else []
     if upper:
-        segs.append((hi, top))
+        segs.append((float(hi), float(top)))
     return segs
 
 
-def _section_mass(x: float, c: ANCoords) -> float:
+def _section_mass(x, gx, gy):
     """Exact 1/y^2-mass of the allowed y-section at abscissa x."""
-    total = 0.0
-    for a, b in section_intervals(x, c):
-        total += 1.0 / a - 1.0 / b  # 1/inf is 0
-    return total
+    (ymin, top, lo, hi, _), (circle, lower, upper, _) = _section_cuts(x, gx, gy)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        below = np.where(circle, 1.0 / ymin - 1.0 / np.where(lower, lo, top), 0.0)
+        return below + np.where(upper, 1.0 / hi - 1.0 / top, 0.0)  # 1/inf is 0
 
 
-def _section_mass_partial(x: float, c: ANCoords, wrt_gx: bool) -> float:
+def _section_mass_partial(x, gx, gy, wrt_gx: bool):
     """d/dg_x (wrt_gx) or d/dg_y of _section_mass at abscissa x.
 
     Only the active cuts other than ymin move: an ellipse root y with slope
@@ -168,140 +182,164 @@ def _section_mass_partial(x: float, c: ANCoords, wrt_gx: bool) -> float:
     (x + g_x y + 1)/(+-q y), and the line cut 1/top = -2 g_x/(1 + 2x)
     contributes -2/(1 + 2x) to d/dg_x only.
     """
-    (_, _, lo, hi, q), (circle, lower, upper, line) = _section_cuts(x, c)
-    d_top = -2.0 / (1.0 + 2.0 * x) if wrt_gx and line else 0.0
+    (_, _, lo, hi, q), (circle, lower, upper, line) = _section_cuts(x, gx, gy)
 
-    def d_root(y: float, slope: float) -> float:
-        return (x + c.g_x * y + 1.0) / (slope * y) if wrt_gx else c.g_y / slope
+    def d_root(y, slope):
+        return (x + gx * y + 1.0) / (slope * y) if wrt_gx else gy / slope
 
-    total = -(d_root(lo, -q) if lower else d_top) if circle else 0.0
-    if upper:
-        total += d_root(hi, q) - d_top
-    return total
-
-
-def _section_breakpoints(c: ANCoords) -> list[float]:
-    """Abscissas in (-1/2, 1/2) where the section mass may kink: the ends of
-    the ellipse's x-extent, the line's crossings with the circle and the
-    ellipse, and the ellipse's crossings with the circle. Between two of them
-    the set of cuts that bound the section does not change."""
-    gx, gy = c.g_x, c.g_y
-    pts: list[float] = []
-    ext = math.sqrt(1.0 + gx * gx / (gy * gy))
-    pts.extend((-1.0 - ext, -1.0 + ext))  # ellipse x-extent
-    if gx != 0.0:
-        disc = abs(gx) * math.sqrt(3.0 + 4.0 * gx * gx)
-        den = 2.0 * (gx * gx + 1.0)
-        pts.extend(((-1.0 - disc) / den, (-1.0 + disc) / den))  # line/circle
-        pts.append(-(SQRT3 * gx + gy) / (2.0 * gy))  # line/ellipse
-    pts.extend(_ellipse_circle_abscissas(c))
-    return [p for p in pts if -0.5 < p < 0.5]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_top = np.where(line, -2.0 / (1.0 + 2.0 * x), 0.0) if wrt_gx else 0.0
+        below = np.where(circle, -np.where(lower, d_root(lo, -q), d_top), 0.0)
+        return below + np.where(upper, d_root(hi, q) - d_top, 0.0)
 
 
-def _ellipse_circle_abscissas(c: ANCoords) -> list[float]:
-    """Abscissas in (-1/2, 1/2) where the ellipse crosses the unit circle.
+def _section_breakpoints(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """Abscissas in (-1/2, 1/2) where the section mass of each point may kink,
+    one row per point, NaN where absent: the right end -1 + ext of the
+    ellipse's x-extent, the line's right crossing with the circle, its
+    crossing with the ellipse, and the ellipse's crossings with the circle.
+    Between two of them the set of cuts that bound the section does not
+    change. (The extent's left end -1 - ext and the line's left crossing with
+    the circle lie below -1/2 for every shape.)"""
+    ext = _extent(gx, gy)
+    disc = np.abs(gx) * np.sqrt(3.0 + 4.0 * gx * gx)
+    pts = np.column_stack(
+        (
+            -1.0 + ext,  # ellipse x-extent
+            (-1.0 + disc) / (2.0 * (gx * gx + 1.0)),  # line/circle; -1/2 at g_x = 0
+            -(SQRT3 * gx + gy) / (2.0 * gy),  # line/ellipse; -1/2 at g_x = 0
+            _ellipse_circle_abscissas(gx, gy),
+        )
+    )
+    return np.where((-0.5 < pts) & (pts < 0.5), pts, np.nan)
+
+
+def _crossing_quartic(t, b2, gx):
+    return ((t * t + b2) * t - 8.0 * gx) * t - 3.0
+
+
+def _ellipse_circle_abscissas(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """Abscissas in (-1/2, 1/2) where the ellipse crosses the unit circle, one
+    row of 7 per point, NaN where absent.
 
     With t = tan(phi/2) at the circle point (cos phi, sin phi), the crossing
     condition is p(t) = t^4 - (4s - 2) t^2 - 8 g_x t - 3 = 0, s = g_x^2 + g_y^2,
     and x in (-1/2, 1/2) is t in (1/sqrt(3), sqrt(3)). The real roots of
-    p'(t)/4 = t^3 + (1 - 2s) t - 2 g_x cut that range into pieces where p is
-    monotone, and each sign change of p on a piece is one crossing. A critical
-    point where p nearly touches zero, |p| < 1e-12 |p''|/2 (a root pair within
-    1e-6 of the real axis), is kept too: a spare breakpoint costs one segment,
-    a missed one a kink inside a segment.
+    p'(t)/4 = t^3 + (1 - 2s) t - 2 g_x cut that range into at most four
+    pieces where p is monotone, and each sign change of p on a piece is one
+    crossing. A critical point where p nearly touches zero,
+    |p| < 1e-12 |p''|/2 (a root pair within 1e-6 of the real axis), is kept
+    too: a spare breakpoint costs one segment, a missed one a kink inside a
+    segment.
     """
-    gx = c.g_x
-    b2 = 2.0 - 4.0 * (gx * gx + c.g_y * c.g_y)
-
-    def p(t: float) -> float:
-        return ((t * t + b2) * t - 8.0 * gx) * t - 3.0
-
-    def dp(t: float) -> float:
-        return (4.0 * t * t + 2.0 * b2) * t - 8.0 * gx
-
+    b2 = 2.0 - 4.0 * (gx * gx + gy * gy)
     lo, hi = 1.0 / SQRT3, SQRT3
-    crit = sorted(t for t in _depressed_cubic_roots(0.5 * b2, -2.0 * gx) if lo < t < hi)
-    ts = [t for t in crit if abs(p(t)) < 1e-12 * abs(6.0 * t * t + b2)]
-    knots = [lo, *crit, hi]
-    for a, b in zip(knots, knots[1:]):
-        fa, fb = p(a), p(b)
-        if (fa < 0.0) != (fb < 0.0):
-            ts.append(_bracketed_root(p, dp, a, b, fa))
-    return [(1.0 - t * t) / (1.0 + t * t) for t in ts]
+    crit = _depressed_cubic_roots(0.5 * b2, -2.0 * gx)
+    crit = np.sort(np.where((lo < crit) & (crit < hi), crit, np.nan), axis=1)
+    b2c = b2[:, None]
+    with np.errstate(invalid="ignore"):
+        near = np.abs(_crossing_quartic(crit, b2c, gx[:, None])) < 1e-12 * np.abs(
+            6.0 * crit * crit + b2c
+        )
+    touch = np.where(near, crit, np.nan)
+    n = len(gx)
+    knots = np.column_stack((np.full(n, lo), np.where(np.isnan(crit), hi, crit), np.full(n, hi)))
+    fk = _crossing_quartic(knots, b2c, gx[:, None])
+    live = (fk[:, :-1] < 0.0) != (fk[:, 1:] < 0.0)
+    roots = np.full((n, 4), np.nan)
+    rows = np.nonzero(live)[0]
+    ends = (knots[:, :-1][live], knots[:, 1:][live], fk[:, :-1][live], fk[:, 1:][live])
+    roots[live] = _bracketed_roots(*ends, b2[rows], gx[rows])[0]
+    ts = np.column_stack((touch, roots))
+    return (1.0 - ts * ts) / (1.0 + ts * ts)
 
 
-def _depressed_cubic_roots(p: float, q: float) -> list[float]:
-    """Real roots of t^3 + p t + q: trigonometric when there are three,
-    Cardano in its cancellation-free form when there is one."""
-    if p < 0.0:
-        m = 2.0 * math.sqrt(-p / 3.0)
+def _depressed_cubic_roots(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Real roots of t^3 + p t + q, one row of 3 per (p, q), NaN-padded:
+    trigonometric when there are three, Cardano in its cancellation-free form
+    when there is one."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = 2.0 * np.sqrt(-p / 3.0)
         arg = 3.0 * q / (p * m)
-        if abs(arg) <= 1.0:
-            phi = math.acos(arg) / 3.0
-            return [m * math.cos(phi - 2.0 * math.pi * k / 3.0) for k in range(3)]
-    d = math.sqrt(max(0.25 * q * q + p * p * p / 27.0, 0.0))
-    big = -math.copysign((0.5 * abs(q) + d) ** (1.0 / 3.0), q)
-    return [big - p / (3.0 * big) if big != 0.0 else 0.0]
+        three = (p < 0.0) & (np.abs(arg) <= 1.0)
+        phi = np.arccos(np.where(three, arg, 0.0)) / 3.0
+        trig = m[:, None] * np.cos(phi[:, None] - 2.0 * np.pi * np.arange(3) / 3.0)
+        d = np.sqrt(np.maximum(0.25 * q * q + p * p * p / 27.0, 0.0))
+        big = -np.copysign(np.cbrt(0.5 * np.abs(q) + d), q)
+        one = np.where(big != 0.0, big - p / (3.0 * big), 0.0)
+    single = np.column_stack((one, np.full_like(one, np.nan), np.full_like(one, np.nan)))
+    return np.where(three[:, None], trig, single)
 
 
-def _bracketed_root(f, df, a: float, b: float, fa: float) -> float:
-    """Root of f in [a, b], given that f(a) = fa and f(b) differ in sign:
-    Newton steps, with bisection whenever a step leaves the bracket."""
-    t = 0.5 * (a + b)
-    for _ in range(200):
-        ft = f(t)
-        if ft == 0.0:
-            return t
-        if (ft < 0.0) == (fa < 0.0):
-            a = t
-        else:
-            b = t
-        d = df(t)
-        nxt = t - ft / d if d != 0.0 else t
-        if not a < nxt < b:
-            nxt = 0.5 * (a + b)
-        if abs(nxt - t) <= 4e-16:
-            return nxt
+def _bracketed_roots(a, b, fa, fb, b2, gx) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of _crossing_quartic(., b2, gx) in brackets [a, b], given its
+    values fa at a and fb at b of opposite signs: Newton steps from the
+    secant point, with bisection whenever a step leaves the bracket. A root
+    is done when f vanishes, when its Newton step is at most 4e-16 (tested
+    before any bisection, so a converged step is never replaced by a
+    midpoint) or when its bracket is narrower than 4e-16. Each round
+    evaluates only the unfinished roots. Returns the roots and the number of
+    evaluations of f each took."""
+    n = len(a)
+    out, steps = np.empty(n), np.zeros(n, dtype=np.int64)
+    idx = np.arange(n)
+    neg_a = fa < 0.0
+    t = a - fa * (b - a) / (fb - fa)
+    for it in range(1, 201):
+        ft = _crossing_quartic(t, b2, gx)
+        same = (ft < 0.0) == neg_a
+        a, b = np.where(same, t, a), np.where(same, b, t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = ft / ((4.0 * t * t + 2.0 * b2) * t - 8.0 * gx)
+        converged = (ft == 0.0) | (np.abs(step) <= 4e-16)
+        nxt = np.where(ft == 0.0, t, t - step)
+        nxt = np.where(converged | ((a < nxt) & (nxt < b)), nxt, 0.5 * (a + b))
+        done = converged | (b - a < 4e-16)
+        if done.any():
+            out[idx[done]], steps[idx[done]] = nxt[done], it
+            keep = ~done
+            idx, nxt, a, b, neg_a, b2, gx = (v[keep] for v in (idx, nxt, a, b, neg_a, b2, gx))
         t = nxt
-    return t
+        if not idx.size:
+            break
+    out[idx], steps[idx] = t, 200
+    return out, steps
 
 
 # ---------------------------------------------------------------------------
 # closed-form evaluator (valid for every g_y > 0)
 
 
-def _ellipse_antiderivative(
-    x: float, c: ANCoords, ext: float, lower: bool, upper: bool
-) -> tuple[float, float]:
+def _ellipse_antiderivative(x, gx, gy, ext, lower, upper):
     """x-antiderivatives at x of d/dg_x and d/dg_y of the ellipse-root terms
-    of the section mass: -1/lo when lower, +1/hi when upper.
+    of the section mass: -1/lo where lower, +1/hi where upper.
 
     With u = x + 1, S = g_x^2 + g_y^2 and a = asin(g_y u/sqrt(S)), a root
     y = (+-q - u g_x)/S contributes -+ln y to d/dg_x and a to d/dg_y (on the
     ellipse dy/dg_x = y dy/dx), and the term +-1/y itself integrates to g_x
     times the first plus g_y times the second, up to a constant. ext =
     sqrt(S)/g_y is the ellipse's x-extent about x = -1, so the radicand
-    g_y^2 (ext - u)(ext + u) is exactly 0 at the extent's breakpoint.
+    g_y^2 ((ext - 1) - x)(ext + u) is exactly 0 at the extent's breakpoint
+    (see _extent). The flags are counted as numbers: a point with both terms
+    active takes a twice.
     """
-    gx = c.g_x
     u = x + 1.0
-    r = math.sqrt(max((ext - u) * (ext + u), 0.0))
-    q = c.g_y * r
-    s = gx * gx + c.g_y * c.g_y
+    r = np.sqrt(np.maximum(((ext - 1.0) - x) * (ext + u), 0.0))
+    q = gy * r
+    s = gx * gx + gy * gy
     # lo * hi = x (x + 2)/S; take the root free of cancellation from q
-    if gx <= 0.0:
-        big = q - u * gx
-        lo, hi = x * (x + 2.0) / big, big / s
-    else:
-        big = -q - u * gx
-        lo, hi = big / s, x * (x + 2.0) / big
-    dgx = (math.log(lo) if lower else 0.0) - (math.log(hi) if upper else 0.0)
-    return dgx, math.atan2(u, r) * (lower + upper)
+    big = np.where(gx <= 0.0, q - u * gx, -q - u * gx)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        other = x * (x + 2.0) / big
+        lo, hi = np.where(gx <= 0.0, other, big / s), np.where(gx <= 0.0, big / s, other)
+        dgx = np.where(lower, np.log(lo), 0.0) - np.where(upper, np.log(hi), 0.0)
+    return dgx, np.arctan2(u, r) * np.add(lower, upper, dtype=float)
 
 
-def _m_hat_closed_form(c: ANCoords) -> tuple[float, float, float]:
-    """(m_hat, d m_hat/d g_x, d m_hat/d g_y) as sums of antiderivative
-    differences over the segments between _section_breakpoints.
+def _closed_form(gx: np.ndarray, gy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m_hat, d m_hat/d g_x, d m_hat/d g_y) at arrays of (g_x, g_y), as sums
+    of antiderivative differences over the segments between
+    _section_breakpoints.
 
     On a segment the active terms of the section mass (1/ymin, -1/lo, +1/hi
     and -1/top) do not change, so _section_cuts reads them once at its
@@ -311,25 +349,43 @@ def _m_hat_closed_form(c: ANCoords) -> tuple[float, float, float]:
     the segment edges adds nothing to the partials. No active term is
     singular: a root term has y > ymin >= sqrt(3)/2, and the line term
     1 + 2x > sqrt(3)|g_x|, which also floors the logarithm against rounding.
+    Every point's edges are padded to one width with zero-length segments at
+    x = 1/2, which add nothing.
     """
-    gx, gy = c.g_x, c.g_y
-    ext = math.sqrt(1.0 + gx * gx / (gy * gy))
-    edges = sorted({-0.5, 0.5, *_section_breakpoints(c)})
-    circle = dgx = dgy = 0.0
-    for a, b in zip(edges, edges[1:]):
-        _, (from_circle, lower, upper, line) = _section_cuts(0.5 * (a + b), c)
-        if from_circle:
-            circle += math.asin(b) - math.asin(a)
-        if line:
-            floor = -SQRT3 * gx
-            dgx += math.log(max(1.0 + 2.0 * b, floor)) - math.log(max(1.0 + 2.0 * a, floor))
-        if lower or upper:
-            bx, by = _ellipse_antiderivative(b, c, ext, lower, upper)
-            ax, ay = _ellipse_antiderivative(a, c, ext, lower, upper)
-            dgx += bx - ax
-            dgy += by - ay
+    gx, gy = np.asarray(gx, dtype=float), np.asarray(gy, dtype=float)
+    inner = _section_breakpoints(gx, gy)
+    n = len(gx)
+    ends = np.full(n, 0.5)
+    edges = np.column_stack((-ends, np.where(np.isnan(inner), 0.5, inner), ends))
+    edges.sort(axis=1)
+    a, b = edges[:, :-1], edges[:, 1:]
+    gxc, gyc = gx[:, None], gy[:, None]
+    _, (circle, lower, upper, line) = _section_cuts(0.5 * (a + b), gxc, gyc)
+    live = a < b
+    lower, upper = lower & live, upper & live
+    asin = np.arcsin(edges)
+    floor = -SQRT3 * gxc
+    with np.errstate(divide="ignore"):
+        log_line = np.log(np.maximum(1.0 + 2.0 * edges, floor))
+    ext = _extent(gxc, gyc)
+    bx, by = _ellipse_antiderivative(b, gxc, gyc, ext, lower, upper)
+    ax, ay = _ellipse_antiderivative(a, gxc, gyc, ext, lower, upper)
+    ellipse = lower | upper
+    with np.errstate(invalid="ignore"):  # the masked-out differences of -inf
+        arc = np.where(circle & live, asin[:, 1:] - asin[:, :-1], 0.0).sum(axis=1)
+        dgx = (
+            np.where(line & live, log_line[:, 1:] - log_line[:, :-1], 0.0)
+            + np.where(ellipse, bx - ax, 0.0)
+        ).sum(axis=1)
+        dgy = np.where(ellipse, by - ay, 0.0).sum(axis=1)
     pref = 3.0 / math.pi
-    return pref * (circle + gx * dgx + gy * dgy), pref * dgx, pref * dgy
+    return pref * (arc + gx * dgx + gy * dgy), pref * dgx, pref * dgy
+
+
+def _m_hat_closed_form(c: ANCoords) -> tuple[float, float, float]:
+    """_closed_form at one point, as floats."""
+    value, dgx, dgy = _closed_form(np.array([c.g_x]), np.array([c.g_y]))
+    return float(value[0]), float(dgx[0]), float(dgy[0])
 
 
 def m_hat_case(c: ANCoords) -> float:
@@ -342,16 +398,12 @@ def _m_hat_case_known(c: ANCoords, case: CaseRegime) -> float:
         return 1.0
     if case is CaseRegime.CASE7:
         return 0.0
-    return _clamp_unit(_m_hat_closed_form(c)[0])
+    return float(_clamp_unit(_m_hat_closed_form(c)[0]))
 
 
-def _clamp_unit(v: float) -> float:
-    # quadrature or rounding may overshoot [0, 1] by tolerance-level dust only
-    if -1e-6 < v < 0.0:
-        return 0.0
-    if 1.0 < v < 1.0 + 1e-6:
-        return 1.0
-    return v
+def _clamp_unit(v):
+    # rounding may overshoot [0, 1] by dust only; works on arrays
+    return np.where((-1e-6 < v) & (v < 0.0), 0.0, np.where((1.0 < v) & (v < 1.0 + 1e-6), 1.0, v))
 
 
 def m_hat_partials(c: ANCoords) -> tuple[float, float]:
@@ -394,21 +446,53 @@ def m_hat_mc(c: ANCoords, n: int, rng_seed: int) -> tuple[float, float]:
     return est, se
 
 
+def _section_integral(f, gx: float, gy: float, breaks: np.ndarray, q: QuadratureConfig) -> float:
+    """3/pi times the integral of f(x, g_x, g_y) over x in (-1/2, 1/2), split
+    at the point's row of _section_breakpoints.
+
+    Two shapes fool the error estimate of plain Gauss-Kronrod, and both are
+    mapped away here. The line term -1/top = 2 g_x/(1 + 2x) has its pole at
+    x = -1/2, a distance d left of the line's crossing with the circle, where
+    the section starts; for small |g_x| it is a spike of width d that no node
+    of a wide segment sees, so the points -1/2 + d 4^k grade the segments
+    after the crossing. The partials of the section mass have inverse-square-
+    root ends at the ellipse's extent x_e = -1 + ext; where x_e lies inside,
+    each side of it is integrated in s with x = x_e -+ s^2 (dx = 2s ds), which
+    makes those ends smooth."""
+    pts = [float(p) for p in breaks if not math.isnan(p)]
+    if gx < 0.0:
+        grade = 4.0 * (gx * gx + abs(gx) * math.sqrt(3.0 + 4.0 * gx * gx)) / (2.0 * (gx * gx + 1.0))
+        while grade < 1.0:
+            pts.append(grade - 0.5)
+            grade *= 4.0
+    xe = -1.0 + float(_extent(gx, gy))
+    if not -0.5 < xe < 0.5:
+        v, _ = integrate(lambda x: f(x, gx, gy), -0.5, 0.5, q, points=pts)
+        return v * 3.0 / math.pi
+    total = 0.0
+    for sign, end in ((-1.0, -0.5), (1.0, 0.5)):
+        side = [math.sqrt(sign * (p - xe)) for p in pts if sign * (p - xe) > 0.0]
+        v, _ = integrate(
+            lambda s, sign=sign: f(xe + sign * s * s, gx, gy) * 2.0 * s,
+            0.0,
+            math.sqrt(sign * (end - xe)),
+            q,
+            points=side,
+        )
+        total += v
+    return total * 3.0 / math.pi
+
+
 def m_hat_direct(c: ANCoords, q: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     """Region integral by section-exact x-quadrature."""
-    v, _ = integrate(lambda x: _section_mass(x, c), -0.5, 0.5, q, points=_section_breakpoints(c))
-    return _clamp_unit(v * 3.0 / math.pi)
+    breaks = _section_breakpoints(np.array([c.g_x]), np.array([c.g_y]))[0]
+    return float(_clamp_unit(_section_integral(_section_mass, c.g_x, c.g_y, breaks, q)))
 
 
 def _m_hat_direct_partial(c: ANCoords, q: QuadratureConfig, wrt_gx: bool) -> float:
-    v, _ = integrate(
-        lambda x: _section_mass_partial(x, c, wrt_gx),
-        -0.5,
-        0.5,
-        q,
-        points=_section_breakpoints(c),
-    )
-    return v * 3.0 / math.pi
+    breaks = _section_breakpoints(np.array([c.g_x]), np.array([c.g_y]))[0]
+    f = functools.partial(_section_mass_partial, wrt_gx=wrt_gx)
+    return _section_integral(f, c.g_x, c.g_y, breaks, q)
 
 
 def m_hat_direct_dgx(c: ANCoords, q: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
@@ -425,28 +509,39 @@ def m_hat_direct_dgy(c: ANCoords, q: QuadratureConfig = DEFAULT_QUADRATURE) -> f
 # K-averaged symbol
 
 
+def _circle_coords(r: float, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(g_x, g_y) arrays of the Iwasawa AN part of rotation(theta) @ diag(r, 1/r)
+    at an array of angles."""
+    r4 = r ** 4
+    st, ct = np.sin(theta), np.cos(theta)
+    den = ct * ct + r4 * st * st
+    return (r4 - 1.0) * st * ct / den, r * r / den
+
+
 def iwasawa_image_coords(r: float, theta: float) -> ANCoords:
     """AN coordinates of the Iwasawa AN part of rotation(theta) @ diag(r, 1/r)."""
     if not (math.isfinite(r) and r > 0.0):
         raise DomainError(f"need r > 0, got {r!r}")
-    r4 = r ** 4
-    st, ct = math.sin(theta), math.cos(theta)
-    den = ct * ct + r4 * st * st
-    return ANCoords(g_x=(r4 - 1.0) * st * ct / den, g_y=r * r / den)
+    gx, gy = _circle_coords(float(r), np.float64(theta))
+    return ANCoords(g_x=gx, g_y=gy)
 
 
 def m_hat_at_angle(
     r: float,
-    theta: float,
+    theta: np.ndarray,
     q: QuadratureConfig = DEFAULT_QUADRATURE,
     force_direct: bool = False,
-) -> float:
-    """m_hat along the Cartan circle: the closed form, or the direct oracle
-    with force_direct."""
-    c = iwasawa_image_coords(r, theta)
+) -> np.ndarray:
+    """m_hat along the Cartan circle at an array of angles: the closed form in
+    one batch, or with force_direct the direct oracle at each angle, with the
+    section breakpoints of all angles found in one batch."""
+    gx, gy = _circle_coords(r, theta)
     if force_direct:
-        return m_hat_direct(c, q)
-    return _m_hat_case_known(c, classify_case(c))
+        breaks = _section_breakpoints(gx, gy)
+        return _clamp_unit(
+            np.array([_section_integral(_section_mass, *point, q) for point in zip(gx, gy, breaks)])
+        )
+    return _clamp_unit(_closed_form(gx, gy)[0])
 
 
 def _transition_quadratics(r: float) -> dict[str, tuple[float, float, float]]:
@@ -511,13 +606,14 @@ def m_tilde_full(
             f"(diag(r, 1/r) needs r in [{1.0 / MAX_NORM:g}, {MAX_NORM:g}])"
         )
     if r < 1.0 + 1e-12:
-        # the whole circle sits at (g_x, g_y) = (0, 1), the image of theta = 0
-        return m_hat_at_angle(1.0, 0.0, q, force_direct), q.abs_tol
+        # the whole circle sits at (g_x, g_y) = (0, 1)
+        c = ANCoords(0.0, 1.0)
+        return (m_hat_direct(c, q) if force_direct else m_hat_case(c)), q.abs_tol
     pts = list(case_transition_thetas(r)) + [0.0]
     val, err = integrate(
         lambda t: m_hat_at_angle(r, t, q, force_direct), -_HALF_PI, _HALF_PI, q, points=pts
     )
-    return _clamp_unit(val / math.pi), err / math.pi
+    return float(_clamp_unit(val / math.pi)), err / math.pi
 
 
 def m_tilde(g: RealMat2, q: QuadratureConfig = DEFAULT_QUADRATURE) -> float:

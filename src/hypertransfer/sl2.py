@@ -81,6 +81,10 @@ class ANCoords:
     g_y: float
 
     def __post_init__(self) -> None:
+        # stored as Python floats: numpy scalars would carry numpy semantics
+        # (np.bool_ flags, np.float64 pow) into the scalar code paths
+        object.__setattr__(self, "g_x", float(self.g_x))
+        object.__setattr__(self, "g_y", float(self.g_y))
         if not (math.isfinite(self.g_x) and math.isfinite(self.g_y) and self.g_y > 0.0):
             raise DomainError(f"AN coordinates need finite g_x and g_y > 0, got {self}")
 

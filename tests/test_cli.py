@@ -3,8 +3,14 @@ byte-level determinism."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import hypertransfer
 
 from hypertransfer.cli import build_parser, main
 from hypertransfer.decay import LieDirection, lie_derivative_mtilde
@@ -104,6 +110,32 @@ def test_symbol_rejects_bad_r(capsys):
         code, out = run(capsys, ["symbol", r])
         assert code == 2
         assert "supported range [1, 1e+38]" in out.err
+
+
+def test_symbol_mc_names_its_norm_range(capsys):
+    code, out = run(capsys, ["symbol", "1e20", "--mode", "mc", "--n", "1000", "--seed", "1"])
+    assert code == 2
+    assert out.err.startswith("error: ")
+    assert "operator norms up to about 1e+15" in out.err
+
+
+def test_subcommands_run_without_scipy():
+    # scipy is a test and benchmark dependency only: no subcommand imports it
+    code = "\n".join(
+        (
+            "import contextlib, io, sys",
+            "import hypertransfer.cli as cli",
+            "for argv in (['symbol', '0.2'], ['decay', '--steps', '2'],",
+            "             ['region', '-1', '1.5'], ['verify', '--suite', 'cases']):",
+            "    with contextlib.redirect_stdout(io.StringIO()):",
+            "        assert cli.main(argv) == 0, argv",
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)",
+        )
+    )
+    src = str(Path(hypertransfer.__file__).resolve().parents[1])
+    subprocess.run(
+        [sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120
+    )
 
 
 def test_symbol_accuracy_exit(capsys):

@@ -173,3 +173,12 @@ def test_batch_symbol_matches_scalar_symbols():
     fast_s, _ = transferred_symbol_mc(symbol_m_sign, g, n, seed)
     slow_s, _ = transferred_symbol_mc(lambda b: float(symbol_m_sign(b)), g, n, seed)
     assert fast_s == slow_s
+
+
+def test_mc_reduction_range_is_named():
+    # past the int64 headroom the reduction raises one named error instead of
+    # wrapping around into a wrong lattice element
+    with pytest.raises(DomainError, match=r"supports operator norms up to about 1e\+15"):
+        transferred_symbol_mc(symbol_m_word, cartan_a(1e20), 1000, 1)
+    est, _ = transferred_symbol_mc(symbol_m_word, cartan_a(1e12), 1000, 1)
+    assert 0.0 <= est <= 1.0

@@ -224,3 +224,13 @@ def test_divergence_probe_errors():
         second_order_divergence_probe(0.3, [1e-3, 1e-2])
     with pytest.raises(DomainError):
         second_order_divergence_probe(0.3, [1.0])  # upper limit below onset
+
+
+def test_numpy_scalar_radius_gives_the_float_result():
+    # a numpy radius reached the scalar closed form as np.float64 coordinates,
+    # whose np.bool_ flags counted a doubly active ellipse term once: f1 was
+    # 0.010984 against 0.012392
+    r = 0.29454545454545455
+    for d in (LieDirection.X1, LieDirection.X2):
+        assert lie_derivative_mtilde(np.float64(r), d) == lie_derivative_mtilde(r, d)
+    assert abs(lie_derivative_mtilde(r, LieDirection.X1) - 0.0123917) < 1e-6

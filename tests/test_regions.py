@@ -11,7 +11,7 @@ import pytest
 
 import hypertransfer.regions as regions
 from hypertransfer.decay import theta_boundaries
-from hypertransfer.errors import DomainError, RegimeError
+from hypertransfer.errors import AccuracyError, DomainError, RegimeError
 from hypertransfer.quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 from hypertransfer.regions import (
     CaseRegime,
@@ -60,6 +60,12 @@ FROZEN_CASE_TABLE = [
 ]
 
 FROZEN_M_TILDE = {0.1: 0.500089570700, 0.2: 0.501097857385, 0.5: 0.527502748974}
+
+
+def crossings(c: ANCoords) -> list[float]:
+    # the batched crossing finder at one point, without its NaN padding
+    xs = _ellipse_circle_abscissas(np.array([c.g_x]), np.array([c.g_y]))[0]
+    return sorted(float(x) for x in xs if not math.isnan(x))
 
 
 def ellipse_residual(x: float, y: float, c: ANCoords) -> float:
@@ -112,7 +118,7 @@ def test_intersections_circle_point():
     ]:
         c = ANCoords(gx, gy)
         assert classify_case(c) is case
-        (x,) = _ellipse_circle_abscissas(c)
+        (x,) = crossings(c)
         y = math.sqrt(1.0 - x * x)
         assert abs(ellipse_residual(x, y, c)) < 1e-10
         if case is CaseRegime.CASE2:
@@ -337,7 +343,7 @@ def test_antiderivatives_differentiate_to_their_integrands():
 
             c = ANCoords(float(gx), float(gy))
             ext = math.sqrt(1.0 + c.g_x * c.g_x / (c.g_y * c.g_y))
-            got = _ellipse_antiderivative(float(x), c, ext, sigma < 0, sigma > 0)
+            got = _ellipse_antiderivative(float(x), c.g_x, c.g_y, ext, sigma < 0, sigma > 0)
             for g, want in zip(got, parts(x, gx, gy, sigma)):
                 assert abs(g - float(want)) < 1e-12 * max(1.0, abs(float(want)))
 
@@ -358,7 +364,7 @@ def test_crossing_finder_matches_companion_matrix_roots():
     rng = np.random.default_rng(47)
     for gx, gy in _log_uniform_points(rng, 2000):
         c = ANCoords(gx, gy)
-        got, want = sorted(_ellipse_circle_abscissas(c)), reference(c)
+        got, want = crossings(c), reference(c)
         assert len(got) == len(want)
         assert all(abs(g - w) < 1e-12 for g, w in zip(got, want))
     # a tangency at t0 = 1.2: p(t0) = p'(t0) = 0 fixes s and g_x
@@ -367,7 +373,7 @@ def test_crossing_finder_matches_companion_matrix_roots():
     gx = (t0 ** 3 + (1.0 - 2.0 * s) * t0) / 2.0
     c = ANCoords(gx, math.sqrt(s - gx * gx))
     x0 = (1.0 - t0 * t0) / (1.0 + t0 * t0)
-    assert min(abs(x - x0) for x in _ellipse_circle_abscissas(c)) < 1e-6
+    assert min(abs(x - x0) for x in crossings(c)) < 1e-6
 
 
 def test_case2_derivative_bound():
@@ -522,3 +528,53 @@ def test_m_tilde_supported_norm_range():
         for direct in (False, True):
             with pytest.raises(DomainError, match=r"supported range \[1, 1e\+38\]"):
                 m_tilde_full(cartan_a(r), force_direct=direct)
+
+
+def test_direct_oracle_at_extreme_shapes():
+    # near g_x = 0 with g_y tiny or huge the direct rule missed the closed
+    # form by 1.4e-7: a log end at the line's crossing with the circle, and
+    # an inverse-square-root end at the ellipse's extent. It must land within
+    # 1e-8 or say that it cannot.
+    for gx, gy in (
+        (3.942019653206495e-12, 3.8566423058521913e-4),
+        (-1.495886918135911e-8, 831.5596513199177),
+    ):
+        c = ANCoords(gx, gy)
+        try:
+            value = m_hat_direct(c)
+        except AccuracyError:
+            continue
+        assert abs(value - _m_hat_closed_form(c)[0]) < 1e-8
+
+
+def test_crossing_roots_take_few_newton_steps(monkeypatch):
+    # a converged Newton step ends the root; it is never traded for the
+    # midpoint of the bracket, which cost these 582 roots a mean of 13.0,
+    # a p99 of 55 and a maximum of 56 evaluations (now 5.9, 7 and 12, the
+    # maximum at a near-double root, where Newton converges linearly)
+    counted = []
+    bracketed = regions._bracketed_roots
+
+    def counting(*args):
+        roots, steps = bracketed(*args)
+        counted.append(steps)
+        return roots, steps
+
+    monkeypatch.setattr(regions, "_bracketed_roots", counting)
+    gx, gy = np.array(_log_uniform_points(np.random.default_rng(53), 2000)).T
+    _ellipse_circle_abscissas(gx, gy)
+    steps = np.concatenate(counted)
+    assert len(steps) > 500
+    assert steps.mean() < 7.0
+    assert np.percentile(steps, 99) <= 8
+    assert steps.max() <= 30
+
+
+def test_numpy_scalars_give_the_float_results():
+    # numpy flags do not add: np.True_ + np.True_ is True, not 2
+    rng = np.random.default_rng(59)
+    for gx, gy in _log_uniform_points(rng, 300):
+        as_numpy = ANCoords(np.float64(gx), np.float64(gy))
+        assert type(as_numpy.g_x) is float and type(as_numpy.g_y) is float
+        assert m_hat_case(as_numpy) == m_hat_case(ANCoords(gx, gy))
+        assert m_hat_partials(as_numpy) == m_hat_partials(ANCoords(gx, gy))
