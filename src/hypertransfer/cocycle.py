@@ -135,13 +135,25 @@ def _abs_max(*arrays: np.ndarray) -> float:
     return float(max(max(a.max(), -a.min()) for a in arrays))
 
 
+def _range_error(g: RealMat2, cause: str) -> DomainError:
+    return DomainError(
+        f"{cause} at operator norm {operator_norm(g):.3g}; the Monte-Carlo "
+        f"route supports operator norms up to about {MC_MAX_NORM:g}"
+    )
+
+
 def _beta_batch(
     x: np.ndarray, y: np.ndarray, theta: np.ndarray, g: RealMat2
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized cocycle: canonical-sign-free beta entries as int64 arrays.
+    """Vectorized cocycle: the entries of beta(p, g) as int64 arrays.
 
-    Mirrors cocycle_beta: reduce the shadow of h = s0 k0 g, then flip signs so
-    the residual rotation angle is in [0, pi).
+    Mirrors cocycle_beta: reduce the shadow of h = s0 k0 g, then pick the sign
+    of beta that puts the residual rotation angle in [0, pi). Each round of the
+    translate/invert loop touches only the samples that are still active: their
+    shadows and lattice entries are kept compacted beside their positions in the
+    output, each sample is written out once, in the round that needs no
+    inversion, and the few left after _VEC_ITER_CAP rounds finish on the scalar
+    reduction.
     """
     sy = np.sqrt(y)
     cg, sg = np.cos(theta), np.sin(theta)
@@ -149,114 +161,114 @@ def _beta_batch(
     m12 = cg * g.b - sg * g.d
     m21 = sg * g.a + cg * g.c
     m22 = sg * g.b + cg * g.d
-    h11 = sy * m11 + (x / sy) * m21
-    h12 = sy * m12 + (x / sy) * m22
+    # full-length temporaries are dropped as soon as they are used up
+    del cg, sg
+    xs = x / sy
+    h11 = sy * m11 + xs * m21
+    h12 = sy * m12 + xs * m22
     h21 = m21 / sy
     h22 = m22 / sy
-    den = h21 * h21 + h22 * h22
-    zx = (h11 * h21 + h12 * h22) / den
-    zy = (h11 * h22 - h12 * h21) / den
+    del sy, xs, m11, m12, m21, m22
+    # past about norm 1e154 den overflows (z reads 0) or underflows (z is
+    # inf or NaN): name the range without printing numpy's warnings first
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        den = h21 * h21 + h22 * h22
+        zx = (h11 * h21 + h12 * h22) / den
+        zy = (h11 * h22 - h12 * h21) / den
+        if not (np.isfinite(den).all() and np.isfinite(zx).all() and np.isfinite(zy).all()):
+            raise _range_error(g, "the half-plane image of a sample overflows float64")
+        del den
 
     n = x.shape[0]
-    A = np.ones(n, dtype=np.int64)
-    B = np.zeros(n, dtype=np.int64)
-    C = np.zeros(n, dtype=np.int64)
-    D = np.ones(n, dtype=np.int64)
-    active = np.ones(n, dtype=bool)
-    bound = 1.0  # an upper bound on every |entry| of A, B, C, D
+    # rows a, b, c, d of gamma, one column per sample. The first round works
+    # on out itself, since every sample is active; from then on a, b, c, d,
+    # zx and zy hold the active samples only, and idx their columns in out
+    out = np.zeros((4, n), dtype=np.int64)
+    out[0] = 1
+    out[3] = 1
+    a, b, c, d = out
+    idx = None
+    bound = 1.0  # an upper bound on every |entry| of a, b, c, d
     for _ in range(_VEC_ITER_CAP):
-        if not active.any():
-            break
-        stepf = np.where(active, np.floor(zx + 0.5), 0.0)
-        # a translation maps B to B + A step and D to D + C step, a flip only
+        stepf = np.floor(zx + 0.5)
+        # a translation maps b to b + a step and d to d + c step, a flip only
         # permutes and negates. Keep every entry below 2^62 before the cast
         # and the products, so that neither can overflow int64: compound the
         # largest step of each round, and when that bound passes 2^62, bound
         # by the largest entries now, then sample by sample (NaN fails all)
-        big = max(float(stepf.max()), -float(stepf.min()))
+        big = _abs_max(stepf)
         grown = bound * (1.0 + big)
         if not grown < _INT64_HEADROOM:
-            grown = _abs_max(B, D) + _abs_max(A, C) * big
+            grown = _abs_max(b, d) + _abs_max(a, c) * big
         if not grown < _INT64_HEADROOM:
             size = np.abs(stepf)
-            grown = float(
-                np.max(((np.abs(B) + np.abs(A) * size).max(), (np.abs(D) + np.abs(C) * size).max()))
+            grown = max(
+                float((np.abs(b) + np.abs(a) * size).max()),
+                float((np.abs(d) + np.abs(c) * size).max()),
             )
             if not grown < _INT64_HEADROOM:
-                raise DomainError(
-                    f"the cocycle reduction of a sample needs lattice entries past 2^62 "
-                    f"(int64) at operator norm {operator_norm(g):.3g}; the Monte-Carlo "
-                    f"route supports operator norms up to about {MC_MAX_NORM:g}"
+                raise _range_error(
+                    g, "the cocycle reduction of a sample needs lattice entries past 2^62 (int64)"
                 )
         bound = grown
         step = stepf.astype(np.int64)
-        zx = zx - step
-        B += A * step
-        D += C * step
+        zx -= stepf
+        b += a * step
+        d += c * step
         rr = zx * zx + zy * zy
-        flip = active & (rr < 1.0 - 1e-12)
-        if flip.any():
-            rrf = rr[flip]
-            zxf, zyf = zx[flip], zy[flip]
-            zx[flip] = -zxf / rrf
-            zy[flip] = zyf / rrf
-            Af, Bf, Cf, Df = A[flip], B[flip], C[flip], D[flip]
-            A[flip], B[flip] = -Bf, Af
-            C[flip], D[flip] = -Df, Cf
-        active = flip
+        flip = rr < 1.0 - 1e-12
+        keep = np.flatnonzero(flip)
+        if idx is None:
+            idx = keep
+        else:
+            done = np.flatnonzero(~flip)
+            at = idx[done]
+            for row, v in zip(out, (a, b, c, d)):
+                row[at] = v[done]
+            idx = idx[keep]
+        if keep.size == 0:
+            break
+        # z -> -1/z and gamma -> gamma S^-1: (a, b, c, d) -> (-b, a, -d, c)
+        a, b, c, d = -b[keep], a[keep], -d[keep], c[keep]
+        rr = rr[keep]
+        zx = -zx[keep] / rr
+        zy = zy[keep] / rr
     else:
         # rare stragglers: finish with the exact scalar reduction
-        for i in np.nonzero(active)[0]:
-            red = reduce_to_fundamental_domain(HalfPlanePoint(float(zx[i]), float(zy[i])))
-            gam = red.gamma
-            acc = IntMat2(int(A[i]), int(B[i]), int(C[i]), int(D[i]))
+        for j, i in enumerate(idx):
+            red = reduce_to_fundamental_domain(HalfPlanePoint(float(zx[j]), float(zy[j])))
+            acc = IntMat2(int(a[j]), int(b[j]), int(c[j]), int(d[j]))
             # gamma accumulated so far times the remaining reduction
-            full = acc @ gam
-            A[i], B[i], C[i], D[i] = full.entries()
-
-    neg = (C < 0) | ((C == 0) & (A < 0))
-    A = np.where(neg, -A, A)
-    B = np.where(neg, -B, B)
-    C = np.where(neg, -C, C)
-    D = np.where(neg, -D, D)
+            out[:, i] = (acc @ red.gamma).entries()
 
     # residual rotation: w = gamma^{-1} h; its angle is in [0, pi) iff
-    # w21 > 0 or (w21 == 0 and w22 > 0)
-    Afl, Cfl = A.astype(np.float64), C.astype(np.float64)
-    w21 = -Cfl * h11 + Afl * h21
-    w22 = -Cfl * h12 + Afl * h22
-    flip_sign = (w21 < 0.0) | ((w21 == 0.0) & (w22 < 0.0))
-    A = np.where(flip_sign, -A, A)
-    B = np.where(flip_sign, -B, B)
-    C = np.where(flip_sign, -C, C)
-    D = np.where(flip_sign, -D, D)
-    return A, B, C, D
+    # w21 > 0 or (w21 == 0 and w22 > 0). Negating gamma negates w21 and w22
+    # exactly, so this test alone fixes the sign whatever sign gamma had.
+    af, cf = out[0].astype(np.float64), out[2].astype(np.float64)
+    w21 = -cf * h11 + af * h21
+    w22 = -cf * h12 + af * h22
+    out *= np.where((w21 < 0.0) | ((w21 == 0.0) & (w22 < 0.0)), -1, 1)
+    return out[0], out[1], out[2], out[3]
 
 
-def _symbol_m_word_batch(A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray) -> np.ndarray:
-    big = max(
-        int(np.abs(A).max()), int(np.abs(B).max()), int(np.abs(C).max()), int(np.abs(D).max())
+def _symbol_batch(
+    symbol: Callable[[IntMat2], float], A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray
+) -> np.ndarray:
+    """symbol of every beta. symbol_m_word and symbol_m_sign run in int64
+    closed form while their products stay inside int64; everything else
+    calls symbol once per sample."""
+    if _abs_max(A, B, C, D) <= _INT64_SAFE:
+        if symbol is symbol_m_word:
+            ident = (B == 0) & (C == 0)
+            pn = B * D + 4 * A * C
+            pd = D * D + 4 * C * C
+            in_a = (2 * pn + pd >= 0) & ((pd <= 2) | (np.abs(pn + pd) >= pd))
+            return np.where(ident | in_a, 1.0, 0.0)
+        if symbol is symbol_m_sign:
+            return np.sign(A * C + B * D).astype(np.float64)
+    return np.array(
+        [float(symbol(IntMat2(int(a), int(b), int(c), int(d)))) for a, b, c, d in zip(A, B, C, D)]
     )
-    if big > _INT64_SAFE:
-        return np.array(
-            [symbol_m_word(IntMat2(int(a), int(b), int(c), int(d))) for a, b, c, d in zip(A, B, C, D)]
-        )
-    ident = (B == 0) & (C == 0)
-    pn = B * D + 4 * A * C
-    pd = D * D + 4 * C * C
-    in_a = (2 * pn + pd >= 0) & ((pd <= 2) | (np.abs(pn + pd) >= pd))
-    return np.where(ident | in_a, 1.0, 0.0)
-
-
-def _symbol_m_sign_batch(A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray) -> np.ndarray:
-    big = max(
-        int(np.abs(A).max()), int(np.abs(B).max()), int(np.abs(C).max()), int(np.abs(D).max())
-    )
-    if big > _INT64_SAFE:
-        return np.array(
-            [symbol_m_sign(IntMat2(int(a), int(b), int(c), int(d))) for a, b, c, d in zip(A, B, C, D)]
-        )
-    return np.sign(A * C + B * D).astype(np.float64)
 
 
 def transferred_symbol_mc(
@@ -265,15 +277,7 @@ def transferred_symbol_mc(
     """Monte-Carlo average of symbol(beta(p, g)) over domain samples, with the
     standard error of the mean."""
     x, y, theta = _sample_xyth(rng_seed, n)
-    A, B, C, D = _beta_batch(x, y, theta, g)
-    if symbol is symbol_m_word:
-        vals = _symbol_m_word_batch(A, B, C, D)
-    elif symbol is symbol_m_sign:
-        vals = _symbol_m_sign_batch(A, B, C, D)
-    else:
-        vals = np.array(
-            [float(symbol(IntMat2(int(a), int(b), int(c), int(d)))) for a, b, c, d in zip(A, B, C, D)]
-        )
+    vals = _symbol_batch(symbol, *_beta_batch(x, y, theta, g))
     est = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return est, se

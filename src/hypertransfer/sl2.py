@@ -147,7 +147,14 @@ def operator_norm(g: RealMat2) -> float:
     SVD is needed.
     """
     t = g.a * g.a + g.b * g.b + g.c * g.c + g.d * g.d
-    return math.sqrt(0.5 * (t + math.sqrt(max(t * t - 4.0, 0.0))))
+    if not math.isinf(t * t):
+        return math.sqrt(0.5 * (t + math.sqrt(max(t * t - 4.0, 0.0))))
+    # past norm ~1e77 t^2 (or t) overflows; there the norm is sqrt(t) to
+    # rounding, taken on entries scaled by the largest. Only this path
+    # scales, so every other input keeps its bits.
+    s = max(abs(g.a), abs(g.b), abs(g.c), abs(g.d))
+    a, b, c, d = g.a / s, g.b / s, g.c / s, g.d / s
+    return s * math.sqrt(a * a + b * b + c * c + d * d)
 
 
 def an_coords(g_in_an: RealMat2) -> ANCoords:

@@ -119,6 +119,26 @@ def test_symbol_mc_names_its_norm_range(capsys):
     assert "operator norms up to about 1e+15" in out.err
 
 
+def test_symbol_mc_past_float64_names_its_norm():
+    # past norm ~1e154 the shadow of a sample overflows float64; the error
+    # names the norm and numpy prints no warnings to stderr first
+    src = str(Path(hypertransfer.__file__).resolve().parents[1])
+    argv = ["symbol", "1e200", "--mode", "mc", "--n", "1000", "--seed", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "hypertransfer.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert "operator norm 1e+200" in lines[0]
+    assert "operator norms up to about 1e+15" in lines[0]
+
+
 def test_subcommands_run_without_scipy():
     # scipy is a test and benchmark dependency only: no subcommand imports it
     code = "\n".join(

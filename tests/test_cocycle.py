@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from hypertransfer import cocycle
 from hypertransfer.cocycle import (
     CocycleResult,
     DomainPoint,
@@ -18,7 +19,13 @@ from hypertransfer.cocycle import (
     transferred_symbol_mc,
 )
 from hypertransfer.errors import DomainError
-from hypertransfer.modular import I2, IntMat2, symbol_m_sign, symbol_m_word
+from hypertransfer.modular import (
+    I2,
+    IntMat2,
+    reduce_to_fundamental_domain,
+    symbol_m_sign,
+    symbol_m_word,
+)
 from hypertransfer.sl2 import RealMat2, cartan_a, rotation
 
 
@@ -155,13 +162,37 @@ def test_transferred_symbol_range_and_evenness():
 
 
 def test_batch_beta_matches_scalar():
-    g = rotation(0.7) @ cartan_a(0.3)
     x, y, theta = _sample_xyth(77, 300)
-    A, B, C, D = _beta_batch(x, y, theta, g)
-    for i in range(300):
-        p = domain_point(float(x[i]), float(y[i]), float(theta[i]))
-        b = cocycle_beta(p, g).beta
-        assert (int(A[i]), int(B[i]), int(C[i]), int(D[i])) == b.entries()
+    elements = [rotation(0.7) @ cartan_a(0.3)]
+    for k, r in ((1, 1.0), (2, 10.0), (3, 100.0)):
+        elements.append(rotation(0.4 * k) @ cartan_a(r) @ rotation(1.3 * k))
+    for g in elements:
+        A, B, C, D = _beta_batch(x, y, theta, g)
+        for i in range(300):
+            p = domain_point(float(x[i]), float(y[i]), float(theta[i]))
+            b = cocycle_beta(p, g).beta
+            assert (int(A[i]), int(B[i]), int(C[i]), int(D[i])) == b.entries(), (g, i)
+
+
+def test_capped_rounds_finish_on_the_scalar_reduction(monkeypatch):
+    # with the vectorized rounds cut short, the samples still active are
+    # finished one by one and written back to their own positions
+    g = rotation(0.9) @ cartan_a(1e3) @ rotation(2.1)
+    x, y, theta = _sample_xyth(5, 2000)
+    full = np.stack(_beta_batch(x, y, theta, g))
+    finished = []
+
+    def counting_reduce(z):
+        finished.append(z)
+        return reduce_to_fundamental_domain(z)
+
+    monkeypatch.setattr(cocycle, "reduce_to_fundamental_domain", counting_reduce)
+    for cap in (1, 2):
+        monkeypatch.setattr(cocycle, "_VEC_ITER_CAP", cap)
+        finished.clear()
+        capped = np.stack(_beta_batch(x, y, theta, g))
+        assert finished, cap
+        assert np.array_equal(capped, full), cap
 
 
 def test_batch_symbol_matches_scalar_symbols():
@@ -173,6 +204,35 @@ def test_batch_symbol_matches_scalar_symbols():
     fast_s, _ = transferred_symbol_mc(symbol_m_sign, g, n, seed)
     slow_s, _ = transferred_symbol_mc(lambda b: float(symbol_m_sign(b)), g, n, seed)
     assert fast_s == slow_s
+
+
+# exact (est, se) of transferred_symbol_mc at n = 200 000 and seed 7: a faster
+# reduction must leave these bits alone. The first word value is the README's
+# `symbol 0.2 --mode mc --n 200000 --seed 7` line.
+FROZEN_MC = {
+    "cartan 0.2": (
+        cartan_a(0.2),
+        (0.50133, 0.0011180328284478176),
+        (0.000505, 0.002233662613538212),
+    ),
+    "rotated 1e3": (
+        rotation(0.9) @ cartan_a(1e3) @ rotation(2.1),
+        (0.498605, 0.0011180324323818158),
+        (-0.00279, 0.0022360648647636316),
+    ),
+    "cartan 1e12": (
+        cartan_a(1e12),
+        (0.50023, 0.0011180366655570506),
+        (0.00046, 0.002236073331114101),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_MC))
+def test_mc_estimates_are_frozen(name):
+    g, word, sign = FROZEN_MC[name]
+    assert transferred_symbol_mc(symbol_m_word, g, 200_000, 7) == word
+    assert transferred_symbol_mc(symbol_m_sign, g, 200_000, 7) == sign
 
 
 def test_mc_reduction_range_is_named():

@@ -130,6 +130,13 @@ def test_operator_norm_values():
     assert abs(operator_norm(T_REAL) - (1.0 + math.sqrt(5.0)) / 2.0) <= 1e-12
 
 
+def test_operator_norm_past_float64_squares():
+    # the squared entries overflow from about norm 1e77 (t^2) and 1e154 (t)
+    for r in (1e76, 1e77, 1e78, 1e100, 1e154, 1e155, 1e200, 1e300):
+        assert math.isclose(operator_norm(cartan_a(r)), r, rel_tol=1e-15), r
+        assert math.isclose(operator_norm(cartan_a(1.0 / r)), r, rel_tol=1e-15), r
+
+
 def test_operator_norm_symmetries():
     rng = np.random.default_rng(31)
     for _ in range(100):
