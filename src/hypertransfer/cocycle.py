@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -40,7 +40,9 @@ _VEC_ITER_CAP = 200
 _INT64_SAFE = 1_300_000_000  # probe products stay inside int64 below this
 _INT64_HEADROOM = 2.0 ** 62
 # the largest operator norm at which the int64 reduction keeps room for
-# every sample of a 200 000-sample run (measured; past it DomainError)
+# every sample of a 200 000-sample run (measured on the diagonal cartan_a(r),
+# the only elements the CLI builds; past it DomainError). A rotated element
+# raises the same DomainError from about norm 1e8: zy = det h/den cancels.
 MC_MAX_NORM = 1e15
 
 

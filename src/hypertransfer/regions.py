@@ -214,44 +214,55 @@ def _section_breakpoints(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
     return np.where((-0.5 < pts) & (pts < 0.5), pts, np.nan)
 
 
-def _crossing_quartic(t, b2, gx):
-    return ((t * t + b2) * t - 8.0 * gx) * t - 3.0
+def _crossing_quartic(t, b, gx):
+    return ((t * t + b) * t - 8.0 * gx) * t - 3.0
 
 
 def _ellipse_circle_abscissas(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
     """Abscissas in (-1/2, 1/2) where the ellipse crosses the unit circle, one
-    row of 7 per point, NaN where absent.
+    row of 4 per point, NaN where absent.
 
     With t = tan(phi/2) at the circle point (cos phi, sin phi), the crossing
-    condition is p(t) = t^4 - (4s - 2) t^2 - 8 g_x t - 3 = 0, s = g_x^2 + g_y^2,
-    and x in (-1/2, 1/2) is t in (1/sqrt(3), sqrt(3)). The real roots of
-    p'(t)/4 = t^3 + (1 - 2s) t - 2 g_x cut that range into at most four
-    pieces where p is monotone, and each sign change of p on a piece is one
-    crossing. A critical point where p nearly touches zero,
-    |p| < 1e-12 |p''|/2 (a root pair within 1e-6 of the real axis), is kept
-    too: a spare breakpoint costs one segment, a missed one a kink inside a
-    segment.
+    condition is the depressed quartic p(t) = t^4 + b t^2 + c t - 3 = 0 with
+    b = 2 - 4S, c = -8 g_x and S = g_x^2 + g_y^2, and x in (-1/2, 1/2) is
+    t in (1/sqrt(3), sqrt(3)). Ferrari's factorisation writes p as
+    (t^2 - s t + k + e)(t^2 + s t + k - e), with m >= 0 the largest root of
+    the resolvent 8m((b/2 + m)^2 + 3) = c^2, k = b/2 + m, s = sqrt(2m) and
+    e = sign(c) sqrt(k^2 + 3). Each quadratic's real roots are taken free of
+    cancellation. A complex pair within 1e-6 of the real axis (discriminant
+    at least -4e-12) gives its real part as a spare breakpoint: a spare
+    breakpoint costs one segment, a missed one a kink inside a segment. m
+    loses relative accuracy where c^2 is far below eps |b|^3; one Newton step
+    on p restores the real roots, and is kept only where it lowers |p| (at a
+    near-double root p' is dust and the step can jump away). Only points with
+    S < 10 are solved: a crossing needs g_x in (-2.89, 0.58) and
+    g_y < 2/sqrt(3), and the screen keeps b^3 finite.
     """
-    b2 = 2.0 - 4.0 * (gx * gx + gy * gy)
-    lo, hi = 1.0 / SQRT3, SQRT3
-    crit = _depressed_cubic_roots(0.5 * b2, -2.0 * gx)
-    crit = np.sort(np.where((lo < crit) & (crit < hi), crit, np.nan), axis=1)
-    b2c = b2[:, None]
-    with np.errstate(invalid="ignore"):
-        near = np.abs(_crossing_quartic(crit, b2c, gx[:, None])) < 1e-12 * np.abs(
-            6.0 * crit * crit + b2c
-        )
-    touch = np.where(near, crit, np.nan)
-    n = len(gx)
-    knots = np.column_stack((np.full(n, lo), np.where(np.isnan(crit), hi, crit), np.full(n, hi)))
-    fk = _crossing_quartic(knots, b2c, gx[:, None])
-    live = (fk[:, :-1] < 0.0) != (fk[:, 1:] < 0.0)
-    roots = np.full((n, 4), np.nan)
-    rows = np.nonzero(live)[0]
-    ends = (knots[:, :-1][live], knots[:, 1:][live], fk[:, :-1][live], fk[:, 1:][live])
-    roots[live] = _bracketed_roots(*ends, b2[rows], gx[rows])[0]
-    ts = np.column_stack((touch, roots))
-    return (1.0 - ts * ts) / (1.0 + ts * ts)
+    out = np.full((len(gx), 4), np.nan)
+    big_s = gx * gx + gy * gy
+    rows = np.flatnonzero(big_s < 10.0)
+    gx, b = gx[rows], 2.0 - 4.0 * big_s[rows]
+    # m = z - b/3, z the largest root of the resolvent in depressed form
+    # z^3 + (3 - b^2/12) z - b^3/108 - b - c^2/8
+    z = _depressed_cubic_roots(3.0 - b * b / 12.0, -b * (b * b / 108.0 + 1.0) - 8.0 * gx * gx)
+    m = np.maximum(np.fmax.reduce(z, axis=1) - b / 3.0, 0.0)
+    k, s = 0.5 * b + m, np.sqrt(2.0 * m)
+    e = np.copysign(np.sqrt(k * k + 3.0), -gx)
+    # the two factors t^2 + lin t + const
+    lin, const = np.column_stack((-s, s)), np.column_stack((k + e, k - e))
+    disc = lin * lin - 4.0 * const
+    bc, gxc = b[:, None], gx[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        big = -0.5 * (lin + np.copysign(np.sqrt(disc), lin))  # NaN where disc < 0
+        ts = np.column_stack((big, const / big))
+        p = _crossing_quartic(ts, bc, gxc)
+        newton = ts - p / ((4.0 * ts * ts + 2.0 * bc) * ts - 8.0 * gxc)
+        ts = np.where(np.abs(_crossing_quartic(newton, bc, gxc)) < np.abs(p), newton, ts)
+    spare = (-4e-12 <= disc) & (disc < 0.0)
+    ts[:, :2] = np.where(spare, -0.5 * lin, ts[:, :2])
+    ts = np.where((1.0 / SQRT3 < ts) & (ts < SQRT3), ts, np.nan)
+    out[rows] = (1.0 - ts * ts) / (1.0 + ts * ts)
+    return out
 
 
 def _depressed_cubic_roots(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -271,48 +282,13 @@ def _depressed_cubic_roots(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where(three[:, None], trig, single)
 
 
-def _bracketed_roots(a, b, fa, fb, b2, gx) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of _crossing_quartic(., b2, gx) in brackets [a, b], given its
-    values fa at a and fb at b of opposite signs: Newton steps from the
-    secant point, with bisection whenever a step leaves the bracket. A root
-    is done when f vanishes, when its Newton step is at most 4e-16 (tested
-    before any bisection, so a converged step is never replaced by a
-    midpoint) or when its bracket is narrower than 4e-16. Each round
-    evaluates only the unfinished roots. Returns the roots and the number of
-    evaluations of f each took."""
-    n = len(a)
-    out, steps = np.empty(n), np.zeros(n, dtype=np.int64)
-    idx = np.arange(n)
-    neg_a = fa < 0.0
-    t = a - fa * (b - a) / (fb - fa)
-    for it in range(1, 201):
-        ft = _crossing_quartic(t, b2, gx)
-        same = (ft < 0.0) == neg_a
-        a, b = np.where(same, t, a), np.where(same, b, t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = ft / ((4.0 * t * t + 2.0 * b2) * t - 8.0 * gx)
-        converged = (ft == 0.0) | (np.abs(step) <= 4e-16)
-        nxt = np.where(ft == 0.0, t, t - step)
-        nxt = np.where(converged | ((a < nxt) & (nxt < b)), nxt, 0.5 * (a + b))
-        done = converged | (b - a < 4e-16)
-        if done.any():
-            out[idx[done]], steps[idx[done]] = nxt[done], it
-            keep = ~done
-            idx, nxt, a, b, neg_a, b2, gx = (v[keep] for v in (idx, nxt, a, b, neg_a, b2, gx))
-        t = nxt
-        if not idx.size:
-            break
-    out[idx], steps[idx] = t, 200
-    return out, steps
-
-
 # ---------------------------------------------------------------------------
 # closed-form evaluator (valid for every g_y > 0)
 
 
-def _ellipse_antiderivative(x, gx, gy, ext, lower, upper):
-    """x-antiderivatives at x of d/dg_x and d/dg_y of the ellipse-root terms
-    of the section mass: -1/lo where lower, +1/hi where upper.
+def _ellipse_antiderivative(x, gx, gy, ext):
+    """(ln lo, ln hi, a) at x: the x-antiderivatives of d/dg_x and d/dg_y of
+    the ellipse-root terms of the section mass, -1/lo and +1/hi.
 
     With u = x + 1, S = g_x^2 + g_y^2 and a = asin(g_y u/sqrt(S)), a root
     y = (+-q - u g_x)/S contributes -+ln y to d/dg_x and a to d/dg_y (on the
@@ -320,8 +296,7 @@ def _ellipse_antiderivative(x, gx, gy, ext, lower, upper):
     times the first plus g_y times the second, up to a constant. ext =
     sqrt(S)/g_y is the ellipse's x-extent about x = -1, so the radicand
     g_y^2 ((ext - 1) - x)(ext + u) is exactly 0 at the extent's breakpoint
-    (see _extent). The flags are counted as numbers: a point with both terms
-    active takes a twice.
+    (see _extent). Where the ellipse misses x, the logarithms are NaN or -inf.
     """
     u = x + 1.0
     r = np.sqrt(np.maximum(((ext - 1.0) - x) * (ext + u), 0.0))
@@ -332,8 +307,7 @@ def _ellipse_antiderivative(x, gx, gy, ext, lower, upper):
     with np.errstate(divide="ignore", invalid="ignore"):
         other = x * (x + 2.0) / big
         lo, hi = np.where(gx <= 0.0, other, big / s), np.where(gx <= 0.0, big / s, other)
-        dgx = np.where(lower, np.log(lo), 0.0) - np.where(upper, np.log(hi), 0.0)
-    return dgx, np.arctan2(u, r) * np.add(lower, upper, dtype=float)
+        return np.log(lo), np.log(hi), np.arctan2(u, r)
 
 
 def _closed_form(gx: np.ndarray, gy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -345,12 +319,13 @@ def _closed_form(gx: np.ndarray, gy: np.ndarray) -> tuple[np.ndarray, np.ndarray
     and -1/top) do not change, so _section_cuts reads them once at its
     midpoint. 1/ymin = 1/sqrt(1 - x^2) integrates to asin x, the line
     term -1/top = 2 g_x/(1 + 2x) to g_x ln(1 + 2x), and the root terms are in
-    _ellipse_antiderivative. The mass is continuous in x, so the motion of
-    the segment edges adds nothing to the partials. No active term is
-    singular: a root term has y > ymin >= sqrt(3)/2, and the line term
-    1 + 2x > sqrt(3)|g_x|, which also floors the logarithm against rounding.
-    Every point's edges are padded to one width with zero-length segments at
-    x = 1/2, which add nothing.
+    _ellipse_antiderivative; every antiderivative is evaluated once per edge.
+    The mass is continuous in x, so the motion of the segment edges adds
+    nothing to the partials. No active term is singular: a root term has
+    y > ymin >= sqrt(3)/2, and the line term 1 + 2x > sqrt(3)|g_x|, which
+    also floors the logarithm against rounding. Every point's edges are
+    padded to one width with zero-length segments at x = 1/2, which add
+    nothing.
     """
     gx, gy = np.asarray(gx, dtype=float), np.asarray(gy, dtype=float)
     inner = _section_breakpoints(gx, gy)
@@ -367,9 +342,15 @@ def _closed_form(gx: np.ndarray, gy: np.ndarray) -> tuple[np.ndarray, np.ndarray
     floor = -SQRT3 * gxc
     with np.errstate(divide="ignore"):
         log_line = np.log(np.maximum(1.0 + 2.0 * edges, floor))
-    ext = _extent(gxc, gyc)
-    bx, by = _ellipse_antiderivative(b, gxc, gyc, ext, lower, upper)
-    ax, ay = _ellipse_antiderivative(a, gxc, gyc, ext, lower, upper)
+    log_lo, log_hi, ellipse_asin = _ellipse_antiderivative(edges, gxc, gyc, _extent(gxc, gyc))
+    # a segment with both root terms active takes ellipse_asin twice
+    roots = np.add(lower, upper, dtype=float)
+
+    def ellipse_at(end):  # the root terms' antiderivatives at one end of each segment
+        dgx = np.where(lower, log_lo[:, end], 0.0) - np.where(upper, log_hi[:, end], 0.0)
+        return dgx, ellipse_asin[:, end] * roots
+
+    (bx, by), (ax, ay) = ellipse_at(np.s_[1:]), ellipse_at(np.s_[:-1])
     ellipse = lower | upper
     with np.errstate(invalid="ignore"):  # the masked-out differences of -inf
         arc = np.where(circle & live, asin[:, 1:] - asin[:, :-1], 0.0).sum(axis=1)

@@ -16,7 +16,6 @@ import numpy as np
 from .cocycle import (
     cocycle_beta,
     domain_measure_mc,
-    domain_point,
     sample_domain,
     transferred_symbol_mc,
 )

@@ -234,3 +234,13 @@ def test_numpy_scalar_radius_gives_the_float_result():
     for d in (LieDirection.X1, LieDirection.X2):
         assert lie_derivative_mtilde(np.float64(r), d) == lie_derivative_mtilde(r, d)
     assert abs(lie_derivative_mtilde(r, LieDirection.X1) - 0.0123917) < 1e-6
+
+
+def test_lie_derivative_across_the_untracked_bump():
+    # at r = 0.578... the X1 integrand rises from 0 to 8.5e-3 and back between
+    # theta = 1.04439182 and 1.04608247, inside one transition segment; the
+    # references are theta quadrature at 1e-13 with those ends as breakpoints
+    # (a theta rule with no node in the bump was 2.3e-6 off)
+    r = 0.5780934891480582
+    assert abs(lie_derivative_mtilde(r, LieDirection.X1) - 0.1112841645) < 1e-7
+    assert abs(lie_derivative_mtilde(r, LieDirection.X2) - 0.2539708917) < 1e-7
