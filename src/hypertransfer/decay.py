@@ -104,7 +104,7 @@ def _decay_radius(r: float) -> float:
 
 def _lie_average(r: float, direction: LieDirection, adjoint: bool) -> float:
     """f_j(r) as (1/pi) times the theta integral over the Cartan circle, split
-    at the case transitions and at theta = 0. The integrand evaluates the
+    at the transition angles and at theta = 0. The integrand evaluates the
     closed-form partials at all nodes of a quadrature round in one batch: the
     chart combination of lie_derivative_mtt, or with adjoint its transport by
     the residual rotation.
@@ -189,12 +189,7 @@ def hm_table(r_grid: "list[float] | tuple[float, ...]") -> list[DecayRow]:
     for r in rs:
         if not (0.0 < r < 1.0):
             raise DomainError(f"grid values must lie in (0, 1), got {r!r}")
-    if not rs:
-        return []
-    workers = worker_count(len(rs))
-    if workers == 1:
-        return [_decay_row(r) for r in rs]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+    with concurrent.futures.ThreadPoolExecutor(max_workers=worker_count(len(rs))) as pool:
         return list(pool.map(_decay_row, rs))
 
 

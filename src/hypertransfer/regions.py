@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -116,14 +117,13 @@ def classify_case(c: ANCoords) -> CaseRegime:
 # segment of every point of a closed-form batch.
 
 
-def _extent(gx, gy):
-    """ext = sqrt(g_x^2 + g_y^2)/g_y: the ellipse spans u = x + 1 in [-ext, ext].
-
-    The section code writes the radicand g_x^2 - g_y^2 x (x + 2) as
-    g_y^2 ((ext - 1) - x)(ext + 1 + x), which is exactly 0 at the extent's
-    breakpoint x_e = -1 + ext and exact near it: the difference (ext - 1) - x
-    of two nearby floats has no rounding error."""
-    return np.hypot(gx, gy) / gy
+def _extent_end(gx, gy):
+    """x_e = -1 + sqrt(S)/g_y, the right end of the ellipse's x-extent, free
+    of cancellation as g_x^2/(g_y (sqrt(S) + g_y)). The section code writes
+    the radicand g_x^2 - g_y^2 x (x + 2) as g_y^2 (x_e - x)(x_e + 2 + x),
+    which is exactly 0 at x = x_e and exact near it: x_e - x has no rounding
+    error there, and x_e keeps its relative accuracy near g_x = 0."""
+    return (gx / gy) * (gx / (np.hypot(gx, gy) + gy))
 
 
 def _section_cuts(x, gx, gy):
@@ -137,11 +137,11 @@ def _section_cuts(x, gx, gy):
     the terms 1/ymin, -1/lo, +1/hi and -1/top: the section is [ymin, lo) if
     lower, else [ymin, top), when circle, and [hi, top) when upper.
     """
-    ext = _extent(gx, gy)
+    xe = _extent_end(gx, gy)
     with np.errstate(divide="ignore", invalid="ignore"):
         ymin = np.sqrt(np.maximum(1.0 - x * x, 0.0))
         top = np.where(gx < 0.0, -(1.0 + 2.0 * x) / (2.0 * gx), np.inf)
-        rad = (gy * ((ext - 1.0) - x)) * (gy * (ext + 1.0 + x))
+        rad = (gy * (xe - x)) * (gy * (xe + 2.0 + x))
         s = gx * gx + gy * gy
         q = np.where(rad > 0.0, np.sqrt(rad), np.nan)
         lo, hi = (-q - (x + 1.0) * gx) / s, (q - (x + 1.0) * gx) / s
@@ -201,11 +201,10 @@ def _section_breakpoints(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
     Between two of them the set of cuts that bound the section does not
     change. (The extent's left end -1 - ext and the line's left crossing with
     the circle lie below -1/2 for every shape.)"""
-    ext = _extent(gx, gy)
     disc = np.abs(gx) * np.sqrt(3.0 + 4.0 * gx * gx)
     pts = np.column_stack(
         (
-            -1.0 + ext,  # ellipse x-extent
+            _extent_end(gx, gy),  # ellipse x-extent
             (-1.0 + disc) / (2.0 * (gx * gx + 1.0)),  # line/circle; -1/2 at g_x = 0
             -(SQRT3 * gx + gy) / (2.0 * gy),  # line/ellipse; -1/2 at g_x = 0
             _ellipse_circle_abscissas(gx, gy),
@@ -214,92 +213,100 @@ def _section_breakpoints(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
     return np.where((-0.5 < pts) & (pts < 0.5), pts, np.nan)
 
 
-def _crossing_quartic(t, b, gx):
-    return ((t * t + b) * t - 8.0 * gx) * t - 3.0
-
-
 def _ellipse_circle_abscissas(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
     """Abscissas in (-1/2, 1/2) where the ellipse crosses the unit circle, one
     row of 4 per point, NaN where absent.
 
     With t = tan(phi/2) at the circle point (cos phi, sin phi), the crossing
     condition is the depressed quartic p(t) = t^4 + b t^2 + c t - 3 = 0 with
-    b = 2 - 4S, c = -8 g_x and S = g_x^2 + g_y^2, and x in (-1/2, 1/2) is
-    t in (1/sqrt(3), sqrt(3)). Ferrari's factorisation writes p as
-    (t^2 - s t + k + e)(t^2 + s t + k - e), with m >= 0 the largest root of
-    the resolvent 8m((b/2 + m)^2 + 3) = c^2, k = b/2 + m, s = sqrt(2m) and
-    e = sign(c) sqrt(k^2 + 3). Each quadratic's real roots are taken free of
-    cancellation. A complex pair within 1e-6 of the real axis (discriminant
-    at least -4e-12) gives its real part as a spare breakpoint: a spare
-    breakpoint costs one segment, a missed one a kink inside a segment. m
-    loses relative accuracy where c^2 is far below eps |b|^3; one Newton step
-    on p restores the real roots, and is kept only where it lowers |p| (at a
-    near-double root p' is dust and the step can jump away). Only points with
-    S < 10 are solved: a crossing needs g_x in (-2.89, 0.58) and
-    g_y < 2/sqrt(3), and the screen keeps b^3 finite.
+    b = 2 - 4S, c = -8 g_x and S = g_x^2 + g_y^2. Ferrari's factorisation
+    writes p as (t^2 - s t + k + e)(t^2 + s t + k - e), with m >= 0 the
+    largest root of the resolvent 8m((b/2 + m)^2 + 3) = c^2, k = b/2 + m,
+    s = sqrt(2m) and e = sign(c) sqrt(k^2 + 3). Each quadratic's real roots
+    are taken free of cancellation. A complex pair within 1e-6 of the real
+    axis (discriminant at least -4e-12) gives its real part as a spare
+    breakpoint: a spare breakpoint costs one segment, a missed one a kink
+    inside a segment.
+
+    One Newton step on p in u = (1 - t)/(1 + t), whose coefficients are
+    exact in g_x and S, finishes each real root and gives a crossing near
+    x = 2u/(1 + u^2) = 0 its relative accuracy (at g_x = 0 it lies at
+    -g_y^2/2, left of the extent's end 0). The step is kept only where it
+    lowers |p| (at a near-double root p' is dust and the step can jump
+    away). x in (-1/2, 1/2) is |u| < 2 - sqrt(3). Only points with S < 10
+    are solved: a crossing needs g_x in (-2.89, 0.58) and g_y < 2/sqrt(3),
+    and the screen keeps b^3 finite.
     """
     out = np.full((len(gx), 4), np.nan)
     big_s = gx * gx + gy * gy
     rows = np.flatnonzero(big_s < 10.0)
-    gx, b = gx[rows], 2.0 - 4.0 * big_s[rows]
+    gx, big_s = gx[rows], big_s[rows]
+    b = 2.0 - 4.0 * big_s
     # m = z - b/3, z the largest root of the resolvent in depressed form
     # z^3 + (3 - b^2/12) z - b^3/108 - b - c^2/8
-    z = _depressed_cubic_roots(3.0 - b * b / 12.0, -b * (b * b / 108.0 + 1.0) - 8.0 * gx * gx)
-    m = np.maximum(np.fmax.reduce(z, axis=1) - b / 3.0, 0.0)
+    z = _largest_cubic_root(3.0 - b * b / 12.0, -b * (b * b / 108.0 + 1.0) - 8.0 * gx * gx)
+    # z - b/3 cancels where m is tiny; there m = c^2/(2 b^2 + 24) (1 + O(m))
+    small = 32.0 * gx * gx / (b * b + 12.0)
+    m = np.where(small < 1e-8, small, np.maximum(z - b / 3.0, 0.0))
     k, s = 0.5 * b + m, np.sqrt(2.0 * m)
     e = np.copysign(np.sqrt(k * k + 3.0), -gx)
     # the two factors t^2 + lin t + const
     lin, const = np.column_stack((-s, s)), np.column_stack((k + e, k - e))
     disc = lin * lin - 4.0 * const
-    bc, gxc = b[:, None], gx[:, None]
+    gxc, sc = gx[:, None], big_s[:, None]
+    spare = (-4e-12 <= disc) & (disc < 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         big = -0.5 * (lin + np.copysign(np.sqrt(disc), lin))  # NaN where disc < 0
         ts = np.column_stack((big, const / big))
-        p = _crossing_quartic(ts, bc, gxc)
-        newton = ts - p / ((4.0 * ts * ts + 2.0 * bc) * ts - 8.0 * gxc)
-        ts = np.where(np.abs(_crossing_quartic(newton, bc, gxc)) < np.abs(p), newton, ts)
-    spare = (-4e-12 <= disc) & (disc < 0.0)
-    ts[:, :2] = np.where(spare, -0.5 * lin, ts[:, :2])
-    ts = np.where((1.0 / SQRT3 < ts) & (ts < SQRT3), ts, np.nan)
-    out[rows] = (1.0 - ts * ts) / (1.0 + ts * ts)
+        ts[:, :2] = np.where(spare, -0.5 * lin, ts[:, :2])
+        us = (1.0 - ts) / (1.0 + ts)
+        # p(t) (1 + u)^4/(-4) at t = (1 - u)/(1 + u)
+        a4, a3, a2, a1 = sc - 2.0 * gxc, 4.0 * (1.0 - gxc), 4.0 - 2.0 * sc, 4.0 * (1.0 + gxc)
+
+        def quartic(u):
+            return (((a4 * u + a3) * u + a2) * u + a1) * u + (sc + 2.0 * gxc)
+
+        res = quartic(us)
+        newton = us - res / (((4.0 * a4 * us + 3.0 * a3) * us + 2.0 * a2) * us + a1)
+        better = np.abs(quartic(newton)) < np.abs(res)
+        better[:, :2] &= ~spare
+        us = np.where(better, newton, us)
+        out[rows] = np.where(np.abs(us) < 2.0 - SQRT3, 2.0 * us / (1.0 + us * us), np.nan)
     return out
 
 
-def _depressed_cubic_roots(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Real roots of t^3 + p t + q, one row of 3 per (p, q), NaN-padded:
-    trigonometric when there are three, Cardano in its cancellation-free form
-    when there is one."""
+def _largest_cubic_root(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Largest real root of t^3 + p t + q: the first trigonometric root when
+    there are three, Cardano in its cancellation-free form when there is one."""
     with np.errstate(divide="ignore", invalid="ignore"):
         m = 2.0 * np.sqrt(-p / 3.0)
         arg = 3.0 * q / (p * m)
         three = (p < 0.0) & (np.abs(arg) <= 1.0)
-        phi = np.arccos(np.where(three, arg, 0.0)) / 3.0
-        trig = m[:, None] * np.cos(phi[:, None] - 2.0 * np.pi * np.arange(3) / 3.0)
+        trig = m * np.cos(np.arccos(np.where(three, arg, 0.0)) / 3.0)
         d = np.sqrt(np.maximum(0.25 * q * q + p * p * p / 27.0, 0.0))
         big = -np.copysign(np.cbrt(0.5 * np.abs(q) + d), q)
         one = np.where(big != 0.0, big - p / (3.0 * big), 0.0)
-    single = np.column_stack((one, np.full_like(one, np.nan), np.full_like(one, np.nan)))
-    return np.where(three[:, None], trig, single)
+    return np.where(three, trig, one)
 
 
 # ---------------------------------------------------------------------------
 # closed-form evaluator (valid for every g_y > 0)
 
 
-def _ellipse_antiderivative(x, gx, gy, ext):
+def _ellipse_antiderivative(x, gx, gy, xe):
     """(ln lo, ln hi, a) at x: the x-antiderivatives of d/dg_x and d/dg_y of
     the ellipse-root terms of the section mass, -1/lo and +1/hi.
 
     With u = x + 1, S = g_x^2 + g_y^2 and a = asin(g_y u/sqrt(S)), a root
     y = (+-q - u g_x)/S contributes -+ln y to d/dg_x and a to d/dg_y (on the
     ellipse dy/dg_x = y dy/dx), and the term +-1/y itself integrates to g_x
-    times the first plus g_y times the second, up to a constant. ext =
-    sqrt(S)/g_y is the ellipse's x-extent about x = -1, so the radicand
-    g_y^2 ((ext - 1) - x)(ext + u) is exactly 0 at the extent's breakpoint
-    (see _extent). Where the ellipse misses x, the logarithms are NaN or -inf.
+    times the first plus g_y times the second, up to a constant. The
+    radicand g_y^2 (x_e - x)(x_e + 2 + x) is exactly 0 at the extent's end
+    x_e (see _extent_end). Where the ellipse misses x, the logarithms are NaN
+    or -inf.
     """
     u = x + 1.0
-    r = np.sqrt(np.maximum(((ext - 1.0) - x) * (ext + u), 0.0))
+    r = np.sqrt(np.maximum((xe - x) * (xe + 2.0 + x), 0.0))
     q = gy * r
     s = gx * gx + gy * gy
     # lo * hi = x (x + 2)/S; take the root free of cancellation from q
@@ -310,39 +317,42 @@ def _ellipse_antiderivative(x, gx, gy, ext):
         return np.log(lo), np.log(hi), np.arctan2(u, r)
 
 
+def _section_segments(gx: np.ndarray, gy: np.ndarray):
+    """(edges, live, flags), one row per point: the segments of (-1/2, 1/2)
+    between its _section_breakpoints, padded to one width with zero-length
+    segments at x = 1/2 (live marks the others), and the _section_cuts flags
+    at their midpoints, which hold on the whole segment."""
+    inner = _section_breakpoints(gx, gy)
+    ends = np.full(len(gx), 0.5)
+    edges = np.column_stack((-ends, np.where(np.isnan(inner), 0.5, inner), ends))
+    edges.sort(axis=1)
+    a, b = edges[:, :-1], edges[:, 1:]
+    _, flags = _section_cuts(0.5 * (a + b), gx[:, None], gy[:, None])
+    return edges, a < b, flags
+
+
 def _closed_form(gx: np.ndarray, gy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(m_hat, d m_hat/d g_x, d m_hat/d g_y) at arrays of (g_x, g_y), as sums
-    of antiderivative differences over the segments between
-    _section_breakpoints.
+    of antiderivative differences over the _section_segments.
 
-    On a segment the active terms of the section mass (1/ymin, -1/lo, +1/hi
-    and -1/top) do not change, so _section_cuts reads them once at its
-    midpoint. 1/ymin = 1/sqrt(1 - x^2) integrates to asin x, the line
+    On a segment the active terms of the section mass do not change.
+    1/ymin = 1/sqrt(1 - x^2) integrates to asin x, the line
     term -1/top = 2 g_x/(1 + 2x) to g_x ln(1 + 2x), and the root terms are in
     _ellipse_antiderivative; every antiderivative is evaluated once per edge.
     The mass is continuous in x, so the motion of the segment edges adds
     nothing to the partials. No active term is singular: a root term has
     y > ymin >= sqrt(3)/2, and the line term 1 + 2x > sqrt(3)|g_x|, which
-    also floors the logarithm against rounding. Every point's edges are
-    padded to one width with zero-length segments at x = 1/2, which add
-    nothing.
+    also floors the logarithm against rounding.
     """
     gx, gy = np.asarray(gx, dtype=float), np.asarray(gy, dtype=float)
-    inner = _section_breakpoints(gx, gy)
-    n = len(gx)
-    ends = np.full(n, 0.5)
-    edges = np.column_stack((-ends, np.where(np.isnan(inner), 0.5, inner), ends))
-    edges.sort(axis=1)
-    a, b = edges[:, :-1], edges[:, 1:]
+    edges, live, (circle, lower, upper, line) = _section_segments(gx, gy)
     gxc, gyc = gx[:, None], gy[:, None]
-    _, (circle, lower, upper, line) = _section_cuts(0.5 * (a + b), gxc, gyc)
-    live = a < b
     lower, upper = lower & live, upper & live
     asin = np.arcsin(edges)
     floor = -SQRT3 * gxc
     with np.errstate(divide="ignore"):
         log_line = np.log(np.maximum(1.0 + 2.0 * edges, floor))
-    log_lo, log_hi, ellipse_asin = _ellipse_antiderivative(edges, gxc, gyc, _extent(gxc, gyc))
+    log_lo, log_hi, ellipse_asin = _ellipse_antiderivative(edges, gxc, gyc, _extent_end(gxc, gyc))
     # a segment with both root terms active takes ellipse_asin twice
     roots = np.add(lower, upper, dtype=float)
 
@@ -389,10 +399,7 @@ def _clamp_unit(v):
 
 def m_hat_partials(c: ANCoords) -> tuple[float, float]:
     """(d m_hat/d g_x, d m_hat/d g_y) in closed form; valid for every g_y > 0."""
-    if classify_case(c) in (CaseRegime.CASE1, CaseRegime.CASE7):
-        return 0.0, 0.0
-    _, dgx, dgy = _m_hat_closed_form(c)
-    return dgx, dgy
+    return _m_hat_closed_form(c)[1:]
 
 
 def m_hat_dgx(c: ANCoords) -> float:
@@ -437,7 +444,7 @@ def _section_integral(f, gx: float, gy: float, breaks: np.ndarray, q: Quadrature
     the section starts; for small |g_x| it is a spike of width d that no node
     of a wide segment sees, so the points -1/2 + d 4^k grade the segments
     after the crossing. The partials of the section mass have inverse-square-
-    root ends at the ellipse's extent x_e = -1 + ext; where x_e lies inside,
+    root ends at the ellipse's extent end x_e; where x_e lies inside,
     each side of it is integrated in s with x = x_e -+ s^2 (dx = 2s ds), which
     makes those ends smooth."""
     pts = [float(p) for p in breaks if not math.isnan(p)]
@@ -446,7 +453,7 @@ def _section_integral(f, gx: float, gy: float, breaks: np.ndarray, q: Quadrature
         while grade < 1.0:
             pts.append(grade - 0.5)
             grade *= 4.0
-    xe = -1.0 + float(_extent(gx, gy))
+    xe = float(_extent_end(gx, gy))
     if not -0.5 < xe < 0.5:
         v, _ = integrate(lambda x: f(x, gx, gy), -0.5, 0.5, q, points=pts)
         return v * 3.0 / math.pi
@@ -526,16 +533,16 @@ def m_hat_at_angle(
 
 
 def _transition_quadratics(r: float) -> dict[str, tuple[float, float, float]]:
-    """(a, b, c) with a t^2 + b t + c = 0 at t = tan(theta) on each curve that
-    classify_case switches on, along the Cartan circle of norm r:
-    with R = r^4, g_x = (R - 1) t/(1 + R t^2), g_y = r^2 (1 + t^2)/(1 + R t^2)
-    and g_x^2 + g_y^2 = (R + t^2)/(1 + R t^2). The square-root boundaries b2,
-    b4 and b7 are squared, so their roots include the other branch's."""
+    """(a, b, c) with a t^2 + b t + c = 0 at t = tan(theta) on each case
+    boundary of boundary_values and on g_y = 1/2, along the Cartan circle of
+    norm r: with R = r^4, g_x = (R - 1) t/(1 + R t^2),
+    g_y = r^2 (1 + t^2)/(1 + R t^2) and g_x^2 + g_y^2 = (R + t^2)/(1 + R t^2).
+    The square-root boundaries b2, b4 and b7 are squared, so their roots
+    include the other branch's."""
     big_r, r2 = r ** 4, r * r
     k, h = 2.0 / SQRT3, math.sqrt(5.0) / 2.0
     return {
         "g_y=1/2": (r2 - 0.5 * big_r, 0.0, r2 - 0.5),
-        "g_y=2/sqrt3": (r2 - k * big_r, 0.0, r2 - k),
         "b2": (1.0, -k, -1.0),  # over R - 1: theta = pi/3, -pi/6 for every r != 1
         "b3": (1.0, 0.0, 0.0),  # g_x = 0, which is b9 too
         "b4": (1.0, 2.0 * (big_r - 1.0), big_r),
@@ -561,16 +568,18 @@ def _tan_roots(a: float, b: float, c: float) -> list[float]:
 
 @functools.lru_cache(maxsize=256)
 def case_transition_thetas(r: float) -> tuple[float, ...]:
-    """Angles in (-pi/2, pi/2) where the case classification changes along
-    theta; used as quadrature breakpoints. Every such angle is a root of
-    _transition_quadratics, so the tag is constant between neighbouring roots;
-    a root is kept where the tags at the midpoints of its two gaps differ."""
+    """Angles in (-pi/2, pi/2) where the cut structure of the section changes
+    along theta; used as quadrature breakpoints. The candidates are the roots
+    of _transition_quadratics. A root is kept where the cut sequences at the
+    midpoints of its two gaps differ: the flag code of each live segment of
+    _section_segments, left to right, with consecutive repeats merged."""
     cands = sorted({t for quad in _transition_quadratics(r).values() for t in _tan_roots(*quad)})
-    edges = [-_HALF_PI, *cands, _HALF_PI]
-    tags = [
-        classify_case(iwasawa_image_coords(r, 0.5 * (lo + hi))) for lo, hi in zip(edges, edges[1:])
-    ]
-    return tuple(t for t, left, right in zip(cands, tags, tags[1:]) if left is not right)
+    edges = np.array([-_HALF_PI, *cands, _HALF_PI])
+    gx, gy = _circle_coords(r, 0.5 * (edges[:-1] + edges[1:]))
+    _, live, (circle, lower, upper, line) = _section_segments(gx, gy)
+    codes = zip((circle + 2 * lower + 4 * upper + 8 * line).tolist(), live.tolist())
+    seqs = [[k for k, _ in itertools.groupby(itertools.compress(*row))] for row in codes]
+    return tuple(t for t, left, right in zip(cands, seqs, seqs[1:]) if left != right)
 
 
 def m_tilde_full(
@@ -586,10 +595,6 @@ def m_tilde_full(
             f"operator norm {r!r} is outside the supported range [1, {MAX_NORM:g}] "
             f"(diag(r, 1/r) needs r in [{1.0 / MAX_NORM:g}, {MAX_NORM:g}])"
         )
-    if r < 1.0 + 1e-12:
-        # the whole circle sits at (g_x, g_y) = (0, 1)
-        c = ANCoords(0.0, 1.0)
-        return (m_hat_direct(c, q) if force_direct else m_hat_case(c)), q.abs_tol
     pts = list(case_transition_thetas(r)) + [0.0]
     val, err = integrate(
         lambda t: m_hat_at_angle(r, t, q, force_direct), -_HALF_PI, _HALF_PI, q, points=pts

@@ -18,7 +18,8 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class RealMat2:
-    """Row-major entries (a b; c d) with a*d - b*c = 1 within 1e-9."""
+    """Row-major entries (a b; c d) with a*d - b*c = 1 within 1e-9, or within
+    the rounding of the products, 8 eps (|ad| + |bc|), where that is larger."""
 
     a: float
     b: float
@@ -26,9 +27,10 @@ class RealMat2:
     d: float
 
     def __post_init__(self) -> None:
-        det = self.a * self.d - self.b * self.c
-        if not math.isfinite(det) or abs(det - 1.0) > _DET_TOL:
-            raise DomainError(f"determinant {det!r} is not 1 within {_DET_TOL}")
+        ad, bc = self.a * self.d, self.b * self.c
+        det, tol = ad - bc, max(_DET_TOL, 8.0 * math.ulp(1.0) * (abs(ad) + abs(bc)))
+        if not math.isfinite(det) or abs(det - 1.0) > tol:
+            raise DomainError(f"determinant {det!r} is not 1 within {tol:g}")
 
     @staticmethod
     def renormalized(a: float, b: float, c: float, d: float) -> "RealMat2":

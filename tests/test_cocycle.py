@@ -164,7 +164,9 @@ def test_transferred_symbol_range_and_evenness():
 def test_batch_beta_matches_scalar():
     x, y, theta = _sample_xyth(77, 300)
     elements = [rotation(0.7) @ cartan_a(0.3)]
-    for k, r in ((1, 1.0), (2, 10.0), (3, 100.0)):
+    # from norm 1e6 on, the zy cancellation of the batch reduction makes
+    # some samples differ (ROADMAP item 5c)
+    for k, r in ((1, 1.0), (2, 10.0), (3, 100.0), (4, 1e4), (5, 1e5)):
         elements.append(rotation(0.4 * k) @ cartan_a(r) @ rotation(1.3 * k))
     for g in elements:
         A, B, C, D = _beta_batch(x, y, theta, g)

@@ -35,7 +35,15 @@ from hypertransfer.regions import (
     m_tilde_full,
     section_intervals,
 )
-from hypertransfer.sl2 import ANCoords, RealMat2, an_coords, cartan_a, iwasawa_decompose, rotation
+from hypertransfer.sl2 import (
+    IDENTITY,
+    ANCoords,
+    RealMat2,
+    an_coords,
+    cartan_a,
+    iwasawa_decompose,
+    rotation,
+)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -343,8 +351,8 @@ def test_antiderivatives_differentiate_to_their_integrands():
             assert abs(gx * px + gy * py - integrand) < mp.mpf(10) ** -20 * max(1, abs(integrand))
 
             c = ANCoords(float(gx), float(gy))
-            ext = math.sqrt(1.0 + c.g_x * c.g_x / (c.g_y * c.g_y))
-            log_lo, log_hi, a = _ellipse_antiderivative(float(x), c.g_x, c.g_y, ext)
+            xe = math.sqrt(1.0 + c.g_x * c.g_x / (c.g_y * c.g_y)) - 1.0
+            log_lo, log_hi, a = _ellipse_antiderivative(float(x), c.g_x, c.g_y, xe)
             got = (log_lo if sigma < 0 else -log_hi, a)
             for g, want in zip(got, parts(x, gx, gy, sigma)):
                 assert abs(g - float(want)) < 1e-12 * max(1.0, abs(float(want)))
@@ -498,6 +506,27 @@ def _boundary_functions(c: ANCoords) -> list[float]:
     ]
 
 
+def _cut_sequences_at(r: float, thetas) -> list:
+    # the section's cut structure along the circle: the active-term flags of
+    # each live segment, left to right, with consecutive repeats merged
+    gx, gy = regions._circle_coords(r, np.asarray(thetas, dtype=float))
+    _, live, flags = regions._section_segments(gx, gy)
+    out = []
+    for i in range(len(gx)):
+        seq: list = []
+        for j in np.flatnonzero(live[i]):
+            code = tuple(bool(f[i, j]) for f in flags)
+            if not seq or seq[-1] != code:
+                seq.append(code)
+        out.append(seq)
+    return out
+
+
+# structural changes along the Cartan circle of norm 0.1 that are no
+# candidate angle yet: two section breakpoints meet there (ROADMAP item 2)
+MEETING_EVENTS_R01 = (1.00015e-4, 5.841082e-3)
+
+
 def test_case_transition_sliver_present():
     # for r < 1 a thin large-g_y window hugs theta = +-pi/2; the transitions
     # must resolve it even though it is far below any uniform grid pitch
@@ -506,22 +535,22 @@ def test_case_transition_sliver_present():
     half = math.pi / 2.0
     assert any(half - 2.5e-4 < t < half for t in ts)
     assert classify_case(iwasawa_image_coords(r, half - 1e-5)) is CaseRegime.CASE8
-    # transitions separate constant-tag intervals
-    probe = [-half + 1e-9] + sorted(ts) + [half - 1e-9]
+    # transitions, with the meeting events, separate intervals of constant
+    # cut sequence
+    probe = [-half + 1e-9] + sorted([*ts, *MEETING_EVENTS_R01]) + [half - 1e-9]
     for lo, hi in zip(probe, probe[1:]):
         if hi - lo < 1e-12:
             continue
-        mid = 0.5 * (lo + hi)
-        tag = classify_case(iwasawa_image_coords(r, mid))
-        for t in (lo + 0.25 * (hi - lo), lo + 0.75 * (hi - lo)):
-            assert classify_case(iwasawa_image_coords(r, t)) is tag
+        seqs = _cut_sequences_at(r, [lo + f * (hi - lo) for f in (0.25, 0.5, 0.75)])
+        assert seqs[0] == seqs[1] == seqs[2], (lo, hi)
     # the CASE4 -> 5 -> 6 pair 3.7e-4 apart: both the b5 and the b6 crossing
     for near, k in ((0.01118, math.sqrt(5.0) / 2.0), (0.01155, 2.0 / SQRT3)):
         hits = [t for t in ts if abs(t - near) < 1e-5]
         assert len(hits) == 1
         c = iwasawa_image_coords(r, hits[0])
         assert abs(c.g_x + k * c.g_y) < 1e-12
-    assert len(case_transition_thetas(10.0)) == 9
+    # the two g_y = 1/2 roots, where only the label changes, are not kept
+    assert len(case_transition_thetas(10.0)) == 7
     for r in (0.05, 0.1, 0.3):
         ts = case_transition_thetas(r)
         for t in ts:
@@ -536,26 +565,76 @@ def test_case_transition_sliver_present():
             assert min(abs(angle - t) for t in ts) < 1e-14
 
 
-def test_case_transitions_classify_once_per_gap(monkeypatch):
+def test_case_transitions_read_the_section_once_per_miss(monkeypatch):
     calls = []
+    breakpoints = regions._section_breakpoints
 
-    def counting(c):
-        calls.append(c)
-        return classify_case(c)
+    def counting(gx, gy):
+        calls.append(len(gx))
+        return breakpoints(gx, gy)
 
-    monkeypatch.setattr(regions, "classify_case", counting)
+    def no_labels(*args):
+        raise AssertionError("the transition angles read no case label")
+
+    monkeypatch.setattr(regions, "_section_breakpoints", counting)
+    monkeypatch.setattr(regions, "classify_case", no_labels)
+    monkeypatch.setattr(regions, "iwasawa_image_coords", no_labels)
     for r in (0.1, 0.3, 5.0, 50.0):
         case_transition_thetas.cache_clear()
         calls.clear()
         case_transition_thetas(r)
-        assert 0 < len(calls) <= 20
+        case_transition_thetas(r)
+        assert len(calls) == 1 and 0 < calls[0] <= 20
     case_transition_thetas.cache_clear()
+
+
+def test_case_transitions_include_minus_pi_over_6_in_the_fallback_band():
+    # at g_y > 1/2 no label changes at theta = -pi/6, but the section gains
+    # its ellipse cut there and the partials' slopes jump
+    for r in (0.7, 0.9):
+        c = iwasawa_image_coords(r, -math.pi / 6.0)
+        assert classify_case(c) is CaseRegime.FALLBACK
+        assert min(abs(t + math.pi / 6.0) for t in case_transition_thetas(r)) < 1e-15
+
+
+def test_case_transitions_keep_the_candidates_where_the_structure_changes():
+    # read at theta -+ h, not at the gap midpoints the keep-rule reads: h is
+    # 1e-9, or a quarter of the distance to a nearer neighbouring candidate
+    half = math.pi / 2.0
+    for r in np.geomspace(1e-3, 1e4, 200):
+        r = float(r)
+        kept = case_transition_thetas(r)
+        quads = regions._transition_quadratics(r).values()
+        cands = sorted({t for quad in quads for t in regions._tan_roots(*quad)})
+        edges = [-half, *cands, half]
+        steps = [
+            min(1e-9, 0.25 * (t - lo), 0.25 * (hi - t))
+            for lo, t, hi in zip(edges, edges[1:], edges[2:])
+        ]
+        sides = _cut_sequences_at(r, [t + d for t, h in zip(cands, steps) for d in (-h, h)])
+        for i, t in enumerate(cands):
+            left, right = sides[2 * i], sides[2 * i + 1]
+            if t not in kept:
+                assert left == right, (r, t)
+            elif left == right:
+                # kept for a change inside a neighbouring gap: a meeting of
+                # two breakpoints, which is no candidate yet
+                grid = np.linspace(edges[i], edges[i + 2], 131)[1:-1]
+                assert any(s != left for s in _cut_sequences_at(r, grid)), (r, t)
 
 
 def test_m_tilde_frozen_values():
     for r, want in FROZEN_M_TILDE.items():
         assert abs(m_tilde(cartan_a(r)) - want) < 5e-7
     assert m_tilde(RealMat2(1.0, 0.0, 0.0, 1.0)) == 1.0
+
+
+def test_identity_symbol_is_one_on_both_routes():
+    # the whole circle sits at (g_x, g_y) = (0, 1), and the outer quadrature
+    # of a constant reports rounding as its error
+    for direct in (False, True):
+        value, err = m_tilde_full(IDENTITY, force_direct=direct)
+        assert value == 1.0 and err <= 1e-12
 
 
 def test_m_tilde_symmetries():
@@ -579,6 +658,91 @@ def test_m_tilde_supported_norm_range():
         for direct in (False, True):
             with pytest.raises(DomainError, match=r"supported range \[1, 1e\+38\]"):
                 m_tilde_full(cartan_a(r), force_direct=direct)
+
+
+def test_closed_form_is_total_near_gx_zero():
+    # the ellipse/circle crossing near x = -g_y^2/2 and the ellipse's extent
+    # end near g_x^2/(2 g_y^2) both sit within rounding of x = 0; with their
+    # relative accuracy kept, no antiderivative is read at the wrong side of
+    # either, so nothing is NaN or infinite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for gx in (0.0, -0.0, 1e-300, -1e-300, 1e-20, -1e-20):
+            for gy in (1e-8, 1e-10, 1e-14):
+                c = ANCoords(gx, gy)
+                value, dgx, dgy = _m_hat_closed_form(c)
+                assert all(math.isfinite(v) for v in (value, dgx, dgy)), c
+                assert abs(value - m_hat_direct(c)) < 1e-8, c
+
+
+def test_m_tilde_where_the_circle_passes_gx_zero_at_tiny_gy():
+    # at norms of a few 1e6 to 1e8 the Cartan circle meets such shapes; the
+    # outer quadrature got NaN there and returned -inf for 41 of these norms
+    for r in np.geomspace(3e6, 1e8, 60):
+        value, err = m_tilde_full(cartan_a(float(r)))
+        assert abs(value - 0.5) < 1e-9 and err <= 1e-7, r
+
+
+def _mp_partials(gx: float, gy: float) -> tuple:
+    # (d m_hat/d g_x, d m_hat/d g_y) at 40 digits: the segment sums of the
+    # closed form, with every breakpoint and cut found in mpmath
+    mp = mpmath.mp
+    with mpmath.workdps(40):
+        gx, gy = mp.mpf(gx), mp.mpf(gy)
+        s = gx * gx + gy * gy
+        pts = [
+            -1 + mpmath.sqrt(s) / gy,
+            (-1 + abs(gx) * mpmath.sqrt(3 + 4 * gx * gx)) / (2 * (gx * gx + 1)),
+            -(mpmath.sqrt(3) * gx + gy) / (2 * gy),
+        ]
+        for t in mpmath.polyroots([1, 0, 2 - 4 * s, -8 * gx, -3], maxsteps=200, extraprec=200):
+            if abs(mpmath.im(t)) < mp.mpf(10) ** -30 and mpmath.re(t) > 0:
+                pts.append((1 - mpmath.re(t) ** 2) / (1 + mpmath.re(t) ** 2))
+        edges = [mp.mpf(-0.5), *sorted(p for p in pts if -0.5 < p < 0.5), mp.mpf(0.5)]
+
+        def roots(x):
+            q = mpmath.sqrt(max(gx * gx - gy * gy * x * (x + 2), 0))
+            return (-q - (x + 1) * gx) / s, (q - (x + 1) * gx) / s
+
+        def ellipse_asin(x):
+            return mpmath.asin(min(gy * (x + 1) / mpmath.sqrt(s), 1))
+
+        dgx = dgy = mp.mpf(0)
+        for a, b in zip(edges, edges[1:]):
+            x = (a + b) / 2
+            ymin = mpmath.sqrt(1 - x * x)
+            top = -(1 + 2 * x) / (2 * gx) if gx < 0 else mpmath.inf
+            lo, hi = roots(x)
+            ellipse = gx * gx - gy * gy * x * (x + 2) > 0 and hi > ymin and lo < top
+            lower, upper = ellipse and ymin < lo, ellipse and hi < top
+            if gx < 0 and ymin < top and (not ellipse or upper):
+                dgx += mpmath.log((1 + 2 * b) / (1 + 2 * a))
+            (la, ha), (lb, hb) = roots(a), roots(b)
+            if lower:
+                dgx += mpmath.log(lb / la)
+            if upper:
+                dgx -= mpmath.log(hb / ha)
+            dgy += (lower + upper) * (ellipse_asin(b) - ellipse_asin(a))
+        return float(3 * dgx / mp.pi), float(3 * dgy / mp.pi)
+
+
+def test_partials_at_extreme_shapes_match_high_precision():
+    # at |g_x| ~ 1e-12, g_y ~ 1e-6 the extent end and a crossing sit near
+    # x = 0, and d/dg_x has an inverse-square-root end at the extent end: a
+    # breakpoint or radicand off by one ulp of 1 moved d/dg_x by up to 1e-3
+    # relative in the closed form and 8e-5 in the tight direct rule
+    rng = np.random.default_rng(11)
+    tight = QuadratureConfig(1e-11, 1e-11)
+    for _ in range(12):
+        c = ANCoords(
+            float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-13, -11)),
+            float(10.0 ** rng.uniform(-6.5, -5.5)),
+        )
+        want_x, want_y = _mp_partials(c.g_x, c.g_y)
+        got_x, got_y = m_hat_partials(c)
+        assert abs(got_x - want_x) < 1e-9 * abs(want_x), c
+        assert abs(got_y - want_y) < 1e-9, c
+        assert abs(m_hat_direct_dgx(c, tight) - want_x) < 1e-9 * abs(want_x), c
 
 
 def test_direct_oracle_at_extreme_shapes():

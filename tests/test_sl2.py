@@ -187,3 +187,18 @@ def test_realmat2_det_invariant():
     for _ in range(100):
         p = random_sl2(rng) @ random_sl2(rng)
         assert abs(p.a * p.d - p.b * p.c - 1.0) <= 1e-9
+
+
+def test_realmat2_det_tolerance_scales_with_the_entries():
+    # products of rotations and a large Cartan element round a*d and b*c by
+    # eps times their size, far past an absolute 1e-9
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        a, b = rng.uniform(0.0, 2.0 * math.pi, 2)
+        rotation(float(a)) @ cartan_a(1e-4) @ rotation(float(b))
+    # a determinant off by 1e-6 is still rejected at entry scale 1 and 1e4
+    for scale in (1.0, 1e4):
+        g = rotation(0.7) @ cartan_a(scale) @ rotation(0.2)
+        assert abs(g.a) + abs(g.b) + abs(g.c) + abs(g.d) > scale
+        with pytest.raises(DomainError, match="is not 1 within"):
+            RealMat2(g.a, g.b, g.c, g.d + 1e-6 / g.a)
