@@ -6,8 +6,10 @@ along X_j at the Cartan point diag(r, 1/r), r in (0, 1); f_j(r) = f_j(1/r).
 
 The table is a first-order estimate and reports no error bar, so the theta
 integrals behind f_j run at one fixed target (_OUTER_QUADRATURE) and no
-function here takes a tolerance. Table rows run on up to worker_count threads;
-their values and order never depend on the thread count.
+function here takes a tolerance. f_1 and f_2 at one r come from a single
+vector-valued theta integration on shared nodes, each held to its own target;
+a single-direction call computes both and returns one. Table rows run on up to
+worker_count threads; their values and order never depend on the thread count.
 """
 
 from __future__ import annotations
@@ -102,20 +104,19 @@ def _decay_radius(r: float) -> float:
     return r if r < 1.0 else 1.0 / r
 
 
-def _lie_average(r: float, direction: LieDirection, adjoint: bool) -> float:
-    """f_j(r) as (1/pi) times the theta integral over the Cartan circle, split
-    at the transition angles and at theta = 0. The integrand evaluates the
-    closed-form partials at all nodes of a quadrature round in one batch: the
-    chart combination of lie_derivative_mtt, or with adjoint its transport by
-    the residual rotation.
+def _lie_average(r: float, adjoint: bool) -> tuple[float, float]:
+    """(f_1(r), f_2(r)), each (1/pi) times a theta integral over the Cartan
+    circle, split at the transition angles and at theta = 0. Both directions
+    share one integration: each quadrature round evaluates the closed-form
+    partials at all its nodes in one batch and stacks the chart combinations
+    of lie_derivative_mtt for X1 and X2, or with adjoint their transport by
+    the residual rotation; a segment splits where either direction misses its
+    share of the target.
 
     The integral runs over v with theta = (pi/2) sin(v) |sin(v)|. Its Jacobian
     pi |sin v| cos v vanishes at theta = 0 and +-pi/2, where g_x -> 0 and
     d m_hat/d g_x grows like log|g_x|; in theta, bisection resolves those
-    ends only geometrically (about 19 rounds per X2 row of the default table,
-    against 6 in v)."""
-    if direction is LieDirection.X3:
-        return 0.0
+    ends only geometrically."""
     r = _decay_radius(r)
 
     def integrand(v: np.ndarray) -> np.ndarray:
@@ -123,29 +124,37 @@ def _lie_average(r: float, direction: LieDirection, adjoint: bool) -> float:
         t = _HALF_PI * sv * np.abs(sv)
         gx, gy = _circle_coords(r, t)
         _, dgx, dgy = _closed_form(gx, gy)
-        if not adjoint:
-            c1, c2 = (1.0, 0.0) if direction is LieDirection.X1 else (0.0, 1.0)
-        else:
-            c1, c2, _ = adjoint_action(_residual_angle(r, t), direction)
-        return (c1 * 2.0 * gy * dgy + c2 * gy * dgx) * math.pi * np.abs(sv) * np.cos(v)
+        x1, x2 = 2.0 * gy * dgy, gy * dgx
+        if adjoint:
+            rho = _residual_angle(r, t)
+            a11, a12, _ = adjoint_action(rho, LieDirection.X1)
+            a21, a22, _ = adjoint_action(rho, LieDirection.X2)
+            x1, x2 = a11 * x1 + a12 * x2, a21 * x1 + a22 * x2
+        return np.stack((x1, x2)) * (math.pi * np.abs(sv) * np.cos(v))
 
     pts = [0.0] + [
         math.copysign(math.asin(math.sqrt(abs(t) / _HALF_PI)), t) for t in case_transition_thetas(r)
     ]
     val, _ = integrate(integrand, -_HALF_PI, _HALF_PI, _OUTER_QUADRATURE, points=pts)
-    return val / math.pi
+    return float(val[0]) / math.pi, float(val[1]) / math.pi
+
+
+def _lie_component(r: float, direction: LieDirection, adjoint: bool) -> float:
+    if direction is LieDirection.X3:
+        return 0.0
+    return _lie_average(r, adjoint)[0 if direction is LieDirection.X1 else 1]
 
 
 def lie_derivative_mtilde(r: float, direction: LieDirection) -> float:
     """f_j(r): differentiation under the K-average, with the chart combination
     evaluated pointwise along the Cartan circle."""
-    return _lie_average(r, direction, adjoint=False)
+    return _lie_component(r, direction, adjoint=False)
 
 
 def lie_derivative_mtilde_adjoint(r: float, direction: LieDirection) -> float:
     """f_j(r) with the direction transported by the adjoint of the residual
     rotation; this is the variant a finite difference of the average matches."""
-    return _lie_average(r, direction, adjoint=True)
+    return _lie_component(r, direction, adjoint=True)
 
 
 def lie_derivative_mtilde_fd(g: RealMat2, direction: LieDirection, step: float = 1e-4) -> float:
@@ -177,8 +186,7 @@ def worker_count(n_jobs: int) -> int:
 
 
 def _decay_row(r: float) -> DecayRow:
-    f1 = lie_derivative_mtilde(r, LieDirection.X1)
-    f2 = lie_derivative_mtilde(r, LieDirection.X2)
+    f1, f2 = _lie_average(r, adjoint=False)
     return DecayRow(r=r, f1=f1, f2=f2, weighted=(abs(f1) + abs(f2)) / r)
 
 

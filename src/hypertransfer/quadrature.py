@@ -1,25 +1,33 @@
 """Globally adaptive Gauss-Kronrod quadrature over array integrands, with an
 explicit accuracy contract.
 
-The integrand maps a 1-D float array of abscissas to an array of values.
-Every segment is integrated with QUADPACK's 21-point Kronrod rule and its
-embedded 10-point Gauss rule, and its error is estimated by QUADPACK's qk21
-formula: the Gauss-Kronrod difference, rescaled by the integrand's variation
-on the segment and floored at rounding level. Each round bisects every
-segment whose error exceeds an equal share of the target (the target over the
-number of segments) and evaluates the nodes of all new segments in one call
+The integrand maps a 1-D float array of n abscissas to n values, or to a
+(k, n) array: k integrands on shared nodes, so a caller whose components come
+from one expensive evaluation pays for it once. Every segment is integrated
+with QUADPACK's 21-point Kronrod rule and its embedded 10-point Gauss rule,
+and each component's error is estimated by QUADPACK's qk21 formula: the
+Gauss-Kronrod difference, rescaled by the component's variation on the
+segment and floored at rounding level. Each component has its own target,
+max(abs_tol, rel_tol * |its value|), so a small component is not judged
+against a large one. Each round bisects every segment on which any component's
+error exceeds an equal share of that component's target (the target over the
+number of segments), and evaluates the nodes of all new segments in one call
 of the integrand. (A share proportional to length would keep bisecting the
 neighbours of a singular end, whose shares shrink faster than their errors.)
+A 1-D integrand is the one-component case, computed with the same arithmetic,
+and returns floats.
 
 Known kinks and singular abscissae are passed as breakpoints; the nodes never
 touch a segment's ends. There is no extrapolation, so a singular end
 converges only geometrically in the number of rounds, and callers substitute
-it away where they can. A result is accepted only when the summed error
-estimate clears ten times the configured target.
+it away where they can. A result is accepted only when every component's
+summed error estimate clears ten times its target; otherwise AccuracyError
+reports the error of the component that misses by the largest factor.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -90,14 +98,16 @@ def _gauss_kronrod(
     f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """qk21 values and error estimates of the segments [lo, hi], from one call
-    of f on all their nodes."""
+    of f on all their nodes; shape (m,) for a 1-D integrand and (k, m) for one
+    with k components, each component estimated on its own."""
     center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     x = center[:, None] + half[:, None] * _NODES
-    fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    fx = np.asarray(f(x.ravel()), dtype=float)
+    fx = fx.reshape(fx.shape[:-1] + x.shape)
     resk = fx @ _KRONROD
     resg = fx @ _GAUSS
     resabs = np.abs(fx) @ _KRONROD * half
-    resasc = np.abs(fx - 0.5 * resk[:, None]) @ _KRONROD * half
+    resasc = np.abs(fx - 0.5 * resk[..., None]) @ _KRONROD * half
     err = np.abs((resk - resg) * half)
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
@@ -112,13 +122,15 @@ def integrate(
     b: float,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
     points: Sequence[float] | None = None,
-) -> tuple[float, float]:
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Integral of f over [a, b] and the achieved error estimate.
 
-    f maps a 1-D float array of abscissas to an array of values of the same
-    length. points: known interior kinks/singular abscissae (values outside
-    (a, b) are filtered out, and so is a point within 1e-13 of the previous
-    one).
+    f maps a 1-D float array of n abscissas to values of shape (n,), or of
+    shape (k, n) for k integrands on shared nodes; the result is then a pair
+    of floats, or a pair of shape-(k,) arrays (value and error per
+    component). a == b gives (0.0, 0.0) without calling f. points: known
+    interior kinks/singular abscissae (values outside (a, b) are filtered
+    out, and so is a point within 1e-13 of the previous one).
     """
     if a == b:
         return 0.0, 0.0
@@ -130,28 +142,46 @@ def integrate(
     edges.append(hi_end)
     lo, hi = np.array(edges[:-1]), np.array(edges[1:])
     val, err = _gauss_kronrod(f, lo, hi)
+    vector = val.ndim == 2
+    vals, errs = _components(val), _components(err)
     while True:
-        value, error = float(val.sum()), float(err.sum())
-        target = max(cfg.abs_tol, cfg.rel_tol * abs(value))
-        if error <= target:
+        value = [float(v.sum()) for v in vals]
+        error = [float(e.sum()) for e in errs]
+        target = [max(cfg.abs_tol, cfg.rel_tol * abs(v)) for v in value]
+        if all(e <= t for e, t in zip(error, target)):
             break
         mid = 0.5 * (lo + hi)
-        split = (err > target / len(lo)) & (lo < mid) & (mid < hi)
+        # a segment splits where any component misses its equal share
+        shares = [t / len(lo) for t in target]
+        miss = functools.reduce(np.logical_or, [e > s for e, s in zip(errs, shares)])
+        split = miss & (lo < mid) & (mid < hi)
         room = MAX_SUBDIVISIONS - len(lo)
         if room <= 0 or not split.any():
             break
-        if split.sum() > room:  # the largest errors first
+        if split.sum() > room:  # the largest misses first
             chosen = np.flatnonzero(split)
+            worst = functools.reduce(np.maximum, [e[chosen] / s for e, s in zip(errs, shares)])
             split[:] = False
-            split[chosen[np.argsort(err[chosen])[-room:]]] = True
+            split[chosen[np.argsort(worst)[-room:]]] = True
         keep = ~split
         new_lo = np.concatenate((lo[split], mid[split]))
         new_hi = np.concatenate((mid[split], hi[split]))
         new_val, new_err = _gauss_kronrod(f, new_lo, new_hi)
         lo, hi = np.concatenate((lo[keep], new_lo)), np.concatenate((hi[keep], new_hi))
-        val, err = np.concatenate((val[keep], new_val)), np.concatenate((err[keep], new_err))
+        vals = [np.concatenate((v[keep], n)) for v, n in zip(vals, _components(new_val))]
+        errs = [np.concatenate((e[keep], n)) for e, n in zip(errs, _components(new_err))]
     if b < a:
-        value = -value
-    if error > max(10.0 * cfg.abs_tol, 10.0 * cfg.rel_tol * abs(value)):
-        raise AccuracyError(f"quadrature on [{a}, {b}] did not converge", achieved=error)
-    return value, error
+        value = [-v for v in value]
+    limit = [max(10.0 * cfg.abs_tol, 10.0 * cfg.rel_tol * abs(v)) for v in value]
+    if any(e > lim for e, lim in zip(error, limit)):
+        # achieved: the error of the component that misses by the most
+        achieved = max(zip(error, limit), key=lambda el: el[0] / el[1])[0]
+        raise AccuracyError(f"quadrature on [{a}, {b}] did not converge", achieved=achieved)
+    if vector:
+        return np.array(value), np.array(error)
+    return value[0], error[0]
+
+
+def _components(a: np.ndarray) -> list[np.ndarray]:
+    """One 1-D array per component: the rows of a (k, m) array, or a itself."""
+    return list(a) if a.ndim == 2 else [a]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from hypertransfer import decay
 from hypertransfer.decay import (
     DecayRow,
     LieDirection,
@@ -131,13 +132,30 @@ def test_hm_table_contract():
     assert [row.r for row in rows] == [0.1, 0.2]
     for row in rows:
         assert row.weighted == (abs(row.f1) + abs(row.f2)) / row.r
-        assert abs(row.f1 - lie_derivative_mtilde(row.r, LieDirection.X1)) < 1e-9
-        assert abs(row.f2 - lie_derivative_mtilde(row.r, LieDirection.X2)) < 1e-9
+        # one shared integration gives both columns and both directions
+        assert row.f1 == lie_derivative_mtilde(row.r, LieDirection.X1)
+        assert row.f2 == lie_derivative_mtilde(row.r, LieDirection.X2)
     assert hm_table([]) == []
     with pytest.raises(DomainError):
         hm_table([0.1, 1.2])
     with pytest.raises(DomainError):
         DecayRow(r=1.5, f1=0.0, f2=0.0, weighted=0.0)
+
+
+def test_decay_table_shares_closed_form_nodes(monkeypatch):
+    # f1 and f2 of a row come from one integration on shared nodes: the
+    # default table evaluates the closed form at 7 938 points (12 012 with one
+    # integration per column)
+    sizes = []
+    closed_form = decay._closed_form
+
+    def counted(gx, gy):
+        sizes.append(np.size(gx))  # list.append is atomic under the pool
+        return closed_form(gx, gy)
+
+    monkeypatch.setattr(decay, "_closed_form", counted)
+    hm_table(np.linspace(0.05, 0.5, 10))
+    assert sum(sizes) <= 8100
 
 
 def test_worker_count_env(monkeypatch):

@@ -1,6 +1,6 @@
 """Adaptive Gauss-Kronrod quadrature over array integrands: accuracy
-contract, breakpoint handling, honest error estimates, and configuration
-validation."""
+contract, breakpoint handling, honest error estimates, vector integrands
+with per-component targets, and configuration validation."""
 
 import math
 
@@ -62,33 +62,83 @@ def test_config_validation():
             QuadratureConfig(**bad)
 
 
-@pytest.mark.parametrize(
-    "cfg",
-    (DEFAULT_QUADRATURE, QuadratureConfig(1e-6, 1e-6), QuadratureConfig(1e-10, 1e-10)),
-)
-def test_error_estimate_bounds_the_error(cfg):
-    # honest bars on a family no breakpoint helps: a kink at a point no one
-    # announces, a logarithmic end and an inverse-square-root end, each at
-    # nine positions
+def _unbroken_family():
+    # a kink at a point no one announces, a logarithmic end and an
+    # inverse-square-root end, each at nine positions
     for k in np.linspace(0.1, 0.9, 9):
-        family = (
+        yield from (
             (lambda x, k=k: np.abs(x - k), 0.0, 1.0, (k * k + (1.0 - k) ** 2) / 2.0),
             (np.log, 0.0, 2.0 * k, 2.0 * k * (math.log(2.0 * k) - 1.0)),
             (lambda x: 1.0 / np.sqrt(x), 0.0, 2.0 * k, 2.0 * math.sqrt(2.0 * k)),
         )
-        for f, a, b, exact in family:
-            v, err = integrate(f, a, b, cfg)
-            assert abs(v - exact) <= err
+
+
+CONFIGS = (DEFAULT_QUADRATURE, QuadratureConfig(1e-6, 1e-6), QuadratureConfig(1e-10, 1e-10))
+
+
+@pytest.mark.parametrize("cfg", CONFIGS)
+def test_error_estimate_bounds_the_error(cfg):
+    # honest bars on a family no breakpoint helps
+    for f, a, b, exact in _unbroken_family():
+        v, err = integrate(f, a, b, cfg)
+        assert abs(v - exact) <= err
+
+
+@pytest.mark.parametrize("cfg", CONFIGS)
+def test_one_component_is_the_scalar_integrand(cfg):
+    # a (1, n) integrand takes the scalar route bit for bit; only the result
+    # type differs
+    for f, a, b, _ in _unbroken_family():
+        v, err = integrate(f, a, b, cfg)
+        vv, verr = integrate(lambda x, f=f: f(x)[None, :], a, b, cfg)
+        assert type(v) is float and type(err) is float
+        assert vv.shape == verr.shape == (1,)
+        assert vv[0] == v and verr[0] == err
+
+
+def test_each_component_meets_its_own_target():
+    # magnitudes 1e9 apart: a target shared by the components would leave the
+    # small one with an error of its own size
+    cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-10)
+    v, err = integrate(
+        lambda x: np.stack((np.sin(x), 1e-9 * np.sqrt(np.abs(x - 0.3)))), 0.0, math.pi, cfg
+    )
+    exact = np.array([2.0, 1e-9 * (2.0 / 3.0) * (0.3**1.5 + (math.pi - 0.3) ** 1.5)])
+    assert np.all(np.abs(v - exact) <= err)
+    assert np.all(err <= 10.0 * cfg.rel_tol * np.abs(exact))
+
+
+def test_reversed_limits_negate_every_component():
+    f = lambda x: np.stack((x, x * x, np.cos(x)))  # noqa: E731
+    v, err = integrate(f, 0.0, 1.0, points=[0.5])
+    rv, rerr = integrate(f, 1.0, 0.0, points=[0.5])
+    assert np.array_equal(rv, -v) and np.array_equal(rerr, err)
+    assert np.all(np.abs(rv + [0.5, 1.0 / 3.0, math.sin(1.0)]) <= 1e-12)
+
+
+def test_accuracy_error_names_the_component_that_misses():
+    # the cosine meets its target; the oscillation cannot on 2000 segments.
+    # achieved is the oscillation's error, below the cosine's rounding floor
+    # of 50 eps times its integral (9.3e-9), so neither their sum nor the
+    # larger error
+    cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-10)
+    integrate(lambda x: 1e6 * np.cos(x), 0.0, 1.0, cfg)
+    with pytest.raises(AccuracyError) as exc:
+        integrate(lambda x: np.stack((1e6 * np.cos(x), 1e-12 * np.sin(1e6 * x))), 0.0, 1.0, cfg)
+    assert 0.0 < exc.value.achieved < 1e-9
 
 
 def test_one_integrand_call_per_round():
-    # every round hands the integrand one 1-D array holding all new nodes
-    shapes = []
+    # every round hands the integrand one 1-D array holding all new nodes,
+    # for a 1-D output and for a (2, n) one
+    for stack in (False, True):
+        shapes = []
 
-    def f(x):
-        shapes.append(x.shape)
-        return np.sqrt(np.abs(x - 0.3))
+        def f(x):
+            shapes.append(x.shape)
+            y = np.sqrt(np.abs(x - 0.3))
+            return np.stack((y, 2.0 * y)) if stack else y
 
-    integrate(f, 0.0, 1.0)
-    assert len(shapes) > 1
-    assert all(len(s) == 1 and s[0] % 21 == 0 for s in shapes)
+        integrate(f, 0.0, 1.0)
+        assert len(shapes) > 1
+        assert all(len(s) == 1 and s[0] % 21 == 0 for s in shapes)
