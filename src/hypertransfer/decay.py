@@ -4,12 +4,14 @@ table behind the multiplier estimate, and the second-order divergence probe.
 Conventions: f_j(r) denotes the right Lie derivative of the K-averaged symbol
 along X_j at the Cartan point diag(r, 1/r), r in (0, 1); f_j(r) = f_j(1/r).
 
-The table is a first-order estimate and reports no error bar, so the theta
+The table is a first-order estimate and reports no error bar, so the circle
 integrals behind f_j run at one fixed target (_OUTER_QUADRATURE) and no
-function here takes a tolerance. f_1 and f_2 at one r come from a single
-vector-valued theta integration on shared nodes, each held to its own target;
-a single-direction call computes both and returns one. Table rows run on up to
-worker_count threads; their values and order never depend on the thread count.
+function here takes a tolerance. They run in the v-parametrisation of the
+Cartan circle that m_tilde_full uses too (regions._circle_v_angles). f_1 and
+f_2 at one r come from a single vector-valued integration on shared nodes,
+each held to its own target; a single-direction call computes both and
+returns one. Table rows run on up to worker_count threads; their values and
+order never depend on the thread count.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from .errors import DomainError, RegimeError
 from .quadrature import QuadratureConfig, integrate
 from .regions import (
     _circle_coords,
+    _circle_v_angles,
+    _circle_v_breakpoints,
     _closed_form,
     _tan_roots,
     _transition_quadratics,
@@ -34,12 +38,13 @@ from .regions import (
     m_hat_dgx,
     m_hat_dgy,
     m_hat_direct,  # unused here; the benchmark tracer wraps decay.m_hat_direct
+    m_tilde,
 )
 from .sl2 import ANCoords, RealMat2, rotation
 
 _HALF_PI = math.pi / 2.0
 
-# the theta quadrature of the Lie derivatives targets 1e-7 absolute, 1e-6
+# the circle quadrature of the Lie derivatives targets 1e-7 absolute, 1e-6
 # relative, for cost: at the package's 1e-8/1e-7 default the ten-row table
 # takes 1.2x the outer and 1.6x the inner integrand evaluations, and the table
 # reports no error bar that a tighter target would serve
@@ -105,23 +110,17 @@ def _decay_radius(r: float) -> float:
 
 
 def _lie_average(r: float, adjoint: bool) -> tuple[float, float]:
-    """(f_1(r), f_2(r)), each (1/pi) times a theta integral over the Cartan
-    circle, split at the transition angles and at theta = 0. Both directions
-    share one integration: each quadrature round evaluates the closed-form
-    partials at all its nodes in one batch and stacks the chart combinations
-    of lie_derivative_mtt for X1 and X2, or with adjoint their transport by
-    the residual rotation; a segment splits where either direction misses its
-    share of the target.
-
-    The integral runs over v with theta = (pi/2) sin(v) |sin(v)|. Its Jacobian
-    pi |sin v| cos v vanishes at theta = 0 and +-pi/2, where g_x -> 0 and
-    d m_hat/d g_x grows like log|g_x|; in theta, bisection resolves those
-    ends only geometrically."""
+    """(f_1(r), f_2(r)), each (1/pi) times an integral over the Cartan circle
+    in the circle's v-parametrisation (regions._circle_v_angles), split at the
+    transition angles. Both directions share one integration: each
+    quadrature round evaluates the closed-form partials at all its nodes in
+    one batch and stacks the chart combinations of lie_derivative_mtt for X1
+    and X2, or with adjoint their transport by the residual rotation; a
+    segment splits where either direction misses its share of the target."""
     r = _decay_radius(r)
 
     def integrand(v: np.ndarray) -> np.ndarray:
-        sv = np.sin(v)
-        t = _HALF_PI * sv * np.abs(sv)
+        t, jac = _circle_v_angles(v)
         gx, gy = _circle_coords(r, t)
         _, dgx, dgy = _closed_form(gx, gy)
         x1, x2 = 2.0 * gy * dgy, gy * dgx
@@ -130,11 +129,9 @@ def _lie_average(r: float, adjoint: bool) -> tuple[float, float]:
             a11, a12, _ = adjoint_action(rho, LieDirection.X1)
             a21, a22, _ = adjoint_action(rho, LieDirection.X2)
             x1, x2 = a11 * x1 + a12 * x2, a21 * x1 + a22 * x2
-        return np.stack((x1, x2)) * (math.pi * np.abs(sv) * np.cos(v))
+        return np.stack((x1, x2)) * jac
 
-    pts = [0.0] + [
-        math.copysign(math.asin(math.sqrt(abs(t) / _HALF_PI)), t) for t in case_transition_thetas(r)
-    ]
+    pts = _circle_v_breakpoints(case_transition_thetas(r))
     val, _ = integrate(integrand, -_HALF_PI, _HALF_PI, _OUTER_QUADRATURE, points=pts)
     return float(val[0]) / math.pi, float(val[1]) / math.pi
 
@@ -159,8 +156,6 @@ def lie_derivative_mtilde_adjoint(r: float, direction: LieDirection) -> float:
 
 def lie_derivative_mtilde_fd(g: RealMat2, direction: LieDirection, step: float = 1e-4) -> float:
     """Central difference of the K-averaged symbol along g exp(t X_j)."""
-    from .regions import m_tilde
-
     if step <= 0.0:
         raise DomainError("step must be positive")
     up = m_tilde(g @ lie_exponential(direction, step))

@@ -22,12 +22,15 @@ touch a segment's ends. There is no extrapolation, so a singular end
 converges only geometrically in the number of rounds, and callers substitute
 it away where they can. A result is accepted only when every component's
 summed error estimate clears ten times its target; otherwise AccuracyError
-reports the error of the component that misses by the largest factor.
+reports the error of the component that misses by the largest factor. A
+non-finite value or error estimate in any component, after any round, raises
+AccuracyError at once, with an infinite achieved error.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -104,16 +107,18 @@ def _gauss_kronrod(
     x = center[:, None] + half[:, None] * _NODES
     fx = np.asarray(f(x.ravel()), dtype=float)
     fx = fx.reshape(fx.shape[:-1] + x.shape)
-    resk = fx @ _KRONROD
-    resg = fx @ _GAUSS
-    resabs = np.abs(fx) @ _KRONROD * half
-    resasc = np.abs(fx - 0.5 * resk[..., None]) @ _KRONROD * half
-    err = np.abs((resk - resg) * half)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a non-finite fx reaches the segment's value or error quietly, and
+    # integrate rejects it
+    with np.errstate(all="ignore"):
+        resk = fx @ _KRONROD
+        resg = fx @ _GAUSS
+        resabs = np.abs(fx) @ _KRONROD * half
+        resasc = np.abs(fx - 0.5 * resk[..., None]) @ _KRONROD * half
+        err = np.abs((resk - resg) * half)
         scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
-    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
-    err = np.where(resabs > _TINY / (50.0 * _EPS), np.maximum(50.0 * _EPS * resabs, err), err)
-    return resk * half, err
+        err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
+        err = np.where(resabs > _TINY / (50.0 * _EPS), np.maximum(50.0 * _EPS * resabs, err), err)
+        return resk * half, err
 
 
 def integrate(
@@ -145,8 +150,13 @@ def integrate(
     vector = val.ndim == 2
     vals, errs = _components(val), _components(err)
     while True:
-        value = [float(v.sum()) for v in vals]
-        error = [float(e.sum()) for e in errs]
+        with np.errstate(all="ignore"):
+            value = [float(v.sum()) for v in vals]
+            error = [float(e.sum()) for e in errs]
+        if not all(map(math.isfinite, value + error)):
+            raise AccuracyError(
+                f"quadrature on [{a}, {b}] met a non-finite value or error", achieved=math.inf
+            )
         target = [max(cfg.abs_tol, cfg.rel_tol * abs(v)) for v in value]
         if all(e <= t for e, t in zip(error, target)):
             break

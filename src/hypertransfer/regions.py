@@ -10,7 +10,9 @@ so m_hat and both of its partials are closed-form sums over segments for
 every g_y > 0, evaluated for a whole array of points at once. The eight case
 regimes survive as labels and as the exact 1 and 0 of Cases 1 and 7.
 Section-exact adaptive quadrature and Monte-Carlo membership are kept as
-independent oracles."""
+independent oracles. The K-average m_tilde is the mean of m_hat over the
+Cartan circle, integrated in the one parametrisation of the circle that
+decay's averages share too (_circle_v_angles)."""
 
 from __future__ import annotations
 
@@ -582,25 +584,56 @@ def case_transition_thetas(r: float) -> tuple[float, ...]:
     return tuple(t for t, left, right in zip(cands, seqs, seqs[1:]) if left != right)
 
 
+def _circle_v_angles(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, dtheta/dv) at an array of v in [-pi/2, pi/2], for the one
+    parametrisation of the Cartan circle that its averages integrate in:
+    theta = (pi/2) sin(v) |sin(v)|, with Jacobian pi |sin v| cos v.
+
+    At theta = 0 and +-pi/2 the circle passes g_x = 0, where d m_hat/d g_x
+    grows like log|g_x| and m_hat has the matching g_x log|g_x| term; in
+    theta, bisection resolves those ends only geometrically. The Jacobian
+    vanishes there and flattens them, like Sidi's sin^m endpoint
+    transformations, so a few Gauss-Kronrod segments reach the target."""
+    sv = np.sin(v)
+    return _HALF_PI * sv * np.abs(sv), math.pi * np.abs(sv) * np.cos(v)
+
+
+def _circle_v_breakpoints(thetas: tuple[float, ...]) -> list[float]:
+    """Breakpoints in v of a circle average split at the angles thetas (see
+    _circle_v_angles): v = 0, the kink of the Jacobian, and the v of each
+    angle."""
+    return [0.0] + [math.copysign(math.asin(math.sqrt(abs(t) / _HALF_PI)), t) for t in thetas]
+
+
 def m_tilde_full(
     g: RealMat2,
     q: QuadratureConfig = DEFAULT_QUADRATURE,
     force_direct: bool = False,
 ) -> tuple[float, float]:
-    """K-averaged symbol (1/pi) * integral of m_hat over the Cartan circle,
-    with the achieved quadrature error estimate."""
+    """K-averaged symbol, the mean of m_hat over the Cartan circle, with the
+    achieved quadrature error estimate.
+
+    The mean is the ratio of two integrals in v on shared nodes (see
+    _circle_v_angles), of m_hat times the Jacobian and of the Jacobian alone,
+    which is pi: a constant averages to itself exactly. Both integrals keep
+    the scale of a theta integral, so q's tolerances mean what they would
+    there. The error is the first integral's over the second's value."""
     r = operator_norm(g)
     if not r <= MAX_NORM:
         raise DomainError(
             f"operator norm {r!r} is outside the supported range [1, {MAX_NORM:g}] "
             f"(diag(r, 1/r) needs r in [{1.0 / MAX_NORM:g}, {MAX_NORM:g}])"
         )
-    pts = list(case_transition_thetas(r)) + [0.0]
-    val, err = integrate(
-        lambda t: m_hat_at_angle(r, t, q, force_direct), -_HALF_PI, _HALF_PI, q, points=pts
-    )
-    return float(_clamp_unit(val / math.pi)), err / math.pi
+
+    def integrand(v: np.ndarray) -> np.ndarray:
+        theta, jac = _circle_v_angles(v)
+        return np.stack((m_hat_at_angle(r, theta, q, force_direct) * jac, jac))
+
+    pts = _circle_v_breakpoints(case_transition_thetas(r))
+    val, err = integrate(integrand, -_HALF_PI, _HALF_PI, q, points=pts)
+    return float(_clamp_unit(val[0] / val[1])), float(err[0] / val[1])
 
 
-def m_tilde(g: RealMat2, q: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    return m_tilde_full(g, q)[0]
+def m_tilde(g: RealMat2) -> float:
+    """The value of m_tilde_full(g) at the default tolerances."""
+    return m_tilde_full(g)[0]

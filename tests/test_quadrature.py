@@ -3,6 +3,7 @@ contract, breakpoint handling, honest error estimates, vector integrands
 with per-component targets, and configuration validation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -142,3 +143,22 @@ def test_one_integrand_call_per_round():
         integrate(f, 0.0, 1.0)
         assert len(shapes) > 1
         assert all(len(s) == 1 and s[0] % 21 == 0 for s in shapes)
+
+
+def test_non_finite_results_raise_without_warnings():
+    # a NaN node value, and a node that lands on the pole of x^-0.99 once
+    # bisection has shrunk the end segment to denormal width; the second
+    # integrand's own overflow is its business, not the integrator's
+    def pole(x):
+        with np.errstate(divide="ignore", over="ignore"):
+            return x**-0.99
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (lambda x: np.where(x > 0.5, np.nan, x), pole):
+            with pytest.raises(AccuracyError) as exc:
+                integrate(f, 0.0, 1.0)
+            assert exc.value.achieved == math.inf
+        # one non-finite component fails the whole vector integral
+        with pytest.raises(AccuracyError):
+            integrate(lambda x: np.stack((x, np.where(x > 0.5, np.inf, x))), 0.0, 1.0)

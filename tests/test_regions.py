@@ -637,6 +637,23 @@ def test_identity_symbol_is_one_on_both_routes():
         assert value == 1.0 and err <= 1e-12
 
 
+def test_m_tilde_work_per_norm(monkeypatch):
+    # in v the circle's log ends at theta = 0 and +-pi/2 are flat, so the
+    # default target needs few bisections past the transition segments
+    counts = []
+    closed_form = regions._closed_form
+
+    def counting(gx, gy):
+        counts[-1] += len(gx)
+        return closed_form(gx, gy)
+
+    monkeypatch.setattr(regions, "_closed_form", counting)
+    for n in (2, 5, 50, 1000):
+        counts.append(0)
+        m_tilde_full(cartan_a(1.0 / n))
+        assert 0 < counts[-1] <= 200, (n, counts[-1])
+
+
 def test_m_tilde_symmetries():
     g = cartan_a(0.2)
     assert m_tilde(RealMat2(-g.a, -g.b, -g.c, -g.d)) == m_tilde(g)
