@@ -2,6 +2,7 @@
 symbol."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -235,6 +236,23 @@ def test_mc_estimates_are_frozen(name):
     g, word, sign = FROZEN_MC[name]
     assert transferred_symbol_mc(symbol_m_word, g, 200_000, 7) == word
     assert transferred_symbol_mc(symbol_m_sign, g, 200_000, 7) == sign
+
+
+def test_mc_blocks_move_no_bit_and_bound_the_working_set(monkeypatch):
+    # every sample is reduced on its own, so the block size moves no bit; the
+    # blocks keep a 200 000-sample call's numpy memory near 9 MB (one block
+    # of 200 000 peaks near 40 MB)
+    g, word, _ = FROZEN_MC["rotated 1e3"]
+    tracemalloc.start()
+    try:
+        assert transferred_symbol_mc(symbol_m_word, g, 200_000, 7) == word
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20, peak
+    for block in (7_001, 200_000):
+        monkeypatch.setattr(cocycle, "_MC_BLOCK", block)
+        assert transferred_symbol_mc(symbol_m_word, g, 200_000, 7) == word, block
 
 
 def test_mc_reduction_range_is_named():
