@@ -5,13 +5,15 @@ Conventions: f_j(r) denotes the right Lie derivative of the K-averaged symbol
 along X_j at the Cartan point diag(r, 1/r), r in (0, 1); f_j(r) = f_j(1/r).
 
 The table is a first-order estimate and reports no error bar, so the circle
-integrals behind f_j run at one fixed target (_OUTER_QUADRATURE) and no
-function here takes a tolerance. They run in the v-parametrisation of the
-Cartan circle that m_tilde_full uses too (regions._circle_v_angles). f_1 and
-f_2 at one r come from a single vector-valued integration on shared nodes,
-each held to its own target; a single-direction call computes both and
-returns one. Table rows run on up to worker_count threads; their values and
-order never depend on the thread count.
+integrals behind f_j run at the package's default target and no function
+here takes a tolerance. They run in the v-parametrisation of the Cartan
+circle that m_tilde_full uses too (regions._circle_v_angles), with each
+segment between transition angles graded so that it is flat at both ends:
+the closed-form partials are not smooth there, unlike m_hat. f_1 and f_2 at
+one r come from a single vector-valued integration on shared nodes, each held
+to its own target; a single-direction call computes both and returns one.
+Table rows run on up to worker_count threads; their values and order never
+depend on the thread count.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RegimeError
-from .quadrature import QuadratureConfig, integrate
+from .quadrature import integrate
 from .regions import (
     _circle_coords,
     _circle_v_angles,
@@ -43,12 +45,6 @@ from .regions import (
 from .sl2 import ANCoords, RealMat2, rotation
 
 _HALF_PI = math.pi / 2.0
-
-# the circle quadrature of the Lie derivatives targets 1e-7 absolute, 1e-6
-# relative, for cost: at the package's 1e-8/1e-7 default the ten-row table
-# takes 1.2x the outer and 1.6x the inner integrand evaluations, and the table
-# reports no error bar that a tighter target would serve
-_OUTER_QUADRATURE = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-6)
 
 
 class LieDirection(enum.Enum):
@@ -112,14 +108,29 @@ def _decay_radius(r: float) -> float:
 def _lie_average(r: float, adjoint: bool) -> tuple[float, float]:
     """(f_1(r), f_2(r)), each (1/pi) times an integral over the Cartan circle
     in the circle's v-parametrisation (regions._circle_v_angles), split at the
-    transition angles. Both directions share one integration: each
-    quadrature round evaluates the closed-form partials at all its nodes in
-    one batch and stacks the chart combinations of lie_derivative_mtt for X1
-    and X2, or with adjoint their transport by the residual rotation; a
-    segment splits where either direction misses its share of the target."""
+    transition angles. The integrand is not smooth there, so each v-segment
+    [a, b] between them is graded at both ends: v = a + (b - a) sin^2(pi s/2),
+    which is (1 - cos(pi s))/2, for s in [0, 1], with Jacobian
+    (b - a)(pi/2) sin(pi s) vanishing at both ends (Sidi's sin^m
+    transformation, per segment). Segment j occupies u in [j, j + 1], and one
+    integration over u runs with the integers as breakpoints. Both directions
+    share it: each quadrature round evaluates the closed-form partials at all
+    its nodes in one batch and stacks the chart combinations of
+    lie_derivative_mtt for X1 and X2, or with adjoint their transport by the
+    residual rotation; a segment splits where either direction misses its
+    share of the target."""
     r = _decay_radius(r)
+    ends = np.array([-_HALF_PI, *_circle_v_breakpoints(case_transition_thetas(r)), _HALF_PI])
+    lo, width = ends[:-1], np.diff(ends)
+    segments = len(width)
 
-    def integrand(v: np.ndarray) -> np.ndarray:
+    def integrand(u: np.ndarray) -> np.ndarray:
+        # the map is continuous at the integers, so either side's segment
+        # serves a node that rounds onto one
+        j = np.clip(np.floor(u), 0, segments - 1).astype(int)
+        half_s = _HALF_PI * (u - j)
+        v = lo[j] + width[j] * np.sin(half_s) ** 2
+        dv = width[j] * _HALF_PI * np.sin(2.0 * half_s)
         t, jac = _circle_v_angles(v)
         gx, gy = _circle_coords(r, t)
         _, dgx, dgy = _closed_form(gx, gy)
@@ -129,10 +140,9 @@ def _lie_average(r: float, adjoint: bool) -> tuple[float, float]:
             a11, a12, _ = adjoint_action(rho, LieDirection.X1)
             a21, a22, _ = adjoint_action(rho, LieDirection.X2)
             x1, x2 = a11 * x1 + a12 * x2, a21 * x1 + a22 * x2
-        return np.stack((x1, x2)) * jac
+        return np.stack((x1, x2)) * (jac * dv)
 
-    pts = _circle_v_breakpoints(case_transition_thetas(r))
-    val, _ = integrate(integrand, -_HALF_PI, _HALF_PI, _OUTER_QUADRATURE, points=pts)
+    val, _ = integrate(integrand, 0.0, float(segments), points=range(1, segments))
     return float(val[0]) / math.pi, float(val[1]) / math.pi
 
 

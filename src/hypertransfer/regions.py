@@ -601,8 +601,15 @@ def _circle_v_angles(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _circle_v_breakpoints(thetas: tuple[float, ...]) -> list[float]:
     """Breakpoints in v of a circle average split at the angles thetas (see
     _circle_v_angles): v = 0, the kink of the Jacobian, and the v of each
-    angle."""
-    return [0.0] + [math.copysign(math.asin(math.sqrt(abs(t) / _HALF_PI)), t) for t in thetas]
+    angle, ascending and inside (-pi/2, pi/2). As in integrate, a point within
+    1e-13 of the previous one is dropped (b3's -0.0 repeats the kink), and so
+    is an angle that rounds to +-pi/2 (a b8 root near r = 1e-4)."""
+    vs = [math.copysign(math.asin(math.sqrt(abs(t) / _HALF_PI)), t) for t in thetas]
+    out: list[float] = []
+    for v in sorted([0.0, *vs]):
+        if -_HALF_PI < v < _HALF_PI and (not out or v - out[-1] > 1e-13):
+            out.append(v)
+    return out
 
 
 def m_tilde_full(

@@ -623,6 +623,17 @@ def test_case_transitions_keep_the_candidates_where_the_structure_changes():
                 assert any(s != left for s in _cut_sequences_at(r, grid)), (r, t)
 
 
+def test_circle_v_breakpoints_are_strictly_increasing():
+    # decay grades every segment between -pi/2, these points and pi/2 at both
+    # ends, so none may repeat: b3's root at theta = 0 gives v = -0.0 beside
+    # the Jacobian's kink at 0.0, and near r = 1e-4 a b8 root rounds to pi/2
+    half = math.pi / 2.0
+    for r in [1e-4, *np.geomspace(1e-6, 1e6, 121)]:
+        ends = [-half, *regions._circle_v_breakpoints(case_transition_thetas(float(r))), half]
+        assert ends.count(0.0) == 1, r
+        assert all(b - a > 1e-13 for a, b in zip(ends, ends[1:])), (r, ends)
+
+
 def test_m_tilde_frozen_values():
     for r, want in FROZEN_M_TILDE.items():
         assert abs(m_tilde(cartan_a(r)) - want) < 5e-7
