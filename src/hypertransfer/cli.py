@@ -46,22 +46,23 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def _emit_formatted(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
+    """Write payload as JSON or lines as CSV, as args.format asks."""
+    if args.format == "json":
+        _emit(_json_dump(payload), args.output)
+    else:
+        _emit("\n".join(lines) + "\n", args.output)
+
+
 def cmd_reduce(args: argparse.Namespace) -> int:
     red = reduce_to_fundamental_domain(HalfPlanePoint(args.x, args.y))
     a, b, c, d = red.gamma.entries()
-    if args.format == "json":
-        payload = {
-            "gamma": [a, b, c, d],
-            "z0_x": float(red.z0.x),
-            "z0_y": float(red.z0.y),
-        }
-        _emit(_json_dump(payload), args.output)
-    else:
-        lines = [
-            "gamma_a,gamma_b,gamma_c,gamma_d,z0_x,z0_y",
-            f"{a},{b},{c},{d},{_fmt(red.z0.x)},{_fmt(red.z0.y)}",
-        ]
-        _emit("\n".join(lines) + "\n", args.output)
+    payload = {"gamma": [a, b, c, d], "z0_x": float(red.z0.x), "z0_y": float(red.z0.y)}
+    lines = [
+        "gamma_a,gamma_b,gamma_c,gamma_d,z0_x,z0_y",
+        f"{a},{b},{c},{d},{_fmt(red.z0.x)},{_fmt(red.z0.y)}",
+    ]
+    _emit_formatted(args, payload, lines)
     return 0
 
 
@@ -74,20 +75,9 @@ def cmd_symbol(args: argparse.Namespace) -> int:
         value, err = transferred_symbol_mc(symbol_m_word, g, args.n, args.seed)
     else:
         value, err = m_tilde_full(g, q, force_direct=(args.mode == "direct"))
-    if args.format == "json":
-        payload = {
-            "r": float(args.r),
-            "mode": args.mode,
-            "value": float(value),
-            "error": float(err),
-        }
-        _emit(_json_dump(payload), args.output)
-    else:
-        lines = [
-            "r,mode,value,error",
-            f"{_fmt(args.r)},{args.mode},{_fmt(value)},{_fmt(err)}",
-        ]
-        _emit("\n".join(lines) + "\n", args.output)
+    payload = {"r": float(args.r), "mode": args.mode, "value": float(value), "error": float(err)}
+    lines = ["r,mode,value,error", f"{_fmt(args.r)},{args.mode},{_fmt(value)},{_fmt(err)}"]
+    _emit_formatted(args, payload, lines)
     return 0
 
 
@@ -109,16 +99,13 @@ def cmd_region(args: argparse.Namespace) -> int:
     c = ANCoords(args.gx, args.gy)
     case = classify_case(c)
     rows = _region_rows(c, args.samples)
-    if args.format == "json":
-        payload = {
-            "case": case.tag,
-            "points": [{"curve_id": cid, "x": x, "y": y} for cid, x, y in rows],
-        }
-        _emit(_json_dump(payload), args.output)
-    else:
-        lines = [f"# case={case.tag}", "curve_id,x,y"]
-        lines.extend(f"{cid},{_fmt(x)},{_fmt(y)}" for cid, x, y in rows)
-        _emit("\n".join(lines) + "\n", args.output)
+    payload = {
+        "case": case.tag,
+        "points": [{"curve_id": cid, "x": x, "y": y} for cid, x, y in rows],
+    }
+    lines = [f"# case={case.tag}", "curve_id,x,y"]
+    lines.extend(f"{cid},{_fmt(x)},{_fmt(y)}" for cid, x, y in rows)
+    _emit_formatted(args, payload, lines)
     return 0
 
 
@@ -135,23 +122,19 @@ def cmd_decay(args: argparse.Namespace) -> int:
         slope = float(np.polyfit(np.log([row.r for row in rows]), np.log(mags), 1)[0])
     else:
         slope = float("nan")
-    if args.format == "json":
-        payload = {
-            "rows": [
-                {"r": row.r, "f1": row.f1, "f2": row.f2, "weighted": row.weighted}
-                for row in rows
-            ],
-            "slope": None if math.isnan(slope) else slope,
-            "max_weighted": float(max_weighted),
-        }
-        _emit(_json_dump(payload), args.output)
-    else:
-        lines = ["r,f1,f2,weighted"]
-        lines.extend(
-            f"{_fmt(row.r)},{_fmt(row.f1)},{_fmt(row.f2)},{_fmt(row.weighted)}" for row in rows
-        )
-        lines.append(f"# slope={_fmt(slope)} max_weighted={_fmt(max_weighted)}")
-        _emit("\n".join(lines) + "\n", args.output)
+    payload = {
+        "rows": [
+            {"r": row.r, "f1": row.f1, "f2": row.f2, "weighted": row.weighted} for row in rows
+        ],
+        "slope": None if math.isnan(slope) else slope,
+        "max_weighted": float(max_weighted),
+    }
+    lines = ["r,f1,f2,weighted"]
+    lines.extend(
+        f"{_fmt(row.r)},{_fmt(row.f1)},{_fmt(row.f2)},{_fmt(row.weighted)}" for row in rows
+    )
+    lines.append(f"# slope={_fmt(slope)} max_weighted={_fmt(max_weighted)}")
+    _emit_formatted(args, payload, lines)
     return 0
 
 

@@ -27,8 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RegimeError
-from .quadrature import integrate
+from .quadrature import integrate, segment_edges
 from .regions import (
+    _check_norm,
     _circle_coords,
     _circle_v_angles,
     _circle_v_breakpoints,
@@ -97,11 +98,13 @@ def _residual_angle(r: float, theta: np.ndarray) -> np.ndarray:
 
 
 def _decay_radius(r: float) -> float:
+    """r, or 1/r past 1, inside the norm range that m_tilde_full accepts."""
     if not (math.isfinite(r) and r > 0.0):
         raise DomainError(f"need r > 0, got {r!r}")
     if abs(r - 1.0) < 1e-12:
         raise RegimeError("Lie derivative grid excludes r = 1; use r in (0, 1)")
     r = float(r)
+    _check_norm(max(r, 1.0 / r))
     return r if r < 1.0 else 1.0 / r
 
 
@@ -120,7 +123,7 @@ def _lie_average(r: float, adjoint: bool) -> tuple[float, float]:
     residual rotation; a segment splits where either direction misses its
     share of the target."""
     r = _decay_radius(r)
-    ends = np.array([-_HALF_PI, *_circle_v_breakpoints(case_transition_thetas(r)), _HALF_PI])
+    ends = segment_edges(-_HALF_PI, _HALF_PI, _circle_v_breakpoints(case_transition_thetas(r)))
     lo, width = ends[:-1], np.diff(ends)
     segments = len(width)
 

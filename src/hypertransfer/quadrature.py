@@ -14,13 +14,14 @@ error exceeds an equal share of that component's target (the target over the
 number of segments), and evaluates the nodes of all new segments in one call
 of the integrand. (A share proportional to length would keep bisecting the
 neighbours of a singular end, whose shares shrink faster than their errors.)
-A 1-D integrand is the one-component case, computed with the same arithmetic,
-and returns floats.
+Values and errors are kept as one (k, segments) array; a 1-D integrand is
+the k = 1 case and returns floats.
 
-Known kinks and singular abscissae are passed as breakpoints; the nodes never
-touch a segment's ends. There is no extrapolation, so a singular end
-converges only geometrically in the number of rounds, and callers substitute
-it away where they can. A result is accepted only when every component's
+Known kinks and singular abscissae are passed as breakpoints, which
+segment_edges turns into segment ends (callers that lay out their own
+segments use it too); the nodes never touch a segment's ends. There is no
+extrapolation, so a singular end converges only geometrically in the number
+of rounds, and callers substitute it away where they can. A result is accepted only when every component's
 summed error estimate clears ten times its target; otherwise AccuracyError
 reports the error of the component that misses by the largest factor. A
 non-finite value or error estimate in any component, after any round, raises
@@ -29,7 +30,6 @@ AccuracyError at once, with an infinite achieved error.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -121,6 +121,18 @@ def _gauss_kronrod(
         return resk * half, err
 
 
+def segment_edges(a: float, b: float, points: Sequence[float] | None = None) -> np.ndarray:
+    """Ascending segment ends from min(a, b) to max(a, b), split at points:
+    sorted, kept only strictly inside (a, b), and a point within 1e-13 of
+    the last one kept is dropped (the first is kept however near a)."""
+    lo, hi = min(a, b), max(a, b)
+    edges = [lo]
+    for p in sorted(p for p in points or () if lo < p < hi):
+        if len(edges) == 1 or p - edges[-1] > 1e-13:
+            edges.append(p)
+    return np.array(edges + [hi])
+
+
 def integrate(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -134,64 +146,52 @@ def integrate(
     shape (k, n) for k integrands on shared nodes; the result is then a pair
     of floats, or a pair of shape-(k,) arrays (value and error per
     component). a == b gives (0.0, 0.0) without calling f. points: known
-    interior kinks/singular abscissae (values outside (a, b) are filtered
-    out, and so is a point within 1e-13 of the previous one).
+    interior kinks/singular abscissae, split at by segment_edges.
     """
     if a == b:
         return 0.0, 0.0
-    lo_end, hi_end = min(a, b), max(a, b)
-    edges = [lo_end]
-    for p in sorted(p for p in points or () if lo_end < p < hi_end):
-        if len(edges) == 1 or p - edges[-1] > 1e-13:
-            edges.append(p)
-    edges.append(hi_end)
-    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    edges = segment_edges(a, b, points)
+    lo, hi = edges[:-1], edges[1:]
     val, err = _gauss_kronrod(f, lo, hi)
     vector = val.ndim == 2
-    vals, errs = _components(val), _components(err)
+    # one row per component, one column per segment
+    val, err = np.atleast_2d(val, err)
     while True:
         with np.errstate(all="ignore"):
-            value = [float(v.sum()) for v in vals]
-            error = [float(e.sum()) for e in errs]
-        if not all(map(math.isfinite, value + error)):
+            value, error = val.sum(axis=1), err.sum(axis=1)
+        if not (np.isfinite(value).all() and np.isfinite(error).all()):
             raise AccuracyError(
                 f"quadrature on [{a}, {b}] met a non-finite value or error", achieved=math.inf
             )
-        target = [max(cfg.abs_tol, cfg.rel_tol * abs(v)) for v in value]
-        if all(e <= t for e, t in zip(error, target)):
+        target = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(value))
+        if (error <= target).all():
             break
         mid = 0.5 * (lo + hi)
         # a segment splits where any component misses its equal share
-        shares = [t / len(lo) for t in target]
-        miss = functools.reduce(np.logical_or, [e > s for e, s in zip(errs, shares)])
-        split = miss & (lo < mid) & (mid < hi)
+        shares = (target / len(lo))[:, None]
+        split = (err > shares).any(axis=0) & (lo < mid) & (mid < hi)
         room = MAX_SUBDIVISIONS - len(lo)
         if room <= 0 or not split.any():
             break
         if split.sum() > room:  # the largest misses first
             chosen = np.flatnonzero(split)
-            worst = functools.reduce(np.maximum, [e[chosen] / s for e, s in zip(errs, shares)])
+            worst = (err[:, chosen] / shares).max(axis=0)
             split[:] = False
             split[chosen[np.argsort(worst)[-room:]]] = True
         keep = ~split
         new_lo = np.concatenate((lo[split], mid[split]))
         new_hi = np.concatenate((mid[split], hi[split]))
-        new_val, new_err = _gauss_kronrod(f, new_lo, new_hi)
+        new_val, new_err = np.atleast_2d(*_gauss_kronrod(f, new_lo, new_hi))
         lo, hi = np.concatenate((lo[keep], new_lo)), np.concatenate((hi[keep], new_hi))
-        vals = [np.concatenate((v[keep], n)) for v, n in zip(vals, _components(new_val))]
-        errs = [np.concatenate((e[keep], n)) for e, n in zip(errs, _components(new_err))]
+        val = np.concatenate((val[:, keep], new_val), axis=1)
+        err = np.concatenate((err[:, keep], new_err), axis=1)
     if b < a:
-        value = [-v for v in value]
-    limit = [max(10.0 * cfg.abs_tol, 10.0 * cfg.rel_tol * abs(v)) for v in value]
-    if any(e > lim for e, lim in zip(error, limit)):
+        value = -value
+    limit = np.maximum(10.0 * cfg.abs_tol, 10.0 * cfg.rel_tol * np.abs(value))
+    if (error > limit).any():
         # achieved: the error of the component that misses by the most
-        achieved = max(zip(error, limit), key=lambda el: el[0] / el[1])[0]
+        achieved = float(error[np.argmax(error / limit)])
         raise AccuracyError(f"quadrature on [{a}, {b}] did not converge", achieved=achieved)
     if vector:
-        return np.array(value), np.array(error)
-    return value[0], error[0]
-
-
-def _components(a: np.ndarray) -> list[np.ndarray]:
-    """One 1-D array per component: the rows of a (k, m) array, or a itself."""
-    return list(a) if a.ndim == 2 else [a]
+        return value, error
+    return float(value[0]), float(error[0])

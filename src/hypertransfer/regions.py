@@ -25,14 +25,14 @@ from typing import Optional
 
 import numpy as np
 
+from .cocycle import _domain_xy, _mean_se, _rng
 from .errors import DomainError, RegimeError
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate
 from .sl2 import ANCoords, RealMat2, operator_norm
 
 SQRT3 = math.sqrt(3.0)
 _HALF_PI = math.pi / 2.0
-# largest operator norm m_tilde_full accepts: the discriminants of the
-# transition quadratics grow like r^8 and overflow from about 2.7e38 on
+# largest operator norm m_tilde_full and decay accept (see _check_norm)
 MAX_NORM = 1e38
 
 
@@ -423,17 +423,11 @@ def m_hat_mc(c: ANCoords, n: int, rng_seed: int) -> tuple[float, float]:
     independent of the section decomposition."""
     if n < 1:
         raise DomainError("need at least one sample")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([int(rng_seed), 2])))
-    u1 = rng.random(n)
-    u2 = rng.random(n)
-    x = np.sin((math.pi / 3.0) * (u1 - 0.5))
-    y = np.sqrt(1.0 - x * x) / (1.0 - u2)
+    rng = _rng(rng_seed, stream=2)
+    x, y = _domain_xy(rng.random(n), rng.random(n))
     shifted = x + c.g_x * y
     inside = (shifted > -0.5) & ((shifted + 1.0) ** 2 + (c.g_y * y) ** 2 > 1.0)
-    vals = inside.astype(np.float64)
-    est = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return est, se
+    return _mean_se(inside.astype(np.float64))
 
 
 def _section_integral(f, gx: float, gy: float, breaks: np.ndarray, q: QuadratureConfig) -> float:
@@ -556,10 +550,12 @@ def _transition_quadratics(r: float) -> dict[str, tuple[float, float, float]]:
 
 
 def _tan_roots(a: float, b: float, c: float) -> list[float]:
-    """Ascending angles in (-pi/2, pi/2) whose tangents solve a t^2 + b t + c = 0.
+    """Ascending angles in (-pi/2, pi/2] whose tangents solve a t^2 + b t + c = 0.
     The roots q/a and c/q, q = -(b + sign(b) sqrt(b^2 - 4ac))/2, are free of
     cancellation; atan2 of numerator and denominator keeps a root near pi/2 to
-    full precision, and a zero denominator (a root at pi/2, or none) is dropped."""
+    full precision, and a zero denominator (a root at pi/2, or none) is dropped.
+    A root within an ulp of pi/2 still rounds onto it (a b8 root at r = 8.584e-5
+    or 1e-4 returns exactly pi/2)."""
     disc = b * b - 4.0 * a * c
     if disc < 0.0:
         return []
@@ -570,11 +566,13 @@ def _tan_roots(a: float, b: float, c: float) -> list[float]:
 
 @functools.lru_cache(maxsize=256)
 def case_transition_thetas(r: float) -> tuple[float, ...]:
-    """Angles in (-pi/2, pi/2) where the cut structure of the section changes
+    """Angles in (-pi/2, pi/2] where the cut structure of the section changes
     along theta; used as quadrature breakpoints. The candidates are the roots
-    of _transition_quadratics. A root is kept where the cut sequences at the
-    midpoints of its two gaps differ: the flag code of each live segment of
-    _section_segments, left to right, with consecutive repeats merged."""
+    of _transition_quadratics; one can be exactly pi/2 (see _tan_roots), and
+    quadrature.segment_edges drops it as no interior breakpoint. A root is
+    kept where the cut sequences at the midpoints of its two gaps differ: the
+    flag code of each live segment of _section_segments, left to right, with
+    consecutive repeats merged."""
     cands = sorted({t for quad in _transition_quadratics(r).values() for t in _tan_roots(*quad)})
     edges = np.array([-_HALF_PI, *cands, _HALF_PI])
     gx, gy = _circle_coords(r, 0.5 * (edges[:-1] + edges[1:]))
@@ -601,15 +599,20 @@ def _circle_v_angles(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _circle_v_breakpoints(thetas: tuple[float, ...]) -> list[float]:
     """Breakpoints in v of a circle average split at the angles thetas (see
     _circle_v_angles): v = 0, the kink of the Jacobian, and the v of each
-    angle, ascending and inside (-pi/2, pi/2). As in integrate, a point within
-    1e-13 of the previous one is dropped (b3's -0.0 repeats the kink), and so
-    is an angle that rounds to +-pi/2 (a b8 root near r = 1e-4)."""
-    vs = [math.copysign(math.asin(math.sqrt(abs(t) / _HALF_PI)), t) for t in thetas]
-    out: list[float] = []
-    for v in sorted([0.0, *vs]):
-        if -_HALF_PI < v < _HALF_PI and (not out or v - out[-1] > 1e-13):
-            out.append(v)
-    return out
+    angle. quadrature.segment_edges sorts and filters them: b3's -0.0 repeats
+    the kink, and a b8 root near r = 1e-4 can round to pi/2."""
+    return [0.0, *(math.copysign(math.asin(math.sqrt(abs(t) / _HALF_PI)), t) for t in thetas)]
+
+
+def _check_norm(norm: float) -> None:
+    """Raise DomainError unless the operator norm lies in [1, MAX_NORM]: the
+    discriminants of the transition quadratics grow like r^8 and overflow from
+    about 2.7e38 on, and r^4 in _circle_coords underflows below r = 1e-77."""
+    if not norm <= MAX_NORM:
+        raise DomainError(
+            f"operator norm {norm!r} is outside the supported range [1, {MAX_NORM:g}] "
+            f"(diag(r, 1/r) needs r in [{1.0 / MAX_NORM:g}, {MAX_NORM:g}])"
+        )
 
 
 def m_tilde_full(
@@ -626,11 +629,7 @@ def m_tilde_full(
     the scale of a theta integral, so q's tolerances mean what they would
     there. The error is the first integral's over the second's value."""
     r = operator_norm(g)
-    if not r <= MAX_NORM:
-        raise DomainError(
-            f"operator norm {r!r} is outside the supported range [1, {MAX_NORM:g}] "
-            f"(diag(r, 1/r) needs r in [{1.0 / MAX_NORM:g}, {MAX_NORM:g}])"
-        )
+    _check_norm(r)
 
     def integrand(v: np.ndarray) -> np.ndarray:
         theta, jac = _circle_v_angles(v)

@@ -14,6 +14,7 @@ from typing import Any
 import numpy as np
 
 from .cocycle import (
+    _rng,
     cocycle_beta,
     domain_measure_mc,
     sample_domain,
@@ -56,10 +57,6 @@ def _check(name: str, passed: bool, **detail: Any) -> dict:
     out: dict[str, Any] = {"name": name, "passed": bool(passed)}
     out.update(detail)
     return out
-
-
-def _rng(seed: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), stream])))
 
 
 def _random_group_element(rng: np.random.Generator):

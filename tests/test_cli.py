@@ -237,6 +237,8 @@ def test_decay_json_and_range_errors(capsys):
     assert run(capsys, ["decay", "--rmin", "0.5", "--rmax", "0.2"])[0] == 2
     assert run(capsys, ["decay", "--rmin", "0.1", "--rmax", "1.5"])[0] == 2
     assert run(capsys, ["decay", "--rmin", "0.1", "--rmax", "0.2", "--steps", "0"])[0] == 2
+    code, out = run(capsys, ["decay", "--rmin", "1e-300", "--rmax", "0.5", "--steps", "2"])
+    assert code == 2 and "supported range [1, 1e+38]" in out.err
 
 
 def test_verify_cocycle_passes(capsys):

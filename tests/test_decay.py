@@ -4,6 +4,7 @@ the second-order divergence probe."""
 
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -141,6 +142,21 @@ def test_hm_table_contract():
         hm_table([0.1, 1.2])
     with pytest.raises(DomainError):
         DecayRow(r=1.5, f1=0.0, f2=0.0, weighted=0.0)
+
+
+def test_decay_rejects_radii_past_the_norm_range():
+    # below r = 1/MAX_NORM the radius is refused by name before r^4 can
+    # underflow in _circle_coords (from about r = 1e-77 on)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="supported range"):
+            hm_table([1e-80])
+        with pytest.raises(DomainError, match="supported range"):
+            lie_derivative_mtilde(1e-300, LieDirection.X1)
+        with pytest.raises(DomainError, match="supported range"):
+            lie_derivative_mtilde(1e300, LieDirection.X2)
+        row = hm_table([1e-38])[0]
+    assert math.isfinite(row.f1) and math.isfinite(row.f2)
 
 
 def test_decay_table_shares_closed_form_nodes(monkeypatch):

@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 from hypertransfer.errors import AccuracyError, DomainError
-from hypertransfer.quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate
+from hypertransfer.quadrature import (
+    DEFAULT_QUADRATURE,
+    QuadratureConfig,
+    integrate,
+    segment_edges,
+)
 
 
 def test_smooth_integral_and_error_estimate():
@@ -36,6 +41,14 @@ def test_breakpoints_deduped_and_clipped():
     assert abs(v - 0.25) <= 1e-12
     v, _ = integrate(lambda x: x * x, 0.0, 1.0, points=[-1.0, 2.0])  # all filtered
     assert abs(v - 1.0 / 3.0) <= 1e-12
+    # the edge rule itself: sorted, strictly inside (a, b), and a point within
+    # 1e-13 of the last one kept is dropped; the first is kept however near a
+    assert segment_edges(0.0, 1.0, pts).tolist() == [0.0, 0.5, 1.0]
+    assert segment_edges(1.0, 0.0, [0.7, 0.2, 0.4]).tolist() == [0.0, 0.2, 0.4, 0.7, 1.0]
+    assert segment_edges(0.0, 1.0, [0.3, 1.5, -0.2, 1.0]).tolist() == [0.0, 0.3, 1.0]
+    assert segment_edges(0.0, 1.0, [0.3 + 5e-14, 0.3, 0.6]).tolist() == [0.0, 0.3, 0.6, 1.0]
+    assert segment_edges(0.0, 1.0, [5e-14, 0.6]).tolist() == [0.0, 5e-14, 0.6, 1.0]
+    assert segment_edges(0.0, 1.0, None).tolist() == [0.0, 1.0]
 
 
 def test_reversed_limits():

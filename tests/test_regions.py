@@ -13,7 +13,7 @@ import pytest
 import hypertransfer.regions as regions
 from hypertransfer.decay import theta_boundaries
 from hypertransfer.errors import AccuracyError, DomainError, RegimeError
-from hypertransfer.quadrature import DEFAULT_QUADRATURE, QuadratureConfig
+from hypertransfer.quadrature import DEFAULT_QUADRATURE, QuadratureConfig, segment_edges
 from hypertransfer.regions import (
     CaseRegime,
     _ellipse_antiderivative,
@@ -168,9 +168,12 @@ def test_m_hat_mc_contract():
     est, se = m_hat_mc(ANCoords(-0.1, 0.4), 50_000, 9)
     est2, se2 = m_hat_mc(ANCoords(-0.1, 0.4), 50_000, 9)
     assert (est, se) == (est2, se2)
+    # the stream, draw order and estimator are frozen bit for bit
+    assert (est, se) == (0.50588, 0.002235935710205015)
     assert 0.0 <= est <= 1.0 and se > 0.0
-    with pytest.raises(DomainError):
-        m_hat_mc(ANCoords(0.0, 1.0), 0, 1)
+    for n in (0, -1):
+        with pytest.raises(DomainError):
+            m_hat_mc(ANCoords(0.0, 1.0), n, 1)
 
 
 def test_m_hat_direct_examples():
@@ -624,12 +627,14 @@ def test_case_transitions_keep_the_candidates_where_the_structure_changes():
 
 
 def test_circle_v_breakpoints_are_strictly_increasing():
-    # decay grades every segment between -pi/2, these points and pi/2 at both
-    # ends, so none may repeat: b3's root at theta = 0 gives v = -0.0 beside
-    # the Jacobian's kink at 0.0, and near r = 1e-4 a b8 root rounds to pi/2
+    # decay grades every segment between the ends segment_edges makes of
+    # -pi/2, these points and pi/2 at both ends, so none may repeat: b3's
+    # root at theta = 0 gives v = -0.0 beside the Jacobian's kink at 0.0, and
+    # near r = 1e-4 a b8 root rounds to pi/2
     half = math.pi / 2.0
-    for r in [1e-4, *np.geomspace(1e-6, 1e6, 121)]:
-        ends = [-half, *regions._circle_v_breakpoints(case_transition_thetas(float(r))), half]
+    for r in [1e-4, 8.584e-5, *np.geomspace(1e-6, 1e6, 121)]:
+        pts = regions._circle_v_breakpoints(case_transition_thetas(float(r)))
+        ends = segment_edges(-half, half, pts).tolist()
         assert ends.count(0.0) == 1, r
         assert all(b - a > 1e-13 for a, b in zip(ends, ends[1:])), (r, ends)
 
