@@ -121,10 +121,15 @@ def _lie_average(r: float, adjoint: bool) -> tuple[float, float]:
     its nodes in one batch and stacks the chart combinations of
     lie_derivative_mtt for X1 and X2, or with adjoint their transport by the
     residual rotation; a segment splits where either direction misses its
-    share of the target."""
+    share of the target. The arcs where m_hat is constant (the .constant of
+    case_transition_thetas) have zero partials and are left out."""
     r = _decay_radius(r)
-    ends = segment_edges(-_HALF_PI, _HALF_PI, _circle_v_breakpoints(case_transition_thetas(r)))
-    lo, width = ends[:-1], np.diff(ends)
+    thetas = case_transition_thetas(r)
+    ends = segment_edges(-_HALF_PI, _HALF_PI, _circle_v_breakpoints(thetas))
+    mid, _ = _circle_v_angles(0.5 * (ends[:-1] + ends[1:]))
+    constant = np.array(thetas.constant, dtype=float)[np.searchsorted(thetas, mid)]
+    varies = np.isnan(constant)
+    lo, width = ends[:-1][varies], np.diff(ends)[varies]
     segments = len(width)
 
     def integrand(u: np.ndarray) -> np.ndarray:
@@ -150,6 +155,9 @@ def _lie_average(r: float, adjoint: bool) -> tuple[float, float]:
 
 
 def _lie_component(r: float, direction: LieDirection, adjoint: bool) -> float:
+    # X3 rotates within K, under which m_tilde is invariant; r is checked first
+    # so that every direction refuses the same radii
+    r = _decay_radius(r)
     if direction is LieDirection.X3:
         return 0.0
     return _lie_average(r, adjoint)[0 if direction is LieDirection.X1 else 1]

@@ -140,20 +140,20 @@ def _section_cuts(x, gx, gy):
     lower, else [ymin, top), when circle, and [hi, top) when upper.
     """
     xe = _extent_end(gx, gy)
+    negative = gx < 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         ymin = np.sqrt(np.maximum(1.0 - x * x, 0.0))
-        top = np.where(gx < 0.0, -(1.0 + 2.0 * x) / (2.0 * gx), np.inf)
+        top = np.where(negative, -(1.0 + 2.0 * x) / (2.0 * gx), np.inf)
         rad = (gy * (xe - x)) * (gy * (xe + 2.0 + x))
         s = gx * gx + gy * gy
         q = np.where(rad > 0.0, np.sqrt(rad), np.nan)
-        lo, hi = (-q - (x + 1.0) * gx) / s, (q - (x + 1.0) * gx) / s
+        shift = (x + 1.0) * gx
+        lo, hi = (-q - shift) / s, (q - shift) / s
     valid = (0.0 < ymin) & (ymin < top)
     ellipse = (hi > ymin) & (lo < top)  # False where q is NaN
-    lower = valid & ellipse & (ymin < lo)
-    upper = valid & ellipse & (hi < top)
-    circle = valid & (~ellipse | lower)
-    line = valid & (gx < 0.0) & (~ellipse | upper)
-    return (ymin, top, lo, hi, q), (circle, lower, upper, line)
+    cut, uncut = valid & ellipse, valid & ~ellipse
+    lower, upper = cut & (ymin < lo), cut & (hi < top)
+    return (ymin, top, lo, hi, q), (uncut | lower, lower, upper, negative & (uncut | upper))
 
 
 def section_intervals(x: float, c: ANCoords) -> list[tuple[float, float]]:
@@ -240,15 +240,17 @@ def _ellipse_circle_abscissas(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
     and the screen keeps b^3 finite.
     """
     out = np.full((len(gx), 4), np.nan)
-    big_s = gx * gx + gy * gy
+    gx2 = gx * gx
+    big_s = gx2 + gy * gy
     rows = np.flatnonzero(big_s < 10.0)
-    gx, big_s = gx[rows], big_s[rows]
+    gx, gx2, big_s = gx[rows], gx2[rows], big_s[rows]
     b = 2.0 - 4.0 * big_s
+    b2 = b * b
     # m = z - b/3, z the largest root of the resolvent in depressed form
     # z^3 + (3 - b^2/12) z - b^3/108 - b - c^2/8
-    z = _largest_cubic_root(3.0 - b * b / 12.0, -b * (b * b / 108.0 + 1.0) - 8.0 * gx * gx)
+    z = _largest_cubic_root(3.0 - b2 / 12.0, -b * (b2 / 108.0 + 1.0) - 8.0 * gx2)
     # z - b/3 cancels where m is tiny; there m = c^2/(2 b^2 + 24) (1 + O(m))
-    small = 32.0 * gx * gx / (b * b + 12.0)
+    small = 32.0 * gx2 / (b2 + 12.0)
     m = np.where(small < 1e-8, small, np.maximum(z - b / 3.0, 0.0))
     k, s = 0.5 * b + m, np.sqrt(2.0 * m)
     e = np.copysign(np.sqrt(k * k + 3.0), -gx)
@@ -259,14 +261,14 @@ def _ellipse_circle_abscissas(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
     spare = (-4e-12 <= disc) & (disc < 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         big = -0.5 * (lin + np.copysign(np.sqrt(disc), lin))  # NaN where disc < 0
-        ts = np.column_stack((big, const / big))
-        ts[:, :2] = np.where(spare, -0.5 * lin, ts[:, :2])
+        ts = np.concatenate((np.where(spare, -0.5 * lin, big), const / big), axis=1)
         us = (1.0 - ts) / (1.0 + ts)
         # p(t) (1 + u)^4/(-4) at t = (1 - u)/(1 + u)
         a4, a3, a2, a1 = sc - 2.0 * gxc, 4.0 * (1.0 - gxc), 4.0 - 2.0 * sc, 4.0 * (1.0 + gxc)
+        a0 = sc + 2.0 * gxc
 
         def quartic(u):
-            return (((a4 * u + a3) * u + a2) * u + a1) * u + (sc + 2.0 * gxc)
+            return (((a4 * u + a3) * u + a2) * u + a1) * u + a0
 
         res = quartic(us)
         newton = us - res / (((4.0 * a4 * us + 3.0 * a3) * us + 2.0 * a2) * us + a1)
@@ -312,10 +314,11 @@ def _ellipse_antiderivative(x, gx, gy, xe):
     q = gy * r
     s = gx * gx + gy * gy
     # lo * hi = x (x + 2)/S; take the root free of cancellation from q
-    big = np.where(gx <= 0.0, q - u * gx, -q - u * gx)
+    left = gx <= 0.0
+    big = np.where(left, q, -q) - u * gx
     with np.errstate(divide="ignore", invalid="ignore"):
-        other = x * (x + 2.0) / big
-        lo, hi = np.where(gx <= 0.0, other, big / s), np.where(gx <= 0.0, big / s, other)
+        other, root = x * (x + 2.0) / big, big / s
+        lo, hi = np.where(left, other, root), np.where(left, root, other)
         return np.log(lo), np.log(hi), np.arctan2(u, r)
 
 
@@ -530,23 +533,141 @@ def m_hat_at_angle(
 
 def _transition_quadratics(r: float) -> dict[str, tuple[float, float, float]]:
     """(a, b, c) with a t^2 + b t + c = 0 at t = tan(theta) on each case
-    boundary of boundary_values and on g_y = 1/2, along the Cartan circle of
-    norm r: with R = r^4, g_x = (R - 1) t/(1 + R t^2),
-    g_y = r^2 (1 + t^2)/(1 + R t^2) and g_x^2 + g_y^2 = (R + t^2)/(1 + R t^2).
-    The square-root boundaries b2, b4 and b7 are squared, so their roots
-    include the other branch's."""
+    boundary of boundary_values where a section breakpoint reaches an end of
+    (-1/2, 1/2), along the Cartan circle of norm r: with R = r^4,
+    g_x = (R - 1) t/(1 + R t^2), g_y = r^2 (1 + t^2)/(1 + R t^2) and
+    g_x^2 + g_y^2 = (R + t^2)/(1 + R t^2). On b2 and b7 the ellipse crosses
+    the circle at x = -1/2 and 1/2, on b3 (g_x = 0) the line enters, on b5
+    the ellipse's extent ends at x = 1/2, and on b6 and b8 the line crosses
+    the ellipse and the circle there. b2 and b7 are squared, so their roots
+    include the other branch's. b4 and g_y = 1/2 change only the label."""
     big_r, r2 = r ** 4, r * r
     k, h = 2.0 / SQRT3, math.sqrt(5.0) / 2.0
     return {
-        "g_y=1/2": (r2 - 0.5 * big_r, 0.0, r2 - 0.5),
         "b2": (1.0, -k, -1.0),  # over R - 1: theta = pi/3, -pi/6 for every r != 1
         "b3": (1.0, 0.0, 0.0),  # g_x = 0, which is b9 too
-        "b4": (1.0, 2.0 * (big_r - 1.0), big_r),
         "b5": (h * r2, big_r - 1.0, h * r2),
         "b6": (k * r2, big_r - 1.0, k * r2),
         "b7": (1.0 + 5.0 * big_r / 3.0, 2.0 * SQRT3 * (big_r - 1.0), big_r + 5.0 / 3.0),
         "b8": (k * big_r, big_r - 1.0, k),
     }
+
+
+def _meeting_thetas(r: float) -> tuple[list[float], list[float]]:
+    """(touches, crossings): angles in [-pi/2, pi/2] where two section
+    breakpoints meet inside (-1/2, 1/2) along the Cartan circle of norm r;
+    touches where the ellipse's extent end touches the unit circle, crossings
+    where two breakpoints cross.
+
+    The circle of norm r is the Euclidean circle g_x^2 + g_y^2 + 1 = c g_y
+    with c = r^2 + 1/r^2 (the same for 1/r, whose circle is the circle of r
+    turned by pi/2). Each event, derived in sympy and checked against a
+    cut-sequence scan, is a curve in (g_x, g_y) parametrised by the abscissa
+    x of the meeting, and lies on the circle where a function of x alone
+    equals c:
+    - the extent end of the ellipse lies on the unit circle at (x, w),
+      w = sqrt(1 - x^2): -g_x/g_y = k = sqrt(x (x + 2)), g_y = k/(w (1 + x))
+      and (1 + x)(1 + 2x)/(w k) = c, a cubic (_extent_on_circle);
+    - at the line's crossing with the ellipse, the other ellipse root lies
+      on the unit circle: k = (2x + 1)/sqrt(3), g_y = sqrt(3) D/(2 w Q) with
+      D = x (x + 2), Q = x^2 + x + 1, and 2 (3x^3 + 4x^2 + x + 1)/(sqrt(3) w D)
+      = c, a sextic (_root_on_circle);
+    - the line, the circle and the ellipse meet in one point, for
+      2 < c < 10/3, at t = tan(theta) = 1/(sqrt(3) rho) with rho =
+      min(r, 1/r)^2: k = sqrt(3)(1 - rho^2)/(3 rho^2 + 1) and
+      g_y = (3 rho^2 + 1)/(4 rho).
+    Both functions of x fall from infinity at x = 0 to a least value at the
+    _MEETING_SPLITS (mpmath) and rise to x = 1/2, so their polynomials, which
+    have the sign of the function minus c, have one root on each side of the
+    split where the value there is negative; each is found by Newton steps
+    kept inside its bracket. An angle is 1/2 atan2 of sin 2 theta and
+    cos 2 theta, 2 rho k and 2 rho/g_y - 1 - rho^2 (for r < 1; negated, which
+    turns it by -pi/2, for r > 1), which keeps angles near 0 and +-pi/2 to
+    full precision."""
+    rho = min(r, 1.0 / r) ** 2
+    if rho == 1.0:
+        return [], []
+    c = rho + 1.0 / rho
+    touches, crossings = [], []  # (k, 1/g_y) of each event
+    if c < 10.0 / 3.0:
+        d = 3.0 * rho * rho + 1.0
+        crossings.append((SQRT3 * (1.0 - rho * rho) / d, 4.0 * rho / d))
+    e = 1.0 / (c * c)
+    extent_split, root_split = _MEETING_SPLITS
+    for coeffs, split, start, touch in (
+        (_extent_on_circle(e), extent_split, e / (2.0 - 5.0 * e), True),
+        (_root_on_circle(e), root_split, math.sqrt(e / 3.0), False),
+    ):
+        if _horner(coeffs, split)[0] >= 0.0:
+            continue
+        xs = [_bracketed_root(coeffs, 0.0, split, min(start, 0.5 * split))]
+        if _horner(coeffs, 0.5)[0] > 0.0:
+            xs.append(_bracketed_root(coeffs, split, 0.5, 0.5 * (split + 0.5)))
+        for x in xs:
+            w, d = math.sqrt((1.0 - x) * (1.0 + x)), x * (x + 2.0)
+            if touch:
+                k = math.sqrt(d)
+                touches.append((k, w * (1.0 + x) / k))
+            else:
+                crossings.append(((2.0 * x + 1.0) / SQRT3, 2.0 * w * (x * x + x + 1.0) / (SQRT3 * d)))
+    sign = 1.0 if r < 1.0 else -1.0
+
+    def angle(k: float, inv_gy: float) -> float:
+        return 0.5 * math.atan2(sign * 2.0 * rho * k, sign * (2.0 * rho * inv_gy - 1.0 - rho * rho))
+
+    return [angle(*event) for event in touches], [angle(*event) for event in crossings]
+
+
+def _extent_on_circle(e: float) -> tuple[float, ...]:
+    """(1 + x)(1 + 2x)^2 - c^2 (1 - x) x (x + 2), over c^2 = 1/e, highest
+    power of x first."""
+    return (1.0 + 4.0 * e, 1.0 + 8.0 * e, 5.0 * e - 2.0, e)
+
+
+def _root_on_circle(e: float) -> tuple[float, ...]:
+    """4 (3x^3 + 4x^2 + x + 1)^2 - 3 c^2 (1 - x^2) x^2 (x + 2)^2, over
+    c^2 = 1/e, highest power of x first."""
+    return (
+        36.0 * e + 3.0,
+        96.0 * e + 12.0,
+        88.0 * e + 9.0,
+        56.0 * e - 12.0,
+        36.0 * e - 12.0,
+        8.0 * e,
+        4.0 * e,
+    )
+
+
+# where the functions of x behind _extent_on_circle and _root_on_circle are least
+_MEETING_SPLITS = (0.22668159690567747, 0.39005556346154309)
+
+
+def _horner(coeffs: tuple[float, ...], x: float) -> tuple[float, float]:
+    """The polynomial coeffs (highest power first) and its derivative at x."""
+    p = dp = 0.0
+    for a in coeffs:
+        dp = dp * x + p
+        p = p * x + a
+    return p, dp
+
+
+def _bracketed_root(coeffs: tuple[float, ...], lo: float, hi: float, x: float) -> float:
+    """The root of the polynomial coeffs in (lo, hi), where it changes sign
+    once, by Newton steps from x that fall back to bisection when they leave
+    the bracket."""
+    rising = _horner(coeffs, lo)[0] < 0.0
+    for _ in range(100):
+        p, dp = _horner(coeffs, x)
+        if p == 0.0:
+            break
+        lo, hi = (x, hi) if (p < 0.0) == rising else (lo, x)
+        step = x - p / dp if dp != 0.0 else lo
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        if abs(step - x) <= 2e-16 * x:
+            return step
+        x = step
+    return x
 
 
 def _tan_roots(a: float, b: float, c: float) -> list[float]:
@@ -564,22 +685,55 @@ def _tan_roots(a: float, b: float, c: float) -> list[float]:
     return sorted(math.atan2(n, d) if d > 0.0 else math.atan2(-n, -d) for n, d in roots if d != 0.0)
 
 
+class _TransitionAngles(tuple):
+    """The angles of case_transition_thetas, with .constant: on each arc
+    between consecutive angles (from -pi/2 to pi/2), m_hat where it is
+    constant, 0.0 or 1.0, else None; and .touches: the angles where only the
+    ellipse's extent end touches the unit circle. There the new segment of
+    the section grows like the square of the distance and the mass it holds
+    like the cube, so m_hat is twice differentiable across them, and the
+    rotation average does not split at them."""
+
+    constant: tuple[Optional[float], ...]
+    touches: frozenset[float]
+
+
 @functools.lru_cache(maxsize=256)
-def case_transition_thetas(r: float) -> tuple[float, ...]:
+def case_transition_thetas(r: float) -> _TransitionAngles:
     """Angles in (-pi/2, pi/2] where the cut structure of the section changes
-    along theta; used as quadrature breakpoints. The candidates are the roots
-    of _transition_quadratics; one can be exactly pi/2 (see _tan_roots), and
-    quadrature.segment_edges drops it as no interior breakpoint. A root is
-    kept where the cut sequences at the midpoints of its two gaps differ: the
-    flag code of each live segment of _section_segments, left to right, with
-    consecutive repeats merged."""
-    cands = sorted({t for quad in _transition_quadratics(r).values() for t in _tan_roots(*quad)})
+    along theta; used as quadrature breakpoints.
+
+    The candidates are the roots of _transition_quadratics, where a section
+    breakpoint reaches an end of (-1/2, 1/2), and the _meeting_thetas, where
+    two breakpoints meet (those within 1e-12 of +-pi/2 are left out: the gap
+    to the end would be narrower than its midpoint can resolve). One root can
+    be exactly pi/2 (see _tan_roots), and quadrature.segment_edges drops it
+    as no interior breakpoint. A candidate is kept where the cut sequences at
+    the midpoints of its two gaps differ: the flag code of each live segment
+    of _section_segments, left to right, with consecutive repeats merged. The
+    candidates hold every change, so the sequence at one midpoint holds on
+    its whole arc: m_hat is 0 there where no section has a cut (code 0
+    throughout), and 1 where every section is the whole [ymin, inf) (code 1,
+    the circle alone); .constant records it, and .touches the kept angles
+    that are extent-end touches only."""
+    roots = {t for quad in _transition_quadratics(r).values() for t in _tan_roots(*quad)}
+    touches, crossings = _meeting_thetas(r)
+    roots.update(t for t in crossings if abs(t) < _HALF_PI - 1e-12)
+    touches = {t for t in touches if abs(t) < _HALF_PI - 1e-12} - roots
+    cands = sorted(roots | touches)
     edges = np.array([-_HALF_PI, *cands, _HALF_PI])
     gx, gy = _circle_coords(r, 0.5 * (edges[:-1] + edges[1:]))
     _, live, (circle, lower, upper, line) = _section_segments(gx, gy)
     codes = zip((circle + 2 * lower + 4 * upper + 8 * line).tolist(), live.tolist())
     seqs = [[k for k, _ in itertools.groupby(itertools.compress(*row))] for row in codes]
-    return tuple(t for t, left, right in zip(cands, seqs, seqs[1:]) if left != right)
+    kept = [i for i, (left, right) in enumerate(zip(seqs, seqs[1:])) if left != right]
+    out = _TransitionAngles(cands[i] for i in kept)
+    out.constant = tuple(_CONSTANT_M_HAT.get(tuple(seqs[i])) for i in [0, *(i + 1 for i in kept)])
+    out.touches = frozenset(touches.intersection(out))
+    return out
+
+
+_CONSTANT_M_HAT = {(0,): 0.0, (1,): 1.0}
 
 
 def _circle_v_angles(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -627,7 +781,8 @@ def m_tilde_full(
     _circle_v_angles), of m_hat times the Jacobian and of the Jacobian alone,
     which is pi: a constant averages to itself exactly. Both integrals keep
     the scale of a theta integral, so q's tolerances mean what they would
-    there. The error is the first integral's over the second's value."""
+    there. The error is the first integral's over the second's value. The
+    integrals split at the case_transition_thetas but their .touches."""
     r = operator_norm(g)
     _check_norm(r)
 
@@ -635,7 +790,8 @@ def m_tilde_full(
         theta, jac = _circle_v_angles(v)
         return np.stack((m_hat_at_angle(r, theta, q, force_direct) * jac, jac))
 
-    pts = _circle_v_breakpoints(case_transition_thetas(r))
+    thetas = case_transition_thetas(r)
+    pts = _circle_v_breakpoints([t for t in thetas if t not in thetas.touches])
     val, err = integrate(integrand, -_HALF_PI, _HALF_PI, q, points=pts)
     return float(_clamp_unit(val[0] / val[1])), float(err[0] / val[1])
 

@@ -100,6 +100,21 @@ def test_f_values_and_symmetry():
         lie_derivative_mtilde(0.0, LieDirection.X1)
 
 
+def test_every_direction_refuses_the_same_radii():
+    # X3 answers 0 without integrating, but only for a radius X1 and X2 accept
+    for lie in (lie_derivative_mtilde, lie_derivative_mtilde_adjoint):
+        for r, error in (
+            (-1.0, DomainError),
+            (math.nan, DomainError),
+            (1.0, RegimeError),
+            (1e-300, DomainError),
+        ):
+            for d in LieDirection:
+                with pytest.raises(error):
+                    lie(r, d)
+        assert lie(0.37, LieDirection.X3) == 0.0
+
+
 def test_f2_roughly_linear_smallr():
     rs = [0.05, 0.1, 0.2]
     vals = [abs(lie_derivative_mtilde(r, LieDirection.X2)) for r in rs]
@@ -161,9 +176,10 @@ def test_decay_rejects_radii_past_the_norm_range():
 
 def test_decay_table_shares_closed_form_nodes(monkeypatch):
     # f1 and f2 of a row come from one integration on shared nodes, with
-    # every segment graded at both ends: the default table evaluates the
-    # closed form at 3 402 points (7 938 ungraded at a looser target, 12 012
-    # with one integration per column as well)
+    # every segment graded at both ends and the arcs where m_hat is constant
+    # left out: the default table evaluates the closed form at 3 192 points
+    # (3 402 with those arcs, 7 938 ungraded at a looser target, 12 012 with
+    # one integration per column as well)
     sizes = []
     closed_form = decay._closed_form
 
@@ -274,9 +290,15 @@ def test_numpy_scalar_radius_gives_the_float_result():
 
 def test_lie_derivative_across_the_untracked_bump():
     # at r = 0.578... the X1 integrand rises from 0 to 8.5e-3 and back between
-    # theta = 1.04439182 and 1.04608247, inside one transition segment; the
-    # references are theta quadrature at 1e-13 with those ends as breakpoints
-    # (a theta rule with no node in the bump was 2.3e-6 off)
+    # theta = 1.0443925210 (a b6 root: the line's ellipse crossing enters at
+    # x = 1/2) and 1.0460827222 (the line, the circle and the ellipse meet
+    # in one point); a theta rule with no node in the bump was 2.3e-6 off
+    # while the right end was no transition angle. Both ends are transition
+    # angles now, and the references are theta quadrature at 1e-13 split at
+    # every transition angle
     r = 0.5780934891480582
-    assert abs(lie_derivative_mtilde(r, LieDirection.X1) - 0.1112841645) < 1e-7
-    assert abs(lie_derivative_mtilde(r, LieDirection.X2) - 0.2539708917) < 1e-7
+    ts = case_transition_thetas(r)
+    for end in (1.0443925210, 1.0460827222):
+        assert min(abs(t - end) for t in ts) < 1e-8
+    assert abs(lie_derivative_mtilde(r, LieDirection.X1) - 0.1112841644763) < 1e-10
+    assert abs(lie_derivative_mtilde(r, LieDirection.X2) - 0.2539708916902) < 1e-10

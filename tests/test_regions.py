@@ -3,6 +3,7 @@ ellipse/unit-circle crossings, the closed-form m_hat with partials and its
 antiderivatives, the direct 2-D oracles, the closed-form case-transition
 angles, and the angle-averaged m_tilde."""
 
+import itertools
 import math
 import warnings
 
@@ -509,25 +510,31 @@ def _boundary_functions(c: ANCoords) -> list[float]:
     ]
 
 
-def _cut_sequences_at(r: float, thetas) -> list:
-    # the section's cut structure along the circle: the active-term flags of
-    # each live segment, left to right, with consecutive repeats merged
+def _event_functions(c: ANCoords) -> list[float]:
+    # every meeting of two section breakpoints that _meeting_thetas solves,
+    # as a function that is 0 on it: the ellipse's extent end on the circle,
+    # the line, the circle and the ellipse through one point, and the other
+    # ellipse root on the circle at the line's ellipse crossing
+    gx, gy = c.g_x, c.g_y
+    s = gx * gx + gy * gy
+    x = -0.5 - SQRT3 * gx / (2.0 * gy)
+    other = -2.0 * (x + 1.0) * gx / s - SQRT3 / (2.0 * gy)
+    return [
+        s * s + gx * gx - 2.0 * gy * s ** 1.5,
+        3.0 * gy * gy - 2.0 * SQRT3 * gx * gy - 3.0 * gx * gx - 3.0,
+        x * x + other * other - 1.0,
+    ]
+
+
+def _cut_sequences_at(r: float, thetas, narrowest: float = 0.0) -> list:
+    # the section's cut structure along the circle: the flag code of each
+    # live segment wider than narrowest, left to right, with consecutive
+    # repeats merged
     gx, gy = regions._circle_coords(r, np.asarray(thetas, dtype=float))
-    _, live, flags = regions._section_segments(gx, gy)
-    out = []
-    for i in range(len(gx)):
-        seq: list = []
-        for j in np.flatnonzero(live[i]):
-            code = tuple(bool(f[i, j]) for f in flags)
-            if not seq or seq[-1] != code:
-                seq.append(code)
-        out.append(seq)
-    return out
-
-
-# structural changes along the Cartan circle of norm 0.1 that are no
-# candidate angle yet: two section breakpoints meet there (ROADMAP item 2)
-MEETING_EVENTS_R01 = (1.00015e-4, 5.841082e-3)
+    edges, live, (circle, lower, upper, line) = regions._section_segments(gx, gy)
+    live &= np.diff(edges, axis=1) > narrowest
+    codes = circle + 2 * lower + 4 * upper + 8 * line
+    return [tuple(k for k, _ in itertools.groupby(c[m])) for c, m in zip(codes, live)]
 
 
 def test_case_transition_sliver_present():
@@ -538,9 +545,8 @@ def test_case_transition_sliver_present():
     half = math.pi / 2.0
     assert any(half - 2.5e-4 < t < half for t in ts)
     assert classify_case(iwasawa_image_coords(r, half - 1e-5)) is CaseRegime.CASE8
-    # transitions, with the meeting events, separate intervals of constant
-    # cut sequence
-    probe = [-half + 1e-9] + sorted([*ts, *MEETING_EVENTS_R01]) + [half - 1e-9]
+    # the transitions separate intervals of constant cut sequence
+    probe = [-half + 1e-9, *ts, half - 1e-9]
     for lo, hi in zip(probe, probe[1:]):
         if hi - lo < 1e-12:
             continue
@@ -552,20 +558,67 @@ def test_case_transition_sliver_present():
         assert len(hits) == 1
         c = iwasawa_image_coords(r, hits[0])
         assert abs(c.g_x + k * c.g_y) < 1e-12
-    # the two g_y = 1/2 roots, where only the label changes, are not kept
-    assert len(case_transition_thetas(10.0)) == 7
-    for r in (0.05, 0.1, 0.3):
+    for r in (0.05, 0.1, 0.3, 10.0):
         ts = case_transition_thetas(r)
         for t in ts:
-            # a zero of one boundary function, up to the change that one ulp
-            # of theta makes: 3.6e-11 in g_x at the b8 re-entry for r = 0.05,
-            # where the float nearest the root leaves a residual of 1.1e-11
+            # the two g_y = 1/2 roots, where only the label changes, are not kept
+            assert abs(iwasawa_image_coords(r, t).g_y - 0.5) > 1e-6
+            # a zero of one boundary or meeting-event function, up to the
+            # change that one ulp of theta makes: 3.6e-11 in g_x at the b8
+            # re-entry for r = 0.05, where the float nearest the root leaves
+            # a residual of 1.1e-11
             u = math.ulp(t)
-            vals = zip(*(_boundary_functions(iwasawa_image_coords(r, t + d)) for d in (0.0, -u, u)))
-            assert any(abs(f) < 1e-12 + abs(fp - fm) for f, fm, fp in vals)
-        tb = theta_boundaries(r)
-        for angle in (tb.theta7, tb.theta8):
-            assert min(abs(angle - t) for t in ts) < 1e-14
+            points = [iwasawa_image_coords(r, t + d) for d in (0.0, -u, u)]
+            vals = zip(*([*_boundary_functions(c), *_event_functions(c)] for c in points))
+            assert any(abs(f) < 1e-12 + abs(fp - fm) for f, fm, fp in vals), (r, t)
+        if r < 1.0:
+            tb = theta_boundaries(r)
+            for angle in (tb.theta7, tb.theta8):
+                assert min(abs(angle - t) for t in ts) < 1e-14
+
+
+def test_case_transitions_include_the_meeting_events():
+    # structural changes where two section breakpoints meet, seen with a
+    # 20 000-angle cut-sequence scan plus bisection before they were
+    # candidates (r = 0.578... is the radius of the Lie-derivative bump)
+    events = {
+        0.1: (1.00015e-4, 5.841082e-3),
+        0.5780934891480582: (0.137363, 0.350697, 1.0443925, 1.0460827),
+        0.7: (0.867055,),
+        0.9: (0.6192505,),
+        1.5: (-1.245983, -0.815455, -0.656053),
+    }
+    for r, angles in events.items():
+        ts = case_transition_thetas(r)
+        for angle in angles:
+            assert min(abs(angle - t) for t in ts) < 1e-6, (r, angle)
+
+
+def test_case_transitions_are_complete():
+    # every change of the cut sequence that a 4001-angle scan (uniform in
+    # the v of _circle_v_angles, so both ends are resolved) and bisection
+    # find lies within 1e-12 of a returned angle or of +-pi/2. Where the
+    # ellipse's extent end touches the circle the structure changes by a
+    # sliver whose width grows like the square of the distance, so the scan
+    # sees that change only once the sliver is an ulp wide: such a change,
+    # whose two sides agree once segments narrower than 1e-12 are dropped,
+    # must lie within 1e-7
+    half = math.pi / 2.0
+    grid, _ = regions._circle_v_angles(np.linspace(-half, half, 4003)[1:-1])
+    for r in np.geomspace(1e-3, 1e4, 40):
+        r = float(r)
+        ends = np.array([-half, *case_transition_thetas(r), half])
+        seqs = _cut_sequences_at(r, grid)
+        cells = np.array([i for i in range(len(grid) - 1) if seqs[i] != seqs[i + 1]], dtype=int)
+        lo, hi, left = grid[cells], grid[cells + 1], [seqs[i] for i in cells]
+        while np.any(hi - lo > 1e-14 * np.maximum(1.0, np.abs(lo))):
+            mid = 0.5 * (lo + hi)
+            same = [m == s for m, s in zip(_cut_sequences_at(r, mid), left)]
+            lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+        narrow = _cut_sequences_at(r, np.concatenate((lo, hi)), narrowest=1e-12)
+        for a, b, before, after in zip(lo, hi, narrow, narrow[len(lo) :]):
+            near = np.min(np.abs(ends - 0.5 * (a + b)))
+            assert near < (1e-7 if before == after else 1e-12), (r, a, near)
 
 
 def test_case_transitions_read_the_section_once_per_miss(monkeypatch):
@@ -602,28 +655,26 @@ def test_case_transitions_include_minus_pi_over_6_in_the_fallback_band():
 
 def test_case_transitions_keep_the_candidates_where_the_structure_changes():
     # read at theta -+ h, not at the gap midpoints the keep-rule reads: h is
-    # 1e-9, or a quarter of the distance to a nearer neighbouring candidate
+    # 1e-6 (where the extent end touches the circle the new segment is
+    # h^2-thin), or a quarter of the distance to a nearer neighbouring
+    # candidate; with the meeting events among the candidates, every kept
+    # angle has different sides
     half = math.pi / 2.0
     for r in np.geomspace(1e-3, 1e4, 200):
         r = float(r)
         kept = case_transition_thetas(r)
         quads = regions._transition_quadratics(r).values()
-        cands = sorted({t for quad in quads for t in regions._tan_roots(*quad)})
+        cands = {t for quad in quads for t in regions._tan_roots(*quad)}
+        events = [t for ts in regions._meeting_thetas(r) for t in ts if abs(t) < half - 1e-12]
+        cands = sorted(cands.union(events))
         edges = [-half, *cands, half]
         steps = [
-            min(1e-9, 0.25 * (t - lo), 0.25 * (hi - t))
+            min(1e-6, 0.25 * (t - lo), 0.25 * (hi - t))
             for lo, t, hi in zip(edges, edges[1:], edges[2:])
         ]
         sides = _cut_sequences_at(r, [t + d for t, h in zip(cands, steps) for d in (-h, h)])
         for i, t in enumerate(cands):
-            left, right = sides[2 * i], sides[2 * i + 1]
-            if t not in kept:
-                assert left == right, (r, t)
-            elif left == right:
-                # kept for a change inside a neighbouring gap: a meeting of
-                # two breakpoints, which is no candidate yet
-                grid = np.linspace(edges[i], edges[i + 2], 131)[1:-1]
-                assert any(s != left for s in _cut_sequences_at(r, grid)), (r, t)
+            assert (sides[2 * i] != sides[2 * i + 1]) == (t in kept), (r, t)
 
 
 def test_circle_v_breakpoints_are_strictly_increasing():
@@ -668,6 +719,26 @@ def test_m_tilde_work_per_norm(monkeypatch):
         counts.append(0)
         m_tilde_full(cartan_a(1.0 / n))
         assert 0 < counts[-1] <= 200, (n, counts[-1])
+
+
+def test_m_tilde_work_in_the_fallback_band(monkeypatch):
+    # near the identity the circle crosses the band 1/2 < g_y <= 2/sqrt(3),
+    # where the section breakpoints meet; split at those meetings, every
+    # segment is analytic and one or two rounds reach the default target
+    calls, points = [], []
+    closed_form = regions._closed_form
+
+    def counting(gx, gy):
+        calls[-1] += 1
+        points[-1] += len(gx)
+        return closed_form(gx, gy)
+
+    monkeypatch.setattr(regions, "_closed_form", counting)
+    for n in (1.05, 1.1, 1.22, 1.3, 1.43, 1.48, 1.6, 1.68):
+        calls.append(0)
+        points.append(0)
+        m_tilde_full(cartan_a(1.0 / n))
+        assert calls[-1] <= 2 and points[-1] <= 400, (n, calls[-1], points[-1])
 
 
 def test_m_tilde_symmetries():
