@@ -23,7 +23,6 @@ from .decay import (
     hm_table,
     lie_derivative_mtilde,
     lie_derivative_mtilde_adjoint,
-    lie_derivative_mtilde_fd,
     lie_derivative_mtt,
     second_order_divergence_probe,
     theta_boundaries,
@@ -48,11 +47,9 @@ from .modular import (
     ReducedPoint,
     enumerate_elements,
     first_letter,
-    in_region_A,
     reduce_to_fundamental_domain,
     symbol_m_sign,
     symbol_m_word,
-    word_compose,
     word_decompose,
 )
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig

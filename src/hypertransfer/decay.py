@@ -41,25 +41,19 @@ from .regions import (
     m_hat_dgx,
     m_hat_dgy,
     m_hat_direct,  # unused here; the benchmark tracer wraps decay.m_hat_direct
-    m_tilde,
 )
-from .sl2 import ANCoords, RealMat2, rotation
+from .sl2 import ANCoords
 
 _HALF_PI = math.pi / 2.0
 
 
 class LieDirection(enum.Enum):
+    """The basis of the Lie algebra: X1 = (1 0; 0 -1), X2 = (0 1; 0 0) and
+    X3 = (0 1; -1 0), which generates the rotations."""
+
     X1 = "X1"
     X2 = "X2"
     X3 = "X3"
-
-    @property
-    def generator(self) -> np.ndarray:
-        if self is LieDirection.X1:
-            return np.array([[1.0, 0.0], [0.0, -1.0]])
-        if self is LieDirection.X2:
-            return np.array([[0.0, 1.0], [0.0, 0.0]])
-        return np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def adjoint_action(theta: float, direction: LieDirection) -> tuple[float, float, float]:
@@ -71,15 +65,6 @@ def adjoint_action(theta: float, direction: LieDirection) -> tuple[float, float,
         return (c2, 2.0 * s2, -s2)
     st, ct = np.sin(theta), np.cos(theta)
     return (-st * ct, c2, st * st)
-
-
-def lie_exponential(direction: LieDirection, t: float) -> RealMat2:
-    """Closed-form exp(t X_j)."""
-    if direction is LieDirection.X1:
-        return RealMat2(math.exp(t), 0.0, 0.0, math.exp(-t))
-    if direction is LieDirection.X2:
-        return RealMat2(1.0, t, 0.0, 1.0)
-    return rotation(-t)
 
 
 def lie_derivative_mtt(c: ANCoords, direction: LieDirection) -> float:
@@ -173,15 +158,6 @@ def lie_derivative_mtilde_adjoint(r: float, direction: LieDirection) -> float:
     """f_j(r) with the direction transported by the adjoint of the residual
     rotation; this is the variant a finite difference of the average matches."""
     return _lie_component(r, direction, adjoint=True)
-
-
-def lie_derivative_mtilde_fd(g: RealMat2, direction: LieDirection, step: float = 1e-4) -> float:
-    """Central difference of the K-averaged symbol along g exp(t X_j)."""
-    if step <= 0.0:
-        raise DomainError("step must be positive")
-    up = m_tilde(g @ lie_exponential(direction, step))
-    dn = m_tilde(g @ lie_exponential(direction, -step))
-    return (up - dn) / (2.0 * step)
 
 
 @dataclass(frozen=True)
@@ -284,8 +260,8 @@ def second_order_divergence_probe(
     if not (0.0 < r <= 0.3):
         raise DomainError(f"probe expects r in (0, 0.3], got {r!r}")
     eps = [float(e) for e in eps_grid]
-    if not eps or any(e <= 0.0 for e in eps):
-        raise DomainError("eps grid must be positive")
+    if not eps or not all(0.0 < e < math.inf for e in eps):
+        raise DomainError(f"eps grid must be finite and positive, got {eps!r}")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise DomainError("eps grid must be strictly decreasing")
     onset = divergence_probe_onset(r)

@@ -128,14 +128,6 @@ def reduce_to_fundamental_domain(z: HalfPlanePoint) -> ReducedPoint:
     return ReducedPoint(gamma=g.canonical_sign(), z0=HalfPlanePoint(x, y))
 
 
-def in_region_A(z: HalfPlanePoint) -> bool:
-    """Membership in {Re z >= -1/2} intersect {|z+1| >= 1}, tolerance 1e-12."""
-    if z.x < -0.5 - 1e-12:
-        return False
-    dx = z.x + 1.0
-    return dx * dx + z.y * z.y >= 1.0 - 1e-12
-
-
 def _probe_in_region_A(gamma: IntMat2) -> bool:
     """Exact-integer membership test for rho_gamma(2i).
 
@@ -216,17 +208,6 @@ def enumerate_elements(max_letters: int) -> list[IntMat2]:
             break
         frontier = nxt
     return list(seen.values())
-
-
-LETTER_MATRICES = {"S": S_MAT, "R": R_MAT, "R2": R2_MAT}
-
-
-def word_compose(sign: int, word: tuple[str, ...]) -> IntMat2:
-    """Exact product of the word letters times the sign; inverse of word_decompose."""
-    g = I2
-    for w in word:
-        g = g @ LETTER_MATRICES[w]
-    return g if sign == 1 else g.neg()
 
 
 def symbol_m_word(gamma: IntMat2) -> float:

@@ -145,9 +145,12 @@ def integrate(
     f maps a 1-D float array of n abscissas to values of shape (n,), or of
     shape (k, n) for k integrands on shared nodes; the result is then a pair
     of floats, or a pair of shape-(k,) arrays (value and error per
-    component). a == b gives (0.0, 0.0) without calling f. points: known
-    interior kinks/singular abscissae, split at by segment_edges.
+    component). a == b gives (0.0, 0.0) without calling f; a non-finite
+    limit raises DomainError. points: known interior kinks/singular
+    abscissae, split at by segment_edges.
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"integration limits must be finite, got [{a}, {b}]")
     if a == b:
         return 0.0, 0.0
     edges = segment_edges(a, b, points)

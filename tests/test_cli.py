@@ -202,6 +202,15 @@ def test_region_bad_samples(capsys):
     assert run(capsys, ["region", "0.1", "0.3", "--samples", "1"])[0] == 2
 
 
+def test_region_names_its_shape_range(capsys):
+    # (-0.1, 1e200) died on an overflow warning; (-0.001, 1e-160), where
+    # m_hat_case returned NaN, is past the range too
+    for gx, gy in (("-0.1", "1e200"), ("-0.001", "1e-160")):
+        code, out = run(capsys, ["region", gx, gy, "--samples", "3"])
+        assert code == 2 and out.out == ""
+        assert out.err.startswith("error: AN shape") and "supported range" in out.err
+
+
 def test_decay_table(capsys):
     code, out = run(capsys, ["decay", "--rmin", "0.1", "--rmax", "0.2", "--steps", "2"])
     assert code == 0

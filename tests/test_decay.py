@@ -20,9 +20,7 @@ from hypertransfer.decay import (
     hm_table,
     lie_derivative_mtilde,
     lie_derivative_mtilde_adjoint,
-    lie_derivative_mtilde_fd,
     lie_derivative_mtt,
-    lie_exponential,
     second_order_divergence_probe,
     theta_boundaries,
     worker_count,
@@ -33,10 +31,27 @@ from hypertransfer.regions import (
     case_transition_thetas,
     iwasawa_image_coords,
     m_hat_case,
+    m_tilde,
 )
-from hypertransfer.sl2 import ANCoords, cartan_a, rotation
+from hypertransfer.sl2 import ANCoords, RealMat2, cartan_a, rotation
 
 SQRT3 = math.sqrt(3.0)
+
+# the basis that LieDirection names
+GENERATORS = {
+    LieDirection.X1: np.array([[1.0, 0.0], [0.0, -1.0]]),
+    LieDirection.X2: np.array([[0.0, 1.0], [0.0, 0.0]]),
+    LieDirection.X3: np.array([[0.0, 1.0], [-1.0, 0.0]]),
+}
+
+
+def lie_derivative_mtilde_fd(g: RealMat2, direction: LieDirection) -> float:
+    """Central difference, step 1e-4, of the K-averaged symbol along g exp(t X_j)."""
+
+    def along(t: float) -> float:
+        return m_tilde(g @ RealMat2(*scipy.linalg.expm(t * GENERATORS[direction]).ravel()))
+
+    return (along(1e-4) - along(-1e-4)) / 2e-4
 
 
 def test_adjoint_examples():
@@ -49,22 +64,28 @@ def test_adjoint_examples():
 
 def test_adjoint_reconstruction():
     rng = np.random.default_rng(17)
-    gens = [d.generator for d in LieDirection]
+    gens = list(GENERATORS.values())
     for _ in range(100):
         th = float(rng.uniform(-2 * math.pi, 2 * math.pi))
         k = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
         for d in LieDirection:
-            want = k @ d.generator @ k.T
+            want = k @ GENERATORS[d] @ k.T
             got = sum(ci * gi for ci, gi in zip(adjoint_action(th, d), gens))
             assert np.max(np.abs(want - got)) < 1e-12
 
 
 def test_lie_exponential_closed_forms():
-    for d in LieDirection:
-        for t in (-0.7, 0.0, 0.3, 2.0):
-            want = scipy.linalg.expm(t * d.generator)
-            got = lie_exponential(d, t)
-            assert np.max(np.abs(want - np.array([[got.a, got.b], [got.c, got.d]]))) < 1e-12
+    # the basis exponentiates to the one-parameter subgroups: diag(e^t, e^-t),
+    # the unipotent (1 t; 0 1), and the rotations of sl2.rotation
+    for t in (-0.7, 0.0, 0.3, 2.0):
+        closed = {
+            LieDirection.X1: RealMat2(math.exp(t), 0.0, 0.0, math.exp(-t)),
+            LieDirection.X2: RealMat2(1.0, t, 0.0, 1.0),
+            LieDirection.X3: rotation(-t),
+        }
+        for d, got in closed.items():
+            want = scipy.linalg.expm(t * GENERATORS[d])
+            assert np.max(np.abs(want - np.array(got.entries()).reshape(2, 2))) < 1e-12
 
 
 def test_mtt_directional_values():
@@ -132,8 +153,6 @@ def test_interchange_against_finite_difference():
     adj2 = lie_derivative_mtilde_adjoint(0.2, LieDirection.X2)
     fd2 = lie_derivative_mtilde_fd(cartan_a(0.2), LieDirection.X2)
     assert abs(adj2) < 1e-6 and abs(fd2) < 1e-6
-    with pytest.raises(DomainError):
-        lie_derivative_mtilde_fd(cartan_a(0.2), LieDirection.X1, step=0.0)
 
 
 def test_adjoint_x2_vanishes_by_bi_k_invariance():
@@ -276,6 +295,11 @@ def test_divergence_probe_errors():
         second_order_divergence_probe(0.3, [1e-3, 1e-2])
     with pytest.raises(DomainError):
         second_order_divergence_probe(0.3, [1.0])  # upper limit below onset
+    # NaN passes every comparison-based check: [nan] returned [0.0], and
+    # [1e-2, nan] the first partial twice
+    for eps in ([math.nan], [1e-2, math.nan], [math.inf]):
+        with pytest.raises(DomainError, match="finite and positive"):
+            second_order_divergence_probe(0.3, eps)
 
 
 def test_numpy_scalar_radius_gives_the_float_result():

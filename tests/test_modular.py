@@ -17,12 +17,10 @@ from hypertransfer.modular import (
     Letter,
     enumerate_elements,
     first_letter,
-    in_region_A,
     reduce_to_fundamental_domain,
     symbol_m_sign,
     symbol_m_word,
     t_power,
-    word_compose,
     word_decompose,
 )
 from hypertransfer.sl2 import HalfPlanePoint, RealMat2, mobius_act
@@ -97,6 +95,22 @@ def test_canonical_sign():
     assert S_MAT.canonical_sign() == S_MAT
 
 
+def in_region_A(z: HalfPlanePoint) -> bool:
+    """Membership in {Re z >= -1/2} intersect {|z+1| >= 1}, tolerance 1e-12."""
+    if z.x < -0.5 - 1e-12:
+        return False
+    dx = z.x + 1.0
+    return dx * dx + z.y * z.y >= 1.0 - 1e-12
+
+
+def word_compose(sign: int, word: tuple[str, ...]) -> IntMat2:
+    """Exact product of the word letters times the sign; inverse of word_decompose."""
+    g = I2
+    for w in word:
+        g = g @ {"S": S_MAT, "R": R_MAT, "R2": R2_MAT}[w]
+    return g if sign == 1 else g.neg()
+
+
 def test_in_region_A():
     assert in_region_A(HalfPlanePoint(0.0, 2.0))
     assert not in_region_A(HalfPlanePoint(-1.0, 0.5))
@@ -105,6 +119,11 @@ def test_in_region_A():
     for x in (0.5, 0.7, 3.2):
         for y in (0.05, 1.0, 40.0):
             assert in_region_A(HalfPlanePoint(x, y))
+    # first_letter's exact-integer probe agrees with the float membership of
+    # the probe point's image
+    for g in enumerate_elements(8)[1:]:
+        inside = in_region_A(mobius_act(as_real(g), HalfPlanePoint(0.0, 2.0)))
+        assert (first_letter(g) is Letter.S_PREFIX) == inside, g
 
 
 def test_first_letter_examples():

@@ -175,3 +175,11 @@ def test_non_finite_results_raise_without_warnings():
         # one non-finite component fails the whole vector integral
         with pytest.raises(AccuracyError):
             integrate(lambda x: np.stack((x, np.where(x > 0.5, np.inf, x))), 0.0, 1.0)
+
+
+def test_non_finite_limits_are_refused():
+    # a NaN limit returned (0.0, 0.0), and an infinite one died on an unnamed
+    # RuntimeWarning
+    for a, b in ((0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0), (math.inf, math.inf)):
+        with pytest.raises(DomainError, match="limits must be finite"):
+            integrate(np.sin, a, b)

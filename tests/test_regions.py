@@ -26,8 +26,6 @@ from hypertransfer.regions import (
     iwasawa_image_coords,
     m_hat_case,
     m_hat_direct,
-    m_hat_direct_dgx,
-    m_hat_direct_dgy,
     m_hat_dgx,
     m_hat_dgy,
     m_hat_mc,
@@ -214,9 +212,9 @@ def test_partials_match_finite_differences():
         assert abs(py - fdy) <= 1e-3 * max(abs(fdy), 1e-6)
 
 
-def test_direct_partials_match_case_partials():
-    # two independent routes to each partial: the closed form and the
-    # section-exact derivative of the direct integrand
+def test_partials_match_high_precision_in_the_case_windows():
+    # the closed-form partials against the same segment sums with every
+    # breakpoint and cut found in mpmath, on shapes outside the band
     rng = np.random.default_rng(29)
     checked = 0
     while checked < 120:
@@ -225,16 +223,19 @@ def test_direct_partials_match_case_partials():
         if classify_case(c) is CaseRegime.FALLBACK:
             continue
         checked += 1
-        assert abs(m_hat_direct_dgx(c) - m_hat_dgx(c)) < 1e-6
-        assert abs(m_hat_direct_dgy(c) - m_hat_dgy(c)) < 1e-6
-    # the ellipse meets the circle 1.1e-3 from the end of its x-extent; with
-    # only the value's breakpoints the direct g_x-partial missed by 3.6e-3
+        want_x, want_y = _mp_partials(c.g_x, c.g_y)
+        assert abs(m_hat_dgx(c) - want_x) < 1e-9, c
+        assert abs(m_hat_dgy(c) - want_y) < 1e-9, c
+    # the ellipse meets the circle 1.1e-3 from the end of its x-extent; a
+    # section quadrature of d/dg_x without that breakpoint missed by 3.6e-3
     c = ANCoords(0.24670000817211535, 0.21929332666967025)
     assert classify_case(c) is CaseRegime.CASE2
-    assert abs(m_hat_direct_dgx(c) - m_hat_dgx(c)) < 1e-6
+    assert abs(m_hat_dgx(c) - _mp_partials(c.g_x, c.g_y)[0]) < 1e-9
 
 
-def test_direct_partials_match_finite_differences_in_fallback_band():
+def test_partials_match_finite_differences_in_fallback_band():
+    # Richardson-combined central differences of the tight direct value, a
+    # route that shares no antiderivative with the closed-form partials
     tight = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-12)
 
     def diff(f, h=1e-4):
@@ -251,13 +252,16 @@ def test_direct_partials_match_finite_differences_in_fallback_band():
     for gx, gy in points:
         c = ANCoords(gx, gy)
         assert classify_case(c) is CaseRegime.FALLBACK
+        dgx, dgy = m_hat_partials(c)
         fdx = diff(lambda h: m_hat_direct(ANCoords(gx + h, gy), tight))
         fdy = diff(lambda h: m_hat_direct(ANCoords(gx, gy + h), tight))
-        assert abs(m_hat_direct_dgx(c) - fdx) < 1e-6
-        assert abs(m_hat_direct_dgy(c) - fdy) < 1e-6
+        assert abs(dgx - fdx) < 1e-6
+        assert abs(dgy - fdy) < 1e-6
+        want_x, want_y = _mp_partials(gx, gy)
+        assert abs(dgx - want_x) < 1e-9 and abs(dgy - want_y) < 1e-9, c
     # a finite difference with h = 1e-5 at the default tolerances gave 0.1672223
     c = ANCoords(-0.18558571330701756, 0.7773898562284995)
-    assert abs(m_hat_direct_dgy(c) - 0.1674010104) < 1e-9
+    assert abs(m_hat_dgy(c) - 0.1674010104) < 1e-9
 
 
 def _log_uniform_points(rng, n):
@@ -268,13 +272,9 @@ def _log_uniform_points(rng, n):
 
 
 def test_closed_form_matches_direct_oracle():
-    # the evaluator itself, before the Case-1/Case-7 shortcuts, against the
-    # section-exact quadrature. The partials' integrands have inverse-square-
-    # root ends at the ellipse's x-extent, where the adaptive rule stops short
-    # of 1e-13 and misjudges its error by up to a few 1e-10, so their
-    # reference runs at 1e-10
+    # the evaluator itself, before the Case-1/Case-7 shortcuts: its value
+    # against the section-exact quadrature, its partials against mpmath
     value_ref = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-12)
-    partial_ref = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-10)
     rng = np.random.default_rng(41)
     points = _log_uniform_points(rng, 200)
     points += [(float(rng.uniform(-1.5, 1.0)), float(rng.uniform(0.5, 2.0 / SQRT3))) for _ in range(40)]
@@ -282,8 +282,8 @@ def test_closed_form_matches_direct_oracle():
         c = ANCoords(gx, gy)
         value, dgx, dgy = _m_hat_closed_form(c)
         assert abs(value - m_hat_direct(c, value_ref)) < 1e-9
-        assert abs(dgx - m_hat_direct_dgx(c, partial_ref)) < 1e-9
-        assert abs(dgy - m_hat_direct_dgy(c, partial_ref)) < 1e-9
+        want_x, want_y = _mp_partials(gx, gy)
+        assert abs(dgx - want_x) < 1e-9 and abs(dgy - want_y) < 1e-9, c
 
 
 def test_closed_form_makes_no_quadrature_call(monkeypatch):
@@ -834,9 +834,8 @@ def test_partials_at_extreme_shapes_match_high_precision():
     # at |g_x| ~ 1e-12, g_y ~ 1e-6 the extent end and a crossing sit near
     # x = 0, and d/dg_x has an inverse-square-root end at the extent end: a
     # breakpoint or radicand off by one ulp of 1 moved d/dg_x by up to 1e-3
-    # relative in the closed form and 8e-5 in the tight direct rule
+    # relative in the closed form
     rng = np.random.default_rng(11)
-    tight = QuadratureConfig(1e-11, 1e-11)
     for _ in range(12):
         c = ANCoords(
             float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-13, -11)),
@@ -846,13 +845,12 @@ def test_partials_at_extreme_shapes_match_high_precision():
         got_x, got_y = m_hat_partials(c)
         assert abs(got_x - want_x) < 1e-9 * abs(want_x), c
         assert abs(got_y - want_y) < 1e-9, c
-        assert abs(m_hat_direct_dgx(c, tight) - want_x) < 1e-9 * abs(want_x), c
 
 
 def test_direct_oracle_at_extreme_shapes():
     # near g_x = 0 with g_y tiny or huge the direct rule missed the closed
     # form by 1.4e-7: a log end at the line's crossing with the circle, and
-    # an inverse-square-root end at the ellipse's extent. It must land within
+    # a square-root end at the ellipse's extent. It must land within
     # 1e-8 or say that it cannot.
     for gx, gy in (
         (3.942019653206495e-12, 3.8566423058521913e-4),
@@ -864,6 +862,33 @@ def test_direct_oracle_at_extreme_shapes():
         except AccuracyError:
             continue
         assert abs(value - _m_hat_closed_form(c)[0]) < 1e-8
+
+
+def test_scalar_entry_points_name_the_shape_range():
+    # past the AN shapes of operator norms up to MAX_NORM the section's squares
+    # overflow: m_hat_case(-0.001, 1e-160) returned NaN (Monte-Carlo gives
+    # 0.4926), and the section cuts at (-0.1, 1e200) died on a RuntimeWarning
+    assert classify_case(ANCoords(-0.001, 1e-160)) is CaseRegime.CASE6
+    with pytest.raises(DomainError, match="supported range"):
+        m_hat_case(ANCoords(-0.001, 1e-160))
+    past = iwasawa_image_coords(1.001 * regions.MAX_NORM, 0.3)
+    entry_points = (_m_hat_closed_form, m_hat_partials, m_hat_direct, lambda c: section_intervals(0.1, c))
+    for c in (ANCoords(-0.001, 1e-160), ANCoords(-0.1, 1e200), ANCoords(1e160, 1.0), past):
+        for f in entry_points:
+            with pytest.raises(DomainError, match=r"supported range.*1e\+76"):
+                f(c)
+    # every shape on the circle of a supported norm lies inside, where the
+    # scalar closed form gives the batched one's bits
+    rng = np.random.default_rng(5)
+    half_pi = math.pi / 2.0
+    for r in (regions.MAX_NORM, 1.0 / regions.MAX_NORM, *10.0 ** rng.uniform(0.0, 38.0, 20)):
+        theta = np.concatenate((rng.uniform(-half_pi, half_pi, 5), [-half_pi, 0.0, half_pi]))
+        gx, gy = regions._circle_coords(float(r), theta)
+        batch = regions._closed_form(gx, gy)
+        for i, c in enumerate(map(ANCoords, gx, gy)):
+            assert _m_hat_closed_form(c) == tuple(float(part[i]) for part in batch), c
+            assert abs(m_hat_direct(c) - m_hat_case(c)) < 1e-8, c
+            section_intervals(0.1, c)  # raises no DomainError
 
 
 def test_numpy_scalars_give_the_float_results():
