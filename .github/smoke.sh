@@ -13,6 +13,8 @@ exits_2() {
 }
 
 hypertransfer reduce 5 2
+# a point on the unit arc with Re > 0 reduces to its mirror image
+hypertransfer reduce 0.28 0.96
 hypertransfer symbol 0.2
 hypertransfer symbol 0.2 --mode direct
 # norms 1.33 and 1.67 cross the band where section breakpoints meet
@@ -30,6 +32,7 @@ exits_2 decay --rmin 1e-300 --rmax 0.5 --steps 2
 exits_2 region -0.1 1e200 --samples 3
 hypertransfer verify --suite cases > /dev/null
 hypertransfer verify --suite decay > /dev/null
+hypertransfer verify --suite cocycle > /dev/null
 
 command='hypertransfer symbol 0.2 --mode mc --n 200000 --seed 7'
 $command | diff - <(grep -F -A 2 "\$ $command" README.md | tail -n 2)

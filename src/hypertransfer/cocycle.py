@@ -20,7 +20,10 @@ import numpy as np
 
 from .errors import DomainError
 from .modular import (
+    _CIRCLE_TOL,
     IntMat2,
+    _inverts,
+    _probe_in_region_A,
     reduce_to_fundamental_domain,
     symbol_m_sign,
     symbol_m_word,
@@ -51,8 +54,10 @@ _INT64_HEADROOM = 2.0 ** 62
 _MC_BLOCK = 16_384
 # the largest operator norm at which the int64 reduction keeps room for
 # every sample of a 200 000-sample run (measured on the diagonal cartan_a(r),
-# the only elements the CLI builds; past it DomainError). A rotated element
-# raises the same DomainError from about norm 1e8: zy = det h/den cancels.
+# the only elements the CLI builds; past it DomainError). It bounds the
+# integers only: from about norm 1e6 on, the shadow of h can lie below height
+# 1e-12, where the float64 rounding of its real part decides the lattice
+# element, and the scalar and batch routes can differ.
 MC_MAX_NORM = 1e15
 
 
@@ -65,13 +70,10 @@ class DomainPoint:
 
     def __post_init__(self) -> None:
         c = an_coords(self.s0)
-        if abs(c.g_x) > 0.5 + 1e-12 or c.g_x * c.g_x + c.g_y * c.g_y < 1.0 - 1e-12:
+        if abs(c.g_x) > 0.5 + 1e-12 or c.g_x * c.g_x + c.g_y * c.g_y < 1.0 - _CIRCLE_TOL:
             raise DomainError(f"AN part projects outside the fundamental domain: {c}")
         if not 0.0 <= self.k0_angle < math.pi:
             raise DomainError(f"k0 angle {self.k0_angle!r} outside [0, pi)")
-
-    def coords(self) -> ANCoords:
-        return an_coords(self.s0)
 
 
 @dataclass(frozen=True)
@@ -198,7 +200,7 @@ def _beta_batch(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         den = h21 * h21 + h22 * h22
         zx = (h11 * h21 + h12 * h22) / den
-        zy = (h11 * h22 - h12 * h21) / den
+        zy = 1.0 / den  # det h = 1
         if not (np.isfinite(den).all() and np.isfinite(zx).all() and np.isfinite(zy).all()):
             raise _range_error(g, "the half-plane image of a sample overflows float64")
         del den
@@ -240,7 +242,7 @@ def _beta_batch(
         b += a * step
         d += c * step
         rr = zx * zx + zy * zy
-        flip = rr < 1.0 - 1e-12
+        flip = _inverts(zx, rr)
         keep = np.flatnonzero(flip)
         if idx is None:
             idx = keep
@@ -284,10 +286,7 @@ def _symbol_batch(
     if _abs_max(A, B, C, D) <= _INT64_SAFE:
         if symbol is symbol_m_word:
             ident = (B == 0) & (C == 0)
-            pn = B * D + 4 * A * C
-            pd = D * D + 4 * C * C
-            in_a = (2 * pn + pd >= 0) & ((pd <= 2) | (np.abs(pn + pd) >= pd))
-            return np.where(ident | in_a, 1.0, 0.0)
+            return np.where(ident | _probe_in_region_A(A, B, C, D), 1.0, 0.0)
         if symbol is symbol_m_sign:
             return np.sign(A * C + B * D).astype(np.float64)
     return np.array(

@@ -92,6 +92,12 @@ def _invert_scaled(x: float, y: float) -> tuple[float, float]:
     return nx, ny
 
 
+def _inverts(x, rr):
+    """The reduction's inversion test at x + iy, rr = x^2 + y^2, on floats or
+    arrays: inside the unit circle, or on it (within _CIRCLE_TOL) at x > 0."""
+    return (rr < 1.0 - _CIRCLE_TOL) | ((rr < 1.0 + _CIRCLE_TOL) & (x > 0.0))
+
+
 @dataclass(frozen=True)
 class ReducedPoint:
     gamma: IntMat2
@@ -103,7 +109,7 @@ def reduce_to_fundamental_domain(z: HalfPlanePoint) -> ReducedPoint:
 
     Classical translate/invert loop. Boundary conventions: Re z0 in [-1/2, 1/2)
     (half-open, enforced by the floor-based translation) and on the unit circle
-    the representative with Re <= 0 is preferred. gamma is sign-canonicalized.
+    the representative with Re <= 0 (_inverts). gamma is sign-canonicalized.
     """
     x, y = z.x, z.y
     g = I2
@@ -113,23 +119,19 @@ def reduce_to_fundamental_domain(z: HalfPlanePoint) -> ReducedPoint:
             x -= n
             g = g @ t_power(n)
         rr = x * x + y * y
-        if rr < 1.0 - _CIRCLE_TOL:
+        if _inverts(x, rr):
             x, y = (-x / rr, y / rr) if rr >= _TINY else _invert_scaled(x, y)
             g = g @ S_INV
         else:
             break
     else:
         raise DegeneracyError("fundamental-domain reduction did not stabilize")
-    rr = x * x + y * y
-    if rr < 1.0 + _CIRCLE_TOL and x > 0.0:
-        # on the circle boundary: flip to the Re <= 0 representative
-        x, y = -x / rr, y / rr
-        g = g @ S_INV
     return ReducedPoint(gamma=g.canonical_sign(), z0=HalfPlanePoint(x, y))
 
 
-def _probe_in_region_A(gamma: IntMat2) -> bool:
-    """Exact-integer membership test for rho_gamma(2i).
+def _probe_in_region_A(a, b, c, d):
+    """Exact-integer membership test for rho_gamma(2i), gamma = (a b; c d),
+    on Python ints or on int64 arrays whose products stay inside int64.
 
     rho_gamma(2i) = (N + 2i)/D with N = b*d + 4*a*c and D = d^2 + 4*c^2.
     Re >= -1/2 becomes 2N + D >= 0; |z+1| >= 1 becomes (N+D)^2 + 4 >= D^2,
@@ -137,12 +139,9 @@ def _probe_in_region_A(gamma: IntMat2) -> bool:
     the integers (parity resp. perfect-square obstructions), so the strict
     and non-strict comparisons coincide and the test is exact.
     """
-    a, b, c, d = gamma.entries()
     n = b * d + 4 * a * c
     dd = d * d + 4 * c * c
-    if 2 * n + dd < 0:
-        return False
-    return dd <= 2 or abs(n + dd) >= dd
+    return (2 * n + dd >= 0) & ((dd <= 2) | (abs(n + dd) >= dd))
 
 
 def first_letter(gamma: IntMat2) -> Letter:
@@ -155,7 +154,7 @@ def first_letter(gamma: IntMat2) -> Letter:
     """
     if gamma.b == 0 and gamma.c == 0:
         return Letter.IDENTITY
-    return Letter.S_PREFIX if _probe_in_region_A(gamma) else Letter.R_PREFIX
+    return Letter.S_PREFIX if _probe_in_region_A(*gamma.entries()) else Letter.R_PREFIX
 
 
 def word_decompose(gamma: IntMat2) -> tuple[int, tuple[str, ...]]:

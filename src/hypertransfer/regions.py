@@ -373,6 +373,7 @@ def _m_hat_closed_form(c: ANCoords) -> tuple[float, float, float]:
 
 def m_hat_case(c: ANCoords) -> float:
     """m_hat(g_x, g_y) in closed form; valid for every g_y > 0."""
+    _check_shape(c)
     return _m_hat_case_known(c, classify_case(c))
 
 
@@ -422,43 +423,40 @@ def m_hat_mc(c: ANCoords, n: int, rng_seed: int) -> tuple[float, float]:
 
 def _section_integral(gx: float, gy: float, breaks: np.ndarray, q: QuadratureConfig) -> float:
     """3/pi times the integral of _section_mass over x in (-1/2, 1/2), split
-    at the point's row of _section_breakpoints.
+    at the point's row of _section_breakpoints, in one integrate call.
 
     Two shapes fool the error estimate of plain Gauss-Kronrod, and both are
     mapped away here. The line term -1/top = 2 g_x/(1 + 2x) has its pole at
-    x = -1/2, a distance d left of the line's crossing with the circle, where
-    the section starts; for small |g_x| it is a spike of width d that no node
-    of a wide segment sees, so the points -1/2 + d 4^k grade the segments
-    after the crossing (without them the rule missed the closed form by
-    1.4e-7 near g_x = 0 at g_y ~ 800). Near the ellipse's extent end x_e its
-    two roots differ by a multiple of sqrt(x_e - x), so the mass has a
-    square-root end there; where x_e lies inside, each side of it is
-    integrated in s with x = x_e -+ s^2 (dx = 2s ds), which makes those ends
-    smooth: at the identity's (0, 1) the direct value is exactly 1 only with
-    it, and on a random sample of shapes it cut the default target's worst
-    miss against the closed form from 2.8e-8 to 5.4e-9."""
+    x = -1/2, a distance d left of the line's crossing with the circle (the
+    row's second entry), where the section starts; for small |g_x| it is a
+    spike of width d that no node of a wide segment sees, so the points
+    -1/2 + d 4^k grade the segments after the crossing (without them the
+    rule missed the closed form by 1.4e-7 near g_x = 0 at g_y ~ 800). Near
+    the ellipse's extent end x_e its two roots differ by a multiple of
+    sqrt(x_e - x), so the mass has a square-root end there; where x_e lies
+    inside, the integral is taken in s with x = x_e + s|s| (dx = 2|s| ds),
+    split at s = 0, which makes both ends smooth: at the identity's (0, 1)
+    the direct value is exactly 1 only with it, and on a random sample of
+    shapes it cut the default target's worst miss against the closed form
+    from 2.8e-8 to 5.4e-9."""
     pts = [float(p) for p in breaks if not math.isnan(p)]
-    if gx < 0.0:
-        grade = 4.0 * (gx * gx + abs(gx) * math.sqrt(3.0 + 4.0 * gx * gx)) / (2.0 * (gx * gx + 1.0))
+    if gx < 0.0 and not math.isnan(breaks[1]):
+        grade = 4.0 * (float(breaks[1]) + 0.5)
         while grade < 1.0:
             pts.append(grade - 0.5)
             grade *= 4.0
     xe = float(_extent_end(gx, gy))
-    if not -0.5 < xe < 0.5:
-        v, _ = integrate(lambda x: _section_mass(x, gx, gy), -0.5, 0.5, q, points=pts)
-        return v * 3.0 / math.pi
-    total = 0.0
-    for sign, end in ((-1.0, -0.5), (1.0, 0.5)):
-        side = [math.sqrt(sign * (p - xe)) for p in pts if sign * (p - xe) > 0.0]
+    if -0.5 < xe < 0.5:
         v, _ = integrate(
-            lambda s, sign=sign: _section_mass(xe + sign * s * s, gx, gy) * 2.0 * s,
-            0.0,
-            math.sqrt(sign * (end - xe)),
+            lambda s: _section_mass(xe + s * np.abs(s), gx, gy) * 2.0 * np.abs(s),
+            -math.sqrt(xe + 0.5),
+            math.sqrt(0.5 - xe),
             q,
-            points=side,
+            points=[0.0] + [math.copysign(math.sqrt(abs(p - xe)), p - xe) for p in pts],
         )
-        total += v
-    return total * 3.0 / math.pi
+    else:
+        v, _ = integrate(lambda x: _section_mass(x, gx, gy), -0.5, 0.5, q, points=pts)
+    return v * 3.0 / math.pi
 
 
 def m_hat_direct(c: ANCoords, q: QuadratureConfig = DEFAULT_QUADRATURE) -> float:

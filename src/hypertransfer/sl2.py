@@ -50,9 +50,6 @@ class RealMat2:
             self.c * other.b + self.d * other.d,
         )
 
-    def inv(self) -> "RealMat2":
-        return RealMat2.renormalized(self.d, -self.b, -self.c, self.a)
-
     def neg(self) -> "RealMat2":
         return RealMat2(-self.a, -self.b, -self.c, -self.d)
 
@@ -115,9 +112,10 @@ def mobius_act(g: RealMat2, z: HalfPlanePoint) -> HalfPlanePoint:
 
 
 def halfplane_image(g: RealMat2) -> HalfPlanePoint:
-    """Mobius image of i, i.e. ((ac+bd) + i)/(c^2+d^2)."""
+    """Mobius image of i, i.e. ((ac+bd) + i)/(c^2+d^2): det g = 1 is the
+    imaginary part's numerator."""
     den = g.c * g.c + g.d * g.d
-    return HalfPlanePoint((g.a * g.c + g.b * g.d) / den, (g.a * g.d - g.b * g.c) / den)
+    return HalfPlanePoint((g.a * g.c + g.b * g.d) / den, 1.0 / den)
 
 
 def rotation(theta: float) -> RealMat2:

@@ -22,12 +22,13 @@ from hypertransfer.cocycle import (
 from hypertransfer.errors import DomainError
 from hypertransfer.modular import (
     I2,
+    S_MAT,
     IntMat2,
     reduce_to_fundamental_domain,
     symbol_m_sign,
     symbol_m_word,
 )
-from hypertransfer.sl2 import RealMat2, cartan_a, rotation
+from hypertransfer.sl2 import IDENTITY, RealMat2, an_coords, cartan_a, rotation
 
 
 def random_point(rng: np.random.Generator) -> DomainPoint:
@@ -167,8 +168,10 @@ def test_transferred_symbol_range_and_evenness():
 def test_batch_beta_matches_scalar():
     x, y, theta = _sample_xyth(77, 300)
     elements = [rotation(0.7) @ cartan_a(0.3)]
-    # from norm 1e6 on, the zy cancellation of the batch reduction makes
-    # some samples differ (ROADMAP item 5c)
+    # from norm 1e6 on some samples differ: their shadows lie below height
+    # 1e-12, where the float64 rounding of h moves the reduced point across a
+    # side of the domain (see MC_MAX_NORM); at 1e6 a 60-digit reference
+    # sides with the batch route
     for k, r in ((1, 1.0), (2, 10.0), (3, 100.0), (4, 1e4), (5, 1e5)):
         elements.append(rotation(0.4 * k) @ cartan_a(r) @ rotation(1.3 * k))
     for g in elements:
@@ -177,6 +180,22 @@ def test_batch_beta_matches_scalar():
             p = domain_point(float(x[i]), float(y[i]), float(theta[i]))
             b = cocycle_beta(p, g).beta
             assert (int(A[i]), int(B[i]), int(C[i]), int(D[i])) == b.entries(), (g, i)
+
+
+def test_batch_beta_matches_scalar_on_the_unit_arc():
+    # a domain point on the arc with 0 < Re < 1/2 is the S-image of the
+    # boundary point with Re < 0 that the reduction keeps, so both routes
+    # take the same inversion there; rotations keep the shadow on the arc
+    x = np.linspace(0.01, 0.49, 25)
+    y = np.sqrt(1.0 - x * x)
+    theta = np.linspace(0.0, 3.1, 25)
+    for g in (IDENTITY, rotation(1.1), rotation(4.0)):
+        A, B, C, D = _beta_batch(x, y, theta, g)
+        for i in range(len(x)):
+            res = cocycle_beta(domain_point(float(x[i]), float(y[i]), float(theta[i])), g)
+            assert (int(A[i]), int(B[i]), int(C[i]), int(D[i])) == res.beta.entries(), (g, i)
+            assert res.beta in (S_MAT, S_MAT.neg())
+            assert an_coords(res.moved.s0).g_x < 0.0
 
 
 def test_capped_rounds_finish_on_the_scalar_reduction(monkeypatch):
@@ -262,5 +281,8 @@ def test_mc_reduction_range_is_named():
     # wrapping around into a wrong lattice element
     with pytest.raises(DomainError, match=r"supports operator norms up to about 1e\+15"):
         transferred_symbol_mc(symbol_m_word, cartan_a(1e20), 1000, 1)
+    # past about norm 1e154 the half-plane image itself leaves float64
+    with pytest.raises(DomainError, match=r"overflows float64.*up to about 1e\+15"):
+        transferred_symbol_mc(symbol_m_word, cartan_a(1e160), 10, 0)
     est, _ = transferred_symbol_mc(symbol_m_word, cartan_a(1e12), 1000, 1)
     assert 0.0 <= est <= 1.0

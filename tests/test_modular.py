@@ -58,6 +58,15 @@ def test_reduce_examples():
     assert abs(rp.z0.x) < 1e-12 and abs(rp.z0.y - 10.0) < 1e-12
 
 
+def test_reduce_on_the_unit_arc():
+    # of the two arc points z and -1/z = -conj(z) the one with Re <= 0 is kept
+    rp = reduce_to_fundamental_domain(HalfPlanePoint(0.28, 0.96))
+    assert rp.gamma == S_MAT
+    assert rp.z0.x == pytest.approx(-0.28, abs=1e-15)
+    assert rp.z0.y == pytest.approx(0.96, abs=1e-15)
+    assert reduce_to_fundamental_domain(rp.z0).gamma == I2
+
+
 def test_reduce_underflowing_point():
     # x^2 + y^2 underflows to 0 for these points, but -1/z is representable
     rp = reduce_to_fundamental_domain(HalfPlanePoint(0.0, 1e-300))

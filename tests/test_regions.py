@@ -872,8 +872,26 @@ def test_scalar_entry_points_name_the_shape_range():
     with pytest.raises(DomainError, match="supported range"):
         m_hat_case(ANCoords(-0.001, 1e-160))
     past = iwasawa_image_coords(1.001 * regions.MAX_NORM, 0.3)
-    entry_points = (_m_hat_closed_form, m_hat_partials, m_hat_direct, lambda c: section_intervals(0.1, c))
-    for c in (ANCoords(-0.001, 1e-160), ANCoords(-0.1, 1e200), ANCoords(1e160, 1.0), past):
+    entry_points = (
+        _m_hat_closed_form,
+        m_hat_case,
+        m_hat_partials,
+        m_hat_direct,
+        lambda c: section_intervals(0.1, c),
+    )
+    # m_hat_case answered the Case 1 and Case 7 shapes (1, 1e-200) and
+    # (-5, 1e-200) from the label, with 1.0 and 0.0
+    assert classify_case(ANCoords(1.0, 1e-200)) is CaseRegime.CASE1
+    assert classify_case(ANCoords(-5.0, 1e-200)) is CaseRegime.CASE7
+    shapes = (
+        ANCoords(-0.001, 1e-160),
+        ANCoords(-0.1, 1e200),
+        ANCoords(1e160, 1.0),
+        past,
+        ANCoords(1.0, 1e-200),
+        ANCoords(-5.0, 1e-200),
+    )
+    for c in shapes:
         for f in entry_points:
             with pytest.raises(DomainError, match=r"supported range.*1e\+76"):
                 f(c)
