@@ -24,6 +24,8 @@ hypertransfer symbol 1
 hypertransfer symbol 1e30
 hypertransfer region -1 1.5 --samples 5
 hypertransfer region -1 1.5 --samples 5 --format json
+# sections that start above the y-cap get no rows
+hypertransfer region 0.01 0.05 --samples 5
 hypertransfer decay --steps 2
 hypertransfer decay --rmin 0.001 --rmax 0.99 --steps 6 > /dev/null
 # past the supported norm range decay names its DomainError

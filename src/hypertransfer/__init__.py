@@ -39,7 +39,6 @@ from .errors import (
     DegeneracyError,
     DomainError,
     HypertransferError,
-    RegimeError,
 )
 from .modular import (
     IntMat2,

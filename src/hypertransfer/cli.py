@@ -100,10 +100,10 @@ def cmd_region(args: argparse.Namespace) -> int:
     case = classify_case(c)
     rows = _region_rows(c, args.samples)
     payload = {
-        "case": case.tag,
+        "case": case.value,
         "points": [{"curve_id": cid, "x": x, "y": y} for cid, x, y in rows],
     }
-    lines = [f"# case={case.tag}", "curve_id,x,y"]
+    lines = [f"# case={case.value}", "curve_id,x,y"]
     lines.extend(f"{cid},{_fmt(x)},{_fmt(y)}" for cid, x, y in rows)
     _emit_formatted(args, payload, lines)
     return 0

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RegimeError
+from .errors import DomainError
 from .quadrature import integrate, segment_edges
 from .regions import (
     _check_norm,
@@ -37,7 +37,6 @@ from .regions import (
     _tan_roots,
     _transition_quadratics,
     case_transition_thetas,
-    iwasawa_image_coords,
     m_hat_dgx,
     m_hat_dgy,
     m_hat_direct,  # unused here; the benchmark tracer wraps decay.m_hat_direct
@@ -84,12 +83,10 @@ def _residual_angle(r: float, theta: np.ndarray) -> np.ndarray:
 
 def _decay_radius(r: float) -> float:
     """r, or 1/r past 1, inside the norm range that m_tilde_full accepts."""
-    if not (math.isfinite(r) and r > 0.0):
-        raise DomainError(f"need r > 0, got {r!r}")
-    if abs(r - 1.0) < 1e-12:
-        raise RegimeError("Lie derivative grid excludes r = 1; use r in (0, 1)")
     r = float(r)
-    _check_norm(max(r, 1.0 / r))
+    _check_norm(r)
+    if abs(r - 1.0) < 1e-12:
+        raise DomainError("Lie derivative grid excludes r = 1; use r in (0, 1)")
     return r if r < 1.0 else 1.0 / r
 
 
@@ -165,11 +162,15 @@ class DecayRow:
     r: float
     f1: float
     f2: float
-    weighted: float
 
     def __post_init__(self) -> None:
         if not (0.0 < self.r < 1.0):
             raise DomainError(f"decay rows need r in (0, 1), got {self.r!r}")
+
+    @property
+    def weighted(self) -> float:
+        """The operator-norm weighted magnitude (|f1| + |f2|)/r."""
+        return (abs(self.f1) + abs(self.f2)) / self.r
 
 
 def worker_count(n_jobs: int) -> int:
@@ -179,7 +180,7 @@ def worker_count(n_jobs: int) -> int:
 
 def _decay_row(r: float) -> DecayRow:
     f1, f2 = _lie_average(r, adjoint=False)
-    return DecayRow(r=r, f1=f1, f2=f2, weighted=(abs(f1) + abs(f2)) / r)
+    return DecayRow(r=r, f1=f1, f2=f2)
 
 
 def hm_table(r_grid: "list[float] | tuple[float, ...]") -> list[DecayRow]:
@@ -200,33 +201,25 @@ class ThetaBoundaries:
     theta8: float
 
 
-def _root_pair(r: float, boundary: str) -> list[float]:
-    """Both angles, ascending, where the Cartan circle of norm r in (0, 1)
-    crosses the b7 or b8 curve; both lie in (0, pi/2), and both quadratics
-    have real roots while 9r^8 - 66r^4 + 9 >= 0 (r <= 0.61)."""
+def theta_boundaries(r: float) -> ThetaBoundaries:
+    """Case-transition angles along the Cartan circle for r in [1e-38, 1), read
+    off case_transition_thetas: theta2 = -pi/6 ends the arc where m_hat = 1;
+    the one arc where m_hat = 0 starts at theta7, where g_x meets b7 (the
+    cutoff of the small-g_y regime), and ends at theta8, the re-entry into
+    the narrow window through g_x = -2/sqrt(3). theta7 exists for r up to
+    about 0.56462; past it that arc starts above g_y = 1/2, then splits."""
     if not (math.isfinite(r) and 0.0 < r < 1.0):
         raise DomainError(f"need r in (0, 1), got {r!r}")
-    roots = _tan_roots(*_transition_quadratics(r)[boundary])
-    if len(roots) < 2:
-        raise DomainError(f"no {boundary} crossing on the Cartan circle at r={r!r}")
-    return roots
-
-
-def theta_boundaries(r: float) -> ThetaBoundaries:
-    """Case-transition angles along the Cartan circle for r in (0, 1): theta7,
-    where g_x meets b7 (the m_hat = 0 cutoff of the small-g_y regime), and
-    theta8, the re-entry into the narrow window through g_x = -2/sqrt(3).
-    theta7 exists for r up to about 0.56462."""
-    # the larger b7 root is no cutoff: it lies on the branch that squaring
-    # added, or above g_y = 1/2
-    theta7 = _root_pair(r, "b7")[0]
-    g_y = iwasawa_image_coords(r, theta7).g_y
-    if g_y > 0.5:
+    thetas = case_transition_thetas(r)
+    ends = (-_HALF_PI, *thetas, _HALF_PI)
+    zero = [i for i, m in enumerate(thetas.constant) if m == 0.0]
+    g_y = [float(_circle_coords(r, ends[i])[1]) for i in zero]
+    if len(zero) != 1 or g_y[0] > 0.5:
         raise DomainError(
-            f"no theta7 at r={r!r}: the b7 crossing lies at g_y = {g_y!r} > 1/2, "
-            "where b7 bounds no case"
+            f"no theta7 at r={r!r}: the arcs where m_hat = 0 start at g_y = {g_y!r}; "
+            "theta7 needs one such arc, starting at g_y <= 1/2"
         )
-    return ThetaBoundaries(theta2=-math.pi / 6.0, theta7=theta7, theta8=_root_pair(r, "b8")[1])
+    return ThetaBoundaries(ends[thetas.constant.index(1.0) + 1], ends[zero[0]], ends[zero[0] + 1])
 
 
 def case8_second_derivative_factor(gx: float) -> float:
@@ -236,7 +229,7 @@ def case8_second_derivative_factor(gx: float) -> float:
     on all of g_x < 0 and is used as the comparison integrand beyond the
     interval; g_x >= 0 is rejected (pole at 0, different regime beyond)."""
     if not np.all(gx < 0.0):
-        raise RegimeError(f"factor needs g_x < 0, got {gx!r}")
+        raise DomainError(f"factor needs g_x < 0, got {gx!r}")
     return (gx / np.sqrt(4.0 * gx * gx + 3.0) - 1.0) / (gx ** 3 + gx)
 
 
@@ -246,8 +239,13 @@ def divergence_probe_onset(r: float) -> float:
     g_x(r, .) = -2/sqrt(3) has two roots there; theta_boundaries(r).theta8 is
     the re-entry near pi/2, this is the onset. The probe integrates from here
     so the window survives eps down to 1e-2 (the re-entry sits within
-    ~1.16 r^4 of pi/2, inside every such eps)."""
-    return _root_pair(r, "b8")[0]
+    ~1.16 r^4 of pi/2, inside every such eps). Both exist for r <= 0.61."""
+    if not (math.isfinite(r) and 0.0 < r < 1.0):
+        raise DomainError(f"need r in (0, 1), got {r!r}")
+    roots = _tan_roots(*_transition_quadratics(r)["b8"])
+    if len(roots) < 2:
+        raise DomainError(f"no b8 crossing on the Cartan circle at r={r!r}")
+    return roots[0]
 
 
 def second_order_divergence_probe(

@@ -8,12 +8,9 @@ class HypertransferError(Exception):
 
 
 class DomainError(HypertransferError, ValueError):
-    """Input outside an operation's mathematical domain (bad determinant,
-    nonpositive height, radicand below tolerance, ...)."""
-
-
-class RegimeError(HypertransferError, ValueError):
-    """Parameters outside the regime where a closed form is valid."""
+    """Input outside an operation's domain or supported range (bad
+    determinant, nonpositive height, an operator norm past MAX_NORM, r = 1
+    on the Lie-derivative grid, g_x >= 0 in the Case 8 factor, ...)."""
 
 
 class DegeneracyError(HypertransferError, RuntimeError):

@@ -8,11 +8,12 @@ ellipse. Between the breakpoints where the active cuts change, every term has
 an elementary antiderivative in x (asin, log, and asin/log along the ellipse),
 so m_hat and both of its partials are closed-form sums over segments for
 every g_y > 0, evaluated for a whole array of points at once. The eight case
-regimes survive as labels and as the exact 1 and 0 of Cases 1 and 7. Two
-direct routes to the value are kept as oracles: Monte-Carlo membership, which
-shares nothing with the section model, and section-exact adaptive quadrature
-of the mass, which shares its cuts and breakpoints with the closed form and
-so checks the antiderivatives. The partials have no direct route here. The
+regimes survive as labels only, which no numeric path reads: clamped, the
+closed form is itself exactly 1 and 0 on Cases 1 and 7. Two direct routes
+to the value are kept as oracles: Monte-Carlo membership, which shares
+nothing with the section model, and section-exact adaptive quadrature of
+the mass, which shares its cuts and breakpoints with the closed form and so
+checks the antiderivatives. The partials have no direct route here. The
 scalar entry points accept the AN shapes of operator norms up to MAX_NORM
 (_check_shape). The K-average m_tilde is the mean of m_hat over the Cartan
 circle, integrated in the one parametrisation of the circle that decay's
@@ -30,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .cocycle import _domain_xy, _mean_se, _rng
-from .errors import DomainError, RegimeError
+from .errors import DomainError
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate
 from .sl2 import ANCoords, RealMat2, operator_norm
 
@@ -50,10 +51,6 @@ class CaseRegime(enum.Enum):
     CASE7 = "CASE7"
     CASE8 = "CASE8"
     FALLBACK = "FALLBACK"
-
-    @property
-    def tag(self) -> str:
-        return self.value
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +73,7 @@ def boundary_values(g_y: float) -> BoundaryValues:
     """Critical g_x values separating the case regimes. b2..b7 exist only in
     the small-g_y regime (b4 up to g_y = 1); b8, b9 always."""
     if not (math.isfinite(g_y) and g_y > 0.0):
-        raise RegimeError(f"boundary values need g_y > 0, got {g_y!r}")
+        raise DomainError(f"boundary values need g_y > 0, got {g_y!r}")
     small = g_y <= 0.5
     wide = math.sqrt(4.0 - 3.0 * g_y * g_y) if small else None
     return BoundaryValues(
@@ -372,17 +369,12 @@ def _m_hat_closed_form(c: ANCoords) -> tuple[float, float, float]:
 
 
 def m_hat_case(c: ANCoords) -> float:
-    """m_hat(g_x, g_y) in closed form; valid for every g_y > 0."""
-    _check_shape(c)
-    return _m_hat_case_known(c, classify_case(c))
-
-
-def _m_hat_case_known(c: ANCoords, case: CaseRegime) -> float:
-    if case is CaseRegime.CASE1:
-        return 1.0
-    if case is CaseRegime.CASE7:
-        return 0.0
+    """m_hat(g_x, g_y) in closed form, clamped: exactly 1 and 0 on Cases 1 and 7."""
     return float(_clamp_unit(_m_hat_closed_form(c)[0]))
+
+
+# the benchmark tracer wraps this name (perfbench/spans.py); no path calls it
+_m_hat_case_known = m_hat_case
 
 
 def _clamp_unit(v):
@@ -689,7 +681,8 @@ def case_transition_thetas(r: float) -> _TransitionAngles:
     its whole arc: m_hat is 0 there where no section has a cut (code 0
     throughout), and 1 where every section is the whole [ymin, inf) (code 1,
     the circle alone); .constant records it, and .touches the kept angles
-    that are extent-end touches only."""
+    that are extent-end touches only. r must pass _check_norm."""
+    _check_norm(r)
     roots = {t for quad in _transition_quadratics(r).values() for t in _tan_roots(*quad)}
     touches, crossings = _meeting_thetas(r)
     roots.update(t for t in crossings if abs(t) < _HALF_PI - 1e-12)
@@ -732,10 +725,14 @@ def _circle_v_breakpoints(thetas: tuple[float, ...]) -> list[float]:
     return [0.0, *(math.copysign(math.asin(math.sqrt(abs(t) / _HALF_PI)), t) for t in thetas)]
 
 
-def _check_norm(norm: float) -> None:
-    """Raise DomainError unless the operator norm lies in [1, MAX_NORM]: the
-    discriminants of the transition quadratics grow like r^8 and overflow from
-    about 2.7e38 on, and r^4 in _circle_coords underflows below r = 1e-77."""
+def _check_norm(r: float) -> None:
+    """Raise DomainError unless r > 0 and the operator norm max(r, 1/r) of
+    diag(r, 1/r) lies in [1, MAX_NORM]: the discriminants of the transition
+    quadratics grow like r^8 and overflow from about 2.7e38 on, and r^4 in
+    _circle_coords underflows below r = 1e-77."""
+    if not r > 0.0:
+        raise DomainError(f"need r > 0, got {r!r}")
+    norm = max(r, 1.0 / r)
     if not norm <= MAX_NORM:
         raise DomainError(
             f"operator norm {norm!r} is outside the supported range [1, {MAX_NORM:g}] "

@@ -43,12 +43,20 @@ class RealMat2:
         return RealMat2(a * s, b * s, c * s, d * s)
 
     def __matmul__(self, other: "RealMat2") -> "RealMat2":
-        return RealMat2.renormalized(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        # both factors have determinant 1: a product whose computed one is not
+        # positive lost it to rounding, as ad - bc does from entries of ~1e8 on
+        try:
+            return RealMat2.renormalized(
+                self.a * other.a + self.b * other.c,
+                self.a * other.b + self.b * other.d,
+                self.c * other.a + self.d * other.c,
+                self.c * other.b + self.d * other.d,
+            )
+        except DomainError as exc:
+            size = max(map(abs, (*self.entries(), *other.entries())))
+            raise DomainError(
+                f"{exc}, lost to float64 rounding at entries up to {size:.3g}"
+            ) from None
 
     def neg(self) -> "RealMat2":
         return RealMat2(-self.a, -self.b, -self.c, -self.d)

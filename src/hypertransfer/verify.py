@@ -180,7 +180,7 @@ def suite_cases(seed: int = DEFAULT_SEED) -> dict:
         val = m_hat_case(c)
         gap = abs(val - ref)
         if gap > worst:
-            worst, worst_at = gap, f"{case.tag}@({c.g_x:.6f},{c.g_y})"
+            worst, worst_at = gap, f"{case.value}@({c.g_x:.6f},{c.g_y})"
         if gap > 1e-5:
             ok = False
     checks.append(_check("case_vs_direct", ok, worst_gap=float(worst), worst_at=worst_at))

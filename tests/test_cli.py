@@ -183,6 +183,19 @@ def test_region_case7_empty(capsys):
     assert csv_rows(out.out) == []
 
 
+def test_region_skips_sections_above_the_y_cap(capsys):
+    # at x = -0.5 and -0.25 the section starts at y = 15.2 and 10.4, above
+    # the cap of 3, so only x = 0, 0.25 and 0.5 get rows
+    code, out = run(capsys, ["region", "0.01", "0.05", "--samples", "5"])
+    assert code == 0
+    assert out.out.splitlines()[0] == "# case=CASE2"
+    rows = csv_rows(out.out)
+    assert [(r["curve_id"], float(r["x"])) for r in rows] == [
+        (cid, x) for x in (0.0, 0.25, 0.5) for cid in ("lower0", "upper0")
+    ]
+    assert all(float(r["y"]) == 3.0 for r in rows if r["curve_id"] == "upper0")
+
+
 def test_region_fallback_band(capsys):
     code, out = run(capsys, ["region", "0", "1", "--samples", "4"])
     assert code == 0

@@ -2,6 +2,7 @@
 symbol."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -145,6 +146,8 @@ def test_domain_measure_estimate():
     assert abs(est - math.pi / 3.0) <= 3.0 * se
     # the stream, draw order and estimator are frozen bit for bit
     assert domain_measure_mc(20240914, 200_000) == (1.047723307001106, 0.0007486090403168687)
+    with pytest.raises(DomainError, match="need at least one sample"):
+        domain_measure_mc(5, 0)
 
 
 def test_transferred_symbol_identity_and_constant():
@@ -286,3 +289,18 @@ def test_mc_reduction_range_is_named():
         transferred_symbol_mc(symbol_m_word, cartan_a(1e160), 10, 0)
     est, _ = transferred_symbol_mc(symbol_m_word, cartan_a(1e12), 1000, 1)
     assert 0.0 <= est <= 1.0
+
+
+def test_scalar_cocycle_names_the_lost_determinant():
+    # at norm 1e9 the scalar route's products of factors with entries of
+    # about 1e9 round the determinant 1 to values such as -0.98 and -9.27, on
+    # 25 of these 50 samples
+    failures = 0
+    for p in sample_domain(1, 50):
+        try:
+            cocycle_beta(p, cartan_a(1e9))
+        except DomainError as exc:
+            failures += 1
+            assert "lost to float64 rounding" in str(exc)
+            assert re.search(r"entries up to [\d.]+e\+0[89]$", str(exc)), str(exc)
+    assert failures > 10

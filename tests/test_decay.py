@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from hypertransfer import decay
+from hypertransfer import decay, regions
 from hypertransfer.decay import (
     DecayRow,
     LieDirection,
@@ -25,7 +25,7 @@ from hypertransfer.decay import (
     theta_boundaries,
     worker_count,
 )
-from hypertransfer.errors import DomainError, RegimeError
+from hypertransfer.errors import DomainError
 from hypertransfer.regions import (
     boundary_values,
     case_transition_thetas,
@@ -115,23 +115,23 @@ def test_f_values_and_symmetry():
     assert lie_derivative_mtilde(4.0, LieDirection.X1) == lie_derivative_mtilde(
         0.25, LieDirection.X1
     )
-    with pytest.raises(RegimeError):
+    with pytest.raises(DomainError, match="excludes r = 1"):
         lie_derivative_mtilde(1.0, LieDirection.X1)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="need r > 0"):
         lie_derivative_mtilde(0.0, LieDirection.X1)
 
 
 def test_every_direction_refuses_the_same_radii():
     # X3 answers 0 without integrating, but only for a radius X1 and X2 accept
     for lie in (lie_derivative_mtilde, lie_derivative_mtilde_adjoint):
-        for r, error in (
-            (-1.0, DomainError),
-            (math.nan, DomainError),
-            (1.0, RegimeError),
-            (1e-300, DomainError),
+        for r, message in (
+            (-1.0, "need r > 0"),
+            (math.nan, "need r > 0"),
+            (1.0, "excludes r = 1"),
+            (1e-300, "supported range"),
         ):
             for d in LieDirection:
-                with pytest.raises(error):
+                with pytest.raises(DomainError, match=message):
                     lie(r, d)
         assert lie(0.37, LieDirection.X3) == 0.0
 
@@ -175,7 +175,7 @@ def test_hm_table_contract():
     with pytest.raises(DomainError):
         hm_table([0.1, 1.2])
     with pytest.raises(DomainError):
-        DecayRow(r=1.5, f1=0.0, f2=0.0, weighted=0.0)
+        DecayRow(r=1.5, f1=0.0, f2=0.0)
 
 
 def test_decay_rejects_radii_past_the_norm_range():
@@ -245,11 +245,34 @@ def test_theta_boundaries_closed_forms():
         with pytest.raises(DomainError, match="g_y"):
             theta_boundaries(r)
     with pytest.raises(DomainError):
-        theta_boundaries(0.8)  # radicand negative between the regime roots
+        theta_boundaries(0.8)  # no arc where m_hat = 0 (the b7 quadratic has no real root)
     with pytest.raises(DomainError):
         theta_boundaries(-0.2)
     with pytest.raises(DomainError):
         theta_boundaries(1.0)
+    # below r = 1e-38 the transition table refuses the radius; theta_boundaries
+    # returned angles at 1e-39 and 1e-50 when it solved its own quadratics
+    for r in (1e-39, 1e-50):
+        with pytest.raises(DomainError, match="supported range"):
+            theta_boundaries(r)
+
+
+def test_theta_boundaries_are_read_off_the_transition_table(monkeypatch):
+    # theta2 ends the arc of m_hat = 1, theta7 and theta8 end the arc of
+    # m_hat = 0; they are the b2 root -pi/6, the smaller b7 root and the
+    # larger b8 root bit for bit, and theta_boundaries solves no quadratic
+    def no_solve(*args):
+        raise AssertionError("theta_boundaries reads the transition table")
+
+    monkeypatch.setattr(decay, "_tan_roots", no_solve)
+    monkeypatch.setattr(decay, "_transition_quadratics", no_solve)
+    for r in np.geomspace(1e-38, 0.5646, 120):
+        r = float(r)
+        quads = regions._transition_quadratics(r)
+        tb = theta_boundaries(r)
+        assert tb.theta2 == -math.pi / 6.0
+        assert tb.theta7 == regions._tan_roots(*quads["b7"])[0], r
+        assert tb.theta8 == regions._tan_roots(*quads["b8"])[1], r
 
 
 def test_case8_second_derivative_factor():
@@ -259,9 +282,9 @@ def test_case8_second_derivative_factor():
     for gx in np.linspace(-2.0 / SQRT3 + 1e-6, -1e-3, 50):
         f = case8_second_derivative_factor(float(gx))
         assert -3.0 / (5.0 * gx) - 1e-12 <= f <= 4.0 * (SQRT3 - 2.0) / gx + 1e-12
-    with pytest.raises(RegimeError):
+    with pytest.raises(DomainError, match="g_x < 0"):
         case8_second_derivative_factor(0.0)
-    with pytest.raises(RegimeError):
+    with pytest.raises(DomainError, match="g_x < 0"):
         case8_second_derivative_factor(0.5)
 
 

@@ -10,10 +10,12 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import hypertransfer.regions as regions
 from hypertransfer.decay import theta_boundaries
-from hypertransfer.errors import AccuracyError, DomainError, RegimeError
+from hypertransfer.errors import AccuracyError, DomainError
 from hypertransfer.quadrature import DEFAULT_QUADRATURE, QuadratureConfig, segment_edges
 from hypertransfer.regions import (
     CaseRegime,
@@ -91,9 +93,9 @@ def test_boundary_values_examples():
     assert boundary_values(0.7).b2 is None
     assert boundary_values(0.7).b4 is not None  # b4 extends to g_y = 1
     assert boundary_values(1.2).b4 is None
-    with pytest.raises(RegimeError):
+    with pytest.raises(DomainError, match="need g_y > 0"):
         boundary_values(0.0)
-    with pytest.raises(RegimeError):
+    with pytest.raises(DomainError, match="need g_y > 0"):
         boundary_values(-1.0)
 
 
@@ -142,10 +144,61 @@ def test_m_hat_trivial_cases():
     assert m_hat_case(ANCoords(-1.4, 0.49)) == 0.0
 
 
+def test_m_hat_case_reads_no_case_label(monkeypatch):
+    # Cases 1 and 7 get their exact 1 and 0 from the clamped closed form
+    def no_labels(*args):
+        raise AssertionError("m_hat reads no case label")
+
+    monkeypatch.setattr(regions, "classify_case", no_labels)
+    monkeypatch.setattr(regions, "boundary_values", no_labels)
+    assert m_hat_case(ANCoords(0.9, 0.1)) == 1.0
+    assert m_hat_case(ANCoords(-2.5, 0.1)) == 0.0
+    case3 = ANCoords(-0.02, 0.3)
+    assert m_hat_case(case3) == _m_hat_closed_form(case3)[0]
+    assert 0.0 < m_hat_case(case3) < 1.0
+
+
+_LOG_GY = st.floats(math.log(1e-30), math.log(0.5))
+_EXACT_RUNS = settings(max_examples=500, deadline=None, derandomize=True, database=None)
+
+
+def _log_uniform_case_1_or_7(log_gy, log_gx, sign):
+    gy, gx = math.exp(log_gy), sign * math.exp(log_gx)
+    c = ANCoords(gx, gy)
+    assume(gx * (gx / gy) + gy + 1.0 / gy <= regions._MAX_SHAPE)
+    case = classify_case(c)
+    assume(case in (CaseRegime.CASE1, CaseRegime.CASE7))
+    return c, case
+
+
+@_EXACT_RUNS
+@given(_LOG_GY, st.floats(math.log(1e-3), math.log(1e30)), st.sampled_from((1.0, -1.0)))
+def test_m_hat_is_exact_on_case_1_and_case_7(log_gy, log_gx, sign):
+    # g_y log-uniform on [1e-30, 1/2] and |g_x| on [1e-3, 1e30], inside the
+    # supported shapes: the clamped closed form is exactly 1 and 0 there
+    c, case = _log_uniform_case_1_or_7(log_gy, log_gx, sign)
+    assert m_hat_case(c) == (1.0 if case is CaseRegime.CASE1 else 0.0), c
+
+
+@_EXACT_RUNS
+@given(_LOG_GY, st.floats(math.log(2.0 ** -52), math.log(1e-3)), st.booleans())
+def test_m_hat_is_exact_just_inside_b2_and_b7(log_gy, log_rel, case1):
+    # from one ulp to 1e-3 relative inside the Case 1 and Case 7 boundaries
+    gy, rel = math.exp(log_gy), math.exp(log_rel)
+    bv = boundary_values(gy)
+    if case1:
+        gx = max(bv.b2 * (1.0 + rel), math.nextafter(bv.b2, math.inf))
+    else:
+        gx = min(bv.b7 * (1.0 + rel), math.nextafter(bv.b7, -math.inf))
+    c = ANCoords(gx, gy)
+    assert classify_case(c) is (CaseRegime.CASE1 if case1 else CaseRegime.CASE7)
+    assert m_hat_case(c) == (1.0 if case1 else 0.0), c
+
+
 def test_m_hat_frozen_oracle():
     for gx, gy, tag, val, dgx, dgy in FROZEN_CASE_TABLE:
         c = ANCoords(gx, gy)
-        assert classify_case(c).tag == tag
+        assert classify_case(c).value == tag
         assert abs(m_hat_case(c) - val) < 1e-9
         px, py = m_hat_partials(c)
         assert abs(px - dgx) < 1e-6 * max(1.0, abs(dgx))
@@ -272,7 +325,7 @@ def _log_uniform_points(rng, n):
 
 
 def test_closed_form_matches_direct_oracle():
-    # the evaluator itself, before the Case-1/Case-7 shortcuts: its value
+    # the evaluator itself, before m_hat_case clamps it: its value
     # against the section-exact quadrature, its partials against mpmath
     value_ref = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-12)
     rng = np.random.default_rng(41)
@@ -642,6 +695,21 @@ def test_case_transitions_read_the_section_once_per_miss(monkeypatch):
         case_transition_thetas(r)
         assert len(calls) == 1 and 0 < calls[0] <= 20
     case_transition_thetas.cache_clear()
+
+
+def test_case_transitions_refuse_radii_past_the_norm_range():
+    # the table failed or answered silently here: ZeroDivisionError at 0,
+    # inf and 1e-80, OverflowError at 1e100, a return at -1, NaN and 1e39
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError, match="need r > 0"):
+                case_transition_thetas(r)
+        for r in (math.inf, 1e-80, 1e-39, 1e39, 1e100):
+            with pytest.raises(DomainError, match="supported range"):
+                case_transition_thetas(r)
+        for r in (1.0 / regions.MAX_NORM, regions.MAX_NORM):
+            assert case_transition_thetas(r)
 
 
 def test_case_transitions_include_minus_pi_over_6_in_the_fallback_band():

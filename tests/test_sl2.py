@@ -202,3 +202,14 @@ def test_realmat2_det_tolerance_scales_with_the_entries():
         assert abs(g.a) + abs(g.b) + abs(g.c) + abs(g.d) > scale
         with pytest.raises(DomainError, match="is not 1 within"):
             RealMat2(g.a, g.b, g.c, g.d + 1e-6 / g.a)
+
+
+def test_renormalized_refuses_a_nonpositive_determinant():
+    # a genuine determinant of -1: no rounding is blamed
+    with pytest.raises(DomainError, match=r"^cannot renormalize: determinant -1\.0$"):
+        RealMat2.renormalized(1.0, 0.0, 0.0, -1.0)
+    # past entries of about 1e8 the product's a*d and b*c round by more than
+    # 1, and here their difference comes out as -1.0
+    with pytest.raises(DomainError, match=r"determinant -1\.0, lost to float64 rounding") as exc:
+        rotation(0.9) @ cartan_a(2e8) @ rotation(2.1)
+    assert str(exc.value).endswith("entries up to 1.57e+08")
