@@ -32,6 +32,10 @@ hypertransfer decay --rmin 0.001 --rmax 0.99 --steps 6 > /dev/null
 exits_2 decay --rmin 1e-300 --rmax 0.5 --steps 2
 # past the AN shapes of supported norms region names its DomainError
 exits_2 region -0.1 1e200 --samples 3
+# past the Monte-Carlo route's norm range, and past float64, symbol --mode mc
+# names its DomainError
+exits_2 symbol 1e20 --mode mc --n 1000 --seed 1
+exits_2 symbol 1e200 --mode mc --n 1000 --seed 1
 hypertransfer verify --suite cases > /dev/null
 hypertransfer verify --suite decay > /dev/null
 hypertransfer verify --suite cocycle > /dev/null

@@ -7,7 +7,9 @@ A domain point is s0 * rotation(theta0) with pi(s0) in the fundamental domain
 and theta0 in [0, pi). For a group element g, the unique lattice matrix beta
 with beta^{-1} s0 k0 g back in the domain is computed by reducing the
 half-plane shadow and then fixing the sign so the residual rotation angle
-lands in [0, pi).
+lands in [0, pi). The word symbol reads only the first letter of beta, up to
+sign, and the Monte-Carlo average takes it off the first two rounds of that
+reduction instead.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .modular import (
     _CIRCLE_TOL,
     IntMat2,
     _inverts,
-    _probe_in_region_A,
+    _word_symbol_two_rounds,
     reduce_to_fundamental_domain,
     symbol_m_sign,
     symbol_m_word,
@@ -42,7 +44,7 @@ from .sl2 import (
 
 _SQRT3_HALF = math.sqrt(3.0) / 2.0
 _VEC_ITER_CAP = 200
-_INT64_SAFE = 1_300_000_000  # probe products stay inside int64 below this
+_INT64_SAFE = 1_300_000_000  # the sign symbol's a*c + b*d: 2 * SAFE^2 < 2^63
 _INT64_HEADROOM = 2.0 ** 62
 # transferred_symbol_mc reduces its samples this many at a time. Every
 # sample's beta and symbol value are independent of the others, so the result
@@ -54,10 +56,12 @@ _INT64_HEADROOM = 2.0 ** 62
 _MC_BLOCK = 16_384
 # the largest operator norm at which the int64 reduction keeps room for
 # every sample of a 200 000-sample run (measured on the diagonal cartan_a(r),
-# the only elements the CLI builds; past it DomainError). It bounds the
-# integers only: from about norm 1e6 on, the shadow of h can lie below height
-# 1e-12, where the float64 rounding of its real part decides the lattice
-# element, and the scalar and batch routes can differ.
+# the only elements the CLI builds). Past it the word symbol's route refuses
+# every element, and the full reduction raises DomainError once a sample
+# needs entries past int64. It bounds the integers only: from about norm 1e6
+# on, the shadow of h can lie below height 1e-12, where the float64 rounding
+# of its real part decides the lattice element, and the scalar and batch
+# routes can differ.
 MC_MAX_NORM = 1e15
 
 
@@ -168,19 +172,11 @@ def _range_error(g: RealMat2, cause: str) -> DomainError:
     )
 
 
-def _beta_batch(
+def _shadow_batch(
     x: np.ndarray, y: np.ndarray, theta: np.ndarray, g: RealMat2
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized cocycle: the entries of beta(p, g) as int64 arrays.
-
-    Mirrors cocycle_beta: reduce the shadow of h = s0 k0 g, then pick the sign
-    of beta that puts the residual rotation angle in [0, pi). Each round of the
-    translate/invert loop touches only the samples that are still active: their
-    shadows and lattice entries are kept compacted beside their positions in the
-    output, each sample is written out once, in the round that needs no
-    inversion, and the few left after _VEC_ITER_CAP rounds finish on the scalar
-    reduction.
-    """
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
+    """The entries (h11, h12, h21, h22) of h = s0 k0 g for every sample, and
+    the real and imaginary parts of its half-plane shadow h(i)."""
     sy = np.sqrt(y)
     cg, sg = np.cos(theta), np.sin(theta)
     m11 = cg * g.a - sg * g.c
@@ -203,8 +199,23 @@ def _beta_batch(
         zy = 1.0 / den  # det h = 1
         if not (np.isfinite(den).all() and np.isfinite(zx).all() and np.isfinite(zy).all()):
             raise _range_error(g, "the half-plane image of a sample overflows float64")
-        del den
+    return (h11, h12, h21, h22), zx, zy
 
+
+def _beta_batch(
+    x: np.ndarray, y: np.ndarray, theta: np.ndarray, g: RealMat2
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized cocycle: the entries of beta(p, g) as int64 arrays.
+
+    Mirrors cocycle_beta: reduce the shadow of h = s0 k0 g, then pick the sign
+    of beta that puts the residual rotation angle in [0, pi). Each round of the
+    translate/invert loop touches only the samples that are still active: their
+    shadows and lattice entries are kept compacted beside their positions in the
+    output, each sample is written out once, in the round that needs no
+    inversion, and the few left after _VEC_ITER_CAP rounds finish on the scalar
+    reduction.
+    """
+    (h11, h12, h21, h22), zx, zy = _shadow_batch(x, y, theta, g)
     n = x.shape[0]
     # rows a, b, c, d of gamma, one column per sample. The first round works
     # on out itself, since every sample is active; from then on a, b, c, d,
@@ -277,18 +288,34 @@ def _beta_batch(
     return out[0], out[1], out[2], out[3]
 
 
+def _word_symbol_batch(
+    x: np.ndarray, y: np.ndarray, theta: np.ndarray, g: RealMat2
+) -> np.ndarray:
+    """symbol_m_word of every beta(p, g), read off the first two rounds of
+    the reduction of its shadow (modular._word_symbol_two_rounds). The
+    samples that rule leaves open finish on the scalar reduction.
+
+    No lattice entry is formed, so nothing here meets the int64 limit of
+    _beta_batch; the route still refuses operator norms past MC_MAX_NORM.
+    """
+    _, zx, zy = _shadow_batch(x, y, theta, g)
+    if operator_norm(g) > MC_MAX_NORM:
+        raise _range_error(g, "the cocycle reduction is refused")
+    vals, left = _word_symbol_two_rounds(zx, zy)
+    for i in left:
+        red = reduce_to_fundamental_domain(HalfPlanePoint(float(zx[i]), float(zy[i])))
+        vals[i] = symbol_m_word(red.gamma)
+    return vals
+
+
 def _symbol_batch(
     symbol: Callable[[IntMat2], float], A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray
 ) -> np.ndarray:
-    """symbol of every beta. symbol_m_word and symbol_m_sign run in int64
-    closed form while their products stay inside int64; everything else
-    calls symbol once per sample."""
-    if _abs_max(A, B, C, D) <= _INT64_SAFE:
-        if symbol is symbol_m_word:
-            ident = (B == 0) & (C == 0)
-            return np.where(ident | _probe_in_region_A(A, B, C, D), 1.0, 0.0)
-        if symbol is symbol_m_sign:
-            return np.sign(A * C + B * D).astype(np.float64)
+    """symbol of every beta. symbol_m_sign runs in int64 closed form while
+    its products stay inside int64; everything else calls symbol once per
+    sample."""
+    if symbol is symbol_m_sign and _abs_max(A, B, C, D) <= _INT64_SAFE:
+        return np.sign(A * C + B * D).astype(np.float64)
     return np.array(
         [float(symbol(IntMat2(int(a), int(b), int(c), int(d)))) for a, b, c, d in zip(A, B, C, D)]
     )
@@ -298,10 +325,19 @@ def transferred_symbol_mc(
     symbol: Callable[[IntMat2], float], g: RealMat2, n: int, rng_seed: int
 ) -> tuple[float, float]:
     """Monte-Carlo average of symbol(beta(p, g)) over domain samples, with the
-    standard error of the mean."""
+    standard error of the mean.
+
+    symbol_m_word reads only the first letter of beta, which the first two
+    rounds of the reduction fix (_word_symbol_batch); every other symbol gets
+    the full beta from _beta_batch.
+    """
     x, y, theta = _sample_xyth(rng_seed, n)
     vals = np.empty(n)
     for i in range(0, n, _MC_BLOCK):
         block = slice(i, i + _MC_BLOCK)
-        vals[block] = _symbol_batch(symbol, *_beta_batch(x[block], y[block], theta[block], g))
+        samples = (x[block], y[block], theta[block], g)
+        if symbol is symbol_m_word:
+            vals[block] = _word_symbol_batch(*samples)
+        else:
+            vals[block] = _symbol_batch(symbol, *_beta_batch(*samples))
     return _mean_se(vals)

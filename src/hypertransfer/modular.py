@@ -10,6 +10,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegeneracyError, DomainError
 from .sl2 import HalfPlanePoint
 
@@ -129,9 +131,9 @@ def reduce_to_fundamental_domain(z: HalfPlanePoint) -> ReducedPoint:
     return ReducedPoint(gamma=g.canonical_sign(), z0=HalfPlanePoint(x, y))
 
 
-def _probe_in_region_A(a, b, c, d):
+def _probe_in_region_A(a: int, b: int, c: int, d: int) -> bool:
     """Exact-integer membership test for rho_gamma(2i), gamma = (a b; c d),
-    on Python ints or on int64 arrays whose products stay inside int64.
+    on Python ints.
 
     rho_gamma(2i) = (N + 2i)/D with N = b*d + 4*a*c and D = d^2 + 4*c^2.
     Re >= -1/2 becomes 2N + D >= 0; |z+1| >= 1 becomes (N+D)^2 + 4 >= D^2,
@@ -141,7 +143,7 @@ def _probe_in_region_A(a, b, c, d):
     """
     n = b * d + 4 * a * c
     dd = d * d + 4 * c * c
-    return (2 * n + dd >= 0) & ((dd <= 2) | (abs(n + dd) >= dd))
+    return 2 * n + dd >= 0 and (dd <= 2 or abs(n + dd) >= dd)
 
 
 def first_letter(gamma: IntMat2) -> Letter:
@@ -155,6 +157,36 @@ def first_letter(gamma: IntMat2) -> Letter:
     if gamma.b == 0 and gamma.c == 0:
         return Letter.IDENTITY
     return Letter.S_PREFIX if _probe_in_region_A(*gamma.entries()) else Letter.R_PREFIX
+
+
+def _word_symbol_two_rounds(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """symbol_m_word of the gamma that reduce_to_fundamental_domain finds for
+    each z = x + iy (arrays), read off its first two rounds with the same
+    float operations, and the indices of the samples the rule leaves open.
+
+    The reduction writes gamma = +-T^n1 S^-1 T^n2 S^-1 ... T^nK. A middle step
+    n_k (1 < k < K) is never 0: after an inversion |z| > 1, so a zero step
+    ends the reduction. With T = SR up to sign, the cancellations at the
+    junctions (S S = -I, leaving R R = R^2) never reach the front of the
+    word, so its first letter is
+    - S for n1 > 0 and R for n1 < 0;
+    - +-I for n1 = 0 with no inversion;
+    - R for n1 = 0 with an inversion and n2 > 0, S for n2 <= 0.
+    Only at the _CIRCLE_TOL edge can the second round invert again after
+    n2 = 0, and there S^-1 S^-1 cancels: those samples are left open.
+    """
+    n1 = np.floor(x + 0.5)
+    x = x - n1
+    rr = x * x + y * y
+    val = np.where(n1 < 0.0, 0.0, 1.0)
+    k = np.flatnonzero(_inverts(x, rr) & (n1 == 0.0))
+    rr = rr[k]
+    x2, y2 = -x[k] / rr, y[k] / rr
+    n2 = np.floor(x2 + 0.5)
+    val[k[n2 > 0.0]] = 0.0
+    zero = n2 == 0.0
+    x2, y2 = x2[zero], y2[zero]
+    return val, k[zero][_inverts(x2, x2 * x2 + y2 * y2)]
 
 
 def word_decompose(gamma: IntMat2) -> tuple[int, tuple[str, ...]]:

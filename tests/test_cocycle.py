@@ -14,6 +14,8 @@ from hypertransfer.cocycle import (
     DomainPoint,
     _beta_batch,
     _sample_xyth,
+    _symbol_batch,
+    _word_symbol_batch,
     cocycle_beta,
     domain_measure_mc,
     domain_point,
@@ -25,11 +27,12 @@ from hypertransfer.modular import (
     I2,
     S_MAT,
     IntMat2,
+    _word_symbol_two_rounds,
     reduce_to_fundamental_domain,
     symbol_m_sign,
     symbol_m_word,
 )
-from hypertransfer.sl2 import IDENTITY, RealMat2, an_coords, cartan_a, rotation
+from hypertransfer.sl2 import IDENTITY, HalfPlanePoint, RealMat2, an_coords, cartan_a, rotation
 
 
 def random_point(rng: np.random.Generator) -> DomainPoint:
@@ -231,6 +234,63 @@ def test_batch_symbol_matches_scalar_symbols():
     fast_s, _ = transferred_symbol_mc(symbol_m_sign, g, n, seed)
     slow_s, _ = transferred_symbol_mc(lambda b: float(symbol_m_sign(b)), g, n, seed)
     assert fast_s == slow_s
+
+
+def test_word_rule_matches_the_full_reduction():
+    # the two-round rule against the full reduction and the generic symbol
+    # path, sample by sample: rotated norms 1 to 1e5, diagonal ones to 1e12
+    x, y, theta = _sample_xyth(19, 10_000)
+    elements = [
+        rotation(0.4 * k) @ cartan_a(r) @ rotation(1.3 * k)
+        for k, r in enumerate((1.0, 10.0, 100.0, 1e3, 1e4, 1e5), 1)
+    ]
+    elements += [cartan_a(r) for r in (0.2, 1e-3, 1e6, 1e9, 1e12)]
+    for g in elements:
+        full = _symbol_batch(symbol_m_word, *_beta_batch(x, y, theta, g))
+        assert np.array_equal(_word_symbol_batch(x, y, theta, g), full), g
+
+
+def test_word_rule_finishes_a_double_inversion_on_the_scalar_reduction(monkeypatch):
+    # rr lies one step below 1 - 1e-12 and Re z < 0: the first round inverts,
+    # the second takes n2 = 0 and, at the tolerance edge, inverts again, so
+    # S^-1 S^-1 cancels and the reduction ends on +-I
+    zx, zy = np.array([-0.029199522301274216]), np.array([0.9995736030410053])
+    rr = float(zx[0] * zx[0] + zy[0] * zy[0])
+    assert 1.0 - 1e-12 - 1e-15 < rr < 1.0 - 1e-12
+    vals, left = _word_symbol_two_rounds(zx, zy)
+    assert left.tolist() == [0]
+    red = reduce_to_fundamental_domain(HalfPlanePoint(float(zx[0]), float(zy[0])))
+    assert red.gamma == I2
+    finished = []
+
+    def counting_reduce(z):
+        finished.append(z)
+        return reduce_to_fundamental_domain(z)
+
+    monkeypatch.setattr(cocycle, "_shadow_batch", lambda *args: (None, zx, zy))
+    monkeypatch.setattr(cocycle, "reduce_to_fundamental_domain", counting_reduce)
+    one = np.ones(1)
+    assert _word_symbol_batch(one, one, one, IDENTITY).tolist() == [1.0]
+    assert len(finished) == 1
+
+
+def test_batch_symbol_stays_exact_past_the_probe_range():
+    # entries inside cocycle._INT64_SAFE, where the word probe's 2N + D is
+    # about 2.0e19: in int64 it wrapped, and the batch symbol read 0
+    beta = IntMat2(1_299_999_999, 1, 1_299_999_998, 1)
+    assert symbol_m_word(beta) == 1.0
+    A, B, C, D = (np.array([v], dtype=np.int64) for v in beta.entries())
+    assert _symbol_batch(symbol_m_word, A, B, C, D).tolist() == [1.0]
+
+
+@pytest.mark.parametrize("k, r", list(enumerate((1.0, 10.0, 100.0, 1e3, 1e4, 1e5), 1)))
+def test_transferred_sign_symbol_vanishes(k, r):
+    # sgn(ac + bd) is the sign of Re(beta i): the average over the domain is
+    # odd under g_x -> -g_x and so 0 at every norm; this keeps the full
+    # reduction covered
+    g = rotation(0.4 * k) @ cartan_a(r) @ rotation(1.3 * k)
+    est, se = transferred_symbol_mc(symbol_m_sign, g, 20_000, 30 + k)
+    assert abs(est) <= 5.0 * se, (est, se)
 
 
 # exact (est, se) of transferred_symbol_mc at n = 200 000 and seed 7: a faster

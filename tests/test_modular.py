@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hypertransfer.errors import DomainError
 from hypertransfer.modular import (
@@ -15,6 +17,7 @@ from hypertransfer.modular import (
     T_MAT,
     IntMat2,
     Letter,
+    _word_symbol_two_rounds,
     enumerate_elements,
     first_letter,
     reduce_to_fundamental_domain,
@@ -204,3 +207,38 @@ def test_symbol_parity_on_enumeration():
         assert symbol_m_sign(g) == symbol_m_sign(neg)
         assert symbol_m_word(g) in (0.0, 1.0)
         assert symbol_m_sign(g) in (-1, 0, 1)
+
+
+@st.composite
+def _shadows(draw):
+    """Upper half-plane points: anywhere in a wide box, or, shifted by an
+    integer, on the lines Re z = +-1/2 or the circles |z| = 1 and |z + 1| = 1,
+    where the reduction's tolerance and floor conventions decide."""
+    kind = draw(st.sampled_from(("box", "line", "unit circle", "left circle")))
+    shift = draw(st.integers(-3, 3))
+    if kind == "box":
+        log_y = draw(st.floats(math.log(1e-30), math.log(1e3)))
+        return draw(st.floats(-1e6, 1e6)), math.exp(log_y)
+    if kind == "line":
+        x = shift + draw(st.sampled_from((-0.5, 0.5)))
+        return x, math.exp(draw(st.floats(math.log(1e-6), math.log(10.0))))
+    phi = draw(st.floats(1e-9, math.pi - 1e-9))
+    centre = 0.0 if kind == "unit circle" else -1.0
+    return shift + centre + math.cos(phi), math.sin(phi)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(_shadows())
+@example((0.0, 1.0))
+@example((-0.5, math.sqrt(3.0) / 2.0))
+@example((0.5, math.sqrt(3.0) / 2.0))
+@example((-0.5, 0.5))
+@example((0.5, 1e-30))
+def test_word_rule_matches_the_scalar_reduction(z):
+    # the two-round rule reads the first letter of the gamma the full scalar
+    # reduction finds; the samples it leaves open are finished by the caller
+    x, y = z
+    vals, left = _word_symbol_two_rounds(np.array([x]), np.array([y]))
+    if left.size == 0:
+        gamma = reduce_to_fundamental_domain(HalfPlanePoint(x, y)).gamma
+        assert vals[0] == symbol_m_word(gamma), (x, y, gamma)
