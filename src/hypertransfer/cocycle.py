@@ -8,8 +8,9 @@ and theta0 in [0, pi). For a group element g, the unique lattice matrix beta
 with beta^{-1} s0 k0 g back in the domain is computed by reducing the
 half-plane shadow and then fixing the sign so the residual rotation angle
 lands in [0, pi). The word symbol reads only the first letter of beta, up to
-sign, and the Monte-Carlo average takes it off the first two rounds of that
-reduction instead.
+sign, and the sign symbol only the sign of Re beta(i): the Monte-Carlo average
+takes both off the first two rounds of that reduction, and any other symbol
+off the scalar reduction of each sample.
 """
 
 from __future__ import annotations
@@ -23,12 +24,10 @@ import numpy as np
 from .errors import DomainError
 from .modular import (
     _CIRCLE_TOL,
+    _TWO_ROUND_TABLES,
     IntMat2,
-    _inverts,
-    _word_symbol_two_rounds,
+    _two_round_codes,
     reduce_to_fundamental_domain,
-    symbol_m_sign,
-    symbol_m_word,
 )
 from .sl2 import (
     ANCoords,
@@ -43,9 +42,6 @@ from .sl2 import (
 )
 
 _SQRT3_HALF = math.sqrt(3.0) / 2.0
-_VEC_ITER_CAP = 200
-_INT64_SAFE = 1_300_000_000  # the sign symbol's a*c + b*d: 2 * SAFE^2 < 2^63
-_INT64_HEADROOM = 2.0 ** 62
 # transferred_symbol_mc reduces its samples this many at a time. Every
 # sample's beta and symbol value are independent of the others, so the result
 # is the same for any block size; the blocks keep the reduction's temporaries
@@ -54,14 +50,14 @@ _INT64_HEADROOM = 2.0 ** 62
 # depending on where the allocator placed them; in blocks the call peaks at
 # 9 MB, most of it the samples themselves, and the resident set stays put.
 _MC_BLOCK = 16_384
-# the largest operator norm at which the int64 reduction keeps room for
-# every sample of a 200 000-sample run (measured on the diagonal cartan_a(r),
-# the only elements the CLI builds). Past it the word symbol's route refuses
-# every element, and the full reduction raises DomainError once a sample
-# needs entries past int64. It bounds the integers only: from about norm 1e6
-# on, the shadow of h can lie below height 1e-12, where the float64 rounding
-# of its real part decides the lattice element, and the scalar and batch
-# routes can differ.
+# the largest operator norm the Monte-Carlo route accepts, for every symbol;
+# past it the route raises DomainError. No step of the route forms a
+# fixed-width lattice entry: the two-round rule reads floats, and the scalar
+# reduction works in Python ints. The bound keeps one range for every symbol,
+# the one the frozen estimates (to norm 1e12) and the range test cover. It is
+# no accuracy bound: from about norm 1e6 on, the shadow of h can lie below
+# height 1e-12, where the float64 rounding of its real part decides the
+# lattice element, and the scalar cocycle_beta can differ from this route.
 MC_MAX_NORM = 1e15
 
 
@@ -161,10 +157,6 @@ def domain_measure_mc(rng_seed: int, n: int) -> tuple[float, float]:
     return _mean_se(np.where(y * y >= 1.0 - x * x, 2.0 / math.sqrt(3.0), 0.0))
 
 
-def _abs_max(*arrays: np.ndarray) -> float:
-    return float(max(max(a.max(), -a.min()) for a in arrays))
-
-
 def _range_error(g: RealMat2, cause: str) -> DomainError:
     return DomainError(
         f"{cause} at operator norm {operator_norm(g):.3g}; the Monte-Carlo "
@@ -202,123 +194,43 @@ def _shadow_batch(
     return (h11, h12, h21, h22), zx, zy
 
 
-def _beta_batch(
-    x: np.ndarray, y: np.ndarray, theta: np.ndarray, g: RealMat2
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized cocycle: the entries of beta(p, g) as int64 arrays.
-
-    Mirrors cocycle_beta: reduce the shadow of h = s0 k0 g, then pick the sign
-    of beta that puts the residual rotation angle in [0, pi). Each round of the
-    translate/invert loop touches only the samples that are still active: their
-    shadows and lattice entries are kept compacted beside their positions in the
-    output, each sample is written out once, in the round that needs no
-    inversion, and the few left after _VEC_ITER_CAP rounds finish on the scalar
-    reduction.
-    """
-    (h11, h12, h21, h22), zx, zy = _shadow_batch(x, y, theta, g)
-    n = x.shape[0]
-    # rows a, b, c, d of gamma, one column per sample. The first round works
-    # on out itself, since every sample is active; from then on a, b, c, d,
-    # zx and zy hold the active samples only, and idx their columns in out
-    out = np.zeros((4, n), dtype=np.int64)
-    out[0] = 1
-    out[3] = 1
-    a, b, c, d = out
-    idx = None
-    bound = 1.0  # an upper bound on every |entry| of a, b, c, d
-    for _ in range(_VEC_ITER_CAP):
-        stepf = np.floor(zx + 0.5)
-        # a translation maps b to b + a step and d to d + c step, a flip only
-        # permutes and negates. Keep every entry below 2^62 before the cast
-        # and the products, so that neither can overflow int64: compound the
-        # largest step of each round, and when that bound passes 2^62, bound
-        # by the largest entries now, then sample by sample (NaN fails all)
-        big = _abs_max(stepf)
-        grown = bound * (1.0 + big)
-        if not grown < _INT64_HEADROOM:
-            grown = _abs_max(b, d) + _abs_max(a, c) * big
-        if not grown < _INT64_HEADROOM:
-            size = np.abs(stepf)
-            grown = max(
-                float((np.abs(b) + np.abs(a) * size).max()),
-                float((np.abs(d) + np.abs(c) * size).max()),
-            )
-            if not grown < _INT64_HEADROOM:
-                raise _range_error(
-                    g, "the cocycle reduction of a sample needs lattice entries past 2^62 (int64)"
-                )
-        bound = grown
-        step = stepf.astype(np.int64)
-        zx -= stepf
-        b += a * step
-        d += c * step
-        rr = zx * zx + zy * zy
-        flip = _inverts(zx, rr)
-        keep = np.flatnonzero(flip)
-        if idx is None:
-            idx = keep
-        else:
-            done = np.flatnonzero(~flip)
-            at = idx[done]
-            for row, v in zip(out, (a, b, c, d)):
-                row[at] = v[done]
-            idx = idx[keep]
-        if keep.size == 0:
-            break
-        # z -> -1/z and gamma -> gamma S^-1: (a, b, c, d) -> (-b, a, -d, c)
-        a, b, c, d = -b[keep], a[keep], -d[keep], c[keep]
-        rr = rr[keep]
-        zx = -zx[keep] / rr
-        zy = zy[keep] / rr
-    else:
-        # rare stragglers: finish with the exact scalar reduction
-        for j, i in enumerate(idx):
-            red = reduce_to_fundamental_domain(HalfPlanePoint(float(zx[j]), float(zy[j])))
-            acc = IntMat2(int(a[j]), int(b[j]), int(c[j]), int(d[j]))
-            # gamma accumulated so far times the remaining reduction
-            out[:, i] = (acc @ red.gamma).entries()
-
-    # residual rotation: w = gamma^{-1} h; its angle is in [0, pi) iff
-    # w21 > 0 or (w21 == 0 and w22 > 0). Negating gamma negates w21 and w22
-    # exactly, so this test alone fixes the sign whatever sign gamma had.
-    af, cf = out[0].astype(np.float64), out[2].astype(np.float64)
-    w21 = -cf * h11 + af * h21
-    w22 = -cf * h12 + af * h22
-    out *= np.where((w21 < 0.0) | ((w21 == 0.0) & (w22 < 0.0)), -1, 1)
-    return out[0], out[1], out[2], out[3]
+def _sample_beta(h: tuple[np.ndarray, ...], zx: np.ndarray, zy: np.ndarray, i: int) -> IntMat2:
+    """beta of sample i, as cocycle_beta: the scalar reduction of its batch
+    shadow, then the sign of beta that puts the residual rotation angle in
+    [0, pi)."""
+    gam = reduce_to_fundamental_domain(HalfPlanePoint(float(zx[i]), float(zy[i]))).gamma
+    h11, h12, h21, h22 = (float(v[i]) for v in h)
+    # w = gamma^{-1} h; its angle is in [0, pi) iff w21 > 0 or (w21 == 0 and
+    # w22 > 0). Negating gamma negates w21 and w22 exactly, so this test
+    # alone fixes the sign whatever sign gamma had, unless both round to 0
+    # (on 12 of 5 000 samples at rotated norm 1e8), where gamma keeps the
+    # sign the scalar reduction gives it.
+    a, c = float(gam.a), float(gam.c)
+    w21 = -c * h11 + a * h21
+    w22 = -c * h12 + a * h22
+    return gam.neg() if w21 < 0.0 or (w21 == 0.0 and w22 < 0.0) else gam
 
 
-def _word_symbol_batch(
-    x: np.ndarray, y: np.ndarray, theta: np.ndarray, g: RealMat2
+def _sample_symbols(
+    symbol: Callable[[IntMat2], float], x: np.ndarray, y: np.ndarray, theta: np.ndarray, g: RealMat2
 ) -> np.ndarray:
-    """symbol_m_word of every beta(p, g), read off the first two rounds of
-    the reduction of its shadow (modular._word_symbol_two_rounds). The
-    samples that rule leaves open finish on the scalar reduction.
-
-    No lattice entry is formed, so nothing here meets the int64 limit of
-    _beta_batch; the route still refuses operator norms past MC_MAX_NORM.
-    """
-    _, zx, zy = _shadow_batch(x, y, theta, g)
+    """symbol of every beta(p, g). The symbols of _TWO_ROUND_TABLES are read
+    off the first two rounds of the reduction of each shadow
+    (modular._two_round_codes), and the samples that rule leaves open finish
+    on the scalar reduction; any other symbol gets each beta from
+    _sample_beta."""
+    h, zx, zy = _shadow_batch(x, y, theta, g)
     if operator_norm(g) > MC_MAX_NORM:
         raise _range_error(g, "the cocycle reduction is refused")
-    vals, left = _word_symbol_two_rounds(zx, zy)
+    table = _TWO_ROUND_TABLES.get(symbol)
+    if table is None:
+        return np.array([float(symbol(_sample_beta(h, zx, zy, i))) for i in range(len(zx))])
+    code, left = _two_round_codes(zx, zy)
+    vals = table[code]
     for i in left:
         red = reduce_to_fundamental_domain(HalfPlanePoint(float(zx[i]), float(zy[i])))
-        vals[i] = symbol_m_word(red.gamma)
+        vals[i] = symbol(red.gamma)
     return vals
-
-
-def _symbol_batch(
-    symbol: Callable[[IntMat2], float], A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray
-) -> np.ndarray:
-    """symbol of every beta. symbol_m_sign runs in int64 closed form while
-    its products stay inside int64; everything else calls symbol once per
-    sample."""
-    if symbol is symbol_m_sign and _abs_max(A, B, C, D) <= _INT64_SAFE:
-        return np.sign(A * C + B * D).astype(np.float64)
-    return np.array(
-        [float(symbol(IntMat2(int(a), int(b), int(c), int(d)))) for a, b, c, d in zip(A, B, C, D)]
-    )
 
 
 def transferred_symbol_mc(
@@ -327,17 +239,14 @@ def transferred_symbol_mc(
     """Monte-Carlo average of symbol(beta(p, g)) over domain samples, with the
     standard error of the mean.
 
-    symbol_m_word reads only the first letter of beta, which the first two
-    rounds of the reduction fix (_word_symbol_batch); every other symbol gets
-    the full beta from _beta_batch.
+    symbol_m_word and symbol_m_sign are read off the first two rounds of the
+    reduction of each sample (modular._TWO_ROUND_TABLES); any other symbol
+    gets each full beta from the scalar reduction. Every symbol refuses
+    operator norms past MC_MAX_NORM with a named DomainError.
     """
     x, y, theta = _sample_xyth(rng_seed, n)
     vals = np.empty(n)
     for i in range(0, n, _MC_BLOCK):
         block = slice(i, i + _MC_BLOCK)
-        samples = (x[block], y[block], theta[block], g)
-        if symbol is symbol_m_word:
-            vals[block] = _word_symbol_batch(*samples)
-        else:
-            vals[block] = _symbol_batch(symbol, *_beta_batch(*samples))
+        vals[block] = _sample_symbols(symbol, x[block], y[block], theta[block], g)
     return _mean_se(vals)

@@ -159,34 +159,32 @@ def first_letter(gamma: IntMat2) -> Letter:
     return Letter.S_PREFIX if _probe_in_region_A(*gamma.entries()) else Letter.R_PREFIX
 
 
-def _word_symbol_two_rounds(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """symbol_m_word of the gamma that reduce_to_fundamental_domain finds for
-    each z = x + iy (arrays), read off its first two rounds with the same
-    float operations, and the indices of the samples the rule leaves open.
+def _two_round_codes(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A code in 0..5 for the gamma that reduce_to_fundamental_domain finds
+    for each z = x + iy (arrays), read off its first two rounds with the same
+    float operations, and the indices of the samples the code leaves open.
 
-    The reduction writes gamma = +-T^n1 S^-1 T^n2 S^-1 ... T^nK. A middle step
-    n_k (1 < k < K) is never 0: after an inversion |z| > 1, so a zero step
-    ends the reduction. With T = SR up to sign, the cancellations at the
-    junctions (S S = -I, leaving R R = R^2) never reach the front of the
-    word, so its first letter is
-    - S for n1 > 0 and R for n1 < 0;
-    - +-I for n1 = 0 with no inversion;
-    - R for n1 = 0 with an inversion and n2 > 0, S for n2 <= 0.
-    Only at the _CIRCLE_TOL edge can the second round invert again after
-    n2 = 0, and there S^-1 S^-1 cancels: those samples are left open.
+    The reduction writes gamma = +-T^n1 S^-1 T^n2 S^-1 ... T^nK, and the code
+    is 1 + sgn n1, or 4 + sgn n2 after an inversion at n1 = 0:
+    0: n1 < 0, 1: +-I, 2: n1 > 0, 3: n2 < 0, 4: +-S^-1, 5: n2 > 0.
+    A middle step n_k (1 < k < K) is never 0: after an inversion |z| > 1, so
+    a zero step ends the reduction. Only at the _CIRCLE_TOL edge can the
+    second round invert again after n2 = 0, and there S^-1 S^-1 cancels:
+    those samples are left open. _TWO_ROUND_TABLES gives each discrete
+    symbol's value on the codes.
     """
     n1 = np.floor(x + 0.5)
     x = x - n1
     rr = x * x + y * y
-    val = np.where(n1 < 0.0, 0.0, 1.0)
+    code = np.sign(n1).astype(np.intp) + 1
     k = np.flatnonzero(_inverts(x, rr) & (n1 == 0.0))
     rr = rr[k]
     x2, y2 = -x[k] / rr, y[k] / rr
     n2 = np.floor(x2 + 0.5)
-    val[k[n2 > 0.0]] = 0.0
+    code[k] = np.sign(n2).astype(np.intp) + 4
     zero = n2 == 0.0
     x2, y2 = x2[zero], y2[zero]
-    return val, k[zero][_inverts(x2, x2 * x2 + y2 * y2)]
+    return code, k[zero][_inverts(x2, x2 * x2 + y2 * y2)]
 
 
 def word_decompose(gamma: IntMat2) -> tuple[int, tuple[str, ...]]:
@@ -250,3 +248,18 @@ def symbol_m_sign(gamma: IntMat2) -> int:
     """sgn(a*c + b*d), exact."""
     v = gamma.a * gamma.c + gamma.b * gamma.d
     return (v > 0) - (v < 0)
+
+
+# Each discrete symbol's value on the codes of _two_round_codes.
+# symbol_m_word: with T = SR up to sign, the cancellations at the junctions
+# (S S = -I, leaving R R = R^2) never reach the front of the word, so the
+# first letter is S for n1 > 0 and R for n1 < 0, and after an inversion at
+# n1 = 0 it is R for n2 > 0 and S for n2 <= 0.
+# symbol_m_sign: sgn(ac + bd) is the sign of Re gamma(i). The imaginary axis
+# meets only the tiles of +-I and +-S, where it is 0, and no tile is cut by
+# Re z = +-1/2, so it is sgn n1 for n1 != 0 and, after the inversion
+# w -> -1/w at n1 = 0, -sgn n2.
+_TWO_ROUND_TABLES = {
+    symbol_m_word: np.array([0.0, 1.0, 1.0, 1.0, 1.0, 0.0]),
+    symbol_m_sign: np.array([-1.0, 0.0, 1.0, 1.0, 0.0, -1.0]),
+}

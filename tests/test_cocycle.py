@@ -12,10 +12,9 @@ from hypertransfer import cocycle
 from hypertransfer.cocycle import (
     CocycleResult,
     DomainPoint,
-    _beta_batch,
+    _sample_symbols,
     _sample_xyth,
-    _symbol_batch,
-    _word_symbol_batch,
+    _shadow_batch,
     cocycle_beta,
     domain_measure_mc,
     domain_point,
@@ -27,7 +26,7 @@ from hypertransfer.modular import (
     I2,
     S_MAT,
     IntMat2,
-    _word_symbol_two_rounds,
+    _two_round_codes,
     reduce_to_fundamental_domain,
     symbol_m_sign,
     symbol_m_word,
@@ -48,6 +47,19 @@ def random_group_elt(rng: np.random.Generator) -> RealMat2:
         @ cartan_a(float(rng.uniform(0.5, 2.0)))
         @ rotation(float(rng.uniform(0, 2 * math.pi)))
     )
+
+
+def mc_betas(g: RealMat2, n: int, seed: int) -> list[IntMat2]:
+    """The beta of every sample of transferred_symbol_mc(., g, n, seed), in
+    sample order, collected through a generic symbol."""
+    betas = []
+
+    def collect(beta: IntMat2) -> float:
+        betas.append(beta)
+        return 0.0
+
+    transferred_symbol_mc(collect, g, n, seed)
+    return betas
 
 
 def test_domain_point_validation():
@@ -177,52 +189,44 @@ def test_batch_beta_matches_scalar():
     # from norm 1e6 on some samples differ: their shadows lie below height
     # 1e-12, where the float64 rounding of h moves the reduced point across a
     # side of the domain (see MC_MAX_NORM); at 1e6 a 60-digit reference
-    # sides with the batch route
+    # sides with the batch route. The Monte-Carlo route's beta is collected
+    # through a generic symbol, which reduces the batch shadow
     for k, r in ((1, 1.0), (2, 10.0), (3, 100.0), (4, 1e4), (5, 1e5)):
         elements.append(rotation(0.4 * k) @ cartan_a(r) @ rotation(1.3 * k))
     for g in elements:
-        A, B, C, D = _beta_batch(x, y, theta, g)
+        betas = mc_betas(g, 300, 77)
         for i in range(300):
             p = domain_point(float(x[i]), float(y[i]), float(theta[i]))
-            b = cocycle_beta(p, g).beta
-            assert (int(A[i]), int(B[i]), int(C[i]), int(D[i])) == b.entries(), (g, i)
+            assert betas[i] == cocycle_beta(p, g).beta, (g, i)
 
 
-def test_batch_beta_matches_scalar_on_the_unit_arc():
+def test_batch_beta_matches_scalar_on_the_unit_arc(monkeypatch):
     # a domain point on the arc with 0 < Re < 1/2 is the S-image of the
     # boundary point with Re < 0 that the reduction keeps, so both routes
     # take the same inversion there; rotations keep the shadow on the arc
     x = np.linspace(0.01, 0.49, 25)
     y = np.sqrt(1.0 - x * x)
     theta = np.linspace(0.0, 3.1, 25)
+    monkeypatch.setattr(cocycle, "_sample_xyth", lambda seed, n: (x, y, theta))
     for g in (IDENTITY, rotation(1.1), rotation(4.0)):
-        A, B, C, D = _beta_batch(x, y, theta, g)
+        betas = mc_betas(g, len(x), 0)
         for i in range(len(x)):
             res = cocycle_beta(domain_point(float(x[i]), float(y[i]), float(theta[i])), g)
-            assert (int(A[i]), int(B[i]), int(C[i]), int(D[i])) == res.beta.entries(), (g, i)
+            assert betas[i] == res.beta, (g, i)
             assert res.beta in (S_MAT, S_MAT.neg())
             assert an_coords(res.moved.s0).g_x < 0.0
 
 
-def test_capped_rounds_finish_on_the_scalar_reduction(monkeypatch):
-    # with the vectorized rounds cut short, the samples still active are
-    # finished one by one and written back to their own positions
-    g = rotation(0.9) @ cartan_a(1e3) @ rotation(2.1)
-    x, y, theta = _sample_xyth(5, 2000)
-    full = np.stack(_beta_batch(x, y, theta, g))
-    finished = []
-
-    def counting_reduce(z):
-        finished.append(z)
-        return reduce_to_fundamental_domain(z)
-
-    monkeypatch.setattr(cocycle, "reduce_to_fundamental_domain", counting_reduce)
-    for cap in (1, 2):
-        monkeypatch.setattr(cocycle, "_VEC_ITER_CAP", cap)
-        finished.clear()
-        capped = np.stack(_beta_batch(x, y, theta, g))
-        assert finished, cap
-        assert np.array_equal(capped, full), cap
+def test_batch_beta_of_a_half_turn(monkeypatch):
+    # at theta = 0 and g = -I the residual rotation is w = -s0, with w21 = 0
+    # and w22 < 0: both routes give beta = -I, which turns its angle back to 0
+    x, y, theta = np.array([0.0, 0.3]), np.array([2.0, 1.5]), np.zeros(2)
+    monkeypatch.setattr(cocycle, "_sample_xyth", lambda seed, n: (x, y, theta))
+    half_turn = IDENTITY.neg()
+    assert mc_betas(half_turn, 2, 0) == [I2.neg(), I2.neg()]
+    for i in range(2):
+        res = cocycle_beta(domain_point(float(x[i]), float(y[i]), 0.0), half_turn)
+        assert (res.beta, res.moved.k0_angle) == (I2.neg(), 0.0)
 
 
 def test_batch_symbol_matches_scalar_symbols():
@@ -237,8 +241,8 @@ def test_batch_symbol_matches_scalar_symbols():
 
 
 def test_word_rule_matches_the_full_reduction():
-    # the two-round rule against the full reduction and the generic symbol
-    # path, sample by sample: rotated norms 1 to 1e5, diagonal ones to 1e12
+    # the two-round rule of both symbols against the scalar reduction of each
+    # shadow, sample by sample: rotated norms 1 to 1e5, diagonal ones to 1e12
     x, y, theta = _sample_xyth(19, 10_000)
     elements = [
         rotation(0.4 * k) @ cartan_a(r) @ rotation(1.3 * k)
@@ -246,8 +250,14 @@ def test_word_rule_matches_the_full_reduction():
     ]
     elements += [cartan_a(r) for r in (0.2, 1e-3, 1e6, 1e9, 1e12)]
     for g in elements:
-        full = _symbol_batch(symbol_m_word, *_beta_batch(x, y, theta, g))
-        assert np.array_equal(_word_symbol_batch(x, y, theta, g), full), g
+        _, zx, zy = _shadow_batch(x, y, theta, g)
+        gammas = [
+            reduce_to_fundamental_domain(HalfPlanePoint(float(u), float(v))).gamma
+            for u, v in zip(zx, zy)
+        ]
+        for symbol in (symbol_m_word, symbol_m_sign):
+            exact = np.array([float(symbol(gamma)) for gamma in gammas])
+            assert np.array_equal(_sample_symbols(symbol, x, y, theta, g), exact), (symbol, g)
 
 
 def test_word_rule_finishes_a_double_inversion_on_the_scalar_reduction(monkeypatch):
@@ -257,7 +267,7 @@ def test_word_rule_finishes_a_double_inversion_on_the_scalar_reduction(monkeypat
     zx, zy = np.array([-0.029199522301274216]), np.array([0.9995736030410053])
     rr = float(zx[0] * zx[0] + zy[0] * zy[0])
     assert 1.0 - 1e-12 - 1e-15 < rr < 1.0 - 1e-12
-    vals, left = _word_symbol_two_rounds(zx, zy)
+    _, left = _two_round_codes(zx, zy)
     assert left.tolist() == [0]
     red = reduce_to_fundamental_domain(HalfPlanePoint(float(zx[0]), float(zy[0])))
     assert red.gamma == I2
@@ -270,24 +280,19 @@ def test_word_rule_finishes_a_double_inversion_on_the_scalar_reduction(monkeypat
     monkeypatch.setattr(cocycle, "_shadow_batch", lambda *args: (None, zx, zy))
     monkeypatch.setattr(cocycle, "reduce_to_fundamental_domain", counting_reduce)
     one = np.ones(1)
-    assert _word_symbol_batch(one, one, one, IDENTITY).tolist() == [1.0]
-    assert len(finished) == 1
+    assert _sample_symbols(symbol_m_word, one, one, one, IDENTITY).tolist() == [1.0]
+    (sign,) = _sample_symbols(symbol_m_sign, one, one, one, IDENTITY)
+    assert (sign, math.copysign(1.0, sign)) == (0.0, 1.0)
+    assert len(finished) == 2
 
 
-def test_batch_symbol_stays_exact_past_the_probe_range():
-    # entries inside cocycle._INT64_SAFE, where the word probe's 2N + D is
-    # about 2.0e19: in int64 it wrapped, and the batch symbol read 0
-    beta = IntMat2(1_299_999_999, 1, 1_299_999_998, 1)
-    assert symbol_m_word(beta) == 1.0
-    A, B, C, D = (np.array([v], dtype=np.int64) for v in beta.entries())
-    assert _symbol_batch(symbol_m_word, A, B, C, D).tolist() == [1.0]
-
-
-@pytest.mark.parametrize("k, r", list(enumerate((1.0, 10.0, 100.0, 1e3, 1e4, 1e5), 1)))
+@pytest.mark.parametrize(
+    "k, r", list(enumerate((1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8), 1))
+)
 def test_transferred_sign_symbol_vanishes(k, r):
     # sgn(ac + bd) is the sign of Re(beta i): the average over the domain is
-    # odd under g_x -> -g_x and so 0 at every norm; this keeps the full
-    # reduction covered
+    # odd under g_x -> -g_x and so 0 at every norm; this holds the sign
+    # symbol's two-round rule to it up to rotated norm 1e8
     g = rotation(0.4 * k) @ cartan_a(r) @ rotation(1.3 * k)
     est, se = transferred_symbol_mc(symbol_m_sign, g, 20_000, 30 + k)
     assert abs(est) <= 5.0 * se, (est, se)
@@ -340,13 +345,14 @@ def test_mc_blocks_move_no_bit_and_bound_the_working_set(monkeypatch):
 
 
 def test_mc_reduction_range_is_named():
-    # past the int64 headroom the reduction raises one named error instead of
-    # wrapping around into a wrong lattice element
-    with pytest.raises(DomainError, match=r"supports operator norms up to about 1e\+15"):
-        transferred_symbol_mc(symbol_m_word, cartan_a(1e20), 1000, 1)
-    # past about norm 1e154 the half-plane image itself leaves float64
-    with pytest.raises(DomainError, match=r"overflows float64.*up to about 1e\+15"):
-        transferred_symbol_mc(symbol_m_word, cartan_a(1e160), 10, 0)
+    # every symbol has one range: past it the route raises one named error
+    for symbol in (symbol_m_word, symbol_m_sign, lambda beta: 1.0):
+        for r in (1.1e15, 1e17, 1e20):
+            with pytest.raises(DomainError, match=r"refused .*up to about 1e\+15"):
+                transferred_symbol_mc(symbol, cartan_a(r), 1000, 1)
+        # past about norm 1e154 the half-plane image itself leaves float64
+        with pytest.raises(DomainError, match=r"overflows float64.*up to about 1e\+15"):
+            transferred_symbol_mc(symbol, cartan_a(1e160), 10, 0)
     est, _ = transferred_symbol_mc(symbol_m_word, cartan_a(1e12), 1000, 1)
     assert 0.0 <= est <= 1.0
 

@@ -15,9 +15,10 @@ from hypertransfer.modular import (
     R_MAT,
     S_MAT,
     T_MAT,
+    _TWO_ROUND_TABLES,
     IntMat2,
     Letter,
-    _word_symbol_two_rounds,
+    _two_round_codes,
     enumerate_elements,
     first_letter,
     reduce_to_fundamental_domain,
@@ -235,10 +236,15 @@ def _shadows(draw):
 @example((-0.5, 0.5))
 @example((0.5, 1e-30))
 def test_word_rule_matches_the_scalar_reduction(z):
-    # the two-round rule reads the first letter of the gamma the full scalar
-    # reduction finds; the samples it leaves open are finished by the caller
+    # the two-round code gives the word and the sign symbol of the gamma the
+    # full scalar reduction finds, a 0 as +0.0; the samples it leaves open are
+    # finished by the caller
     x, y = z
-    vals, left = _word_symbol_two_rounds(np.array([x]), np.array([y]))
+    code, left = _two_round_codes(np.array([x]), np.array([y]))
     if left.size == 0:
         gamma = reduce_to_fundamental_domain(HalfPlanePoint(x, y)).gamma
-        assert vals[0] == symbol_m_word(gamma), (x, y, gamma)
+        for symbol in (symbol_m_word, symbol_m_sign):
+            got, exact = _TWO_ROUND_TABLES[symbol][code[0]], float(symbol(gamma))
+            assert (got, math.copysign(1.0, got)) == (exact, math.copysign(1.0, exact)), (
+                symbol, x, y, gamma,
+            )
