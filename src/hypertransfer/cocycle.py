@@ -7,10 +7,12 @@ A domain point is s0 * rotation(theta0) with pi(s0) in the fundamental domain
 and theta0 in [0, pi). For a group element g, the unique lattice matrix beta
 with beta^{-1} s0 k0 g back in the domain is computed by reducing the
 half-plane shadow and then fixing the sign so the residual rotation angle
-lands in [0, pi). The word symbol reads only the first letter of beta, up to
-sign, and the sign symbol only the sign of Re beta(i): the Monte-Carlo average
-takes both off the first two rounds of that reduction, and any other symbol
-off the scalar reduction of each sample.
+lands in [0, pi). The Monte-Carlo average forms each shadow in Mobius form,
+s0(k0(g(i))) = x + y k0(g(i)), from one tangent of theta0 per sample. The
+word symbol reads only the first letter of beta, up to sign, and the sign
+symbol only the sign of Re beta(i): the average takes both off the first two
+rounds of that reduction, and any other symbol off the scalar reduction of
+each sample.
 """
 
 from __future__ import annotations
@@ -44,11 +46,11 @@ from .sl2 import (
 _SQRT3_HALF = math.sqrt(3.0) / 2.0
 # transferred_symbol_mc reduces its samples this many at a time. Every
 # sample's beta and symbol value are independent of the others, so the result
-# is the same for any block size; the blocks keep the reduction's temporaries
-# at 128 KB each. In one block a 200 000-sample call peaked at 40 MB of numpy
-# memory, and over a run of such calls the resident set grew by 0-12 MB more
-# depending on where the allocator placed them; in blocks the call peaks at
-# 9 MB, most of it the samples themselves, and the resident set stays put.
+# is the same for any block size; the blocks keep the shadow's temporaries at
+# 128 KB each. In one block a 200 000-sample call peaks at 17 MB of numpy
+# memory, and 41 such calls in a row raised the resident set by 18 MB; in
+# blocks the call peaks at 10 MB, 9 MB of it the samples themselves, and the
+# same calls raise the resident set by 11 MB.
 _MC_BLOCK = 16_384
 # the largest operator norm the Monte-Carlo route accepts, for every symbol;
 # past it the route raises DomainError. No step of the route forms a
@@ -165,41 +167,40 @@ def _range_error(g: RealMat2, cause: str) -> DomainError:
 
 
 def _shadow_batch(
-    x: np.ndarray, y: np.ndarray, theta: np.ndarray, g: RealMat2
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
-    """The entries (h11, h12, h21, h22) of h = s0 k0 g for every sample, and
-    the real and imaginary parts of its half-plane shadow h(i)."""
-    sy = np.sqrt(y)
-    cg, sg = np.cos(theta), np.sin(theta)
-    m11 = cg * g.a - sg * g.c
-    m12 = cg * g.b - sg * g.d
-    m21 = sg * g.a + cg * g.c
-    m22 = sg * g.b + cg * g.d
-    # full-length temporaries are dropped as soon as they are used up
-    del cg, sg
-    xs = x / sy
-    h11 = sy * m11 + xs * m21
-    h12 = sy * m12 + xs * m22
-    h21 = m21 / sy
-    h22 = m22 / sy
-    del sy, xs, m11, m12, m21, m22
-    # past about norm 1e154 den overflows (z reads 0) or underflows (z is
-    # inf or NaN): name the range without printing numpy's warnings first
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        den = h21 * h21 + h22 * h22
-        zx = (h11 * h21 + h12 * h22) / den
-        zy = 1.0 / den  # det h = 1
-        if not (np.isfinite(den).all() and np.isfinite(zx).all() and np.isfinite(zy).all()):
-            raise _range_error(g, "the half-plane image of a sample overflows float64")
-    return (h11, h12, h21, h22), zx, zy
+    x: np.ndarray, y: np.ndarray, tau: np.ndarray, g: RealMat2
+) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of the half-plane shadow h(i) = x + y k0(g(i))
+    of h = s0 k0 g for every sample, where k0(z) = (z - tau) / (1 + tau z) and
+    tau = tan(theta). g is checked once, before any per-sample work: past about
+    norm 1e154 g(i) = u + iv overflows, and past MC_MAX_NORM the route refuses.
+    At a norm n in range |u| <= n^2, v >= 1/n^2 and |tau| <= 1.7e16, so no step
+    below overflows and den > 0."""
+    den = g.c * g.c + g.d * g.d
+    u, v = ((g.a * g.c + g.b * g.d) / den, 1.0 / den) if den > 0.0 else (math.nan, math.nan)
+    if not (math.isfinite(u) and 0.0 < v < math.inf):
+        raise _range_error(g, "the half-plane image of a sample overflows float64")
+    if operator_norm(g) > MC_MAX_NORM:
+        raise _range_error(g, "the cocycle reduction is refused")
+    # 1 + tau z = p + iq and (z - tau)(p - iq) = (u - tau) p + v q + i v (1 + tau^2)
+    p = 1.0 + tau * u
+    q = tau * v
+    den = p * p + q * q
+    zx = x + y * (((u - tau) * p + v * q) / den)
+    zy = y * (v * (1.0 + tau * tau) / den)
+    return zx, zy
 
 
-def _sample_beta(h: tuple[np.ndarray, ...], zx: np.ndarray, zy: np.ndarray, i: int) -> IntMat2:
-    """beta of sample i, as cocycle_beta: the scalar reduction of its batch
-    shadow, then the sign of beta that puts the residual rotation angle in
-    [0, pi)."""
-    gam = reduce_to_fundamental_domain(HalfPlanePoint(float(zx[i]), float(zy[i]))).gamma
-    h11, h12, h21, h22 = (float(v[i]) for v in h)
+def _sample_beta(zx: float, zy: float, x: float, y: float, theta: float, g: RealMat2) -> IntMat2:
+    """beta of the sample (x, y, theta) with batch shadow zx + i zy, as
+    cocycle_beta: the scalar reduction of that shadow, then the sign of beta
+    that puts the residual rotation angle in [0, pi)."""
+    gam = reduce_to_fundamental_domain(HalfPlanePoint(zx, zy)).gamma
+    # the entries of h = s0 k0 g, one sample at a time
+    sy, ct, st = math.sqrt(y), math.cos(theta), math.sin(theta)
+    m21, m22 = st * g.a + ct * g.c, st * g.b + ct * g.d
+    h21, h22 = m21 / sy, m22 / sy
+    h11 = sy * (ct * g.a - st * g.c) + x / sy * m21
+    h12 = sy * (ct * g.b - st * g.d) + x / sy * m22
     # w = gamma^{-1} h; its angle is in [0, pi) iff w21 > 0 or (w21 == 0 and
     # w22 > 0). Negating gamma negates w21 and w22 exactly, so this test
     # alone fixes the sign whatever sign gamma had, unless both round to 0
@@ -219,12 +220,11 @@ def _sample_symbols(
     (modular._two_round_codes), and the samples that rule leaves open finish
     on the scalar reduction; any other symbol gets each beta from
     _sample_beta."""
-    h, zx, zy = _shadow_batch(x, y, theta, g)
-    if operator_norm(g) > MC_MAX_NORM:
-        raise _range_error(g, "the cocycle reduction is refused")
+    zx, zy = _shadow_batch(x, y, np.tan(theta), g)
     table = _TWO_ROUND_TABLES.get(symbol)
     if table is None:
-        return np.array([float(symbol(_sample_beta(h, zx, zy, i))) for i in range(len(zx))])
+        rows = zip(zx.tolist(), zy.tolist(), x.tolist(), y.tolist(), theta.tolist())
+        return np.array([float(symbol(_sample_beta(*row, g))) for row in rows])
     code, left = _two_round_codes(zx, zy)
     vals = table[code]
     for i in left:

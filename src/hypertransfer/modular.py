@@ -71,10 +71,6 @@ S_INV = S_MAT.inv()  # (0,1;-1,0) = -S
 R_INV = R_MAT.inv()  # (1,1;-1,0) = -R^2
 
 
-def t_power(n: int) -> IntMat2:
-    return IntMat2(1, n, 0, 1)
-
-
 class Letter(enum.Enum):
     IDENTITY = "IDENTITY"
     S_PREFIX = "S_PREFIX"
@@ -112,23 +108,25 @@ def reduce_to_fundamental_domain(z: HalfPlanePoint) -> ReducedPoint:
     Classical translate/invert loop. Boundary conventions: Re z0 in [-1/2, 1/2)
     (half-open, enforced by the floor-based translation) and on the unit circle
     the representative with Re <= 0 (_inverts). gamma is sign-canonicalized.
+    Its entries (a b; c d) are kept as Python ints: gamma T^n is
+    (a, an + b; c, cn + d) and gamma S^-1 is (-b, a; -d, c).
     """
     x, y = z.x, z.y
-    g = I2
+    a, b, c, d = 1, 0, 0, 1
     for _ in range(_ITER_CAP):
         n = int(math.floor(x + 0.5))
         if n != 0:
             x -= n
-            g = g @ t_power(n)
+            b, d = a * n + b, c * n + d
         rr = x * x + y * y
         if _inverts(x, rr):
             x, y = (-x / rr, y / rr) if rr >= _TINY else _invert_scaled(x, y)
-            g = g @ S_INV
+            a, b, c, d = -b, a, -d, c
         else:
             break
     else:
         raise DegeneracyError("fundamental-domain reduction did not stabilize")
-    return ReducedPoint(gamma=g.canonical_sign(), z0=HalfPlanePoint(x, y))
+    return ReducedPoint(gamma=IntMat2(a, b, c, d).canonical_sign(), z0=HalfPlanePoint(x, y))
 
 
 def _probe_in_region_A(a: int, b: int, c: int, d: int) -> bool:

@@ -24,7 +24,6 @@ from hypertransfer.modular import (
     reduce_to_fundamental_domain,
     symbol_m_sign,
     symbol_m_word,
-    t_power,
     word_decompose,
 )
 from hypertransfer.sl2 import HalfPlanePoint, RealMat2, mobius_act
@@ -39,8 +38,6 @@ def test_generator_relations():
     # S^2 = R^3 = -I
     assert S_MAT @ S_MAT == IntMat2(-1, 0, 0, -1)
     assert R_MAT @ R2_MAT == IntMat2(-1, 0, 0, -1)
-    assert t_power(5) == IntMat2(1, 5, 0, 1)
-    assert t_power(-2) == IntMat2(1, -2, 0, 1)
 
 
 def test_intmat2_exact_det():
@@ -54,7 +51,7 @@ def test_reduce_examples():
     assert (rp.z0.x, rp.z0.y) == (0.0, 2.0)
 
     rp = reduce_to_fundamental_domain(HalfPlanePoint(5.0, 2.0))
-    assert rp.gamma == t_power(5).canonical_sign()
+    assert rp.gamma == IntMat2(1, 5, 0, 1)
     assert abs(rp.z0.x) < 1e-12 and abs(rp.z0.y - 2.0) < 1e-12
 
     rp = reduce_to_fundamental_domain(HalfPlanePoint(0.0, 0.1))
