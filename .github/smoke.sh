@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Console-script smoke test: every subcommand runs with numpy's
 # RuntimeWarnings as errors, inputs past the supported ranges exit 2 with a
-# named error, and the Monte-Carlo line of the README matches a fresh run.
+# named error, and the Monte-Carlo line of the README and one at a ragged
+# sample count match fresh runs.
 # Run from the root of a checkout with the `hypertransfer` script on PATH.
 set -euo pipefail
 export PYTHONWARNINGS=error::RuntimeWarning
@@ -42,3 +43,7 @@ hypertransfer verify --suite cocycle > /dev/null
 
 command='hypertransfer symbol 0.2 --mode mc --n 200000 --seed 7'
 $command | diff - <(grep -F -A 2 "\$ $command" README.md | tail -n 2)
+# 50 001 samples: a ragged last block, and the y and theta streams start at
+# draws 50 001 and 100 002, off a Philox counter step
+hypertransfer symbol 0.2 --mode mc --n 50001 --seed 3 | diff - <(printf '%s\n' \
+  r,mode,value,error 0.20000000000000001,mc,0.50216995660086794,0.0022360469194019628)

@@ -7,12 +7,13 @@ A domain point is s0 * rotation(theta0) with pi(s0) in the fundamental domain
 and theta0 in [0, pi). For a group element g, the unique lattice matrix beta
 with beta^{-1} s0 k0 g back in the domain is computed by reducing the
 half-plane shadow and then fixing the sign so the residual rotation angle
-lands in [0, pi). The Monte-Carlo average forms each shadow in Mobius form,
-s0(k0(g(i))) = x + y k0(g(i)), from one tangent of theta0 per sample. The
-word symbol reads only the first letter of beta, up to sign, and the sign
-symbol only the sign of Re beta(i): the average takes both off the first two
-rounds of that reduction, and any other symbol off the scalar reduction of
-each sample.
+lands in [0, pi). The Monte-Carlo average draws its samples block by block,
+from three streams placed at draws 0, n and 2n (_streams), and forms each
+shadow in Mobius form, s0(k0(g(i))) = x + y k0(g(i)), from one tangent of
+theta0 per sample. The word symbol reads only the first letter of beta, up to
+sign, and the sign symbol only the sign of Re beta(i): the average takes both
+off the first two rounds of that reduction, and any other symbol off the
+scalar reduction of each sample.
 """
 
 from __future__ import annotations
@@ -44,13 +45,11 @@ from .sl2 import (
 )
 
 _SQRT3_HALF = math.sqrt(3.0) / 2.0
-# transferred_symbol_mc reduces its samples this many at a time. Every
-# sample's beta and symbol value are independent of the others, so the result
-# is the same for any block size; the blocks keep the shadow's temporaries at
-# 128 KB each. In one block a 200 000-sample call peaks at 17 MB of numpy
-# memory, and 41 such calls in a row raised the resident set by 18 MB; in
-# blocks the call peaks at 10 MB, 9 MB of it the samples themselves, and the
-# same calls raise the resident set by 11 MB.
+# transferred_symbol_mc draws, maps and reduces its samples this many at a
+# time, and only the symbol values span all n. Every sample's draws, beta and
+# symbol value are independent of the others, so the result is the same for
+# any block size; a 200 000-sample call peaks at 3.2 MB of numpy memory
+# (9.2 MB with the samples drawn whole, 17 MB in one block).
 _MC_BLOCK = 16_384
 # the largest operator norm the Monte-Carlo route accepts, for every symbol;
 # past it the route raises DomainError. No step of the route forms a
@@ -126,19 +125,28 @@ def _mean_se(vals: np.ndarray) -> tuple[float, float]:
     return float(vals.mean()), se
 
 
-def _sample_xyth(rng_seed: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Arrays (x, y, theta): (x, y) by _domain_xy, theta uniform on [0, pi).
-    Block order is fixed so the scalar and vectorized paths consume the
-    identical stream."""
+def _streams(rng_seed: int, n: int) -> list[np.random.Generator]:
+    """Three generators on _rng(rng_seed), placed at draws 0, n and 2n: the
+    uniforms of x, y and theta for n samples, in the order one generator
+    would draw them. Philox makes four 64-bit draws per counter step and
+    Generator.random takes one draw per double."""
     if n < 1:
         raise DomainError("need at least one sample")
-    rng = _rng(rng_seed)
-    # all three blocks are drawn before any is transformed: this order of
-    # allocations kept the benchmark's peak resident set 4 MB lower than
-    # drawing theta's block after the (x, y) transform
-    u1, u2, u3 = rng.random(n), rng.random(n), rng.random(n)
-    x, y = _domain_xy(u1, u2)
-    return x, y, math.pi * u3
+    streams = []
+    for k in range(3):
+        rng = _rng(rng_seed)
+        q, r = divmod(k * n, 4)
+        rng.bit_generator.advance(q).random_raw(r)
+        streams.append(rng)
+    return streams
+
+
+def _sample_xyth(rng_seed: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arrays (x, y, theta): (x, y) by _domain_xy, theta uniform on [0, pi),
+    from the streams transferred_symbol_mc draws block by block."""
+    s1, s2, s3 = _streams(rng_seed, n)
+    x, y = _domain_xy(s1.random(n), s2.random(n))
+    return x, y, math.pi * s3.random(n)
 
 
 def sample_domain(rng_seed: int, n: int) -> list[DomainPoint]:
@@ -244,9 +252,10 @@ def transferred_symbol_mc(
     gets each full beta from the scalar reduction. Every symbol refuses
     operator norms past MC_MAX_NORM with a named DomainError.
     """
-    x, y, theta = _sample_xyth(rng_seed, n)
+    streams = _streams(rng_seed, n)
     vals = np.empty(n)
     for i in range(0, n, _MC_BLOCK):
-        block = slice(i, i + _MC_BLOCK)
-        vals[block] = _sample_symbols(symbol, x[block], y[block], theta[block], g)
+        u1, u2, u3 = (s.random(min(_MC_BLOCK, n - i)) for s in streams)
+        x, y = _domain_xy(u1, u2)
+        vals[i : i + len(u1)] = _sample_symbols(symbol, x, y, math.pi * u3, g)
     return _mean_se(vals)

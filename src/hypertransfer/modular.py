@@ -172,12 +172,14 @@ def _two_round_codes(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     symbol's value on the codes.
     """
     n1 = np.floor(x + 0.5)
-    x = x - n1
-    rr = x * x + y * y
     code = np.sign(n1).astype(np.intp) + 1
-    k = np.flatnonzero(_inverts(x, rr) & (n1 == 0.0))
-    rr = rr[k]
-    x2, y2 = -x[k] / rr, y[k] / rr
+    # the second round decides the code only at n1 = 0, where x - n1 is x
+    k = np.flatnonzero(n1 == 0.0)
+    x, y = x[k], y[k]
+    rr = x * x + y * y
+    inv = _inverts(x, rr)
+    k, rr = k[inv], rr[inv]
+    x2, y2 = -x[inv] / rr, y[inv] / rr
     n2 = np.floor(x2 + 0.5)
     code[k] = np.sign(n2).astype(np.intp) + 4
     zero = n2 == 0.0

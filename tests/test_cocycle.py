@@ -4,6 +4,7 @@ symbol."""
 import math
 import re
 import tracemalloc
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -12,6 +13,9 @@ from hypertransfer import cocycle
 from hypertransfer.cocycle import (
     CocycleResult,
     DomainPoint,
+    _domain_xy,
+    _mean_se,
+    _rng,
     _sample_symbols,
     _sample_xyth,
     _shadow_batch,
@@ -31,6 +35,8 @@ from hypertransfer.modular import (
     symbol_m_sign,
     symbol_m_word,
 )
+from hypertransfer.quadrature import QuadratureConfig
+from hypertransfer.regions import m_tilde_full
 from hypertransfer.sl2 import IDENTITY, HalfPlanePoint, RealMat2, an_coords, cartan_a, rotation
 
 
@@ -49,16 +55,30 @@ def random_group_elt(rng: np.random.Generator) -> RealMat2:
     )
 
 
-def mc_betas(g: RealMat2, n: int, seed: int) -> list[IntMat2]:
-    """The beta of every sample of transferred_symbol_mc(., g, n, seed), in
-    sample order, collected through a generic symbol."""
-    betas = []
+def collecting_symbol() -> tuple[list[IntMat2], Callable[[IntMat2], float]]:
+    """A generic symbol that appends every beta it is given to a list."""
+    betas: list[IntMat2] = []
 
     def collect(beta: IntMat2) -> float:
         betas.append(beta)
         return 0.0
 
+    return betas, collect
+
+
+def mc_betas(g: RealMat2, n: int, seed: int) -> list[IntMat2]:
+    """The beta of every sample of transferred_symbol_mc(., g, n, seed), in
+    sample order, collected through a generic symbol."""
+    betas, collect = collecting_symbol()
     transferred_symbol_mc(collect, g, n, seed)
+    return betas
+
+
+def batch_betas(x: np.ndarray, y: np.ndarray, theta: np.ndarray, g: RealMat2) -> list[IntMat2]:
+    """The beta the Monte-Carlo route gives each of the samples (x, y, theta),
+    in sample order, collected through a generic symbol."""
+    betas, collect = collecting_symbol()
+    _sample_symbols(collect, x, y, theta, g)
     return betas
 
 
@@ -200,16 +220,15 @@ def test_batch_beta_matches_scalar():
             assert betas[i] == cocycle_beta(p, g).beta, (g, i)
 
 
-def test_batch_beta_matches_scalar_on_the_unit_arc(monkeypatch):
+def test_batch_beta_matches_scalar_on_the_unit_arc():
     # a domain point on the arc with 0 < Re < 1/2 is the S-image of the
     # boundary point with Re < 0 that the reduction keeps, so both routes
     # take the same inversion there; rotations keep the shadow on the arc
     x = np.linspace(0.01, 0.49, 25)
     y = np.sqrt(1.0 - x * x)
     theta = np.linspace(0.0, 3.1, 25)
-    monkeypatch.setattr(cocycle, "_sample_xyth", lambda seed, n: (x, y, theta))
     for g in (IDENTITY, rotation(1.1), rotation(4.0)):
-        betas = mc_betas(g, len(x), 0)
+        betas = batch_betas(x, y, theta, g)
         for i in range(len(x)):
             res = cocycle_beta(domain_point(float(x[i]), float(y[i]), float(theta[i])), g)
             assert betas[i] == res.beta, (g, i)
@@ -217,13 +236,12 @@ def test_batch_beta_matches_scalar_on_the_unit_arc(monkeypatch):
             assert an_coords(res.moved.s0).g_x < 0.0
 
 
-def test_batch_beta_of_a_half_turn(monkeypatch):
+def test_batch_beta_of_a_half_turn():
     # at theta = 0 and g = -I the residual rotation is w = -s0, with w21 = 0
     # and w22 < 0: both routes give beta = -I, which turns its angle back to 0
     x, y, theta = np.array([0.0, 0.3]), np.array([2.0, 1.5]), np.zeros(2)
-    monkeypatch.setattr(cocycle, "_sample_xyth", lambda seed, n: (x, y, theta))
     half_turn = IDENTITY.neg()
-    assert mc_betas(half_turn, 2, 0) == [I2.neg(), I2.neg()]
+    assert batch_betas(x, y, theta, half_turn) == [I2.neg(), I2.neg()]
     for i in range(2):
         res = cocycle_beta(domain_point(float(x[i]), float(y[i]), 0.0), half_turn)
         assert (res.beta, res.moved.k0_angle) == (I2.neg(), 0.0)
@@ -337,6 +355,28 @@ def test_code_shares_are_mirror_symmetric(g):
         assert abs(est) <= 5.0 * se, (lo, hi, est, se)
 
 
+# 1 on the codes of +-I and +-S^-1: beta(p, g) is +-I or +-S
+DEFICIT_ROW = np.array([0.0, 1.0, 0.0, 0.0, 1.0, 0.0])
+
+
+@pytest.mark.parametrize("r", [1.33, 2.0, 5.0])
+def test_deficit_shares_give_m_tilde_minus_a_half(r):
+    # by the mirror above p0 = p2 and p3 = p5, and the word table is 1 on
+    # codes 1-4, so m_tilde - 1/2 = (p1 + p4)/2. A sample the rule leaves
+    # open ends on +-I after code 4, and the row is 1 on both. The spread of
+    # this estimate falls with p1 + p4: at n = 5 it is a tenth of the word
+    # estimator's or less on the same samples, where m_tilde - 1/2 is 1e-3
+    g = cartan_a(r)
+    x, y, theta = _sample_xyth(43, 10**6)
+    code, _ = _two_round_codes(*_shadow_batch(x, y, np.tan(theta), g))
+    est, se = _mean_se(DEFICIT_ROW[code] / 2.0)
+    tight, _ = m_tilde_full(g, QuadratureConfig(abs_tol=1e-15, rel_tol=1e-13))
+    assert abs(est - (tight - 0.5)) <= 5.0 * se, (est, se, tight - 0.5)
+    if r == 5.0:
+        _, word_se = _mean_se(_sample_symbols(symbol_m_word, x, y, theta, g))
+        assert se <= word_se / 10.0, (se, word_se)
+
+
 @pytest.mark.parametrize(
     "k, r", list(enumerate((1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8), 1))
 )
@@ -378,6 +418,57 @@ def test_mc_estimates_are_frozen(name):
     assert transferred_symbol_mc(symbol_m_sign, g, 200_000, 7) == sign
 
 
+# exact (est, se) of transferred_symbol_mc at rotated norm 1e3 and seed 3 for
+# sample counts n whose theta and y streams start off a Philox counter step
+# (n and 2n not multiples of 4), with a ragged last block from 16 385 on
+FROZEN_MC_ODD_N = {
+    1: ((0.0, 0.0), (-1.0, 0.0)),
+    3: ((0.6666666666666666, 0.33333333333333337), (0.3333333333333333, 0.6666666666666667)),
+    16_385: (
+        (0.49649069270674395, 0.003906153786020724),
+        (-0.007018614586512054, 0.007812307572041448),
+    ),
+    50_001: (
+        (0.500169996600068, 0.0022360678482602264),
+        (0.00033999320013599726, 0.004472135696520453),
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(FROZEN_MC_ODD_N))
+def test_mc_estimates_at_odd_sample_counts_are_frozen(n):
+    g = FROZEN_MC["rotated 1e3"][0]
+    word, sign = FROZEN_MC_ODD_N[n]
+    assert transferred_symbol_mc(symbol_m_word, g, n, 3) == word
+    assert transferred_symbol_mc(symbol_m_sign, g, n, 3) == sign
+
+
+@pytest.mark.parametrize(
+    "block, n",
+    [(1_001, 4_000), (1_001, 4_001), (1_001, 4_002), (1_001, 4_003)]
+    + [(cocycle._MC_BLOCK, cocycle._MC_BLOCK - 1), (cocycle._MC_BLOCK, cocycle._MC_BLOCK + 1)],
+)
+def test_streamed_blocks_join_into_the_whole_draw(monkeypatch, block, n):
+    # the blocks transferred_symbol_mc draws, joined in order, are the samples
+    # _sample_xyth draws whole, and both read x, y and theta off the
+    # consecutive draws 0..n-1, n..2n-1 and 2n..3n-1 of one generator
+    drawn = []
+
+    def record(symbol, x, y, theta, g):
+        drawn.append((x, y, theta))
+        return np.zeros(len(x))
+
+    monkeypatch.setattr(cocycle, "_sample_symbols", record)
+    monkeypatch.setattr(cocycle, "_MC_BLOCK", block)
+    transferred_symbol_mc(symbol_m_word, IDENTITY, n, 3)
+    assert [len(x) for x, _, _ in drawn] == [min(block, n - i) for i in range(0, n, block)]
+    u1, u2, u3 = _rng(3).random(3 * n).reshape(3, n)
+    one_stream = (*_domain_xy(u1, u2), math.pi * u3)
+    for whole, single, blocks in zip(_sample_xyth(3, n), one_stream, zip(*drawn)):
+        assert np.array_equal(whole, np.concatenate(blocks))
+        assert np.array_equal(whole, single)
+
+
 @pytest.mark.parametrize("name", sorted(FROZEN_MC))
 def test_frozen_codes_do_not_depend_on_the_tangent_kernel(name):
     # numpy's SIMD tangent and the C library's differ by an ulp on about one
@@ -392,9 +483,9 @@ def test_frozen_codes_do_not_depend_on_the_tangent_kernel(name):
 
 
 def test_mc_blocks_move_no_bit_and_bound_the_working_set(monkeypatch):
-    # every sample is reduced on its own, so the block size moves no bit; the
-    # blocks keep a 200 000-sample call's numpy memory near 10 MB, 9 MB of it
-    # the samples (one block of 200 000 peaks near 17 MB)
+    # every sample is drawn and reduced on its own, so the block size moves
+    # no bit; drawn block by block, a 200 000-sample call's numpy memory peaks
+    # near 3.2 MB (9.2 MB with the samples drawn whole, 17 MB in one block)
     g, word, _ = FROZEN_MC["rotated 1e3"]
     tracemalloc.start()
     try:
@@ -402,7 +493,7 @@ def test_mc_blocks_move_no_bit_and_bound_the_working_set(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 2**20, peak
+    assert peak < 5 * 2**20, peak
     for block in (7_001, 200_000):
         monkeypatch.setattr(cocycle, "_MC_BLOCK", block)
         assert transferred_symbol_mc(symbol_m_word, g, 200_000, 7) == word, block
