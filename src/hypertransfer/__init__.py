@@ -60,7 +60,6 @@ from .regions import (
     iwasawa_image_coords,
     m_hat_case,
     m_hat_direct,
-    m_hat_mc,
     m_hat_partials,
     m_tilde,
     m_tilde_full,

@@ -1,19 +1,20 @@
 """Lattice cocycle over the fundamental-domain cross-section, measure-exact
 samplers, and the Monte-Carlo transferred-multiplier estimator. Every
-Monte-Carlo route of the package draws from _rng, maps uniforms onto the
-domain with _domain_xy and reports through _mean_se.
+Monte-Carlo route draws from _rng and reports through _mean_se, and the
+domain samples come from _domain_xy.
 
 A domain point is s0 * rotation(theta0) with pi(s0) in the fundamental domain
 and theta0 in [0, pi). For a group element g, the unique lattice matrix beta
 with beta^{-1} s0 k0 g back in the domain is computed by reducing the
 half-plane shadow and then fixing the sign so the residual rotation angle
-lands in [0, pi). The Monte-Carlo average draws its samples block by block,
-from three streams placed at draws 0, n and 2n (_streams), and forms each
-shadow in Mobius form, s0(k0(g(i))) = x + y k0(g(i)), from one tangent of
-theta0 per sample. The word symbol reads only the first letter of beta, up to
-sign, and the sign symbol only the sign of Re beta(i): the average takes both
-off the first two rounds of that reduction, and any other symbol off the
-scalar reduction of each sample.
+lands in [0, pi); cocycle_beta is the one function that forms it. The
+Monte-Carlo average draws its samples block by block, from three streams
+placed at draws 0, n and 2n (_streams). The word symbol reads only the first
+letter of beta, up to sign, and the sign symbol only the sign of Re beta(i):
+the average reads both off the first two rounds of the reduction of each
+sample's shadow, which it forms in Mobius form, s0(k0(g(i))) = x + y k0(g(i)),
+from one tangent of theta0 per sample. Any other symbol takes each sample's
+beta from cocycle_beta.
 """
 
 from __future__ import annotations
@@ -51,14 +52,15 @@ _SQRT3_HALF = math.sqrt(3.0) / 2.0
 # any block size; a 200 000-sample call peaks at 3.2 MB of numpy memory
 # (9.2 MB with the samples drawn whole, 17 MB in one block).
 _MC_BLOCK = 16_384
-# the largest operator norm the Monte-Carlo route accepts, for every symbol;
-# past it the route raises DomainError. No step of the route forms a
-# fixed-width lattice entry: the two-round rule reads floats, and the scalar
-# reduction works in Python ints. The bound keeps one range for every symbol,
-# the one the frozen estimates (to norm 1e12) and the range test cover. It is
-# no accuracy bound: from about norm 1e6 on, the shadow of h can lie below
-# height 1e-12, where the float64 rounding of its real part decides the
-# lattice element, and the scalar cocycle_beta can differ from this route.
+# the largest operator norm the Monte-Carlo route accepts; past it the route
+# raises DomainError. It is the range the frozen estimates (to norm 1e12) and
+# the range test cover. The word and sign symbols form no fixed-width lattice
+# entry: the two-round rule reads floats, and the samples it leaves open finish
+# on the scalar reduction in Python ints. It is no accuracy bound for other
+# symbols, which take each beta from cocycle_beta: from about norm 1e6 on, a
+# shadow can lie below height 1e-12, where the float64 rounding of its real
+# part decides the lattice element, and from about norm 1e8 some samples raise
+# its DomainError for a determinant lost to float64 rounding.
 MC_MAX_NORM = 1e15
 
 
@@ -179,16 +181,11 @@ def _shadow_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of the half-plane shadow h(i) = x + y k0(g(i))
     of h = s0 k0 g for every sample, where k0(z) = (z - tau) / (1 + tau z) and
-    tau = tan(theta). g is checked once, before any per-sample work: past about
-    norm 1e154 g(i) = u + iv overflows, and past MC_MAX_NORM the route refuses.
-    At a norm n in range |u| <= n^2, v >= 1/n^2 and |tau| <= 1.7e16, so no step
-    below overflows and den > 0."""
-    den = g.c * g.c + g.d * g.d
-    u, v = ((g.a * g.c + g.b * g.d) / den, 1.0 / den) if den > 0.0 else (math.nan, math.nan)
-    if not (math.isfinite(u) and 0.0 < v < math.inf):
-        raise _range_error(g, "the half-plane image of a sample overflows float64")
-    if operator_norm(g) > MC_MAX_NORM:
-        raise _range_error(g, "the cocycle reduction is refused")
+    tau = tan(theta). transferred_symbol_mc checks g before any draw: at a norm
+    n up to MC_MAX_NORM g(i) = u + iv has |u| <= n^2, v >= 1/n^2, and with
+    |tau| <= 1.7e16 no step below overflows and den > 0."""
+    gi = halfplane_image(g)
+    u, v = gi.x, gi.y
     # 1 + tau z = p + iq and (z - tau)(p - iq) = (u - tau) p + v q + i v (1 + tau^2)
     p = 1.0 + tau * u
     q = tau * v
@@ -198,28 +195,6 @@ def _shadow_batch(
     return zx, zy
 
 
-def _sample_beta(zx: float, zy: float, x: float, y: float, theta: float, g: RealMat2) -> IntMat2:
-    """beta of the sample (x, y, theta) with batch shadow zx + i zy, as
-    cocycle_beta: the scalar reduction of that shadow, then the sign of beta
-    that puts the residual rotation angle in [0, pi)."""
-    gam = reduce_to_fundamental_domain(HalfPlanePoint(zx, zy)).gamma
-    # the entries of h = s0 k0 g, one sample at a time
-    sy, ct, st = math.sqrt(y), math.cos(theta), math.sin(theta)
-    m21, m22 = st * g.a + ct * g.c, st * g.b + ct * g.d
-    h21, h22 = m21 / sy, m22 / sy
-    h11 = sy * (ct * g.a - st * g.c) + x / sy * m21
-    h12 = sy * (ct * g.b - st * g.d) + x / sy * m22
-    # w = gamma^{-1} h; its angle is in [0, pi) iff w21 > 0 or (w21 == 0 and
-    # w22 > 0). Negating gamma negates w21 and w22 exactly, so this test
-    # alone fixes the sign whatever sign gamma had, unless both round to 0
-    # (on 12 of 5 000 samples at rotated norm 1e8), where gamma keeps the
-    # sign the scalar reduction gives it.
-    a, c = float(gam.a), float(gam.c)
-    w21 = -c * h11 + a * h21
-    w22 = -c * h12 + a * h22
-    return gam.neg() if w21 < 0.0 or (w21 == 0.0 and w22 < 0.0) else gam
-
-
 def _sample_symbols(
     symbol: Callable[[IntMat2], float], x: np.ndarray, y: np.ndarray, theta: np.ndarray, g: RealMat2
 ) -> np.ndarray:
@@ -227,12 +202,12 @@ def _sample_symbols(
     off the first two rounds of the reduction of each shadow
     (modular._two_round_codes), and the samples that rule leaves open finish
     on the scalar reduction; any other symbol gets each beta from
-    _sample_beta."""
-    zx, zy = _shadow_batch(x, y, np.tan(theta), g)
+    cocycle_beta, one sample at a time."""
     table = _TWO_ROUND_TABLES.get(symbol)
     if table is None:
-        rows = zip(zx.tolist(), zy.tolist(), x.tolist(), y.tolist(), theta.tolist())
-        return np.array([float(symbol(_sample_beta(*row, g))) for row in rows])
+        rows = zip(x.tolist(), y.tolist(), theta.tolist())
+        return np.array([float(symbol(cocycle_beta(domain_point(*row), g).beta)) for row in rows])
+    zx, zy = _shadow_batch(x, y, np.tan(theta), g)
     code, left = _two_round_codes(zx, zy)
     vals = table[code]
     for i in left:
@@ -249,10 +224,19 @@ def transferred_symbol_mc(
 
     symbol_m_word and symbol_m_sign are read off the first two rounds of the
     reduction of each sample (modular._TWO_ROUND_TABLES); any other symbol
-    gets each full beta from the scalar reduction. Every symbol refuses
-    operator norms past MC_MAX_NORM with a named DomainError.
+    gets each beta from cocycle_beta, and raises its DomainError where float64
+    rounding loses the determinant of a product. g is checked once, before
+    any draw: past about norm 1e154 its half-plane image overflows float64 (at
+    1e200 c^2 + d^2 underflows to 0), and past MC_MAX_NORM the route refuses,
+    each with a named DomainError.
     """
     streams = _streams(rng_seed, n)
+    den = g.c * g.c + g.d * g.d
+    u, v = ((g.a * g.c + g.b * g.d) / den, 1.0 / den) if den > 0.0 else (math.nan, math.nan)
+    if not (math.isfinite(u) and 0.0 < v < math.inf):
+        raise _range_error(g, "the half-plane image of a sample overflows float64")
+    if operator_norm(g) > MC_MAX_NORM:
+        raise _range_error(g, "the cocycle reduction is refused")
     vals = np.empty(n)
     for i in range(0, n, _MC_BLOCK):
         u1, u2, u3 = (s.random(min(_MC_BLOCK, n - i)) for s in streams)

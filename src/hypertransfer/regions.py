@@ -9,11 +9,12 @@ an elementary antiderivative in x (asin, log, and asin/log along the ellipse),
 so m_hat and both of its partials are closed-form sums over segments for
 every g_y > 0, evaluated for a whole array of points at once. The eight case
 regimes survive as labels only, which no numeric path reads: clamped, the
-closed form is itself exactly 1 and 0 on Cases 1 and 7. Two direct routes
-to the value are kept as oracles: Monte-Carlo membership, which shares
-nothing with the section model, and section-exact adaptive quadrature of
-the mass, which shares its cuts and breakpoints with the closed form and so
-checks the antiderivatives. The partials have no direct route here. The
+closed form is itself exactly 1 and 0 on Cases 1 and 7. One direct route
+to the value is kept as an oracle: section-exact adaptive quadrature of the
+mass, which shares its cuts and breakpoints with the closed form and so
+checks the antiderivatives. Monte-Carlo membership, which shares nothing with
+the section model, lives in the tests. The partials have no direct route
+here. The
 scalar entry points accept the AN shapes of operator norms up to MAX_NORM
 (_check_shape). The K-average m_tilde is the mean of m_hat over the Cartan
 circle, integrated in the one parametrisation of the circle that decay's
@@ -30,7 +31,6 @@ from typing import Optional
 
 import numpy as np
 
-from .cocycle import _domain_xy, _mean_se, _rng
 from .errors import DomainError
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate
 from .sl2 import ANCoords, RealMat2, operator_norm
@@ -398,19 +398,7 @@ def m_hat_dgy(c: ANCoords) -> float:
 
 
 # ---------------------------------------------------------------------------
-# direct oracles (valid for every g_y > 0)
-
-
-def m_hat_mc(c: ANCoords, n: int, rng_seed: int) -> tuple[float, float]:
-    """Monte-Carlo membership estimate of m_hat with its standard error; fully
-    independent of the section decomposition."""
-    if n < 1:
-        raise DomainError("need at least one sample")
-    rng = _rng(rng_seed, stream=2)
-    x, y = _domain_xy(rng.random(n), rng.random(n))
-    shifted = x + c.g_x * y
-    inside = (shifted > -0.5) & ((shifted + 1.0) ** 2 + (c.g_y * y) ** 2 > 1.0)
-    return _mean_se(inside.astype(np.float64))
+# direct oracle (valid for every g_y > 0)
 
 
 def _section_integral(gx: float, gy: float, breaks: np.ndarray, q: QuadratureConfig) -> float:

@@ -4,7 +4,6 @@ symbol."""
 import math
 import re
 import tracemalloc
-from typing import Callable
 
 import numpy as np
 import pytest
@@ -29,7 +28,6 @@ from hypertransfer.errors import DomainError
 from hypertransfer.modular import (
     I2,
     S_MAT,
-    IntMat2,
     _two_round_codes,
     reduce_to_fundamental_domain,
     symbol_m_sign,
@@ -55,31 +53,21 @@ def random_group_elt(rng: np.random.Generator) -> RealMat2:
     )
 
 
-def collecting_symbol() -> tuple[list[IntMat2], Callable[[IntMat2], float]]:
-    """A generic symbol that appends every beta it is given to a list."""
-    betas: list[IntMat2] = []
-
-    def collect(beta: IntMat2) -> float:
-        betas.append(beta)
-        return 0.0
-
-    return betas, collect
-
-
-def mc_betas(g: RealMat2, n: int, seed: int) -> list[IntMat2]:
-    """The beta of every sample of transferred_symbol_mc(., g, n, seed), in
-    sample order, collected through a generic symbol."""
-    betas, collect = collecting_symbol()
-    transferred_symbol_mc(collect, g, n, seed)
-    return betas
-
-
-def batch_betas(x: np.ndarray, y: np.ndarray, theta: np.ndarray, g: RealMat2) -> list[IntMat2]:
-    """The beta the Monte-Carlo route gives each of the samples (x, y, theta),
-    in sample order, collected through a generic symbol."""
-    betas, collect = collecting_symbol()
-    _sample_symbols(collect, x, y, theta, g)
-    return betas
+def cocycle_results(
+    x: np.ndarray, y: np.ndarray, theta: np.ndarray, g: RealMat2
+) -> list[CocycleResult]:
+    """cocycle_beta of every sample (x, y, theta), after checking that the
+    Monte-Carlo route's word and sign symbols of each sample equal those
+    symbols of its scalar beta."""
+    results = [
+        cocycle_beta(domain_point(float(a), float(b), float(t)), g)
+        for a, b, t in zip(x, y, theta)
+    ]
+    for symbol in (symbol_m_word, symbol_m_sign):
+        scalar = np.array([float(symbol(res.beta)) for res in results])
+        mc = _sample_symbols(symbol, x, y, theta, g)
+        assert np.array_equal(mc, scalar), (symbol, g, np.flatnonzero(mc != scalar)[:5])
+    return results
 
 
 def test_domain_point_validation():
@@ -204,20 +192,17 @@ def test_transferred_symbol_range_and_evenness():
 
 
 def test_batch_beta_matches_scalar():
+    # the two-round rule of the word and sign symbols against the scalar
+    # cocycle_beta, sample by sample. From norm 1e6 on some full betas differ
+    # from a 60-digit reference: their shadows lie below height 1e-12, where
+    # the float64 rounding of h moves the reduced point across a side of the
+    # domain (see MC_MAX_NORM)
     x, y, theta = _sample_xyth(77, 300)
     elements = [rotation(0.7) @ cartan_a(0.3)]
-    # from norm 1e6 on some samples differ: their shadows lie below height
-    # 1e-12, where the float64 rounding of h moves the reduced point across a
-    # side of the domain (see MC_MAX_NORM); at 1e6 a 60-digit reference
-    # sides with the batch route. The Monte-Carlo route's beta is collected
-    # through a generic symbol, which reduces the batch shadow
     for k, r in ((1, 1.0), (2, 10.0), (3, 100.0), (4, 1e4), (5, 1e5)):
         elements.append(rotation(0.4 * k) @ cartan_a(r) @ rotation(1.3 * k))
     for g in elements:
-        betas = mc_betas(g, 300, 77)
-        for i in range(300):
-            p = domain_point(float(x[i]), float(y[i]), float(theta[i]))
-            assert betas[i] == cocycle_beta(p, g).beta, (g, i)
+        cocycle_results(x, y, theta, g)
 
 
 def test_batch_beta_matches_scalar_on_the_unit_arc():
@@ -228,22 +213,17 @@ def test_batch_beta_matches_scalar_on_the_unit_arc():
     y = np.sqrt(1.0 - x * x)
     theta = np.linspace(0.0, 3.1, 25)
     for g in (IDENTITY, rotation(1.1), rotation(4.0)):
-        betas = batch_betas(x, y, theta, g)
-        for i in range(len(x)):
-            res = cocycle_beta(domain_point(float(x[i]), float(y[i]), float(theta[i])), g)
-            assert betas[i] == res.beta, (g, i)
-            assert res.beta in (S_MAT, S_MAT.neg())
-            assert an_coords(res.moved.s0).g_x < 0.0
+        for res in cocycle_results(x, y, theta, g):
+            assert res.beta in (S_MAT, S_MAT.neg()), g
+            assert an_coords(res.moved.s0).g_x < 0.0, g
 
 
 def test_batch_beta_of_a_half_turn():
     # at theta = 0 and g = -I the residual rotation is w = -s0, with w21 = 0
-    # and w22 < 0: both routes give beta = -I, which turns its angle back to 0
+    # and w22 < 0: cocycle_beta gives beta = -I, which turns its angle back
+    # to 0, and the two-round rule reads the symbols of -I
     x, y, theta = np.array([0.0, 0.3]), np.array([2.0, 1.5]), np.zeros(2)
-    half_turn = IDENTITY.neg()
-    assert batch_betas(x, y, theta, half_turn) == [I2.neg(), I2.neg()]
-    for i in range(2):
-        res = cocycle_beta(domain_point(float(x[i]), float(y[i]), 0.0), half_turn)
+    for res in cocycle_results(x, y, theta, IDENTITY.neg()):
         assert (res.beta, res.moved.k0_angle) == (I2.neg(), 0.0)
 
 
@@ -500,7 +480,8 @@ def test_mc_blocks_move_no_bit_and_bound_the_working_set(monkeypatch):
 
 
 def test_mc_reduction_range_is_named():
-    # every symbol has one range: past it the route raises one named error
+    # g is checked once per call, before any draw: past MC_MAX_NORM every
+    # symbol, a generic one too, raises one named error
     for symbol in (symbol_m_word, symbol_m_sign, lambda beta: 1.0):
         for r in (1.1e15, 1e17, 1e20):
             with pytest.raises(DomainError, match=r"refused .*up to about 1e\+15"):
@@ -527,3 +508,11 @@ def test_scalar_cocycle_names_the_lost_determinant():
             assert "lost to float64 rounding" in str(exc)
             assert re.search(r"entries up to [\d.]+e\+0[89]$", str(exc)), str(exc)
     assert failures > 10
+
+
+def test_generic_symbols_raise_the_scalar_refusal():
+    # a generic symbol takes each beta from cocycle_beta, so at norm 1e9 it
+    # raises the scalar route's named error on the first sample that loses
+    # its determinant, inside the range MC_MAX_NORM allows
+    with pytest.raises(DomainError, match="lost to float64 rounding"):
+        transferred_symbol_mc(lambda beta: 1.0, cartan_a(1e9), 1000, 1)

@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hypertransfer.regions as regions
+from hypertransfer.cocycle import _domain_xy, _mean_se, _rng
 from hypertransfer.decay import theta_boundaries
 from hypertransfer.errors import AccuracyError, DomainError
 from hypertransfer.quadrature import DEFAULT_QUADRATURE, QuadratureConfig, segment_edges
@@ -30,7 +31,6 @@ from hypertransfer.regions import (
     m_hat_direct,
     m_hat_dgx,
     m_hat_dgy,
-    m_hat_mc,
     m_hat_partials,
     m_tilde,
     m_tilde_full,
@@ -47,6 +47,18 @@ from hypertransfer.sl2 import (
 )
 
 SQRT3 = math.sqrt(3.0)
+
+
+def m_hat_mc(c: ANCoords, n: int, rng_seed: int) -> tuple[float, float]:
+    """Monte-Carlo membership estimate of m_hat with its standard error; fully
+    independent of the section decomposition."""
+    if n < 1:
+        raise DomainError("need at least one sample")
+    rng = _rng(rng_seed, stream=2)
+    x, y = _domain_xy(rng.random(n), rng.random(n))
+    shifted = x + c.g_x * y
+    inside = (shifted > -0.5) & ((shifted + 1.0) ** 2 + (c.g_y * y) ** 2 > 1.0)
+    return _mean_se(inside.astype(np.float64))
 
 # Midpoints of the case windows at g_y in {0.1, 0.3} (cases 2-6) and two
 # abscissas inside the large-g_y window (case 8), frozen with their values and
