@@ -33,9 +33,11 @@ hypertransfer decay --rmin 0.001 --rmax 0.99 --steps 6 > /dev/null
 exits_2 decay --rmin 1e-300 --rmax 0.5 --steps 2
 # past the AN shapes of supported norms region names its DomainError
 exits_2 region -0.1 1e200 --samples 3
-# past the Monte-Carlo route's norm range, and past float64, symbol --mode mc
-# names its DomainError
-exits_2 symbol 1e20 --mode mc --n 1000 --seed 1
+# symbol --mode mc shares the norm range [1e-38, 1e38] of every symbol mode:
+# it runs at norm 1e20, and past 1e38, float64's reach included, it names the
+# DomainError of that range
+hypertransfer symbol 1e20 --mode mc --n 1000 --seed 1
+exits_2 symbol 1e39 --mode mc --n 1000 --seed 1
 exits_2 symbol 1e200 --mode mc --n 1000 --seed 1
 hypertransfer verify --suite cases > /dev/null
 hypertransfer verify --suite decay > /dev/null

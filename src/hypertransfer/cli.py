@@ -23,7 +23,7 @@ from .errors import AccuracyError, HypertransferError
 from .modular import reduce_to_fundamental_domain, symbol_m_word
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 from .regions import ANCoords, classify_case, m_tilde_full, section_intervals
-from .sl2 import HalfPlanePoint, cartan_a
+from .sl2 import HalfPlanePoint, _check_norm, cartan_a
 from .verify import DEFAULT_SEED, run_verify
 
 _REGION_Y_CAP = 3.0
@@ -67,8 +67,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def cmd_symbol(args: argparse.Namespace) -> int:
-    if not (math.isfinite(args.r) and args.r > 0.0):
-        raise HypertransferError(f"need r > 0, got {args.r!r}")
+    _check_norm(args.r)
     g = cartan_a(args.r)
     q = QuadratureConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
     if args.mode == "mc":

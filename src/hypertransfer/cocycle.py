@@ -7,14 +7,15 @@ A domain point is s0 * rotation(theta0) with pi(s0) in the fundamental domain
 and theta0 in [0, pi). For a group element g, the unique lattice matrix beta
 with beta^{-1} s0 k0 g back in the domain is computed by reducing the
 half-plane shadow and then fixing the sign so the residual rotation angle
-lands in [0, pi); cocycle_beta is the one function that forms it. The
-Monte-Carlo average draws its samples block by block, from three streams
-placed at draws 0, n and 2n (_streams). The word symbol reads only the first
-letter of beta, up to sign, and the sign symbol only the sign of Re beta(i):
-the average reads both off the first two rounds of the reduction of each
-sample's shadow, which it forms in Mobius form, s0(k0(g(i))) = x + y k0(g(i)),
-from one tangent of theta0 per sample. Any other symbol takes each sample's
-beta from cocycle_beta.
+lands in [0, pi); cocycle_beta is the one function that forms it, to norm
+BETA_MAX_NORM. The Monte-Carlo average takes the norm range of every route
+to m_tilde and draws its samples block by block, from three streams placed
+at draws 0, n and 2n (_streams). The word symbol reads only the first letter
+of beta, up to sign, and the sign symbol only the sign of Re beta(i): the
+average reads both off the first two rounds of the reduction of each sample's
+shadow, which it forms in Mobius form, s0(k0(g(i))) = x + y k0(g(i)), from
+one tangent of theta0 per sample. Any other symbol takes each sample's beta
+from cocycle_beta.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .sl2 import (
     ANCoords,
     HalfPlanePoint,
     RealMat2,
+    _check_norm,
     an_coords,
     an_matrix,
     halfplane_image,
@@ -52,16 +54,11 @@ _SQRT3_HALF = math.sqrt(3.0) / 2.0
 # any block size; a 200 000-sample call peaks at 3.2 MB of numpy memory
 # (9.2 MB with the samples drawn whole, 17 MB in one block).
 _MC_BLOCK = 16_384
-# the largest operator norm the Monte-Carlo route accepts; past it the route
-# raises DomainError. It is the range the frozen estimates (to norm 1e12) and
-# the range test cover. The word and sign symbols form no fixed-width lattice
-# entry: the two-round rule reads floats, and the samples it leaves open finish
-# on the scalar reduction in Python ints. It is no accuracy bound for other
-# symbols, which take each beta from cocycle_beta: from about norm 1e6 on, a
-# shadow can lie below height 1e-12, where the float64 rounding of its real
-# part decides the lattice element, and from about norm 1e8 some samples raise
-# its DomainError for a determinant lost to float64 rounding.
-MC_MAX_NORM = 1e15
+# the largest operator norm of g that cocycle_beta accepts. It is no accuracy
+# bound: from about norm 1e6 on a shadow can lie below height 1e-12, where the
+# float64 rounding of its real part decides the lattice element, and from about
+# norm 1e8 some products raise RealMat2's DomainError for a lost determinant.
+BETA_MAX_NORM = 1e15
 
 
 @dataclass(frozen=True)
@@ -92,7 +89,13 @@ def domain_point(x: float, y: float, theta: float) -> DomainPoint:
 def cocycle_beta(p: DomainPoint, g: RealMat2) -> CocycleResult:
     """The unique lattice element beta with beta^{-1} (s0 k0 g) back in the
     domain; beta keeps its genuine sign (the sign selects the [0, pi) angle).
+    Operator norms of g past BETA_MAX_NORM are refused with a DomainError.
     """
+    if operator_norm(g) > BETA_MAX_NORM:
+        raise DomainError(
+            f"cocycle_beta refuses operator norm {operator_norm(g):.3g}: "
+            f"it forms beta in float64 only up to norm {BETA_MAX_NORM:g}"
+        )
     h = p.s0 @ rotation(p.k0_angle) @ g
     red = reduce_to_fundamental_domain(halfplane_image(h))
     gam = red.gamma
@@ -169,21 +172,16 @@ def domain_measure_mc(rng_seed: int, n: int) -> tuple[float, float]:
     return _mean_se(np.where(y * y >= 1.0 - x * x, 2.0 / math.sqrt(3.0), 0.0))
 
 
-def _range_error(g: RealMat2, cause: str) -> DomainError:
-    return DomainError(
-        f"{cause} at operator norm {operator_norm(g):.3g}; the Monte-Carlo "
-        f"route supports operator norms up to about {MC_MAX_NORM:g}"
-    )
-
-
 def _shadow_batch(
     x: np.ndarray, y: np.ndarray, tau: np.ndarray, g: RealMat2
 ) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of the half-plane shadow h(i) = x + y k0(g(i))
     of h = s0 k0 g for every sample, where k0(z) = (z - tau) / (1 + tau z) and
     tau = tan(theta). transferred_symbol_mc checks g before any draw: at a norm
-    n up to MC_MAX_NORM g(i) = u + iv has |u| <= n^2, v >= 1/n^2, and with
-    |tau| <= 1.7e16 no step below overflows and den > 0."""
+    n up to MAX_NORM = 1e38, g(i) = u + iv has |u| <= n^2 and v >= n^-2, and
+    |tau| <= 1.7e16, so p, q <= 2e92 and no product or square below
+    overflows. Where |p| < 1/2, |tau| > 1/(2|u|), and den >= q^2 >
+    (v/(2u))^2 >= n^-8/4 = 2.5e-305, above the smallest normal double."""
     gi = halfplane_image(g)
     u, v = gi.x, gi.y
     # 1 + tau z = p + iq and (z - tau)(p - iq) = (u - tau) p + v q + i v (1 + tau^2)
@@ -224,19 +222,13 @@ def transferred_symbol_mc(
 
     symbol_m_word and symbol_m_sign are read off the first two rounds of the
     reduction of each sample (modular._TWO_ROUND_TABLES); any other symbol
-    gets each beta from cocycle_beta, and raises its DomainError where float64
-    rounding loses the determinant of a product. g is checked once, before
-    any draw: past about norm 1e154 its half-plane image overflows float64 (at
-    1e200 c^2 + d^2 underflows to 0), and past MC_MAX_NORM the route refuses,
-    each with a named DomainError.
+    gets each beta from cocycle_beta, with its refusal past BETA_MAX_NORM and
+    its DomainError where float64 rounding loses the determinant of a product.
+    After the sample count, g is checked once, before any draw: operator norms
+    past MAX_NORM raise the DomainError of every route to m_tilde.
     """
     streams = _streams(rng_seed, n)
-    den = g.c * g.c + g.d * g.d
-    u, v = ((g.a * g.c + g.b * g.d) / den, 1.0 / den) if den > 0.0 else (math.nan, math.nan)
-    if not (math.isfinite(u) and 0.0 < v < math.inf):
-        raise _range_error(g, "the half-plane image of a sample overflows float64")
-    if operator_norm(g) > MC_MAX_NORM:
-        raise _range_error(g, "the cocycle reduction is refused")
+    _check_norm(operator_norm(g))
     vals = np.empty(n)
     for i in range(0, n, _MC_BLOCK):
         u1, u2, u3 = (s.random(min(_MC_BLOCK, n - i)) for s in streams)

@@ -29,7 +29,6 @@ import numpy as np
 from .errors import DomainError
 from .quadrature import integrate, segment_edges
 from .regions import (
-    _check_norm,
     _circle_coords,
     _circle_v_angles,
     _circle_v_breakpoints,
@@ -41,7 +40,7 @@ from .regions import (
     m_hat_dgy,
     m_hat_direct,  # unused here; the benchmark tracer wraps decay.m_hat_direct
 )
-from .sl2 import ANCoords
+from .sl2 import ANCoords, _check_norm
 
 _HALF_PI = math.pi / 2.0
 
@@ -240,7 +239,8 @@ def divergence_probe_onset(r: float) -> float:
     the re-entry near pi/2, this is the onset. The probe integrates from here
     so the window survives eps down to 1e-2 (the re-entry sits within
     ~1.16 r^4 of pi/2, inside every such eps). Both exist for r <= 0.61."""
-    if not (math.isfinite(r) and 0.0 < r < 1.0):
+    _check_norm(r)
+    if not r < 1.0:
         raise DomainError(f"need r in (0, 1), got {r!r}")
     roots = _tan_roots(*_transition_quadratics(r)["b8"])
     if len(roots) < 2:
@@ -255,7 +255,8 @@ def second_order_divergence_probe(
     over [onset, pi/2 - eps]; the sequence grows like log(1/eps) (the integrand
     behaves as 1/(pi/2 - theta) approaching pi/2), witnessing the failure of
     the weighted bound at order two."""
-    if not (0.0 < r <= 0.3):
+    _check_norm(r)
+    if not r <= 0.3:
         raise DomainError(f"probe expects r in (0, 0.3], got {r!r}")
     eps = [float(e) for e in eps_grid]
     if not eps or not all(0.0 < e < math.inf for e in eps):

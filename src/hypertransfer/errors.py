@@ -9,8 +9,8 @@ class HypertransferError(Exception):
 
 class DomainError(HypertransferError, ValueError):
     """Input outside an operation's domain or supported range (bad
-    determinant, nonpositive height, an operator norm past MAX_NORM, r = 1
-    on the Lie-derivative grid, g_x >= 0 in the Case 8 factor, ...)."""
+    determinant, nonpositive height, an operator norm past sl2.MAX_NORM, or
+    in cocycle_beta past BETA_MAX_NORM, r = 1 on the Lie-derivative grid, ...)."""
 
 
 class DegeneracyError(HypertransferError, RuntimeError):

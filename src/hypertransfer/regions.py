@@ -33,12 +33,10 @@ import numpy as np
 
 from .errors import DomainError
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate
-from .sl2 import ANCoords, RealMat2, operator_norm
+from .sl2 import MAX_NORM, ANCoords, RealMat2, _check_norm, operator_norm
 
 SQRT3 = math.sqrt(3.0)
 _HALF_PI = math.pi / 2.0
-# largest operator norm m_tilde_full and decay accept (see _check_norm)
-MAX_NORM = 1e38
 
 
 class CaseRegime(enum.Enum):
@@ -461,8 +459,7 @@ def _circle_coords(r: float, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def iwasawa_image_coords(r: float, theta: float) -> ANCoords:
     """AN coordinates of the Iwasawa AN part of rotation(theta) @ diag(r, 1/r)."""
-    if not (math.isfinite(r) and r > 0.0):
-        raise DomainError(f"need r > 0, got {r!r}")
+    _check_norm(r)
     gx, gy = _circle_coords(float(r), np.float64(theta))
     return ANCoords(g_x=gx, g_y=gy)
 
@@ -711,21 +708,6 @@ def _circle_v_breakpoints(thetas: tuple[float, ...]) -> list[float]:
     angle. quadrature.segment_edges sorts and filters them: b3's -0.0 repeats
     the kink, and a b8 root near r = 1e-4 can round to pi/2."""
     return [0.0, *(math.copysign(math.asin(math.sqrt(abs(t) / _HALF_PI)), t) for t in thetas)]
-
-
-def _check_norm(r: float) -> None:
-    """Raise DomainError unless r > 0 and the operator norm max(r, 1/r) of
-    diag(r, 1/r) lies in [1, MAX_NORM]: the discriminants of the transition
-    quadratics grow like r^8 and overflow from about 2.7e38 on, and r^4 in
-    _circle_coords underflows below r = 1e-77."""
-    if not r > 0.0:
-        raise DomainError(f"need r > 0, got {r!r}")
-    norm = max(r, 1.0 / r)
-    if not norm <= MAX_NORM:
-        raise DomainError(
-            f"operator norm {norm!r} is outside the supported range [1, {MAX_NORM:g}] "
-            f"(diag(r, 1/r) needs r in [{1.0 / MAX_NORM:g}, {MAX_NORM:g}])"
-        )
 
 
 # (g_x^2 + g_y^2 + 1)/g_y = N^2 + N^-2 at N = MAX_NORM, with room for the

@@ -1,5 +1,5 @@
 """2x2 real determinant-one matrices: Mobius action on the upper half-plane,
-Iwasawa and Cartan decompositions, operator norm, AN coordinates.
+Iwasawa and Cartan decompositions, operator norm and its range, AN coordinates.
 
 Everything here is closed-form 2x2 algebra; no general linear-algebra routines
 are involved.
@@ -163,6 +163,25 @@ def operator_norm(g: RealMat2) -> float:
     s = max(abs(g.a), abs(g.b), abs(g.c), abs(g.d))
     a, b, c, d = g.a / s, g.b / s, g.c / s, g.d / s
     return s * math.sqrt(a * a + b * b + c * c + d * d)
+
+
+# the largest operator norm every route to m_tilde accepts (see _check_norm)
+MAX_NORM = 1e38
+
+
+def _check_norm(r: float) -> None:
+    """Raise DomainError unless r > 0 and max(r, 1/r), the operator norm of
+    diag(r, 1/r) or an operator_norm passed as r, lies in [1, MAX_NORM]: the
+    range of every route to m_tilde. Past it the transition quadratics of
+    regions overflow, and below r = 1e-77 r^4 on the Cartan circle underflows."""
+    if not r > 0.0:
+        raise DomainError(f"need r > 0, got {r!r}")
+    norm = max(r, 1.0 / r)
+    if not norm <= MAX_NORM:
+        raise DomainError(
+            f"operator norm {norm!r} is outside the supported range [1, {MAX_NORM:g}] "
+            f"(diag(r, 1/r) needs r in [{1.0 / MAX_NORM:g}, {MAX_NORM:g}])"
+        )
 
 
 def an_coords(g_in_an: RealMat2) -> ANCoords:

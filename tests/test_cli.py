@@ -113,30 +113,41 @@ def test_symbol_rejects_bad_r(capsys):
 
 
 def test_symbol_mc_names_its_norm_range(capsys):
-    code, out = run(capsys, ["symbol", "1e20", "--mode", "mc", "--n", "1000", "--seed", "1"])
-    assert code == 2
-    assert out.err.startswith("error: ")
-    assert "operator norms up to about 1e+15" in out.err
+    # every symbol mode accepts r in [1e-38, 1e38] and refuses past it with
+    # the one message of the shared range check; inf was refused as "need r > 0"
+    for r in ("1e39", "1e-39", "inf"):
+        code, out = run(capsys, ["symbol", r, "--mode", "mc", "--n", "1000", "--seed", "1"])
+        ref_code, ref = run(capsys, ["symbol", r])
+        assert code == ref_code == 2
+        assert out.err == ref.err and out.err.startswith("error: "), (out.err, ref.err)
+        assert "supported range [1, 1e+38]" in out.err
+    for r in ("1e-38", "1.1e15", "1e38"):
+        code, _ = run(capsys, ["symbol", r, "--mode", "mc", "--n", "1000", "--seed", "1"])
+        assert code == 0, r
 
 
 def test_symbol_mc_past_float64_names_its_norm():
-    # past norm ~1e154 the shadow of a sample overflows float64; the error
-    # names the norm and numpy prints no warnings to stderr first
+    # past norm ~1e154 the half-plane image of g overflows float64; the range
+    # check refuses first, with the message of `symbol r`, and numpy prints no
+    # warnings to stderr
     src = str(Path(hypertransfer.__file__).resolve().parents[1])
-    argv = ["symbol", "1e200", "--mode", "mc", "--n", "1000", "--seed", "1"]
-    proc = subprocess.run(
-        [sys.executable, "-W", "default", "-m", "hypertransfer.cli", *argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-        timeout=120,
-    )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
-    assert "operator norm 1e+200" in lines[0]
-    assert "operator norms up to about 1e+15" in lines[0]
+    errs = []
+    for mode in ("mc", "case"):
+        argv = ["symbol", "1e200", "--mode", mode, "--n", "1000", "--seed", "1"]
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "hypertransfer.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        errs.append(proc.stderr)
+    assert errs[0] == errs[1]
+    assert "operator norm 1e+200 is outside the supported range [1, 1e+38]" in errs[0]
 
 
 def test_subcommands_run_without_scipy():

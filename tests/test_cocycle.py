@@ -5,6 +5,7 @@ import math
 import re
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -35,7 +36,16 @@ from hypertransfer.modular import (
 )
 from hypertransfer.quadrature import QuadratureConfig
 from hypertransfer.regions import m_tilde_full
-from hypertransfer.sl2 import IDENTITY, HalfPlanePoint, RealMat2, an_coords, cartan_a, rotation
+from hypertransfer.sl2 import (
+    IDENTITY,
+    HalfPlanePoint,
+    RealMat2,
+    an_coords,
+    cartan_a,
+    halfplane_image,
+    operator_norm,
+    rotation,
+)
 
 
 def random_point(rng: np.random.Generator) -> DomainPoint:
@@ -196,7 +206,7 @@ def test_batch_beta_matches_scalar():
     # cocycle_beta, sample by sample. From norm 1e6 on some full betas differ
     # from a 60-digit reference: their shadows lie below height 1e-12, where
     # the float64 rounding of h moves the reduced point across a side of the
-    # domain (see MC_MAX_NORM)
+    # domain (see BETA_MAX_NORM)
     x, y, theta = _sample_xyth(77, 300)
     elements = [rotation(0.7) @ cartan_a(0.3)]
     for k, r in ((1, 1.0), (2, 10.0), (3, 100.0), (4, 1e4), (5, 1e5)):
@@ -318,6 +328,77 @@ def test_mobius_shadow_gives_the_codes_of_the_matrix_shadow():
         assert np.array_equal(left, ref_left), g
 
 
+def mp_two_round_codes(x, y, theta, g):
+    """Reference for _two_round_codes(*_shadow_batch(...)): the code of each
+    sample's shadow x + y k0(g(i)), with g(i) from the entries of g, read off
+    the first two rounds of its reduction in 60-digit mpmath."""
+    codes = []
+    with mpmath.workdps(60):
+        a, b, c, d = map(mpmath.mpf, g.entries())
+        den = c * c + d * d
+        gi = mpmath.mpc((a * c + b * d) / den, 1 / den)
+        for xs, ys, ts in zip(x.tolist(), y.tolist(), theta.tolist()):
+            tau = mpmath.tan(ts)
+            z = xs + ys * (gi - tau) / (1 + tau * gi)
+            n1 = int(mpmath.floor(z.real + 0.5))
+            if n1 == 0 and abs(z) < 1:
+                n2 = int(mpmath.floor((-1 / z).real + 0.5))
+                codes.append(4 + (n2 > 0) - (n2 < 0))
+            else:
+                codes.append(1 + (n1 > 0) - (n1 < 0))
+    return np.array(codes)
+
+
+def closed_form_rotated(n, theta_a, theta_b):
+    """rotation(theta_a) @ cartan_a(n) @ rotation(theta_b) from its closed-form
+    entries: past about norm 1e8 the matrix products lose the determinant."""
+    ca, sa, cb, sb = math.cos(theta_a), math.sin(theta_a), math.cos(theta_b), math.sin(theta_b)
+    return RealMat2(
+        ca * n * cb - sa * sb / n,
+        -ca * n * sb - sa * cb / n,
+        sa * n * cb + ca * sb / n,
+        -sa * n * sb + ca * cb / n,
+    )
+
+
+@pytest.mark.parametrize(
+    "g",
+    [cartan_a(r) for r in (1e20, 1e-20, 1e38, 1e-38)]
+    + [closed_form_rotated(1e30, 1.3, 0.2), closed_form_rotated(1e30, 0.9, 2.1)],
+)
+def test_two_round_codes_hold_to_the_end_of_the_norm_range(g):
+    # the Monte-Carlo route accepts operator norms up to 1e38, like every
+    # route to m_tilde: there the shadows lie as low as height 1e-76, and the
+    # two-round codes still equal those of a 60-digit reduction
+    assert 1e20 <= operator_norm(g) <= 1e38
+    x, y, theta = _sample_xyth(5, 3000)
+    code, left = _two_round_codes(*_shadow_batch(x, y, np.tan(theta), g))
+    ref = mp_two_round_codes(x, y, theta, g)
+    assert np.array_equal(code, ref), (g, np.flatnonzero(code != ref)[:5])
+    assert len(left) == 0
+
+
+def test_shadow_of_a_pole_at_the_end_of_the_norm_range():
+    # g = (s 0; s 1/s) at norm 6e37 has g(i) = 1 + iv with v = 2^-250 in
+    # float64, and tau = -1/u = -1 puts k0's pole on it: p = 0 exactly and
+    # den = q^2 = 2^-500, inside the bound of _shadow_batch (den >= 2.5e-305)
+    s = 2.0 ** 125
+    g = RealMat2(s, 0.0, s, 1.0 / s)
+    assert 1e37 < operator_norm(g) <= 1e38
+    gi = halfplane_image(g)
+    tau = np.array([-1.0 / gi.x] * 2)
+    assert 1.0 + tau[0] * gi.x == 0.0 and (tau[0] * gi.y) ** 2 == 2.0 ** -500
+    x, y = np.array([0.0, 0.3]), np.array([1.0, 2.5])
+    with np.errstate(all="raise"):
+        zx, zy = _shadow_batch(x, y, tau, g)
+    with mpmath.workdps(60):
+        z = s * mpmath.j / (s * mpmath.j + 1 / s)
+        k0 = (z - tau[0]) / (1 + tau[0] * z)
+        for i in range(2):
+            assert abs(zx[i] - (x[i] + y[i] * k0.real)) <= 1e-15 * abs(zx[i])
+            assert abs(zy[i] - y[i] * k0.imag) <= 1e-15 * zy[i]
+
+
 @pytest.mark.parametrize(
     "g",
     [cartan_a(0.2), cartan_a(1e6), rotation(0.7) @ cartan_a(5.0) @ rotation(2.2),
@@ -371,7 +452,8 @@ def test_transferred_sign_symbol_vanishes(k, r):
 
 # exact (est, se) of transferred_symbol_mc at n = 200 000 and seed 7: a faster
 # reduction must leave these bits alone. The first word value is the README's
-# `symbol 0.2 --mode mc --n 200000 --seed 7` line.
+# `symbol 0.2 --mode mc --n 200000 --seed 7` line. From norm 1e12 to the end
+# of the range at 1e38 the diagonal rows share their bits.
 FROZEN_MC = {
     "cartan 0.2": (
         cartan_a(0.2),
@@ -385,6 +467,16 @@ FROZEN_MC = {
     ),
     "cartan 1e12": (
         cartan_a(1e12),
+        (0.50023, 0.0011180366655570506),
+        (0.00046, 0.002236073331114101),
+    ),
+    "cartan 1e20": (
+        cartan_a(1e20),
+        (0.50023, 0.0011180366655570506),
+        (0.00046, 0.002236073331114101),
+    ),
+    "cartan 1e38": (
+        cartan_a(1e38),
         (0.50023, 0.0011180366655570506),
         (0.00046, 0.002236073331114101),
     ),
@@ -480,19 +572,25 @@ def test_mc_blocks_move_no_bit_and_bound_the_working_set(monkeypatch):
 
 
 def test_mc_reduction_range_is_named():
-    # g is checked once per call, before any draw: past MC_MAX_NORM every
-    # symbol, a generic one too, raises one named error
-    for symbol in (symbol_m_word, symbol_m_sign, lambda beta: 1.0):
-        for r in (1.1e15, 1e17, 1e20):
-            with pytest.raises(DomainError, match=r"refused .*up to about 1e\+15"):
-                transferred_symbol_mc(symbol, cartan_a(r), 1000, 1)
-        # past about norm 1e154 the half-plane image itself leaves float64;
-        # at 1e200 c^2 + d^2 of g underflows to 0
-        for r in (1e160, 1e200):
-            with pytest.raises(DomainError, match=r"overflows float64.*up to about 1e\+15"):
+    # g is checked once per call, before any draw, against the norm range of
+    # every route to m_tilde: past 1e38 every symbol, a generic one too,
+    # raises its one named error, also where the half-plane image of g leaves
+    # float64 (at 1e200 c^2 + d^2 underflows to 0)
+    generic = lambda beta: 1.0  # noqa: E731
+    for symbol in (symbol_m_word, symbol_m_sign, generic):
+        for r in (1e39, 1e160, 1e200):
+            with pytest.raises(DomainError, match=r"supported range \[1, 1e\+38\]"):
                 transferred_symbol_mc(symbol, cartan_a(r), 10, 0)
-    est, _ = transferred_symbol_mc(symbol_m_word, cartan_a(1e12), 1000, 1)
-    assert 0.0 <= est <= 1.0
+    # a generic symbol takes each beta from cocycle_beta, which refuses norms
+    # past 1e15 by name
+    for r in (1.1e15, 1e20):
+        with pytest.raises(DomainError, match=r"cocycle_beta refuses .* up to norm 1e\+15"):
+            transferred_symbol_mc(generic, cartan_a(r), 1000, 1)
+    # the word and sign symbols read two reduction rounds and no full beta
+    for symbol in (symbol_m_word, symbol_m_sign):
+        for r in (1.1e15, 1e20, 1e38):
+            est, _ = transferred_symbol_mc(symbol, cartan_a(r), 1000, 1)
+            assert -1.0 <= est <= 1.0
 
 
 def test_scalar_cocycle_names_the_lost_determinant():
@@ -513,6 +611,6 @@ def test_scalar_cocycle_names_the_lost_determinant():
 def test_generic_symbols_raise_the_scalar_refusal():
     # a generic symbol takes each beta from cocycle_beta, so at norm 1e9 it
     # raises the scalar route's named error on the first sample that loses
-    # its determinant, inside the range MC_MAX_NORM allows
+    # its determinant, inside the range BETA_MAX_NORM allows
     with pytest.raises(DomainError, match="lost to float64 rounding"):
         transferred_symbol_mc(lambda beta: 1.0, cartan_a(1e9), 1000, 1)

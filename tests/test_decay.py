@@ -318,6 +318,12 @@ def test_divergence_probe_errors():
         second_order_divergence_probe(0.3, [1e-3, 1e-2])
     with pytest.raises(DomainError):
         second_order_divergence_probe(0.3, [1.0])  # upper limit below onset
+    # below r = 1e-38 r^4 underflows and the b8 crossing is lost: both
+    # reported "no b8 crossing" for a crossing that exists
+    with pytest.raises(DomainError, match="supported range"):
+        divergence_probe_onset(1e-100)
+    with pytest.raises(DomainError, match="supported range"):
+        second_order_divergence_probe(1e-100, [1e-2])
     # NaN passes every comparison-based check: [nan] returned [0.0], and
     # [1e-2, nan] the first partial twice
     for eps in ([math.nan], [1e-2, math.nan], [math.inf]):

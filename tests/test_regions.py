@@ -544,6 +544,13 @@ def test_iwasawa_image_coords_examples():
     assert abs(c.g_x) < 1e-12 and abs(c.g_y - 1.0 / 0.49) < 1e-12
     with pytest.raises(DomainError):
         iwasawa_image_coords(0.0, 0.3)
+    # past the norm range r^4 overflowed (1e100, 1e200) or the error blamed
+    # g_y > 0 (1e-200); the one range check names the range
+    for r in (1e39, 1e100, 1e200, 1e-39, 1e-200):
+        with pytest.raises(DomainError, match=r"supported range \[1, 1e\+38\]"):
+            iwasawa_image_coords(r, 0.3)
+    for r in (regions.MAX_NORM, 1.0 / regions.MAX_NORM):
+        assert iwasawa_image_coords(r, 0.3).g_y > 0.0
 
 
 def test_iwasawa_image_coords_vs_decomposition():
@@ -951,7 +958,7 @@ def test_scalar_entry_points_name_the_shape_range():
     assert classify_case(ANCoords(-0.001, 1e-160)) is CaseRegime.CASE6
     with pytest.raises(DomainError, match="supported range"):
         m_hat_case(ANCoords(-0.001, 1e-160))
-    past = iwasawa_image_coords(1.001 * regions.MAX_NORM, 0.3)
+    past = ANCoords(*regions._circle_coords(1.001 * regions.MAX_NORM, np.float64(0.3)))
     entry_points = (
         _m_hat_closed_form,
         m_hat_case,
