@@ -24,7 +24,7 @@ from .modular import reduce_to_fundamental_domain, symbol_m_word
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 from .regions import ANCoords, classify_case, m_tilde_full, section_intervals
 from .sl2 import HalfPlanePoint, _check_norm, cartan_a
-from .verify import DEFAULT_SEED, run_verify
+from .verify import DEFAULT_SEED, SUITE_NAMES, run_verify
 
 _REGION_Y_CAP = 3.0
 
@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decay)
 
     p = sub.add_parser("verify", help="run the self-check suites (JSON report)")
-    p.add_argument("--suite", choices=("cocycle", "cases", "decay", "all"), default="all")
+    p.add_argument("--suite", choices=(*SUITE_NAMES, "all"), default="all")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     output(p)
     p.set_defaults(func=cmd_verify)

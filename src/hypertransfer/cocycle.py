@@ -21,6 +21,7 @@ from cocycle_beta.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,9 +29,9 @@ import numpy as np
 
 from .errors import DomainError
 from .modular import (
-    _CIRCLE_TOL,
     _TWO_ROUND_TABLES,
     IntMat2,
+    _in_domain,
     _two_round_codes,
     reduce_to_fundamental_domain,
 )
@@ -70,7 +71,7 @@ class DomainPoint:
 
     def __post_init__(self) -> None:
         c = an_coords(self.s0)
-        if abs(c.g_x) > 0.5 + 1e-12 or c.g_x * c.g_x + c.g_y * c.g_y < 1.0 - _CIRCLE_TOL:
+        if not _in_domain(c.g_x, c.g_y):
             raise DomainError(f"AN part projects outside the fundamental domain: {c}")
         if not 0.0 <= self.k0_angle < math.pi:
             raise DomainError(f"k0 angle {self.k0_angle!r} outside [0, pi)")
@@ -109,10 +110,35 @@ def cocycle_beta(p: DomainPoint, g: RealMat2) -> CocycleResult:
     return CocycleResult(beta=beta, moved=moved)
 
 
+def _check_seed(seed: int) -> int:
+    """seed as an int, or a DomainError unless it is a non-negative integer;
+    a numpy integer gives the equal int."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = None
+    if value is None or value < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+    return value
+
+
+def _sample_count(n: int) -> int:
+    """n as an int, or a DomainError unless it is an integer of at least 1;
+    a numpy integer gives the equal int."""
+    try:
+        value = operator.index(n)
+    except TypeError:
+        raise DomainError(f"sample count must be an integer, got {n!r}") from None
+    if value < 1:
+        raise DomainError("need at least one sample")
+    return value
+
+
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """The Philox stream every Monte-Carlo route draws from: the seed and a
-    stream number per route."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), stream])))
+    """The Philox stream every Monte-Carlo route draws from: the seed, checked
+    by _check_seed, and a stream number per route."""
+    entropy = [_check_seed(seed), stream]
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
 def _domain_xy(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,8 +161,7 @@ def _streams(rng_seed: int, n: int) -> list[np.random.Generator]:
     uniforms of x, y and theta for n samples, in the order one generator
     would draw them. Philox makes four 64-bit draws per counter step and
     Generator.random takes one draw per double."""
-    if n < 1:
-        raise DomainError("need at least one sample")
+    n = _sample_count(n)
     streams = []
     for k in range(3):
         rng = _rng(rng_seed)
@@ -163,8 +188,7 @@ def domain_measure_mc(rng_seed: int, n: int) -> tuple[float, float]:
     """Independent importance-sampling estimate of the hyperbolic area of the
     fundamental domain (pi/3). Proposal: x uniform on [-1/2, 1/2], y with
     density (sqrt(3)/2)/y^2 on [sqrt(3)/2, inf)."""
-    if n < 1:
-        raise DomainError("need at least one sample")
+    n = _sample_count(n)
     rng = _rng(rng_seed, stream=1)
     x = rng.random(n) - 0.5
     u = rng.random(n)

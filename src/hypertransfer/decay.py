@@ -1,19 +1,17 @@
-"""First-order Lie derivatives of the averaged symbol, the weighted decay
-table behind the multiplier estimate, and the second-order divergence probe.
+"""The first-order quantities f_j and the weighted decay table behind the
+multiplier estimate, and the second-order divergence probe.
 
-Conventions: f_j(r) denotes the right Lie derivative of the K-averaged symbol
-along X_j at the Cartan point diag(r, 1/r), r in (0, 1); f_j(r) = f_j(1/r).
+Conventions: f_j(r), r in (0, 1), is the mean over the Cartan circle of norm
+r of lie_derivative_mtt, the AN-chart Lie derivative of m_hat along X_j, and
+f_j(r) = f_j(1/r). It is not the Lie derivative of m_tilde, which depends on
+the norm only (f_2(0.2) = 0.0255); lie_derivative_mtilde_adjoint is.
 
 The table is a first-order estimate and reports no error bar, so the circle
-integrals behind f_j run at the package's default target and no function
-here takes a tolerance. They run in the v-parametrisation of the Cartan
-circle that m_tilde_full uses too (regions._circle_v_angles), with each
-segment between transition angles graded so that it is flat at both ends:
-the closed-form partials are not smooth there, unlike m_hat. f_1 and f_2 at
-one r come from a single vector-valued integration on shared nodes, each held
-to its own target; a single-direction call computes both and returns one.
-Table rows run on up to worker_count threads; their values and order never
-depend on the thread count.
+integrals behind f_j (_lie_average) run at the package's default target and
+no function here takes a tolerance. f_1 and f_2 at one r come from a single
+vector-valued integration on shared nodes, each held to its own target; a
+single-direction call computes both and returns one. Table rows run on up to
+worker_count threads; their values and order never depend on the thread count.
 """
 
 from __future__ import annotations
@@ -80,6 +78,14 @@ def _residual_angle(r: float, theta: np.ndarray) -> np.ndarray:
     return np.arctan2(r * np.sin(theta), np.cos(theta) / r)
 
 
+def _check_radius(r: float) -> float:
+    """r, or a DomainError unless it lies in (0, 1) inside _check_norm's range."""
+    _check_norm(r)
+    if not r < 1.0:
+        raise DomainError(f"need r in (0, 1), got {r!r}")
+    return r
+
+
 def _decay_radius(r: float) -> float:
     """r, or 1/r past 1, inside the norm range that m_tilde_full accepts."""
     r = float(r)
@@ -90,11 +96,11 @@ def _decay_radius(r: float) -> float:
 
 
 def _lie_average(r: float, adjoint: bool) -> tuple[float, float]:
-    """(f_1(r), f_2(r)), each (1/pi) times an integral over the Cartan circle
-    in the circle's v-parametrisation (regions._circle_v_angles), split at the
-    transition angles. The integrand is not smooth there, so each v-segment
-    [a, b] between them is graded at both ends: v = a + (b - a) sin^2(pi s/2),
-    which is (1 - cos(pi s))/2, for s in [0, 1], with Jacobian
+    """(f_1(r), f_2(r)) at a checked r in (0, 1), each (1/pi) times an integral
+    over the Cartan circle in its v-parametrisation (regions._circle_v_angles),
+    split at regions._circle_v_breakpoints. The integrand is not smooth there,
+    so each v-segment [a, b] between them is graded at both ends: v = a + (b -
+    a) sin^2(pi s/2), which is (1 - cos(pi s))/2, for s in [0, 1], with Jacobian
     (b - a)(pi/2) sin(pi s) vanishing at both ends (Sidi's sin^m
     transformation, per segment). Segment j occupies u in [j, j + 1], and one
     integration over u runs with the integers as breakpoints. Both directions
@@ -103,8 +109,8 @@ def _lie_average(r: float, adjoint: bool) -> tuple[float, float]:
     lie_derivative_mtt for X1 and X2, or with adjoint their transport by the
     residual rotation; a segment splits where either direction misses its
     share of the target. The arcs where m_hat is constant (the .constant of
-    case_transition_thetas) have zero partials and are left out."""
-    r = _decay_radius(r)
+    case_transition_thetas) have zero partials and are left out; no touch
+    borders one, so the arc at a segment's midpoint decides for all of it."""
     thetas = case_transition_thetas(r)
     ends = segment_edges(-_HALF_PI, _HALF_PI, _circle_v_breakpoints(thetas))
     mid, _ = _circle_v_angles(0.5 * (ends[:-1] + ends[1:]))
@@ -145,8 +151,7 @@ def _lie_component(r: float, direction: LieDirection, adjoint: bool) -> float:
 
 
 def lie_derivative_mtilde(r: float, direction: LieDirection) -> float:
-    """f_j(r): differentiation under the K-average, with the chart combination
-    evaluated pointwise along the Cartan circle."""
+    """f_j(r), the circle average of lie_derivative_mtt that the table reports."""
     return _lie_component(r, direction, adjoint=False)
 
 
@@ -163,8 +168,7 @@ class DecayRow:
     f2: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.r < 1.0):
-            raise DomainError(f"decay rows need r in (0, 1), got {self.r!r}")
+        _check_radius(self.r)
 
     @property
     def weighted(self) -> float:
@@ -185,10 +189,7 @@ def _decay_row(r: float) -> DecayRow:
 def hm_table(r_grid: "list[float] | tuple[float, ...]") -> list[DecayRow]:
     """Weighted first-order decay table over a grid in (0, 1); row order follows
     the input grid regardless of scheduling."""
-    rs = [float(r) for r in r_grid]
-    for r in rs:
-        if not (0.0 < r < 1.0):
-            raise DomainError(f"grid values must lie in (0, 1), got {r!r}")
+    rs = [_check_radius(float(r)) for r in r_grid]
     with concurrent.futures.ThreadPoolExecutor(max_workers=worker_count(len(rs))) as pool:
         return list(pool.map(_decay_row, rs))
 
@@ -207,8 +208,7 @@ def theta_boundaries(r: float) -> ThetaBoundaries:
     cutoff of the small-g_y regime), and ends at theta8, the re-entry into
     the narrow window through g_x = -2/sqrt(3). theta7 exists for r up to
     about 0.56462; past it that arc starts above g_y = 1/2, then splits."""
-    if not (math.isfinite(r) and 0.0 < r < 1.0):
-        raise DomainError(f"need r in (0, 1), got {r!r}")
+    _check_radius(r)
     thetas = case_transition_thetas(r)
     ends = (-_HALF_PI, *thetas, _HALF_PI)
     zero = [i for i, m in enumerate(thetas.constant) if m == 0.0]
@@ -239,9 +239,7 @@ def divergence_probe_onset(r: float) -> float:
     the re-entry near pi/2, this is the onset. The probe integrates from here
     so the window survives eps down to 1e-2 (the re-entry sits within
     ~1.16 r^4 of pi/2, inside every such eps). Both exist for r <= 0.61."""
-    _check_norm(r)
-    if not r < 1.0:
-        raise DomainError(f"need r in (0, 1), got {r!r}")
+    _check_radius(r)
     roots = _tan_roots(*_transition_quadratics(r)["b8"])
     if len(roots) < 2:
         raise DomainError(f"no b8 crossing on the Cartan circle at r={r!r}")

@@ -96,6 +96,11 @@ def _inverts(x, rr):
     return (rr < 1.0 - _CIRCLE_TOL) | ((rr < 1.0 + _CIRCLE_TOL) & (x > 0.0))
 
 
+def _in_domain(x: float, y: float) -> bool:
+    """The fundamental domain within _CIRCLE_TOL: |x| <= 1/2 and x^2 + y^2 >= 1."""
+    return abs(x) <= 0.5 + _CIRCLE_TOL and x * x + y * y >= 1.0 - _CIRCLE_TOL
+
+
 @dataclass(frozen=True)
 class ReducedPoint:
     gamma: IntMat2

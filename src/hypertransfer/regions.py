@@ -642,8 +642,8 @@ class _TransitionAngles(tuple):
     constant, 0.0 or 1.0, else None; and .touches: the angles where only the
     ellipse's extent end touches the unit circle. There the new segment of
     the section grows like the square of the distance and the mass it holds
-    like the cube, so m_hat is twice differentiable across them, and the
-    rotation average does not split at them."""
+    like the cube, so m_hat is twice differentiable across them, and no
+    circle average splits at them (_circle_v_breakpoints)."""
 
     constant: tuple[Optional[float], ...]
     touches: frozenset[float]
@@ -702,12 +702,13 @@ def _circle_v_angles(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _HALF_PI * sv * np.abs(sv), math.pi * np.abs(sv) * np.cos(v)
 
 
-def _circle_v_breakpoints(thetas: tuple[float, ...]) -> list[float]:
-    """Breakpoints in v of a circle average split at the angles thetas (see
-    _circle_v_angles): v = 0, the kink of the Jacobian, and the v of each
-    angle. quadrature.segment_edges sorts and filters them: b3's -0.0 repeats
-    the kink, and a b8 root near r = 1e-4 can round to pi/2."""
-    return [0.0, *(math.copysign(math.asin(math.sqrt(abs(t) / _HALF_PI)), t) for t in thetas)]
+def _circle_v_breakpoints(thetas: _TransitionAngles) -> list[float]:
+    """Breakpoints in v of every circle average (see _circle_v_angles): v = 0,
+    the kink of the Jacobian, and the v of each case_transition_thetas angle
+    but its .touches. quadrature.segment_edges sorts and filters them: b3's
+    -0.0 repeats the kink, and a b8 root near r = 1e-4 can round to pi/2."""
+    kept = (t for t in thetas if t not in thetas.touches)
+    return [0.0, *(math.copysign(math.asin(math.sqrt(abs(t) / _HALF_PI)), t) for t in kept)]
 
 
 # (g_x^2 + g_y^2 + 1)/g_y = N^2 + N^-2 at N = MAX_NORM, with room for the
@@ -743,7 +744,7 @@ def m_tilde_full(
     which is pi: a constant averages to itself exactly. Both integrals keep
     the scale of a theta integral, so q's tolerances mean what they would
     there. The error is the first integral's over the second's value. The
-    integrals split at the case_transition_thetas but their .touches."""
+    integrals split at _circle_v_breakpoints."""
     r = operator_norm(g)
     _check_norm(r)
 
@@ -751,8 +752,7 @@ def m_tilde_full(
         theta, jac = _circle_v_angles(v)
         return np.stack((m_hat_at_angle(r, theta, q, force_direct) * jac, jac))
 
-    thetas = case_transition_thetas(r)
-    pts = _circle_v_breakpoints([t for t in thetas if t not in thetas.touches])
+    pts = _circle_v_breakpoints(case_transition_thetas(r))
     val, err = integrate(integrand, -_HALF_PI, _HALF_PI, q, points=pts)
     return float(_clamp_unit(val[0] / val[1])), float(err[0] / val[1])
 

@@ -14,6 +14,7 @@ from typing import Any
 import numpy as np
 
 from .cocycle import (
+    _check_seed,
     _rng,
     cocycle_beta,
     domain_measure_mc,
@@ -30,6 +31,7 @@ from .decay import (
 from .errors import HypertransferError
 from .modular import (
     Letter,
+    _in_domain,
     enumerate_elements,
     first_letter,
     reduce_to_fundamental_domain,
@@ -49,8 +51,6 @@ from .regions import (
 from .sl2 import IDENTITY, HalfPlanePoint, an_matrix, mobius_act, rotation
 
 DEFAULT_SEED = 20240914
-
-SUITE_NAMES = ("cocycle", "cases", "decay")
 
 
 def _check(name: str, passed: bool, **detail: Any) -> dict:
@@ -100,11 +100,7 @@ def suite_cocycle(seed: int = DEFAULT_SEED) -> dict:
         red = reduce_to_fundamental_domain(z)
         back = mobius_act(red.gamma.to_real(), red.z0)
         worst = max(worst, abs(back.x - z.x), abs(back.y - z.y))
-        if not (
-            abs(red.z0.x) <= 0.5 + 1e-12
-            and red.z0.x * red.z0.x + red.z0.y * red.z0.y >= 1.0 - 1e-12
-        ):
-            ok = False
+        ok = ok and _in_domain(red.z0.x, red.z0.y)
     checks.append(_check("tiling_roundtrip", ok and worst <= 1e-9, worst_residual=float(worst)))
 
     elements = enumerate_elements(8)
@@ -257,20 +253,22 @@ def _report(name: str, seed: int, checks: list[dict]) -> dict:
     }
 
 
+_SUITES = {"cocycle": suite_cocycle, "cases": suite_cases, "decay": suite_decay}
+SUITE_NAMES = tuple(_SUITES)
+
+
 def run_verify(suites: "list[str] | tuple[str, ...]", seed: int = DEFAULT_SEED) -> dict:
-    """Run the named suites ("cocycle", "cases", "decay" or "all") and merge
-    their reports."""
-    wanted = list(suites)
-    if "all" in wanted:
-        wanted = list(SUITE_NAMES)
-    runners = {"cocycle": suite_cocycle, "cases": suite_cases, "decay": suite_decay}
+    """Run the named suites (SUITE_NAMES or "all") and merge their reports.
+    The seed is checked before any suite runs."""
+    seed = _check_seed(seed)
+    wanted = list(SUITE_NAMES) if "all" in suites else list(suites)
     reports = []
     for name in wanted:
-        if name not in runners:
+        if name not in _SUITES:
             raise HypertransferError(f"unknown suite {name!r}")
-        reports.append(runners[name](seed))
+        reports.append(_SUITES[name](seed))
     return {
-        "seed": int(seed),
+        "seed": seed,
         "passed": all(r["passed"] for r in reports),
         "suites": reports,
     }

@@ -283,6 +283,19 @@ def test_verify_cocycle_passes(capsys):
     assert all(c["passed"] for s in payload["suites"] for c in s["checks"])
 
 
+def test_negative_seeds_name_their_error(capsys):
+    # numpy's "expected non-negative integer" reached stderr, and the decay
+    # suite, which draws nothing, exited 0 with seed -5 in its report
+    for argv in (
+        ["symbol", "0.2", "--mode", "mc", "--seed", "-1"],
+        ["verify", "--suite", "cocycle", "--seed", "-5"],
+        ["verify", "--suite", "decay", "--seed", "-5"],
+    ):
+        code, out = run(capsys, argv)
+        assert (code, out.out) == (2, ""), argv
+        assert out.err == f"error: seed must be a non-negative integer, got {argv[-1]}\n"
+
+
 def test_verify_unknown_suite():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nope"])

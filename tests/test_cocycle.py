@@ -90,6 +90,12 @@ def test_domain_point_validation():
         domain_point(0.0, 2.0, math.pi)
     with pytest.raises(DomainError):
         domain_point(0.0, 2.0, -0.1)
+    # modular._in_domain decides, with its 1e-12 tolerance past each edge
+    domain_point(0.5 + 5e-13, 2.0, 0.0)
+    domain_point(0.0, 1.0 - 2e-13, 0.0)
+    for x, y in ((0.5 + 5e-12, 2.0), (0.0, 1.0 - 2e-12)):
+        with pytest.raises(DomainError, match="outside the fundamental domain"):
+            domain_point(x, y, 0.0)
 
 
 def test_identity_gives_trivial_beta():
@@ -181,6 +187,49 @@ def test_domain_measure_estimate():
     assert domain_measure_mc(20240914, 200_000) == (1.047723307001106, 0.0007486090403168687)
     with pytest.raises(DomainError, match="need at least one sample"):
         domain_measure_mc(5, 0)
+
+
+def test_sample_counts_are_integers_of_at_least_one():
+    # a numpy count reached Philox.advance as a numpy quotient and overflowed
+    # (OverflowError: Python int too large to convert to C long), and 1.5
+    # raised an unnamed TypeError
+    g = cartan_a(0.5)
+    assert transferred_symbol_mc(symbol_m_word, g, np.int64(3), 2) == transferred_symbol_mc(
+        symbol_m_word, g, 3, 2
+    )
+    assert domain_measure_mc(5, np.int64(1000)) == domain_measure_mc(5, 1000)
+    a, b = sample_domain(1, np.int64(3)), sample_domain(1, 3)
+    assert [(p.s0, p.k0_angle) for p in a] == [(p.s0, p.k0_angle) for p in b]
+    for route in (
+        lambda n: transferred_symbol_mc(symbol_m_word, g, n, 2),
+        lambda n: domain_measure_mc(5, n),
+        lambda n: sample_domain(1, n),
+    ):
+        for n in (1.5, 3.0, "3", None):
+            with pytest.raises(DomainError, match="sample count must be an integer"):
+                route(n)
+        for n in (0, -4, np.int64(0)):
+            with pytest.raises(DomainError, match="^need at least one sample$"):
+                route(n)
+
+
+def test_seeds_are_non_negative_integers():
+    # seed -1 raised numpy's unnamed "expected non-negative integer", and
+    # 1.5 was read as 1
+    g = cartan_a(0.5)
+    assert _rng(np.int64(7), 3).random(4).tolist() == _rng(7, 3).random(4).tolist()
+    assert transferred_symbol_mc(symbol_m_word, g, 500, np.uint8(9)) == transferred_symbol_mc(
+        symbol_m_word, g, 500, 9
+    )
+    for seed in (-1, np.int64(-5), 1.5, 1.0, "7", None):
+        for route in (
+            lambda s: _rng(s),
+            lambda s: transferred_symbol_mc(symbol_m_word, g, 10, s),
+            lambda s: domain_measure_mc(s, 10),
+            lambda s: sample_domain(s, 10),
+        ):
+            with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+                route(seed)
 
 
 def test_transferred_symbol_identity_and_constant():

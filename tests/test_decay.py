@@ -178,6 +178,37 @@ def test_hm_table_contract():
         DecayRow(r=1.5, f1=0.0, f2=0.0)
 
 
+def test_table_rows_and_angles_refuse_the_same_radii(monkeypatch):
+    # one check holds r in (0, 1) inside the norm range for the table, its
+    # rows, the transition angles and the probe onset
+    refusals = (
+        (0.0, "need r > 0"),
+        (-0.2, "need r > 0"),
+        (math.nan, "need r > 0"),
+        (1.0, r"need r in \(0, 1\), got 1.0"),
+        (1.5, r"need r in \(0, 1\), got 1.5"),
+        (math.inf, "supported range"),
+        (1e-39, "supported range"),
+    )
+    for r, message in refusals:
+        for refuse in (
+            lambda r: hm_table([0.3, r]),
+            lambda r: DecayRow(r=r, f1=0.0, f2=0.0),
+            theta_boundaries,
+            divergence_probe_onset,
+        ):
+            with pytest.raises(DomainError, match=message):
+                refuse(r)
+
+    # the table checks the whole grid before it computes a row
+    def no_row(r):
+        raise AssertionError("a row ran before the grid was checked")
+
+    monkeypatch.setattr(decay, "_decay_row", no_row)
+    with pytest.raises(DomainError, match="got 1.2"):
+        hm_table([0.1, 1.2])
+
+
 def test_decay_rejects_radii_past_the_norm_range():
     # below r = 1/MAX_NORM the radius is refused by name before r^4 can
     # underflow in _circle_coords (from about r = 1e-77 on)
@@ -195,10 +226,11 @@ def test_decay_rejects_radii_past_the_norm_range():
 
 def test_decay_table_shares_closed_form_nodes(monkeypatch):
     # f1 and f2 of a row come from one integration on shared nodes, with
-    # every segment graded at both ends and the arcs where m_hat is constant
-    # left out: the default table evaluates the closed form at 3 192 points
-    # (3 402 with those arcs, 7 938 ungraded at a looser target, 12 012 with
-    # one integration per column as well)
+    # every segment graded at both ends, the arcs where m_hat is constant
+    # left out and no split at a touch: the default table evaluates the
+    # closed form at 3 150 points (3 192 split at the touches too, 3 402 with
+    # the constant arcs, 7 938 ungraded at a looser target, 12 012 with one
+    # integration per column as well)
     sizes = []
     closed_form = decay._closed_form
 
@@ -208,7 +240,53 @@ def test_decay_table_shares_closed_form_nodes(monkeypatch):
 
     monkeypatch.setattr(decay, "_closed_form", counted)
     hm_table(np.linspace(0.05, 0.5, 10))
-    assert sum(sizes) <= 3600
+    assert sum(sizes) <= 3192
+
+
+def _tanh_sinh_circle_average(r: float, h: float = 1.0 / 64.0) -> np.ndarray:
+    """(f1, f2) at r by a tanh-sinh rule in theta on each arc between the
+    transition angles, the touches included, and theta = 0, applied to the
+    closed-form partials: no quadrature.integrate, no v-parametrisation, no
+    grading and no arc left out. The rule's double-exponential thinning at
+    both ends of an arc absorbs the log|g_x| terms at theta = 0 and +-pi/2
+    and the kinks at the transition angles."""
+    t = np.arange(-3.5, 3.5 + 0.5 * h, h)
+    u = 0.5 * math.pi * np.sinh(t)
+    gap = 1.0 / (np.exp(np.abs(u)) * np.cosh(u))  # 1 - |tanh u|, free of cancellation
+    weight = h * 0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2
+    ends = [-math.pi / 2.0, *sorted({0.0, *case_transition_thetas(r)}), math.pi / 2.0]
+    total = np.zeros(2)
+    for a, b in zip(ends, ends[1:]):
+        half = 0.5 * (b - a)
+        gx, gy = regions._circle_coords(r, np.where(t < 0.0, a + half * gap, b - half * gap))
+        _, dgx, dgy = regions._closed_form(gx, gy)
+        total += half * np.array([weight @ (2.0 * gy * dgy), weight @ (gy * dgx)])
+    return total / math.pi
+
+
+def test_decay_table_matches_a_theta_reference():
+    # a second route to f1 and f2: the reference moves by at most 2.3e-11
+    # when its step halves or doubles (at r = 0.001; 3e-14 at the others),
+    # and the table was at most 2.8e-10 off it (at r = 0.97)
+    radii = [0.001, 0.05, 0.1, 0.2, 0.3, 0.45, 0.5780934891480582, 0.6, 0.7, 0.8466]
+    for row in hm_table([*radii, 0.9, 0.97, 0.99]):
+        ref = _tanh_sinh_circle_average(row.r)
+        assert abs(row.f1 - ref[0]) < 1e-9 and abs(row.f2 - ref[1]) < 1e-9, (row, ref)
+
+
+def test_no_touch_borders_a_constant_arc():
+    # _lie_average splits at no touch, so a segment can span one, and reads
+    # whether m_hat is constant on a segment off the arc at its midpoint;
+    # that is right for the whole segment only while the arcs on both sides
+    # of every touch vary
+    touches = 0
+    for r in np.geomspace(1e-38, 1e38, 3000):
+        thetas = case_transition_thetas(float(r))
+        for i, t in enumerate(thetas):
+            if t in thetas.touches:
+                touches += 1
+                assert thetas.constant[i] is None and thetas.constant[i + 1] is None, (r, t)
+    assert touches > 1000
 
 
 def test_worker_count_env(monkeypatch):
@@ -298,6 +376,11 @@ def test_probe_onset():
         divergence_probe_onset(1.0)
     with pytest.raises(DomainError):
         divergence_probe_onset(0.0)
+    # from r = 0.61 or so g_x no longer reaches -2/sqrt(3) on the circle
+    assert divergence_probe_onset(0.6) == 1.1164147085108254
+    for r in (0.62, 0.8, 0.99):
+        with pytest.raises(DomainError, match="no b8 crossing on the Cartan circle"):
+            divergence_probe_onset(r)
 
 
 def test_divergence_probe_frozen():

@@ -18,6 +18,7 @@ from hypertransfer.modular import (
     _TWO_ROUND_TABLES,
     IntMat2,
     Letter,
+    _in_domain,
     _two_round_codes,
     enumerate_elements,
     first_letter,
@@ -82,6 +83,13 @@ def test_reduce_underflowing_point():
     for x, y in ((0.0, 5e-324), (1e-320, 1e-320)):
         with pytest.raises(DomainError, match="overflows"):
             reduce_to_fundamental_domain(HalfPlanePoint(x, y))
+
+
+def test_domain_membership_is_tolerant_by_the_circle_tolerance():
+    inside = ((0.5, 0.9), (-0.5 - 5e-13, 2.0), (0.5 + 5e-13, 2.0), (0.0, 1.0 - 2e-13), (0.0, 7.0))
+    outside = ((0.5 + 5e-12, 2.0), (-0.6, 2.0), (0.0, 1.0 - 2e-12), (0.3, 0.9), (math.nan, 2.0))
+    assert all(_in_domain(x, y) for x, y in inside)
+    assert not any(_in_domain(x, y) for x, y in outside)
 
 
 def test_reduce_invariants_bulk():
