@@ -39,6 +39,11 @@ exits_2 region -0.1 1e200 --samples 3
 hypertransfer symbol 1e20 --mode mc --n 1000 --seed 1
 exits_2 symbol 1e39 --mode mc --n 1000 --seed 1
 exits_2 symbol 1e200 --mode mc --n 1000 --seed 1
+# sample and grid counts past numpy's largest array name their input; numpy
+# refuses these sizes before it allocates anything
+exits_2 symbol 2 --mode mc --n 100000000000000000000
+exits_2 decay --steps 100000000000000000000
+exits_2 region 0 1 --samples 100000000000000000000
 hypertransfer verify --suite cases > /dev/null
 hypertransfer verify --suite decay > /dev/null
 hypertransfer verify --suite cocycle > /dev/null

@@ -17,9 +17,6 @@ from .decay import (
     DecayRow,
     LieDirection,
     ThetaBoundaries,
-    adjoint_action,
-    case8_second_derivative_factor,
-    divergence_probe_onset,
     hm_table,
     lie_derivative_mtilde,
     lie_derivative_mtilde_adjoint,
@@ -57,7 +54,6 @@ from .regions import (
     CaseRegime,
     boundary_values,
     classify_case,
-    iwasawa_image_coords,
     m_hat_case,
     m_hat_direct,
     m_hat_partials,

@@ -80,9 +80,20 @@ def cmd_symbol(args: argparse.Namespace) -> int:
     return 0
 
 
+def _grid(lo: float, hi: float, count: int, flag: str) -> np.ndarray:
+    """np.linspace(lo, hi, count), or an input error naming flag where numpy
+    cannot allocate count points."""
+    try:
+        return np.linspace(lo, hi, count)
+    except (MemoryError, ValueError):
+        raise HypertransferError(
+            f"{flag} {count} is too large: numpy cannot allocate that many points"
+        ) from None
+
+
 def _region_rows(c: ANCoords, samples: int) -> list[tuple[str, float, float]]:
     rows: list[tuple[str, float, float]] = []
-    for x in np.linspace(-0.5, 0.5, samples):
+    for x in _grid(-0.5, 0.5, samples, "--samples"):
         x = float(x)
         for i, (lo, hi) in enumerate(section_intervals(x, c)):
             if lo >= _REGION_Y_CAP:
@@ -113,7 +124,7 @@ def cmd_decay(args: argparse.Namespace) -> int:
         raise HypertransferError(f"need 0 < rmin < rmax < 1, got {args.rmin!r}, {args.rmax!r}")
     if args.steps < 1:
         raise HypertransferError("need steps >= 1")
-    grid = [float(r) for r in np.linspace(args.rmin, args.rmax, args.steps)]
+    grid = [float(r) for r in _grid(args.rmin, args.rmax, args.steps, "--steps")]
     rows = hm_table(grid)
     max_weighted = max(row.weighted for row in rows)
     if len(rows) >= 2:

@@ -10,12 +10,12 @@ half-plane shadow and then fixing the sign so the residual rotation angle
 lands in [0, pi); cocycle_beta is the one function that forms it, to norm
 BETA_MAX_NORM. The Monte-Carlo average takes the norm range of every route
 to m_tilde and draws its samples block by block, from three streams placed
-at draws 0, n and 2n (_streams). The word symbol reads only the first letter
-of beta, up to sign, and the sign symbol only the sign of Re beta(i): the
-average reads both off the first two rounds of the reduction of each sample's
-shadow, which it forms in Mobius form, s0(k0(g(i))) = x + y k0(g(i)), from
-one tangent of theta0 per sample. Any other symbol takes each sample's beta
-from cocycle_beta.
+at draws 0, n and 2n (_streams). It averages only the word and sign symbols:
+the word symbol reads only the first letter of beta, up to sign, and the sign
+symbol only the sign of Re beta(i), so the average reads both off the first
+two rounds of the reduction of each sample's shadow, which it forms in Mobius
+form, s0(k0(g(i))) = x + y k0(g(i)), from one tangent of theta0 per sample,
+and forms no beta.
 """
 
 from __future__ import annotations
@@ -123,14 +123,23 @@ def _check_seed(seed: int) -> int:
 
 
 def _sample_count(n: int) -> int:
-    """n as an int, or a DomainError unless it is an integer of at least 1;
-    a numpy integer gives the equal int."""
+    """n as an int, or a DomainError unless it is an integer of at least 1
+    that numpy can allocate one float64 array of; a numpy integer gives the
+    equal int. The trial array is freed unwritten, before any draw."""
     try:
         value = operator.index(n)
     except TypeError:
         raise DomainError(f"sample count must be an integer, got {n!r}") from None
     if value < 1:
         raise DomainError("need at least one sample")
+    try:
+        np.empty(value)
+    except (MemoryError, ValueError):
+        # MemoryError where the bytes are refused, ValueError past numpy's
+        # largest array size
+        raise DomainError(
+            f"sample count {value} is too large: numpy cannot allocate that many samples"
+        ) from None
     return value
 
 
@@ -220,18 +229,13 @@ def _shadow_batch(
 def _sample_symbols(
     symbol: Callable[[IntMat2], float], x: np.ndarray, y: np.ndarray, theta: np.ndarray, g: RealMat2
 ) -> np.ndarray:
-    """symbol of every beta(p, g). The symbols of _TWO_ROUND_TABLES are read
-    off the first two rounds of the reduction of each shadow
-    (modular._two_round_codes), and the samples that rule leaves open finish
-    on the scalar reduction; any other symbol gets each beta from
-    cocycle_beta, one sample at a time."""
-    table = _TWO_ROUND_TABLES.get(symbol)
-    if table is None:
-        rows = zip(x.tolist(), y.tolist(), theta.tolist())
-        return np.array([float(symbol(cocycle_beta(domain_point(*row), g).beta)) for row in rows])
+    """symbol of every beta(p, g), for a symbol of _TWO_ROUND_TABLES: read off
+    the first two rounds of the reduction of each shadow
+    (modular._two_round_codes), and on the samples that rule leaves open off
+    the gamma of the scalar reduction."""
     zx, zy = _shadow_batch(x, y, np.tan(theta), g)
     code, left = _two_round_codes(zx, zy)
-    vals = table[code]
+    vals = _TWO_ROUND_TABLES[symbol][code]
     for i in left:
         red = reduce_to_fundamental_domain(HalfPlanePoint(float(zx[i]), float(zy[i])))
         vals[i] = symbol(red.gamma)
@@ -244,15 +248,18 @@ def transferred_symbol_mc(
     """Monte-Carlo average of symbol(beta(p, g)) over domain samples, with the
     standard error of the mean.
 
-    symbol_m_word and symbol_m_sign are read off the first two rounds of the
-    reduction of each sample (modular._TWO_ROUND_TABLES); any other symbol
-    gets each beta from cocycle_beta, with its refusal past BETA_MAX_NORM and
-    its DomainError where float64 rounding loses the determinant of a product.
-    After the sample count, g is checked once, before any draw: operator norms
-    past MAX_NORM raise the DomainError of every route to m_tilde.
+    symbol is symbol_m_word or symbol_m_sign, the keys of
+    modular._TWO_ROUND_TABLES, and is read off the first two rounds of the
+    reduction of each sample. The sample count, the seed, the norm of g and
+    then the symbol are checked before any draw: operator norms past MAX_NORM
+    raise the DomainError of every route to m_tilde, and any other callable,
+    a wrapper of those two included, raises a DomainError that names them.
     """
     streams = _streams(rng_seed, n)
     _check_norm(operator_norm(g))
+    if symbol not in _TWO_ROUND_TABLES:
+        names = " and ".join(s.__name__ for s in _TWO_ROUND_TABLES)
+        raise DomainError(f"transferred_symbol_mc averages only {names}, got {symbol!r}")
     vals = np.empty(n)
     for i in range(0, n, _MC_BLOCK):
         u1, u2, u3 = (s.random(min(_MC_BLOCK, n - i)) for s in streams)

@@ -457,13 +457,6 @@ def _circle_coords(r: float, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return (r4 - 1.0) * st * ct / den, r * r / den
 
 
-def iwasawa_image_coords(r: float, theta: float) -> ANCoords:
-    """AN coordinates of the Iwasawa AN part of rotation(theta) @ diag(r, 1/r)."""
-    _check_norm(r)
-    gx, gy = _circle_coords(float(r), np.float64(theta))
-    return ANCoords(g_x=gx, g_y=gy)
-
-
 def m_hat_at_angle(
     r: float,
     theta: np.ndarray,

@@ -274,6 +274,23 @@ def test_decay_json_and_range_errors(capsys):
     assert code == 2 and "supported range [1, 1e+38]" in out.err
 
 
+def test_counts_numpy_cannot_allocate_exit_2_with_their_name(capsys):
+    # these exited 1 with numpy's MemoryError traceback (1e17) or 2 with its
+    # unnamed "Maximum allowed dimension exceeded" (1e20); no 64-bit address
+    # space holds either array
+    for n in (10**17, 10**20):
+        for argv, name in (
+            (["symbol", "2", "--mode", "mc", "--n", str(n)], "sample count"),
+            (["decay", "--steps", str(n)], "--steps"),
+            (["region", "0", "1", "--samples", str(n)], "--samples"),
+        ):
+            code, out = run(capsys, argv)
+            assert code == 2 and out.out == "", argv
+            assert out.err == f"error: {name} {n} is too large: numpy cannot allocate " + (
+                "that many samples\n" if name == "sample count" else "that many points\n"
+            ), out.err
+
+
 def test_verify_cocycle_passes(capsys):
     code, out = run(capsys, ["verify", "--suite", "cocycle", "--seed", "7"])
     assert code == 0

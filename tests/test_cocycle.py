@@ -27,6 +27,7 @@ from hypertransfer.cocycle import (
 )
 from hypertransfer.errors import DomainError
 from hypertransfer.modular import (
+    _TWO_ROUND_TABLES,
     I2,
     S_MAT,
     _two_round_codes,
@@ -63,21 +64,53 @@ def random_group_elt(rng: np.random.Generator) -> RealMat2:
     )
 
 
-def cocycle_results(
+def scalar_results(
     x: np.ndarray, y: np.ndarray, theta: np.ndarray, g: RealMat2
 ) -> list[CocycleResult]:
-    """cocycle_beta of every sample (x, y, theta), after checking that the
-    Monte-Carlo route's word and sign symbols of each sample equal those
-    symbols of its scalar beta."""
-    results = [
+    """cocycle_beta of every sample (x, y, theta), one at a time: the
+    reference the Monte-Carlo route's two-round rows are held against."""
+    return [
         cocycle_beta(domain_point(float(a), float(b), float(t)), g)
         for a, b, t in zip(x, y, theta)
     ]
-    for symbol in (symbol_m_word, symbol_m_sign):
-        scalar = np.array([float(symbol(res.beta)) for res in results])
-        mc = _sample_symbols(symbol, x, y, theta, g)
-        assert np.array_equal(mc, scalar), (symbol, g, np.flatnonzero(mc != scalar)[:5])
+
+
+def row_mismatches(symbol, x, y, theta, g, results: list[CocycleResult]) -> np.ndarray:
+    """Indices of the samples whose Monte-Carlo symbol value differs from the
+    symbol of their scalar beta."""
+    scalar = np.array([float(symbol(res.beta)) for res in results])
+    return np.flatnonzero(_sample_symbols(symbol, x, y, theta, g) != scalar)
+
+
+def cocycle_results(
+    x: np.ndarray, y: np.ndarray, theta: np.ndarray, g: RealMat2
+) -> list[CocycleResult]:
+    """scalar_results of every sample, after checking that the Monte-Carlo
+    route's word and sign symbols of each sample equal those symbols of its
+    scalar beta."""
+    results = scalar_results(x, y, theta, g)
+    for symbol in _TWO_ROUND_TABLES:
+        bad = row_mismatches(symbol, x, y, theta, g, results)
+        assert bad.size == 0, (symbol, g, bad[:5])
     return results
+
+
+def seed_77_cases() -> list[tuple[np.ndarray, np.ndarray, np.ndarray, RealMat2]]:
+    """300 seed-77 samples on six elements, rotated norms 1 to 1e5."""
+    x, y, theta = _sample_xyth(77, 300)
+    elements = [rotation(0.7) @ cartan_a(0.3)]
+    for k, r in ((1, 1.0), (2, 10.0), (3, 100.0), (4, 1e4), (5, 1e5)):
+        elements.append(rotation(0.4 * k) @ cartan_a(r) @ rotation(1.3 * k))
+    return [(x, y, theta, g) for g in elements]
+
+
+def unit_arc_cases() -> list[tuple[np.ndarray, np.ndarray, np.ndarray, RealMat2]]:
+    """25 domain points on the unit arc with 0 < Re < 1/2, under the identity
+    and two rotations, which keep the shadow on the arc."""
+    x = np.linspace(0.01, 0.49, 25)
+    y = np.sqrt(1.0 - x * x)
+    theta = np.linspace(0.0, 3.1, 25)
+    return [(x, y, theta, g) for g in (IDENTITY, rotation(1.1), rotation(4.0))]
 
 
 def test_domain_point_validation():
@@ -211,6 +244,12 @@ def test_sample_counts_are_integers_of_at_least_one():
         for n in (0, -4, np.int64(0)):
             with pytest.raises(DomainError, match="^need at least one sample$"):
                 route(n)
+        # numpy refused these with its own MemoryError (1e17: 711 PiB) or
+        # ValueError (1e20: past its largest array size), naming no input; no
+        # 64-bit address space holds either array
+        for n in (10**17, 10**20):
+            with pytest.raises(DomainError, match=f"^sample count {n} is too large"):
+                route(n)
 
 
 def test_seeds_are_non_negative_integers():
@@ -235,8 +274,9 @@ def test_seeds_are_non_negative_integers():
 def test_transferred_symbol_identity_and_constant():
     est, se = transferred_symbol_mc(symbol_m_word, RealMat2(1.0, 0.0, 0.0, 1.0), 4000, 3)
     assert (est, se) == (1.0, 0.0)
-    est, se = transferred_symbol_mc(lambda g: 1.0, cartan_a(0.7), 4000, 3)
-    assert (est, se) == (1.0, 0.0)
+    # the route averages the two-round rows only: a constant symbol is refused
+    with pytest.raises(DomainError, match="averages only symbol_m_word and symbol_m_sign"):
+        transferred_symbol_mc(lambda g: 1.0, cartan_a(0.7), 4000, 3)
 
 
 def test_transferred_symbol_range_and_evenness():
@@ -256,25 +296,18 @@ def test_batch_beta_matches_scalar():
     # from a 60-digit reference: their shadows lie below height 1e-12, where
     # the float64 rounding of h moves the reduced point across a side of the
     # domain (see BETA_MAX_NORM)
-    x, y, theta = _sample_xyth(77, 300)
-    elements = [rotation(0.7) @ cartan_a(0.3)]
-    for k, r in ((1, 1.0), (2, 10.0), (3, 100.0), (4, 1e4), (5, 1e5)):
-        elements.append(rotation(0.4 * k) @ cartan_a(r) @ rotation(1.3 * k))
-    for g in elements:
-        cocycle_results(x, y, theta, g)
+    for case in seed_77_cases():
+        cocycle_results(*case)
 
 
 def test_batch_beta_matches_scalar_on_the_unit_arc():
     # a domain point on the arc with 0 < Re < 1/2 is the S-image of the
     # boundary point with Re < 0 that the reduction keeps, so both routes
     # take the same inversion there; rotations keep the shadow on the arc
-    x = np.linspace(0.01, 0.49, 25)
-    y = np.sqrt(1.0 - x * x)
-    theta = np.linspace(0.0, 3.1, 25)
-    for g in (IDENTITY, rotation(1.1), rotation(4.0)):
-        for res in cocycle_results(x, y, theta, g):
-            assert res.beta in (S_MAT, S_MAT.neg()), g
-            assert an_coords(res.moved.s0).g_x < 0.0, g
+    for case in unit_arc_cases():
+        for res in cocycle_results(*case):
+            assert res.beta in (S_MAT, S_MAT.neg()), case[3]
+            assert an_coords(res.moved.s0).g_x < 0.0, case[3]
 
 
 def test_batch_beta_of_a_half_turn():
@@ -287,14 +320,37 @@ def test_batch_beta_of_a_half_turn():
 
 
 def test_batch_symbol_matches_scalar_symbols():
+    # the route's mean and standard error against those of the symbols of the
+    # per-sample cocycle_beta on the samples it draws: equal values, equal bits
     g = cartan_a(0.25)
     n, seed = 5000, 21
-    fast, _ = transferred_symbol_mc(symbol_m_word, g, n, seed)
-    slow, _ = transferred_symbol_mc(lambda b: symbol_m_word(b), g, n, seed)
-    assert fast == slow
-    fast_s, _ = transferred_symbol_mc(symbol_m_sign, g, n, seed)
-    slow_s, _ = transferred_symbol_mc(lambda b: float(symbol_m_sign(b)), g, n, seed)
-    assert fast_s == slow_s
+    results = scalar_results(*_sample_xyth(seed, n), g)
+    for symbol in _TWO_ROUND_TABLES:
+        ref = _mean_se(np.array([float(symbol(res.beta)) for res in results]))
+        assert transferred_symbol_mc(symbol, g, n, seed) == ref, symbol
+
+
+def test_every_row_entry_is_held_against_cocycle_beta(monkeypatch):
+    # flipping any one of the 12 row entries makes the sample-by-sample
+    # comparison of test_batch_beta_matches_scalar or its unit-arc sibling
+    # fail. The seed-77 samples reach codes 0-3 and 5 (618, 301, 654, 109 and
+    # 118 times); only the unit-arc samples reach code 4 (+-S^-1)
+    cases = {"seed 77": seed_77_cases(), "unit arc": unit_arc_cases()}
+    reached = {}
+    for name, group in cases.items():
+        codes = [_two_round_codes(*_shadow_batch(x, y, np.tan(t), g))[0] for x, y, t, g in group]
+        reached[name] = set(np.concatenate(codes).tolist())
+    assert reached == {"seed 77": {0, 1, 2, 3, 5}, "unit arc": {4}}
+    checked = [(case, scalar_results(*case)) for group in cases.values() for case in group]
+    for symbol, row in list(_TWO_ROUND_TABLES.items()):
+        for code in range(6):
+            flipped = row.copy()
+            flipped[code] = 1.0 - flipped[code]
+            monkeypatch.setitem(_TWO_ROUND_TABLES, symbol, flipped)
+            assert any(
+                row_mismatches(symbol, *case, results).size for case, results in checked
+            ), (symbol, code)
+        monkeypatch.setitem(_TWO_ROUND_TABLES, symbol, row)
 
 
 def test_word_rule_matches_the_full_reduction():
@@ -630,10 +686,10 @@ def test_mc_reduction_range_is_named():
         for r in (1e39, 1e160, 1e200):
             with pytest.raises(DomainError, match=r"supported range \[1, 1e\+38\]"):
                 transferred_symbol_mc(symbol, cartan_a(r), 10, 0)
-    # a generic symbol takes each beta from cocycle_beta, which refuses norms
-    # past 1e15 by name
+    # inside the range a generic symbol is refused: the route forms no beta,
+    # so BETA_MAX_NORM does not apply to it
     for r in (1.1e15, 1e20):
-        with pytest.raises(DomainError, match=r"cocycle_beta refuses .* up to norm 1e\+15"):
+        with pytest.raises(DomainError, match="averages only symbol_m_word and symbol_m_sign"):
             transferred_symbol_mc(generic, cartan_a(r), 1000, 1)
     # the word and sign symbols read two reduction rounds and no full beta
     for symbol in (symbol_m_word, symbol_m_sign):
@@ -657,9 +713,28 @@ def test_scalar_cocycle_names_the_lost_determinant():
     assert failures > 10
 
 
-def test_generic_symbols_raise_the_scalar_refusal():
-    # a generic symbol takes each beta from cocycle_beta, so at norm 1e9 it
-    # raises the scalar route's named error on the first sample that loses
-    # its determinant, inside the range BETA_MAX_NORM allows
-    with pytest.raises(DomainError, match="lost to float64 rounding"):
-        transferred_symbol_mc(lambda beta: 1.0, cartan_a(1e9), 1000, 1)
+def test_generic_symbols_are_refused_before_any_draw(monkeypatch):
+    # the route reads the rows of _TWO_ROUND_TABLES, keyed by function
+    # identity: a wrapper of symbol_m_word is refused too, after the count,
+    # seed and norm checks and before any draw
+    wrapper = lambda b: symbol_m_word(b)  # noqa: E731
+    g = cartan_a(1e9)
+    with pytest.raises(DomainError, match="^need at least one sample$"):
+        transferred_symbol_mc(wrapper, g, 0, 1)
+    with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+        transferred_symbol_mc(wrapper, g, 10, -1)
+    with pytest.raises(DomainError, match="supported range"):
+        transferred_symbol_mc(wrapper, cartan_a(1e39), 10, 1)
+
+    class NoDraws:
+        def random(self, size):
+            raise AssertionError("drew a sample")
+
+    streams = cocycle._streams
+    monkeypatch.setattr(cocycle, "_streams", lambda seed, n: [NoDraws()] * len(streams(seed, n)))
+    with pytest.raises(AssertionError, match="drew a sample"):
+        transferred_symbol_mc(symbol_m_word, g, 10, 1)
+    for symbol in (wrapper, symbol_m_sign.__call__, print):
+        with pytest.raises(DomainError, match=r"averages only symbol_m_word and symbol_m_sign, got "):
+            transferred_symbol_mc(symbol, g, 10, 1)
+

@@ -28,8 +28,8 @@ from hypertransfer.decay import (
 from hypertransfer.errors import DomainError
 from hypertransfer.regions import (
     boundary_values,
+    _circle_coords,
     case_transition_thetas,
-    iwasawa_image_coords,
     m_hat_case,
     m_tilde,
 )
@@ -307,11 +307,11 @@ def test_theta_boundaries_closed_forms():
         tb = theta_boundaries(r)
         assert tb.theta2 == -math.pi / 6.0
         # theta8 re-enters the narrow window: g_x crosses -2/sqrt(3)
-        c8 = iwasawa_image_coords(r, tb.theta8)
-        assert abs(c8.g_x + 2.0 / SQRT3) < 1e-10
+        gx8, _ = _circle_coords(r, tb.theta8)
+        assert abs(gx8 + 2.0 / SQRT3) < 1e-10
         # theta7 hits the m_hat = 0 cutoff of the small-g_y regime
-        c7 = iwasawa_image_coords(r, tb.theta7)
-        assert abs(c7.g_x - boundary_values(c7.g_y).b7) < 1e-10
+        gx7, gy7 = _circle_coords(r, tb.theta7)
+        assert abs(gx7 - boundary_values(float(gy7)).b7) < 1e-10
     tb = theta_boundaries(1e-3)
     assert abs(tb.theta7 - math.pi / 6.0) < 1e-6
     assert abs(tb.theta8 - math.pi / 2.0) < 1e-3
@@ -370,7 +370,7 @@ def test_probe_onset():
     for r in (0.05, 0.1, 0.3):
         on = divergence_probe_onset(r)
         assert 0.0 < on < theta_boundaries(r).theta8
-        assert abs(iwasawa_image_coords(r, on).g_x + 2.0 / SQRT3) < 1e-10
+        assert abs(_circle_coords(r, on)[0] + 2.0 / SQRT3) < 1e-10
     assert abs(divergence_probe_onset(1e-3) - math.atan(2.0 / SQRT3)) < 1e-9
     with pytest.raises(DomainError):
         divergence_probe_onset(1.0)

@@ -20,13 +20,13 @@ from hypertransfer.errors import AccuracyError, DomainError
 from hypertransfer.quadrature import DEFAULT_QUADRATURE, QuadratureConfig, segment_edges
 from hypertransfer.regions import (
     CaseRegime,
+    _circle_coords,
     _ellipse_antiderivative,
     _ellipse_circle_abscissas,
     _m_hat_closed_form,
     boundary_values,
     case_transition_thetas,
     classify_case,
-    iwasawa_image_coords,
     m_hat_case,
     m_hat_direct,
     m_hat_dgx,
@@ -535,22 +535,19 @@ def test_section_intervals_membership():
 
 
 def test_iwasawa_image_coords_examples():
+    # _circle_coords gives the AN coordinates of the Iwasawa AN part of
+    # rotation(theta) @ diag(r, 1/r)
     for th in (0.0, 0.4, 1.2, -2.0):
-        c = iwasawa_image_coords(1.0, th)
-        assert abs(c.g_x) < 1e-15 and abs(c.g_y - 1.0) < 1e-15
-    c = iwasawa_image_coords(0.7, 0.0)
-    assert c.g_x == 0.0 and abs(c.g_y - 0.49) < 1e-15
-    c = iwasawa_image_coords(0.7, math.pi / 2.0)
-    assert abs(c.g_x) < 1e-12 and abs(c.g_y - 1.0 / 0.49) < 1e-12
-    with pytest.raises(DomainError):
-        iwasawa_image_coords(0.0, 0.3)
-    # past the norm range r^4 overflowed (1e100, 1e200) or the error blamed
-    # g_y > 0 (1e-200); the one range check names the range
-    for r in (1e39, 1e100, 1e200, 1e-39, 1e-200):
-        with pytest.raises(DomainError, match=r"supported range \[1, 1e\+38\]"):
-            iwasawa_image_coords(r, 0.3)
+        gx, gy = _circle_coords(1.0, th)
+        assert abs(gx) < 1e-15 and abs(gy - 1.0) < 1e-15
+    gx, gy = _circle_coords(0.7, 0.0)
+    assert gx == 0.0 and abs(gy - 0.49) < 1e-15
+    gx, gy = _circle_coords(0.7, math.pi / 2.0)
+    assert abs(gx) < 1e-12 and abs(gy - 1.0 / 0.49) < 1e-12
+    # g_y stays positive at both ends of the norm range; past them the
+    # callers' _check_norm refuses (test_case_transitions_refuse_radii_past_the_norm_range)
     for r in (regions.MAX_NORM, 1.0 / regions.MAX_NORM):
-        assert iwasawa_image_coords(r, 0.3).g_y > 0.0
+        assert _circle_coords(r, 0.3)[1] > 0.0
 
 
 def test_iwasawa_image_coords_vs_decomposition():
@@ -558,11 +555,11 @@ def test_iwasawa_image_coords_vs_decomposition():
     for _ in range(100):
         r = float(np.exp(rng.uniform(-1.5, 1.5)))
         th = float(rng.uniform(-math.pi, math.pi))
-        coords = iwasawa_image_coords(r, th)
+        gx, gy = _circle_coords(r, th)
         parts = iwasawa_decompose(rotation(th) @ cartan_a(r))
         ref = an_coords(parts.s)
-        assert abs(coords.g_x - ref.g_x) < 1e-10
-        assert abs(coords.g_y - ref.g_y) < 1e-10 * max(1.0, ref.g_y)
+        assert abs(gx - ref.g_x) < 1e-10
+        assert abs(gy - ref.g_y) < 1e-10 * max(1.0, ref.g_y)
 
 
 def _boundary_functions(c: ANCoords) -> list[float]:
@@ -616,7 +613,7 @@ def test_case_transition_sliver_present():
     ts = case_transition_thetas(r)
     half = math.pi / 2.0
     assert any(half - 2.5e-4 < t < half for t in ts)
-    assert classify_case(iwasawa_image_coords(r, half - 1e-5)) is CaseRegime.CASE8
+    assert classify_case(ANCoords(*_circle_coords(r, half - 1e-5))) is CaseRegime.CASE8
     # the transitions separate intervals of constant cut sequence
     probe = [-half + 1e-9, *ts, half - 1e-9]
     for lo, hi in zip(probe, probe[1:]):
@@ -628,19 +625,19 @@ def test_case_transition_sliver_present():
     for near, k in ((0.01118, math.sqrt(5.0) / 2.0), (0.01155, 2.0 / SQRT3)):
         hits = [t for t in ts if abs(t - near) < 1e-5]
         assert len(hits) == 1
-        c = iwasawa_image_coords(r, hits[0])
+        c = ANCoords(*_circle_coords(r, hits[0]))
         assert abs(c.g_x + k * c.g_y) < 1e-12
     for r in (0.05, 0.1, 0.3, 10.0):
         ts = case_transition_thetas(r)
         for t in ts:
             # the two g_y = 1/2 roots, where only the label changes, are not kept
-            assert abs(iwasawa_image_coords(r, t).g_y - 0.5) > 1e-6
+            assert abs(_circle_coords(r, t)[1] - 0.5) > 1e-6
             # a zero of one boundary or meeting-event function, up to the
             # change that one ulp of theta makes: 3.6e-11 in g_x at the b8
             # re-entry for r = 0.05, where the float nearest the root leaves
             # a residual of 1.1e-11
             u = math.ulp(t)
-            points = [iwasawa_image_coords(r, t + d) for d in (0.0, -u, u)]
+            points = [ANCoords(*_circle_coords(r, t + d)) for d in (0.0, -u, u)]
             vals = zip(*([*_boundary_functions(c), *_event_functions(c)] for c in points))
             assert any(abs(f) < 1e-12 + abs(fp - fm) for f, fm, fp in vals), (r, t)
         if r < 1.0:
@@ -706,7 +703,6 @@ def test_case_transitions_read_the_section_once_per_miss(monkeypatch):
 
     monkeypatch.setattr(regions, "_section_breakpoints", counting)
     monkeypatch.setattr(regions, "classify_case", no_labels)
-    monkeypatch.setattr(regions, "iwasawa_image_coords", no_labels)
     for r in (0.1, 0.3, 5.0, 50.0):
         case_transition_thetas.cache_clear()
         calls.clear()
@@ -735,7 +731,7 @@ def test_case_transitions_include_minus_pi_over_6_in_the_fallback_band():
     # at g_y > 1/2 no label changes at theta = -pi/6, but the section gains
     # its ellipse cut there and the partials' slopes jump
     for r in (0.7, 0.9):
-        c = iwasawa_image_coords(r, -math.pi / 6.0)
+        c = ANCoords(*_circle_coords(r, -math.pi / 6.0))
         assert classify_case(c) is CaseRegime.FALLBACK
         assert min(abs(t + math.pi / 6.0) for t in case_transition_thetas(r)) < 1e-15
 
