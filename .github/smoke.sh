@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Console-script smoke test: every subcommand runs with numpy's
 # RuntimeWarnings as errors, inputs past the supported ranges exit 2 with a
-# named error, and the closed-form and Monte-Carlo lines of the README and
-# one at a ragged sample count match fresh runs.
+# named error, and the closed-form, Monte-Carlo and decay lines of the README
+# and one at a ragged sample count match fresh runs.
 # Run from the root of a checkout with the `hypertransfer` script on PATH.
 set -euo pipefail
 export PYTHONWARNINGS=error::RuntimeWarning
@@ -48,14 +48,17 @@ hypertransfer verify --suite cases > /dev/null
 hypertransfer verify --suite decay > /dev/null
 hypertransfer verify --suite cocycle > /dev/null
 
-# the two lines under the whole README line "$ $1"
+# the $2 lines under the whole README line "$ $1"
 readme_output() {
-  grep -x -F -A 2 "\$ $1" README.md | tail -n 2
+  grep -x -F -A "$2" "\$ $1" README.md | tail -n "$2"
 }
 hypertransfer symbol 0.2 | diff - <(readme_output \
-  'hypertransfer symbol 0.2                      # closed-form route')
+  'hypertransfer symbol 0.2                      # closed-form route' 2)
 command='hypertransfer symbol 0.2 --mode mc --n 200000 --seed 7'
-$command | diff - <(readme_output "$command")
+$command | diff - <(readme_output "$command" 2)
+# the header, both rows and the summary of a two-row table
+hypertransfer decay --steps 2 | diff - <(readme_output \
+  'hypertransfer decay --steps 2                # rows at rmin and rmax, 0.05 and 0.5' 4)
 # 50 001 samples: a ragged last block, and the y and theta streams start at
 # draws 50 001 and 100 002, off a Philox counter step
 hypertransfer symbol 0.2 --mode mc --n 50001 --seed 3 | diff - <(printf '%s\n' \

@@ -19,11 +19,8 @@ from .decay import (
     ThetaBoundaries,
     hm_table,
     lie_derivative_mtilde,
-    lie_derivative_mtilde_adjoint,
-    lie_derivative_mtt,
     second_order_divergence_probe,
     theta_boundaries,
-    worker_count,
 )
 from .discrete import (
     DiscreteSymbol,

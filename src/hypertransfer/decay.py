@@ -1,17 +1,18 @@
-"""The first-order quantities f_j and the weighted decay table behind the
+"""The first-order decay of m_tilde and the weighted decay table behind the
 multiplier estimate, and the second-order divergence probe.
 
-Conventions: f_j(r), r in (0, 1), is the mean over the Cartan circle of norm
-r of lie_derivative_mtt, the AN-chart Lie derivative of m_hat along X_j, and
-f_j(r) = f_j(1/r). It is not the Lie derivative of m_tilde, which depends on
-the norm only (f_2(0.2) = 0.0255); lie_derivative_mtilde_adjoint is.
+Conventions: m_tilde depends on the operator norm n only, so at diag(r, 1/r),
+r in (0, 1), its one non-zero first derivative is f1(r) = -d m_tilde / d log n,
+the Lie derivative along X1; along X2 and X3 it is 0 by bi-K invariance, and
+the table's f2 column is 0.0. f1 is the mean over the Cartan circle of norm
+r of lie_derivative_mtt, the AN-chart Lie derivative of m_hat, along X1
+transported by the residual rotation (_lie_average). Every entry point
+refuses r outside (0, 1) through _check_radius.
 
 The table is a first-order estimate and reports no error bar, so the circle
-integrals behind f_j (_lie_average) run at the package's default target and
-no function here takes a tolerance. f_1 and f_2 at one r come from a single
-vector-valued integration on shared nodes, each held to its own target; a
-single-direction call computes both and returns one. Table rows run on up to
-worker_count threads; their values and order never depend on the thread count.
+integral behind f1 runs at the package's default target and no function here
+takes a tolerance. Table rows run on up to worker_count threads; their values
+and order never depend on the thread count.
 """
 
 from __future__ import annotations
@@ -79,38 +80,31 @@ def _residual_angle(r: float, theta: np.ndarray) -> np.ndarray:
 
 
 def _check_radius(r: float) -> float:
-    """r, or a DomainError unless it lies in (0, 1) inside _check_norm's range."""
+    """float(r), or a DomainError unless it lies in (0, 1) inside _check_norm's
+    range: the one radius rule of every entry point here."""
+    r = float(r)
     _check_norm(r)
     if not r < 1.0:
         raise DomainError(f"need r in (0, 1), got {r!r}")
     return r
 
 
-def _decay_radius(r: float) -> float:
-    """r, or 1/r past 1, inside the norm range that m_tilde_full accepts."""
-    r = float(r)
-    _check_norm(r)
-    if abs(r - 1.0) < 1e-12:
-        raise DomainError("Lie derivative grid excludes r = 1; use r in (0, 1)")
-    return r if r < 1.0 else 1.0 / r
-
-
-def _lie_average(r: float, adjoint: bool) -> tuple[float, float]:
-    """(f_1(r), f_2(r)) at a checked r in (0, 1), each (1/pi) times an integral
-    over the Cartan circle in its v-parametrisation (regions._circle_v_angles),
-    split at regions._circle_v_breakpoints. The integrand is not smooth there,
-    so each v-segment [a, b] between them is graded at both ends: v = a + (b -
-    a) sin^2(pi s/2), which is (1 - cos(pi s))/2, for s in [0, 1], with Jacobian
+def _lie_average(r: float) -> float:
+    """f1(r) = -d m_tilde / d log n at a checked r in (0, 1): (1/pi) times an
+    integral over the Cartan circle in its v-parametrisation
+    (regions._circle_v_angles), split at regions._circle_v_breakpoints, of the
+    chart X1 column lie_derivative_mtt transported by the residual rotation:
+    Ad of that rotation carries X1 to a11 X1 + a12 X2 + a13 X3, and X3 adds
+    nothing in the chart. The integrand is not smooth at the breakpoints, so
+    each v-segment [a, b] between them is graded at both ends: v = a + (b - a)
+    sin^2(pi s/2), which is (1 - cos(pi s))/2, for s in [0, 1], with Jacobian
     (b - a)(pi/2) sin(pi s) vanishing at both ends (Sidi's sin^m
     transformation, per segment). Segment j occupies u in [j, j + 1], and one
-    integration over u runs with the integers as breakpoints. Both directions
-    share it: each quadrature round evaluates the closed-form partials at all
-    its nodes in one batch and stacks the chart combinations of
-    lie_derivative_mtt for X1 and X2, or with adjoint their transport by the
-    residual rotation; a segment splits where either direction misses its
-    share of the target. The arcs where m_hat is constant (the .constant of
-    case_transition_thetas) have zero partials and are left out; no touch
-    borders one, so the arc at a segment's midpoint decides for all of it."""
+    integration over u runs with the integers as breakpoints; each quadrature
+    round evaluates the closed-form partials at all its nodes in one batch.
+    The arcs where m_hat is constant (the .constant of case_transition_thetas)
+    have zero partials and are left out; no touch borders one, so the arc at
+    a segment's midpoint decides for all of it."""
     thetas = case_transition_thetas(r)
     ends = segment_edges(-_HALF_PI, _HALF_PI, _circle_v_breakpoints(thetas))
     mid, _ = _circle_v_angles(0.5 * (ends[:-1] + ends[1:]))
@@ -129,43 +123,30 @@ def _lie_average(r: float, adjoint: bool) -> tuple[float, float]:
         t, jac = _circle_v_angles(v)
         gx, gy = _circle_coords(r, t)
         _, dgx, dgy = _closed_form(gx, gy)
-        x1, x2 = 2.0 * gy * dgy, gy * dgx
-        if adjoint:
-            rho = _residual_angle(r, t)
-            a11, a12, _ = adjoint_action(rho, LieDirection.X1)
-            a21, a22, _ = adjoint_action(rho, LieDirection.X2)
-            x1, x2 = a11 * x1 + a12 * x2, a21 * x1 + a22 * x2
-        return np.stack((x1, x2)) * (jac * dv)
+        a11, a12, _ = adjoint_action(_residual_angle(r, t), LieDirection.X1)
+        return (a11 * 2.0 * gy * dgy + a12 * gy * dgx) * (jac * dv)
 
     val, _ = integrate(integrand, 0.0, float(segments), points=range(1, segments))
-    return float(val[0]) / math.pi, float(val[1]) / math.pi
-
-
-def _lie_component(r: float, direction: LieDirection, adjoint: bool) -> float:
-    # X3 rotates within K, under which m_tilde is invariant; r is checked first
-    # so that every direction refuses the same radii
-    r = _decay_radius(r)
-    if direction is LieDirection.X3:
-        return 0.0
-    return _lie_average(r, adjoint)[0 if direction is LieDirection.X1 else 1]
+    return float(val) / math.pi
 
 
 def lie_derivative_mtilde(r: float, direction: LieDirection) -> float:
-    """f_j(r), the circle average of lie_derivative_mtt that the table reports."""
-    return _lie_component(r, direction, adjoint=False)
-
-
-def lie_derivative_mtilde_adjoint(r: float, direction: LieDirection) -> float:
-    """f_j(r) with the direction transported by the adjoint of the residual
-    rotation; this is the variant a finite difference of the average matches."""
-    return _lie_component(r, direction, adjoint=True)
+    """The Lie derivative of m_tilde at diag(r, 1/r), r in (0, 1), along X_j:
+    f1(r) = -d m_tilde / d log n for X1, and 0.0 for X2 and X3, along which
+    the norm is stationary (m_tilde is bi-K-invariant). r is checked first, so
+    every direction refuses the same radii."""
+    r = _check_radius(r)
+    return _lie_average(r) if direction is LieDirection.X1 else 0.0
 
 
 @dataclass(frozen=True)
 class DecayRow:
+    """One table row: f1 = -d m_tilde / d log n at diag(r, 1/r), and f2, the
+    derivative along X2, which is 0 by bi-K invariance."""
+
     r: float
     f1: float
-    f2: float
+    f2: float = 0.0
 
     def __post_init__(self) -> None:
         _check_radius(self.r)
@@ -182,14 +163,14 @@ def worker_count(n_jobs: int) -> int:
 
 
 def _decay_row(r: float) -> DecayRow:
-    f1, f2 = _lie_average(r, adjoint=False)
-    return DecayRow(r=r, f1=f1, f2=f2)
+    return DecayRow(r=r, f1=_lie_average(r))
 
 
 def hm_table(r_grid: "list[float] | tuple[float, ...]") -> list[DecayRow]:
-    """Weighted first-order decay table over a grid in (0, 1); row order follows
-    the input grid regardless of scheduling."""
-    rs = [_check_radius(float(r)) for r in r_grid]
+    """Weighted first-order decay table over a grid in (0, 1): one DecayRow per
+    r, f1 = -d m_tilde / d log n and f2 = 0.0; row order follows the input
+    grid regardless of scheduling."""
+    rs = [_check_radius(r) for r in r_grid]
     with concurrent.futures.ThreadPoolExecutor(max_workers=worker_count(len(rs))) as pool:
         return list(pool.map(_decay_row, rs))
 

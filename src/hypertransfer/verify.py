@@ -1,6 +1,6 @@
 """Self-check suites behind the verify command: exact cocycle algebra, the
 closed-form region integral against the direct integrator, and decay-table
-sanity.
+sanity, with f1 held against m_tilde itself.
 
 Each suite returns a JSON-able report dict; every numeric payload is cast to
 built-in types so reports serialize deterministically.
@@ -48,7 +48,7 @@ from .regions import (
     m_hat_direct,
     m_tilde,
 )
-from .sl2 import IDENTITY, HalfPlanePoint, an_matrix, mobius_act, rotation
+from .sl2 import IDENTITY, HalfPlanePoint, an_matrix, cartan_a, mobius_act, rotation
 
 DEFAULT_SEED = 20240914
 
@@ -211,6 +211,19 @@ def suite_decay(seed: int = DEFAULT_SEED) -> dict:
 
     f1 = lie_derivative_mtilde(0.1, LieDirection.X1)
     checks.append(_check("f1_small_r_bound", abs(f1) <= 0.12, value=float(f1)))
+
+    # a second route: f1 = -d m_tilde / d log n, by a central difference in log r
+    f1 = lie_derivative_mtilde(0.2, LieDirection.X1)
+    up, down = (m_tilde(cartan_a(0.2 * math.exp(h))) for h in (1e-4, -1e-4))
+    diff = (up - down) / 2e-4
+    checks.append(
+        _check(
+            "f1_matches_m_tilde_difference",
+            abs(f1 - diff) <= 1e-6,
+            f1=float(f1),
+            difference=float(diff),
+        )
+    )
 
     rows = hm_table([0.1, 0.3])
     finite = all(math.isfinite(row.weighted) for row in rows)

@@ -1,6 +1,6 @@
 """Decay estimates: adjoint transport, Lie derivatives of the region symbol
-and its angle average, the weighted first-order table, transition angles, and
-the second-order divergence probe."""
+and of m_tilde, the weighted first-order table, transition angles, and the
+second-order divergence probe."""
 
 import math
 import os
@@ -19,7 +19,6 @@ from hypertransfer.decay import (
     divergence_probe_onset,
     hm_table,
     lie_derivative_mtilde,
-    lie_derivative_mtilde_adjoint,
     lie_derivative_mtt,
     second_order_divergence_probe,
     theta_boundaries,
@@ -52,6 +51,12 @@ def lie_derivative_mtilde_fd(g: RealMat2, direction: LieDirection) -> float:
         return m_tilde(g @ RealMat2(*scipy.linalg.expm(t * GENERATORS[direction]).ravel()))
 
     return (along(1e-4) - along(-1e-4)) / 2e-4
+
+
+def log_norm_difference(r: float) -> float:
+    """Central difference, step 1e-4 in log r, of m_tilde(diag(r, 1/r)): for
+    r < 1 the norm is 1/r, so this is -d m_tilde / d log n."""
+    return (m_tilde(cartan_a(r * math.exp(1e-4))) - m_tilde(cartan_a(r * math.exp(-1e-4)))) / 2e-4
 
 
 def test_adjoint_examples():
@@ -110,57 +115,48 @@ def test_mtt_x1_is_gy_scaled_partial():
 
 def test_f_values_and_symmetry():
     assert lie_derivative_mtilde(0.37, LieDirection.X3) == 0.0
+    assert lie_derivative_mtilde(0.37, LieDirection.X2) == 0.0
     f1 = lie_derivative_mtilde(0.1, LieDirection.X1)
     assert abs(f1) <= 0.12  # the 12 r^2 envelope at r = 0.1
-    assert lie_derivative_mtilde(4.0, LieDirection.X1) == lie_derivative_mtilde(
-        0.25, LieDirection.X1
-    )
-    with pytest.raises(DomainError, match="excludes r = 1"):
-        lie_derivative_mtilde(1.0, LieDirection.X1)
+    # radii past 1 are refused: they were answered with f1(1/r), where the X1
+    # derivative of m_tilde at diag(r, 1/r), r > 1, is -f1(1/r)
+    for r in (4.0, 1.0):
+        with pytest.raises(DomainError, match=r"need r in \(0, 1\)"):
+            lie_derivative_mtilde(r, LieDirection.X1)
     with pytest.raises(DomainError, match="need r > 0"):
         lie_derivative_mtilde(0.0, LieDirection.X1)
 
 
 def test_every_direction_refuses_the_same_radii():
-    # X3 answers 0 without integrating, but only for a radius X1 and X2 accept
-    for lie in (lie_derivative_mtilde, lie_derivative_mtilde_adjoint):
-        for r, message in (
-            (-1.0, "need r > 0"),
-            (math.nan, "need r > 0"),
-            (1.0, "excludes r = 1"),
-            (1e-300, "supported range"),
-        ):
-            for d in LieDirection:
-                with pytest.raises(DomainError, match=message):
-                    lie(r, d)
-        assert lie(0.37, LieDirection.X3) == 0.0
+    # X2 and X3 answer 0 without integrating, but only for a radius X1 accepts
+    for r, message in (
+        (-1.0, "need r > 0"),
+        (math.nan, "need r > 0"),
+        (1.0, r"need r in \(0, 1\), got 1.0"),
+        (4.0, r"need r in \(0, 1\), got 4.0"),
+        (1e-300, "supported range"),
+    ):
+        for d in LieDirection:
+            with pytest.raises(DomainError, match=message):
+                lie_derivative_mtilde(r, d)
 
 
-def test_f2_roughly_linear_smallr():
-    rs = [0.05, 0.1, 0.2]
-    vals = [abs(lie_derivative_mtilde(r, LieDirection.X2)) for r in rs]
-    slope = np.polyfit(np.log(rs), np.log(vals), 1)[0]
-    assert slope >= 0.9
+def test_f1_is_the_log_norm_derivative_of_m_tilde():
+    # f1 is -d m_tilde / d log n, read off two m_tilde calls; the chart
+    # average the table reported before read 0.0677 against 0.0991 at r = 0.5
+    for r in (0.2, 0.5):
+        assert abs(lie_derivative_mtilde(r, LieDirection.X1) - log_norm_difference(r)) < 1e-6, r
 
 
 def test_interchange_against_finite_difference():
     # the transported integrand is what a finite difference of the average
     # sees; X1 at r = 0.2 frozen after the two routes agreed to 4e-9
-    adj = lie_derivative_mtilde_adjoint(0.2, LieDirection.X1)
+    f1 = lie_derivative_mtilde(0.2, LieDirection.X1)
     fd = lie_derivative_mtilde_fd(cartan_a(0.2), LieDirection.X1)
-    assert abs(adj - 0.003912252) < 1e-7
-    assert abs(adj - fd) < 1e-6
-    adj2 = lie_derivative_mtilde_adjoint(0.2, LieDirection.X2)
+    assert abs(f1 - 0.003912252) < 1e-7
+    assert abs(f1 - fd) < 1e-6
     fd2 = lie_derivative_mtilde_fd(cartan_a(0.2), LieDirection.X2)
-    assert abs(adj2) < 1e-6 and abs(fd2) < 1e-6
-
-
-def test_adjoint_x2_vanishes_by_bi_k_invariance():
-    # m_tilde is bi-K-invariant, so its derivative along the transported X2
-    # is zero; finite-difference partials in the fallback band left 2e-8, and
-    # ungraded segments left 3.9e-8 at r = 0.8466
-    for r in np.linspace(0.05, 0.99, 60):
-        assert abs(lie_derivative_mtilde_adjoint(float(r), LieDirection.X2)) < 1e-9, r
+    assert lie_derivative_mtilde(0.2, LieDirection.X2) == 0.0 and abs(fd2) < 1e-6
 
 
 def test_hm_table_contract():
@@ -168,9 +164,8 @@ def test_hm_table_contract():
     assert [row.r for row in rows] == [0.1, 0.2]
     for row in rows:
         assert row.weighted == (abs(row.f1) + abs(row.f2)) / row.r
-        # one shared integration gives both columns and both directions
         assert row.f1 == lie_derivative_mtilde(row.r, LieDirection.X1)
-        assert row.f2 == lie_derivative_mtilde(row.r, LieDirection.X2)
+        assert row.f2 == lie_derivative_mtilde(row.r, LieDirection.X2) == 0.0
     assert hm_table([]) == []
     with pytest.raises(DomainError):
         hm_table([0.1, 1.2])
@@ -187,6 +182,7 @@ def test_table_rows_and_angles_refuse_the_same_radii(monkeypatch):
         (math.nan, "need r > 0"),
         (1.0, r"need r in \(0, 1\), got 1.0"),
         (1.5, r"need r in \(0, 1\), got 1.5"),
+        (4.0, r"need r in \(0, 1\), got 4.0"),
         (math.inf, "supported range"),
         (1e-39, "supported range"),
     )
@@ -225,12 +221,12 @@ def test_decay_rejects_radii_past_the_norm_range():
 
 
 def test_decay_table_shares_closed_form_nodes(monkeypatch):
-    # f1 and f2 of a row come from one integration on shared nodes, with
-    # every segment graded at both ends, the arcs where m_hat is constant
-    # left out and no split at a touch: the default table evaluates the
-    # closed form at 3 150 points (3 192 split at the touches too, 3 402 with
-    # the constant arcs, 7 938 ungraded at a looser target, 12 012 with one
-    # integration per column as well)
+    # f1 of a row comes from one integration of the transported X1 column,
+    # with every segment graded at both ends, the arcs where m_hat is
+    # constant left out and no split at a touch: the default table evaluates
+    # the closed form at 2 730 points in 25 calls (3 276 with the transported
+    # X2 column integrated on shared nodes as well, 3 150 for the chart
+    # columns the table reported before)
     sizes = []
     closed_form = decay._closed_form
 
@@ -240,38 +236,42 @@ def test_decay_table_shares_closed_form_nodes(monkeypatch):
 
     monkeypatch.setattr(decay, "_closed_form", counted)
     hm_table(np.linspace(0.05, 0.5, 10))
-    assert sum(sizes) <= 3192
+    assert sum(sizes) <= 2730
 
 
-def _tanh_sinh_circle_average(r: float, h: float = 1.0 / 64.0) -> np.ndarray:
-    """(f1, f2) at r by a tanh-sinh rule in theta on each arc between the
+def _tanh_sinh_circle_average(r: float, h: float = 1.0 / 64.0) -> float:
+    """f1 at r by a tanh-sinh rule in theta on each arc between the
     transition angles, the touches included, and theta = 0, applied to the
-    closed-form partials: no quadrature.integrate, no v-parametrisation, no
-    grading and no arc left out. The rule's double-exponential thinning at
-    both ends of an arc absorbs the log|g_x| terms at theta = 0 and +-pi/2
-    and the kinks at the transition angles."""
+    closed-form partials, X1 transported by the residual rotation in its own
+    closed form: no quadrature.integrate, no v-parametrisation, no grading,
+    no adjoint_action and no arc left out. The rule's double-exponential
+    thinning at both ends of an arc absorbs the log|g_x| terms at theta = 0
+    and +-pi/2 and the kinks at the transition angles."""
     t = np.arange(-3.5, 3.5 + 0.5 * h, h)
     u = 0.5 * math.pi * np.sinh(t)
     gap = 1.0 / (np.exp(np.abs(u)) * np.cosh(u))  # 1 - |tanh u|, free of cancellation
     weight = h * 0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2
     ends = [-math.pi / 2.0, *sorted({0.0, *case_transition_thetas(r)}), math.pi / 2.0]
-    total = np.zeros(2)
+    total = 0.0
     for a, b in zip(ends, ends[1:]):
         half = 0.5 * (b - a)
-        gx, gy = regions._circle_coords(r, np.where(t < 0.0, a + half * gap, b - half * gap))
+        theta = np.where(t < 0.0, a + half * gap, b - half * gap)
+        gx, gy = regions._circle_coords(r, theta)
         _, dgx, dgy = regions._closed_form(gx, gy)
-        total += half * np.array([weight @ (2.0 * gy * dgy), weight @ (gy * dgx)])
+        # Ad(k_rho) X1 = cos(2 rho) X1 + 2 sin(2 rho) X2 - sin(2 rho) X3
+        rho2 = 2.0 * np.arctan2(r * np.sin(theta), np.cos(theta) / r)
+        total += half * (weight @ (np.cos(rho2) * 2.0 * gy * dgy + 2.0 * np.sin(rho2) * gy * dgx))
     return total / math.pi
 
 
 def test_decay_table_matches_a_theta_reference():
-    # a second route to f1 and f2: the reference moves by at most 2.3e-11
-    # when its step halves or doubles (at r = 0.001; 3e-14 at the others),
-    # and the table was at most 2.8e-10 off it (at r = 0.97)
+    # a second route to f1: the reference moves by at most 1.2e-16 when its
+    # step halves or doubles, and the table was at most 9.4e-14 off it (at
+    # r = 0.001)
     radii = [0.001, 0.05, 0.1, 0.2, 0.3, 0.45, 0.5780934891480582, 0.6, 0.7, 0.8466]
     for row in hm_table([*radii, 0.9, 0.97, 0.99]):
         ref = _tanh_sinh_circle_average(row.r)
-        assert abs(row.f1 - ref[0]) < 1e-9 and abs(row.f2 - ref[1]) < 1e-9, (row, ref)
+        assert abs(row.f1 - ref) < 1e-9 and row.f2 == 0.0, (row, ref)
 
 
 def test_no_touch_borders_a_constant_arc():
@@ -417,24 +417,25 @@ def test_divergence_probe_errors():
 def test_numpy_scalar_radius_gives_the_float_result():
     # a numpy radius reached the scalar closed form as np.float64 coordinates,
     # whose np.bool_ flags counted a doubly active ellipse term once: f1 was
-    # 0.010984 against 0.012392
+    # 0.010984 against 0.012392 (the chart average the table then reported)
     r = 0.29454545454545455
     for d in (LieDirection.X1, LieDirection.X2):
         assert lie_derivative_mtilde(np.float64(r), d) == lie_derivative_mtilde(r, d)
-    assert abs(lie_derivative_mtilde(r, LieDirection.X1) - 0.0123917) < 1e-6
+    assert abs(lie_derivative_mtilde(r, LieDirection.X1) - log_norm_difference(r)) < 1e-6
 
 
 def test_lie_derivative_across_the_untracked_bump():
-    # at r = 0.578... the X1 integrand rises from 0 to 8.5e-3 and back between
+    # at r = 0.578... the chart X1 integrand rises from 0 to 8.5e-3 and back
+    # (the transported one from 0 to 1.1e-2, ending at 3.2e-3) between
     # theta = 1.0443925210 (a b6 root: the line's ellipse crossing enters at
     # x = 1/2) and 1.0460827222 (the line, the circle and the ellipse meet
     # in one point); a theta rule with no node in the bump was 2.3e-6 off
     # while the right end was no transition angle. Both ends are transition
-    # angles now, and the references are theta quadrature at 1e-13 split at
-    # every transition angle
+    # angles now, and the reference is theta quadrature at 1e-13 of the X1
+    # column transported by the residual rotation, split at every transition
+    # angle
     r = 0.5780934891480582
     ts = case_transition_thetas(r)
     for end in (1.0443925210, 1.0460827222):
         assert min(abs(t - end) for t in ts) < 1e-8
-    assert abs(lie_derivative_mtilde(r, LieDirection.X1) - 0.1112841644763) < 1e-10
-    assert abs(lie_derivative_mtilde(r, LieDirection.X2) - 0.2539708916902) < 1e-10
+    assert abs(lie_derivative_mtilde(r, LieDirection.X1) - 0.1863713068949) < 1e-10
