@@ -29,6 +29,11 @@ hypertransfer region -1 1.5 --samples 5 --format json
 hypertransfer region 0.01 0.05 --samples 5
 hypertransfer decay --steps 2
 hypertransfer decay --rmin 0.001 --rmax 0.99 --steps 6 > /dev/null
+# the default table has more rows than a small runner has CPUs; two runs of
+# it print the same bytes
+first=$(hypertransfer decay)
+second=$(hypertransfer decay)
+test "$first" = "$second"
 # past the supported norm range decay names its DomainError
 exits_2 decay --rmin 1e-300 --rmax 0.5 --steps 2
 # past the AN shapes of supported norms region names its DomainError

@@ -11,8 +11,9 @@ refuses r outside (0, 1) through _check_radius.
 
 The table is a first-order estimate and reports no error bar, so the circle
 integral behind f1 runs at the package's default target and no function here
-takes a tolerance. Table rows run on up to worker_count threads; their values
-and order never depend on the thread count.
+takes a tolerance. hm_table runs its rows in grid order on one worker thread:
+the rows hold the GIL, so more threads only trade it. The one-worker pool
+stays only while the benchmark pins pool-thread row spans.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import concurrent.futures
 import enum
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,15 +53,11 @@ class LieDirection(enum.Enum):
     X3 = "X3"
 
 
-def adjoint_action(theta: float, direction: LieDirection) -> tuple[float, float, float]:
-    """Coefficients of Ad(k_theta) X_j over the (X1, X2, X3) basis."""
-    if direction is LieDirection.X3:
-        return (0.0, 0.0, 1.0)
-    s2, c2 = np.sin(2.0 * theta), np.cos(2.0 * theta)
-    if direction is LieDirection.X1:
-        return (c2, 2.0 * s2, -s2)
-    st, ct = np.sin(theta), np.cos(theta)
-    return (-st * ct, c2, st * st)
+def _x1_transport(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a11, a12) of Ad(k_rho) X1 = a11 X1 + a12 X2 - sin(2 rho) X3, at an
+    array of angles; the X3 term adds nothing in the AN chart."""
+    s2, c2 = np.sin(2.0 * rho), np.cos(2.0 * rho)
+    return c2, 2.0 * s2
 
 
 def lie_derivative_mtt(c: ANCoords, direction: LieDirection) -> float:
@@ -123,7 +119,7 @@ def _lie_average(r: float) -> float:
         t, jac = _circle_v_angles(v)
         gx, gy = _circle_coords(r, t)
         _, dgx, dgy = _closed_form(gx, gy)
-        a11, a12, _ = adjoint_action(_residual_angle(r, t), LieDirection.X1)
+        a11, a12 = _x1_transport(_residual_angle(r, t))
         return (a11 * 2.0 * gy * dgy + a12 * gy * dgx) * (jac * dv)
 
     val, _ = integrate(integrand, 0.0, float(segments), points=range(1, segments))
@@ -158,8 +154,10 @@ class DecayRow:
 
 
 def worker_count(n_jobs: int) -> int:
-    """Threads for n_jobs table rows: at most one per row and one per CPU."""
-    return max(1, min(os.cpu_count() or 1, n_jobs))
+    """Threads for n_jobs table rows: one, whatever n_jobs and the CPU count.
+    The rows hold the GIL, so a second thread only trades it; the parameter
+    stays for the benchmark, which calls worker_count by name."""
+    return 1
 
 
 def _decay_row(r: float) -> DecayRow:
@@ -168,8 +166,10 @@ def _decay_row(r: float) -> DecayRow:
 
 def hm_table(r_grid: "list[float] | tuple[float, ...]") -> list[DecayRow]:
     """Weighted first-order decay table over a grid in (0, 1): one DecayRow per
-    r, f1 = -d m_tilde / d log n and f2 = 0.0; row order follows the input
-    grid regardless of scheduling."""
+    r, f1 = -d m_tilde / d log n and f2 = 0.0. The whole grid is checked
+    first; then the rows run in grid order on one worker thread, one
+    _decay_row call each. The pool and the per-row calls stay only while the
+    benchmark pins pool-thread row spans."""
     rs = [_check_radius(r) for r in r_grid]
     with concurrent.futures.ThreadPoolExecutor(max_workers=worker_count(len(rs))) as pool:
         return list(pool.map(_decay_row, rs))

@@ -464,14 +464,10 @@ def m_hat_at_angle(
     force_direct: bool = False,
 ) -> np.ndarray:
     """m_hat along the Cartan circle at an array of angles: the closed form in
-    one batch, or with force_direct the direct oracle at each angle, with the
-    section breakpoints of all angles found in one batch."""
+    one batch, or with force_direct m_hat_direct at each angle."""
     gx, gy = _circle_coords(r, theta)
     if force_direct:
-        breaks = _section_breakpoints(gx, gy)
-        return _clamp_unit(
-            np.array([_section_integral(*point, q) for point in zip(gx, gy, breaks)])
-        )
+        return np.array([m_hat_direct(ANCoords(x, y), q) for x, y in zip(gx, gy)])
     return _clamp_unit(_closed_form(gx, gy)[0])
 
 

@@ -1,9 +1,9 @@
-"""Decay estimates: adjoint transport, Lie derivatives of the region symbol
+"""Decay estimates: X1 transport, Lie derivatives of the region symbol
 and of m_tilde, the weighted first-order table, transition angles, and the
 second-order divergence probe."""
 
 import math
-import os
+import threading
 import warnings
 
 import numpy as np
@@ -14,7 +14,7 @@ from hypertransfer import decay, regions
 from hypertransfer.decay import (
     DecayRow,
     LieDirection,
-    adjoint_action,
+    _x1_transport,
     case8_second_derivative_factor,
     divergence_probe_onset,
     hm_table,
@@ -60,23 +60,22 @@ def log_norm_difference(r: float) -> float:
 
 
 def test_adjoint_examples():
-    for th in (0.0, 0.3, 1.1, -2.5):
-        assert adjoint_action(th, LieDirection.X3) == (0.0, 0.0, 1.0)
-    assert adjoint_action(0.0, LieDirection.X1) == (1.0, 0.0, 0.0)
-    c = adjoint_action(math.pi / 4.0, LieDirection.X1)
-    assert abs(c[0]) < 1e-15 and abs(c[1] - 2.0) < 1e-15 and abs(c[2] + 1.0) < 1e-15
+    # Ad(k_rho) X1 = cos(2 rho) X1 + 2 sin(2 rho) X2 - sin(2 rho) X3
+    assert _x1_transport(0.0) == (1.0, 0.0)
+    a11, a12 = _x1_transport(math.pi / 4.0)
+    assert abs(a11) < 1e-15 and abs(a12 - 2.0) < 1e-15
 
 
 def test_adjoint_reconstruction():
+    # k X1 k^T = a11 X1 + a12 X2 + a13 X3 reads a11 off its (0, 0) entry and
+    # a12 off the sum of its off-diagonal ones, where the X3 terms cancel
     rng = np.random.default_rng(17)
-    gens = list(GENERATORS.values())
-    for _ in range(100):
-        th = float(rng.uniform(-2 * math.pi, 2 * math.pi))
+    rho = rng.uniform(-2 * math.pi, 2 * math.pi, 100)
+    a11, a12 = _x1_transport(rho)
+    for th, b11, b12 in zip(rho, a11, a12):
         k = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-        for d in LieDirection:
-            want = k @ GENERATORS[d] @ k.T
-            got = sum(ci * gi for ci, gi in zip(adjoint_action(th, d), gens))
-            assert np.max(np.abs(want - got)) < 1e-12
+        m = k @ GENERATORS[LieDirection.X1] @ k.T
+        assert abs(b11 - m[0, 0]) < 1e-12 and abs(b12 - (m[0, 1] + m[1, 0])) < 1e-12
 
 
 def test_lie_exponential_closed_forms():
@@ -231,7 +230,7 @@ def test_decay_table_shares_closed_form_nodes(monkeypatch):
     closed_form = decay._closed_form
 
     def counted(gx, gy):
-        sizes.append(np.size(gx))  # list.append is atomic under the pool
+        sizes.append(np.size(gx))  # on the table's one worker thread
         return closed_form(gx, gy)
 
     monkeypatch.setattr(decay, "_closed_form", counted)
@@ -244,7 +243,7 @@ def _tanh_sinh_circle_average(r: float, h: float = 1.0 / 64.0) -> float:
     transition angles, the touches included, and theta = 0, applied to the
     closed-form partials, X1 transported by the residual rotation in its own
     closed form: no quadrature.integrate, no v-parametrisation, no grading,
-    no adjoint_action and no arc left out. The rule's double-exponential
+    no _x1_transport and no arc left out. The rule's double-exponential
     thinning at both ends of an arc absorbs the log|g_x| terms at theta = 0
     and +-pi/2 and the kinks at the transition angles."""
     t = np.arange(-3.5, 3.5 + 0.5 * h, h)
@@ -289,17 +288,28 @@ def test_no_touch_borders_a_constant_arc():
     assert touches > 1000
 
 
-def test_worker_count_env(monkeypatch):
-    # one thread per row and per CPU at most; the former HYPERTRANSFER_THREADS
-    # override is ignored, whatever it holds
-    cpus = os.cpu_count() or 1
-    monkeypatch.delenv("HYPERTRANSFER_THREADS", raising=False)
-    for value in (None, "2", "zap", "0"):
-        if value is not None:
-            monkeypatch.setenv("HYPERTRANSFER_THREADS", value)
-        assert worker_count(0) == worker_count(1) == 1
-        assert worker_count(8) == min(cpus, 8)
-        assert 1 <= worker_count(64) == min(cpus, 64)
+def test_worker_count_env():
+    # one thread for any number of rows, whatever the CPU count
+    for n in (0, 1, 8, 64):
+        assert worker_count(n) == 1
+
+
+def test_table_rows_run_in_grid_order_on_one_worker(monkeypatch):
+    # the rows hold the GIL, so they run one after another on one pool thread
+    # that is not the caller's
+    ran = []
+    decay_row = decay._decay_row
+
+    def recorded(r):
+        ran.append((r, threading.get_ident()))
+        return decay_row(r)
+
+    monkeypatch.setattr(decay, "_decay_row", recorded)
+    grid = [0.1, 0.2, 0.3, 0.4]
+    assert [row.r for row in hm_table(grid)] == grid
+    assert [r for r, _ in ran] == grid
+    threads = {t for _, t in ran}
+    assert len(threads) == 1 and threading.get_ident() not in threads
 
 
 def test_theta_boundaries_closed_forms():
