@@ -68,3 +68,13 @@ hypertransfer decay --steps 2 | diff - <(readme_output \
 # draws 50 001 and 100 002, off a Philox counter step
 hypertransfer symbol 0.2 --mode mc --n 50001 --seed 3 | diff - <(printf '%s\n' \
   r,mode,value,error 0.20000000000000001,mc,0.50216995660086794,0.0022360469194019628)
+# within 1e-9 of the identity the norm keeps the digits of n - 1, so
+# m_tilde = 1 - 1.3059e-8 is not rounded to 1
+hypertransfer symbol 1.000000001 | diff - <(printf '%s\n' \
+  r,mode,value,error 1.0000000010000001,case,0.99999998694123082,1.1102230101270103e-14)
+hypertransfer symbol 1.000000001 --mode direct | diff - <(printf '%s\n' \
+  r,mode,value,error 1.0000000010000001,direct,0.99999998694123104,1.1102230101270104e-14)
+hypertransfer symbol 0.999999999 | diff - <(printf '%s\n' \
+  r,mode,value,error 0.99999999900000003,case,0.99999998694123082,1.1102230101270103e-14)
+hypertransfer symbol 0.999999999 --mode direct | diff - <(printf '%s\n' \
+  r,mode,value,error 0.99999999900000003,direct,0.99999998694123104,1.1102230101270104e-14)

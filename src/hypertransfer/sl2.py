@@ -149,20 +149,15 @@ def iwasawa_decompose(g: RealMat2) -> IwasawaParts:
 
 
 def operator_norm(g: RealMat2) -> float:
-    """Largest singular value; equals max(r, 1/r) on diag(r, 1/r).
+    """Largest singular value; max(r, 1/r) to 1 ulp on diag(r, 1/r).
 
-    With det = 1 the squared singular values solve s + 1/s = tr(g^T g), so no
-    SVD is needed.
+    In the sum/difference form of a 2x2 matrix (Blinn, "Consider the lowly
+    2x2 matrix", 1996) it is (|(a + d, b - c)| + |(a - d, b + c)|)/2: no
+    nearly equal numbers are subtracted, det = 1 is not used, and hypot does
+    not overflow. Each half is taken before the sum: that gives the bits of
+    halving the sum, and norms up to 1e308 stay finite.
     """
-    t = g.a * g.a + g.b * g.b + g.c * g.c + g.d * g.d
-    if not math.isinf(t * t):
-        return math.sqrt(0.5 * (t + math.sqrt(max(t * t - 4.0, 0.0))))
-    # past norm ~1e77 t^2 (or t) overflows; there the norm is sqrt(t) to
-    # rounding, taken on entries scaled by the largest. Only this path
-    # scales, so every other input keeps its bits.
-    s = max(abs(g.a), abs(g.b), abs(g.c), abs(g.d))
-    a, b, c, d = g.a / s, g.b / s, g.c / s, g.d / s
-    return s * math.sqrt(a * a + b * b + c * c + d * d)
+    return 0.5 * math.hypot(g.a + g.d, g.b - g.c) + 0.5 * math.hypot(g.a - g.d, g.b + g.c)
 
 
 # the largest operator norm every route to m_tilde accepts (see _check_norm)

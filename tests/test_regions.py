@@ -833,8 +833,8 @@ def test_m_tilde_symmetries():
 
 
 def test_m_tilde_supported_norm_range():
-    # beyond MAX_NORM the transition quadratics overflow (r^8 terms), and
-    # operator_norm itself overflows near 1e77; both fail with one named error
+    # beyond MAX_NORM the transition quadratics overflow (r^8 terms); every
+    # norm past it fails with one named error
     assert regions.MAX_NORM == 1e38
     for r in (1e38, 1e-38):
         for direct in (False, True):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -128,11 +129,31 @@ def test_operator_norm_values():
     assert abs(operator_norm(g) - 3.0) <= 1e-12
     # T = (1,1;0,1): largest singular value is the golden ratio
     assert abs(operator_norm(T_REAL) - (1.0 + math.sqrt(5.0)) / 2.0) <= 1e-12
+    # diag(r, 1/r) for r in [1e-38, 1e38], 2 000 of the r within 1e-3 of 1
+    # in log10: within 1 ulp of the larger float entry
+    for r in np.concatenate((np.logspace(-38, 38, 20_000), np.logspace(-1e-3, 1e-3, 2_000))):
+        g = cartan_a(float(r))
+        norm = max(g.a, g.d)
+        assert abs(operator_norm(g) - norm) <= math.ulp(norm), r
+    # near the identity, diagonal and rotated, against a 60-digit SVD of the
+    # same float entries: norm - 1 keeps its digits
+    for k in range(3, 13):
+        eps = 10.0**-k
+        for g in (
+            cartan_a(math.exp(eps)),
+            rotation(0.4) @ cartan_a(math.exp(eps)) @ rotation(-1.1),
+            rotation(2.3) @ cartan_a(math.exp(-eps)) @ rotation(0.7),
+        ):
+            with mpmath.workdps(60):
+                m = mpmath.matrix([[g.a, g.b], [g.c, g.d]])
+                ref = float(max(mpmath.svd_r(m, compute_uv=False)))
+            assert abs(operator_norm(g) - ref) <= 4.0 * math.ulp(1.0) * ref, (k, g)
 
 
 def test_operator_norm_past_float64_squares():
-    # the squared entries overflow from about norm 1e77 (t^2) and 1e154 (t)
-    for r in (1e76, 1e77, 1e78, 1e100, 1e154, 1e155, 1e200, 1e300):
+    # the squared entries overflow from about norm 1e154, and a sum of the
+    # two hypot terms would from about 9e307
+    for r in (1e76, 1e77, 1e78, 1e100, 1e154, 1e155, 1e200, 1e300, 1e308):
         assert math.isclose(operator_norm(cartan_a(r)), r, rel_tol=1e-15), r
         assert math.isclose(operator_norm(cartan_a(1.0 / r)), r, rel_tol=1e-15), r
 
