@@ -24,6 +24,9 @@ hypertransfer symbol 0.6
 hypertransfer symbol 1
 hypertransfer symbol 1e30
 hypertransfer region -1 1.5 --samples 5
+# an operand in exponent form is a negative number, not an option
+hypertransfer reduce -1e-3 1 | diff - <(hypertransfer reduce -0.001 1)
+hypertransfer region -1e-3 0.5 --samples 5 | diff - <(hypertransfer region -0.001 0.5 --samples 5)
 hypertransfer region -1 1.5 --samples 5 --format json
 # sections that start above the y-cap get no rows
 hypertransfer region 0.01 0.05 --samples 5

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from typing import Optional
 
@@ -154,8 +155,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report["passed"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads -1e-3 as a negative number, not as an
+    option: argparse's own pattern has no exponent. add_subparsers makes
+    its subparsers of this class too."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$"
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hypertransfer",
         description="Lattice-averaged multiplier toolkit: reduction, symbol "
         "evaluation, region data, decay tables, self-verification.",

@@ -99,8 +99,8 @@ def _lie_average(r: float) -> float:
     integration over u runs with the integers as breakpoints; each quadrature
     round evaluates the closed-form partials at all its nodes in one batch.
     The arcs where m_hat is constant (the .constant of case_transition_thetas)
-    have zero partials and are left out; no touch borders one, so the arc at
-    a segment's midpoint decides for all of it."""
+    have zero partials and are left out; each segment is one arc (up to the
+    slivers under 1e-13 that segment_edges merges), the arc at its midpoint."""
     thetas = case_transition_thetas(r)
     ends = segment_edges(-_HALF_PI, _HALF_PI, _circle_v_breakpoints(thetas))
     mid, _ = _circle_v_angles(0.5 * (ends[:-1] + ends[1:]))

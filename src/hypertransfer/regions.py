@@ -14,11 +14,10 @@ to the value is kept as an oracle: section-exact adaptive quadrature of the
 mass, which shares its cuts and breakpoints with the closed form and so
 checks the antiderivatives. Monte-Carlo membership, which shares nothing with
 the section model, lives in the tests. The partials have no direct route
-here. The
-scalar entry points accept the AN shapes of operator norms up to MAX_NORM
-(_check_shape). The K-average m_tilde is the mean of m_hat over the Cartan
-circle, integrated in the one parametrisation of the circle that decay's
-averages share too (_circle_v_angles)."""
+here. The scalar entry points accept the AN shapes of operator norms up to
+MAX_NORM (_check_shape). The K-average m_tilde is the mean of m_hat over the
+Cartan circle, integrated in the one parametrisation of the circle that
+decay's averages share too (_circle_v_angles)."""
 
 from __future__ import annotations
 
@@ -493,75 +492,62 @@ def _transition_quadratics(r: float) -> dict[str, tuple[float, float, float]]:
     }
 
 
-def _meeting_thetas(r: float) -> tuple[list[float], list[float]]:
-    """(touches, crossings): angles in [-pi/2, pi/2] where two section
-    breakpoints meet inside (-1/2, 1/2) along the Cartan circle of norm r;
-    touches where the ellipse's extent end touches the unit circle, crossings
-    where two breakpoints cross.
+def _meeting_thetas(r: float) -> list[float]:
+    """Angles in [-pi/2, pi/2] where two section breakpoints cross inside
+    (-1/2, 1/2) along the Cartan circle of norm r.
 
     The circle of norm r is the Euclidean circle g_x^2 + g_y^2 + 1 = c g_y
     with c = r^2 + 1/r^2 (the same for 1/r, whose circle is the circle of r
-    turned by pi/2). Each event, derived in sympy and checked against a
+    turned by pi/2). Each crossing, derived in sympy and checked against a
     cut-sequence scan, is a curve in (g_x, g_y) parametrised by the abscissa
     x of the meeting, and lies on the circle where a function of x alone
     equals c:
-    - the extent end of the ellipse lies on the unit circle at (x, w),
-      w = sqrt(1 - x^2): -g_x/g_y = k = sqrt(x (x + 2)), g_y = k/(w (1 + x))
-      and (1 + x)(1 + 2x)/(w k) = c, a cubic (_extent_on_circle);
     - at the line's crossing with the ellipse, the other ellipse root lies
-      on the unit circle: k = (2x + 1)/sqrt(3), g_y = sqrt(3) D/(2 w Q) with
-      D = x (x + 2), Q = x^2 + x + 1, and 2 (3x^3 + 4x^2 + x + 1)/(sqrt(3) w D)
-      = c, a sextic (_root_on_circle);
+      on the unit circle at (x, w), w = sqrt(1 - x^2): k = -g_x/g_y =
+      (2x + 1)/sqrt(3), g_y = sqrt(3) D/(2 w Q) with D = x (x + 2),
+      Q = x^2 + x + 1, and 2 (3x^3 + 4x^2 + x + 1)/(sqrt(3) w D) = c, a
+      sextic (_root_on_circle);
     - the line, the circle and the ellipse meet in one point, for
       2 < c < 10/3, at t = tan(theta) = 1/(sqrt(3) rho) with rho =
       min(r, 1/r)^2: k = sqrt(3)(1 - rho^2)/(3 rho^2 + 1) and
       g_y = (3 rho^2 + 1)/(4 rho).
-    Both functions of x fall from infinity at x = 0 to a least value at the
-    _MEETING_SPLITS (mpmath) and rise to x = 1/2, so their polynomials, which
-    have the sign of the function minus c, have one root on each side of the
-    split where the value there is negative; each is found by Newton steps
-    kept inside its bracket. An angle is 1/2 atan2 of sin 2 theta and
+    The sextic's function of x falls from infinity at x = 0 to a least value
+    at _ROOT_SPLIT (mpmath) and rises to x = 1/2, so the sextic, which has
+    the sign of the function minus c, has one root on each side of the split
+    where its value there is negative; each is found by Newton steps kept
+    inside its bracket. An angle is 1/2 atan2 of sin 2 theta and
     cos 2 theta, 2 rho k and 2 rho/g_y - 1 - rho^2 (for r < 1; negated, which
     turns it by -pi/2, for r > 1), which keeps angles near 0 and +-pi/2 to
-    full precision."""
+    full precision.
+
+    The ellipse's extent end meets the unit circle too, but it only touches
+    it, and that needs no angle: the new segment of the section grows like
+    the square of the distance and the mass it holds like the cube, so
+    m_hat is twice differentiable across a touch, and no arc bordering one
+    is constant."""
     rho = min(r, 1.0 / r) ** 2
     if rho == 1.0:
-        return [], []
+        return []
     c = rho + 1.0 / rho
-    touches, crossings = [], []  # (k, 1/g_y) of each event
+    events = []  # (k, 1/g_y) of each crossing
     if c < 10.0 / 3.0:
         d = 3.0 * rho * rho + 1.0
-        crossings.append((SQRT3 * (1.0 - rho * rho) / d, 4.0 * rho / d))
+        events.append((SQRT3 * (1.0 - rho * rho) / d, 4.0 * rho / d))
     e = 1.0 / (c * c)
-    extent_split, root_split = _MEETING_SPLITS
-    for coeffs, split, start, touch in (
-        (_extent_on_circle(e), extent_split, e / (2.0 - 5.0 * e), True),
-        (_root_on_circle(e), root_split, math.sqrt(e / 3.0), False),
-    ):
-        if _horner(coeffs, split)[0] >= 0.0:
-            continue
-        xs = [_bracketed_root(coeffs, 0.0, split, min(start, 0.5 * split))]
+    coeffs = _root_on_circle(e)
+    if _horner(coeffs, _ROOT_SPLIT)[0] < 0.0:
+        xs = [_bracketed_root(coeffs, 0.0, _ROOT_SPLIT, min(math.sqrt(e / 3.0), 0.5 * _ROOT_SPLIT))]
         if _horner(coeffs, 0.5)[0] > 0.0:
-            xs.append(_bracketed_root(coeffs, split, 0.5, 0.5 * (split + 0.5)))
+            xs.append(_bracketed_root(coeffs, _ROOT_SPLIT, 0.5, 0.5 * (_ROOT_SPLIT + 0.5)))
         for x in xs:
             w, d = math.sqrt((1.0 - x) * (1.0 + x)), x * (x + 2.0)
-            if touch:
-                k = math.sqrt(d)
-                touches.append((k, w * (1.0 + x) / k))
-            else:
-                crossings.append(((2.0 * x + 1.0) / SQRT3, 2.0 * w * (x * x + x + 1.0) / (SQRT3 * d)))
+            events.append(((2.0 * x + 1.0) / SQRT3, 2.0 * w * (x * x + x + 1.0) / (SQRT3 * d)))
     sign = 1.0 if r < 1.0 else -1.0
 
     def angle(k: float, inv_gy: float) -> float:
         return 0.5 * math.atan2(sign * 2.0 * rho * k, sign * (2.0 * rho * inv_gy - 1.0 - rho * rho))
 
-    return [angle(*event) for event in touches], [angle(*event) for event in crossings]
-
-
-def _extent_on_circle(e: float) -> tuple[float, ...]:
-    """(1 + x)(1 + 2x)^2 - c^2 (1 - x) x (x + 2), over c^2 = 1/e, highest
-    power of x first."""
-    return (1.0 + 4.0 * e, 1.0 + 8.0 * e, 5.0 * e - 2.0, e)
+    return [angle(*event) for event in events]
 
 
 def _root_on_circle(e: float) -> tuple[float, ...]:
@@ -578,8 +564,8 @@ def _root_on_circle(e: float) -> tuple[float, ...]:
     )
 
 
-# where the functions of x behind _extent_on_circle and _root_on_circle are least
-_MEETING_SPLITS = (0.22668159690567747, 0.39005556346154309)
+# where the function of x behind _root_on_circle is least
+_ROOT_SPLIT = 0.39005556346154309
 
 
 def _horner(coeffs: tuple[float, ...], x: float) -> tuple[float, float]:
@@ -628,14 +614,9 @@ def _tan_roots(a: float, b: float, c: float) -> list[float]:
 class _TransitionAngles(tuple):
     """The angles of case_transition_thetas, with .constant: on each arc
     between consecutive angles (from -pi/2 to pi/2), m_hat where it is
-    constant, 0.0 or 1.0, else None; and .touches: the angles where only the
-    ellipse's extent end touches the unit circle. There the new segment of
-    the section grows like the square of the distance and the mass it holds
-    like the cube, so m_hat is twice differentiable across them, and no
-    circle average splits at them (_circle_v_breakpoints)."""
+    constant, 0.0 or 1.0, else None."""
 
     constant: tuple[Optional[float], ...]
-    touches: frozenset[float]
 
 
 @functools.lru_cache(maxsize=256)
@@ -645,23 +626,22 @@ def case_transition_thetas(r: float) -> _TransitionAngles:
 
     The candidates are the roots of _transition_quadratics, where a section
     breakpoint reaches an end of (-1/2, 1/2), and the _meeting_thetas, where
-    two breakpoints meet (those within 1e-12 of +-pi/2 are left out: the gap
+    two breakpoints cross (those within 1e-12 of +-pi/2 are left out: the gap
     to the end would be narrower than its midpoint can resolve). One root can
     be exactly pi/2 (see _tan_roots), and quadrature.segment_edges drops it
     as no interior breakpoint. A candidate is kept where the cut sequences at
     the midpoints of its two gaps differ: the flag code of each live segment
     of _section_segments, left to right, with consecutive repeats merged. The
-    candidates hold every change, so the sequence at one midpoint holds on
-    its whole arc: m_hat is 0 there where no section has a cut (code 0
-    throughout), and 1 where every section is the whole [ymin, inf) (code 1,
-    the circle alone); .constant records it, and .touches the kept angles
-    that are extent-end touches only. r must pass _check_norm."""
+    candidates hold every change but the touches of the ellipse's extent end
+    with the unit circle, across which m_hat is twice differentiable and
+    which border no constant arc (see _meeting_thetas). So where the sequence
+    at one midpoint has no cut, m_hat is 0 on its whole arc (code 0
+    throughout), and where every section is the whole [ymin, inf), 1 (code
+    1, the circle alone); .constant records it. r must pass _check_norm."""
     _check_norm(r)
-    roots = {t for quad in _transition_quadratics(r).values() for t in _tan_roots(*quad)}
-    touches, crossings = _meeting_thetas(r)
-    roots.update(t for t in crossings if abs(t) < _HALF_PI - 1e-12)
-    touches = {t for t in touches if abs(t) < _HALF_PI - 1e-12} - roots
-    cands = sorted(roots | touches)
+    cands = {t for quad in _transition_quadratics(r).values() for t in _tan_roots(*quad)}
+    cands.update(t for t in _meeting_thetas(r) if abs(t) < _HALF_PI - 1e-12)
+    cands = sorted(cands)
     edges = np.array([-_HALF_PI, *cands, _HALF_PI])
     gx, gy = _circle_coords(r, 0.5 * (edges[:-1] + edges[1:]))
     _, live, (circle, lower, upper, line) = _section_segments(gx, gy)
@@ -670,7 +650,6 @@ def case_transition_thetas(r: float) -> _TransitionAngles:
     kept = [i for i, (left, right) in enumerate(zip(seqs, seqs[1:])) if left != right]
     out = _TransitionAngles(cands[i] for i in kept)
     out.constant = tuple(_CONSTANT_M_HAT.get(tuple(seqs[i])) for i in [0, *(i + 1 for i in kept)])
-    out.touches = frozenset(touches.intersection(out))
     return out
 
 
@@ -693,11 +672,10 @@ def _circle_v_angles(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _circle_v_breakpoints(thetas: _TransitionAngles) -> list[float]:
     """Breakpoints in v of every circle average (see _circle_v_angles): v = 0,
-    the kink of the Jacobian, and the v of each case_transition_thetas angle
-    but its .touches. quadrature.segment_edges sorts and filters them: b3's
-    -0.0 repeats the kink, and a b8 root near r = 1e-4 can round to pi/2."""
-    kept = (t for t in thetas if t not in thetas.touches)
-    return [0.0, *(math.copysign(math.asin(math.sqrt(abs(t) / _HALF_PI)), t) for t in kept)]
+    the kink of the Jacobian, and the v of each case_transition_thetas angle.
+    quadrature.segment_edges sorts and filters them: b3's -0.0 repeats the
+    kink, and a b8 root near r = 1e-4 can round to pi/2."""
+    return [0.0, *(math.copysign(math.asin(math.sqrt(abs(t) / _HALF_PI)), t) for t in thetas)]
 
 
 # (g_x^2 + g_y^2 + 1)/g_y = N^2 + N^-2 at N = MAX_NORM, with room for the

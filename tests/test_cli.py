@@ -50,6 +50,26 @@ def test_unread_options_are_rejected():
         assert exc.value.code == 2
 
 
+def test_exponent_form_negative_operands(capsys):
+    # argparse's own negative-number pattern has no exponent, so reduce and
+    # region took -1e-3 for an option and exited 2 ("the following
+    # arguments are required: y"); options after such an operand still parse
+    for argv, plain in (
+        ("reduce -1e-3 1", "reduce -0.001 1"),
+        ("reduce -1E+2 1 --format json", "reduce -100 1 --format json"),
+        ("region -1e-3 0.5 --samples 3", "region -0.001 0.5 --samples 3"),
+        ("region -2.5e-1 1.5 --format json", "region -0.25 1.5 --format json"),
+    ):
+        code, out = run(capsys, argv.split())
+        ref_code, ref = run(capsys, plain.split())
+        assert code == ref_code == 0 and out == ref, argv
+    for argv in (["reduce", "-1e-3"], ["region", "-1e-3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "the following arguments are required" in capsys.readouterr().err
+
+
 def test_reduce_csv(capsys):
     code, out = run(capsys, ["reduce", "5", "2"])
     assert code == 0

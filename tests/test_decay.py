@@ -2,6 +2,7 @@
 and of m_tilde, the weighted first-order table, transition angles, and the
 second-order divergence probe."""
 
+import bisect
 import math
 import threading
 import warnings
@@ -238,9 +239,10 @@ def test_decay_table_shares_closed_form_nodes(monkeypatch):
     assert sum(sizes) <= 2730
 
 
-def _tanh_sinh_circle_average(r: float, h: float = 1.0 / 64.0) -> float:
+def _tanh_sinh_circle_average(r: float, touches: list[float], h: float = 1.0 / 64.0) -> float:
     """f1 at r by a tanh-sinh rule in theta on each arc between the
-    transition angles, the touches included, and theta = 0, applied to the
+    transition angles, the touches of the ellipse's extent end with the
+    circle (which the table leaves out) and theta = 0, applied to the
     closed-form partials, X1 transported by the residual rotation in its own
     closed form: no quadrature.integrate, no v-parametrisation, no grading,
     no _x1_transport and no arc left out. The rule's double-exponential
@@ -250,7 +252,7 @@ def _tanh_sinh_circle_average(r: float, h: float = 1.0 / 64.0) -> float:
     u = 0.5 * math.pi * np.sinh(t)
     gap = 1.0 / (np.exp(np.abs(u)) * np.cosh(u))  # 1 - |tanh u|, free of cancellation
     weight = h * 0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2
-    ends = [-math.pi / 2.0, *sorted({0.0, *case_transition_thetas(r)}), math.pi / 2.0]
+    ends = [-math.pi / 2.0, *sorted({0.0, *case_transition_thetas(r), *touches}), math.pi / 2.0]
     total = 0.0
     for a, b in zip(ends, ends[1:]):
         half = 0.5 * (b - a)
@@ -263,29 +265,30 @@ def _tanh_sinh_circle_average(r: float, h: float = 1.0 / 64.0) -> float:
     return total / math.pi
 
 
-def test_decay_table_matches_a_theta_reference():
+def test_decay_table_matches_a_theta_reference(touch_thetas):
     # a second route to f1: the reference moves by at most 1.2e-16 when its
     # step halves or doubles, and the table was at most 9.4e-14 off it (at
     # r = 0.001)
     radii = [0.001, 0.05, 0.1, 0.2, 0.3, 0.45, 0.5780934891480582, 0.6, 0.7, 0.8466]
-    for row in hm_table([*radii, 0.9, 0.97, 0.99]):
-        ref = _tanh_sinh_circle_average(row.r)
+    rows = hm_table([*radii, 0.9, 0.97, 0.99])
+    for row, touches in zip(rows, touch_thetas([row.r for row in rows])):
+        ref = _tanh_sinh_circle_average(row.r, touches)
         assert abs(row.f1 - ref) < 1e-9 and row.f2 == 0.0, (row, ref)
 
 
-def test_no_touch_borders_a_constant_arc():
-    # _lie_average splits at no touch, so a segment can span one, and reads
-    # whether m_hat is constant on a segment off the arc at its midpoint;
-    # that is right for the whole segment only while the arcs on both sides
-    # of every touch vary
-    touches = 0
-    for r in np.geomspace(1e-38, 1e38, 3000):
+def test_no_touch_borders_a_constant_arc(touch_thetas):
+    # the transition table returns no touch of the ellipse's extent end with
+    # the circle, so an arc can span one, and .constant reads whether m_hat
+    # is constant on an arc off the cut sequence at its midpoint; that is
+    # right for the whole arc only while every arc that holds a touch varies
+    seen = 0
+    radii = np.geomspace(1e-38, 1e38, 3000)
+    for r, touches in zip(radii, touch_thetas(radii)):
         thetas = case_transition_thetas(float(r))
-        for i, t in enumerate(thetas):
-            if t in thetas.touches:
-                touches += 1
-                assert thetas.constant[i] is None and thetas.constant[i + 1] is None, (r, t)
-    assert touches > 1000
+        for t in touches:
+            seen += 1
+            assert thetas.constant[bisect.bisect(thetas, t)] is None, (r, t)
+    assert seen > 1000
 
 
 def test_worker_count_env():

@@ -580,16 +580,15 @@ def _boundary_functions(c: ANCoords) -> list[float]:
 
 
 def _event_functions(c: ANCoords) -> list[float]:
-    # every meeting of two section breakpoints that _meeting_thetas solves,
-    # as a function that is 0 on it: the ellipse's extent end on the circle,
-    # the line, the circle and the ellipse through one point, and the other
-    # ellipse root on the circle at the line's ellipse crossing
+    # every crossing of two section breakpoints that _meeting_thetas solves,
+    # as a function that is 0 on it: the line, the circle and the ellipse
+    # through one point, and the other ellipse root on the circle at the
+    # line's ellipse crossing
     gx, gy = c.g_x, c.g_y
     s = gx * gx + gy * gy
     x = -0.5 - SQRT3 * gx / (2.0 * gy)
     other = -2.0 * (x + 1.0) * gx / s - SQRT3 / (2.0 * gy)
     return [
-        s * s + gx * gx - 2.0 * gy * s ** 1.5,
         3.0 * gy * gy - 2.0 * SQRT3 * gx * gy - 3.0 * gx * gx - 3.0,
         x * x + other * other - 1.0,
     ]
@@ -646,35 +645,66 @@ def test_case_transition_sliver_present():
                 assert min(abs(angle - t) for t in ts) < 1e-14
 
 
-def test_case_transitions_include_the_meeting_events():
+def test_case_transitions_include_the_meeting_events(touch_thetas):
     # structural changes where two section breakpoints meet, seen with a
     # 20 000-angle cut-sequence scan plus bisection before they were
-    # candidates (r = 0.578... is the radius of the Lie-derivative bump)
-    events = {
-        0.1: (1.00015e-4, 5.841082e-3),
-        0.5780934891480582: (0.137363, 0.350697, 1.0443925, 1.0460827),
+    # candidates (r = 0.578... is the radius of the Lie-derivative bump).
+    # The crossings are returned; the touches of the ellipse's extent end
+    # with the circle are the test-side touches, and are not returned
+    crossings = {
+        0.1: (5.841082e-3,),
+        0.5780934891480582: (0.350697, 1.0443925, 1.0460827),
         0.7: (0.867055,),
         0.9: (0.6192505,),
-        1.5: (-1.245983, -0.815455, -0.656053),
+        1.5: (-0.656053,),
     }
-    for r, angles in events.items():
+    touches = {
+        0.1: (1.00015e-4,),
+        0.5780934891480582: (0.137363,),
+        0.7: (),
+        0.9: (),
+        1.5: (-1.245983, -0.815455),
+    }
+    for (r, angles), found in zip(crossings.items(), touch_thetas(list(crossings))):
         ts = case_transition_thetas(r)
         for angle in angles:
             assert min(abs(angle - t) for t in ts) < 1e-6, (r, angle)
+        assert len(found) == len(touches[r])
+        for angle, touch in zip(touches[r], found):
+            assert abs(angle - touch) < 1e-6 and min(abs(angle - t) for t in ts) > 1e-6, (r, angle)
 
 
-def test_case_transitions_are_complete():
+def test_case_transitions_return_no_touch(touch_thetas):
+    # the touches of the ellipse's extent end with the circle need no angle:
+    # m_hat is twice differentiable across them. Over the whole norm range
+    # none is returned; the nearest returned angle lies 4e-7 relative from a
+    # touch (at r = 950, next to -pi/2)
+    half = math.pi / 2.0
+    radii = np.geomspace(1e-38, 1e38, 3000)
+    seen = 0
+    for r, touches in zip(radii, touch_thetas(radii)):
+        ts = case_transition_thetas(float(r))
+        for touch in touches:
+            if abs(touch) < half - 1e-12:
+                seen += 1
+                assert all(abs(t - touch) > 1e-9 * abs(touch) for t in ts), (r, touch)
+    assert seen > 1000
+
+
+def test_case_transitions_are_complete(touch_thetas):
     # every change of the cut sequence that a 4001-angle scan (uniform in
     # the v of _circle_v_angles, so both ends are resolved) and bisection
     # find lies within 1e-12 of a returned angle or of +-pi/2. Where the
-    # ellipse's extent end touches the circle the structure changes by a
-    # sliver whose width grows like the square of the distance, so the scan
-    # sees that change only once the sliver is an ulp wide: such a change,
-    # whose two sides agree once segments narrower than 1e-12 are dropped,
-    # must lie within 1e-7
+    # ellipse's extent end touches the circle, which the table leaves out,
+    # and at some returned angles, the structure changes by a sliver whose
+    # width grows like the square of the distance, so the scan sees that
+    # change only once the sliver is an ulp wide: such a change, whose two
+    # sides agree once segments narrower than 1e-12 are dropped, must lie
+    # within 1e-7 of one of those or of a touch
     half = math.pi / 2.0
     grid, _ = regions._circle_v_angles(np.linspace(-half, half, 4003)[1:-1])
-    for r in np.geomspace(1e-3, 1e4, 40):
+    radii = np.geomspace(1e-3, 1e4, 40)
+    for r, touches in zip(radii, touch_thetas(radii)):
         r = float(r)
         ends = np.array([-half, *case_transition_thetas(r), half])
         seqs = _cut_sequences_at(r, grid)
@@ -685,8 +715,9 @@ def test_case_transitions_are_complete():
             same = [m == s for m, s in zip(_cut_sequences_at(r, mid), left)]
             lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
         narrow = _cut_sequences_at(r, np.concatenate((lo, hi)), narrowest=1e-12)
+        slivers = np.concatenate((ends, touches))
         for a, b, before, after in zip(lo, hi, narrow, narrow[len(lo) :]):
-            near = np.min(np.abs(ends - 0.5 * (a + b)))
+            near = np.min(np.abs((slivers if before == after else ends) - 0.5 * (a + b)))
             assert near < (1e-7 if before == after else 1e-12), (r, a, near)
 
 
@@ -738,18 +769,19 @@ def test_case_transitions_include_minus_pi_over_6_in_the_fallback_band():
 
 def test_case_transitions_keep_the_candidates_where_the_structure_changes():
     # read at theta -+ h, not at the gap midpoints the keep-rule reads: h is
-    # 1e-6 (where the extent end touches the circle the new segment is
-    # h^2-thin), or a quarter of the distance to a nearer neighbouring
-    # candidate; with the meeting events among the candidates, every kept
-    # angle has different sides
+    # 1e-6, or a quarter of the distance to a nearer neighbouring candidate.
+    # With the crossings among the candidates, on norms in [1e-3, 1e4] a
+    # candidate is kept exactly where its sides differ, and over the whole
+    # norm range no candidate whose sides differ is dropped (toward the ends
+    # of the range h falls to dust beside candidates that round onto
+    # +-pi/2 or each other, and their sides agree though they are kept)
     half = math.pi / 2.0
-    for r in np.geomspace(1e-3, 1e4, 200):
+    for r in [*np.geomspace(1e-3, 1e4, 200), *np.geomspace(1e-38, 1e38, 2000)]:
         r = float(r)
         kept = case_transition_thetas(r)
         quads = regions._transition_quadratics(r).values()
         cands = {t for quad in quads for t in regions._tan_roots(*quad)}
-        events = [t for ts in regions._meeting_thetas(r) for t in ts if abs(t) < half - 1e-12]
-        cands = sorted(cands.union(events))
+        cands = sorted(cands.union(t for t in regions._meeting_thetas(r) if abs(t) < half - 1e-12))
         edges = [-half, *cands, half]
         steps = [
             min(1e-6, 0.25 * (t - lo), 0.25 * (hi - t))
@@ -757,7 +789,9 @@ def test_case_transitions_keep_the_candidates_where_the_structure_changes():
         ]
         sides = _cut_sequences_at(r, [t + d for t, h in zip(cands, steps) for d in (-h, h)])
         for i, t in enumerate(cands):
-            assert (sides[2 * i] != sides[2 * i + 1]) == (t in kept), (r, t)
+            differ = sides[2 * i] != sides[2 * i + 1]
+            if differ or 1e-3 <= r <= 1e4:
+                assert differ == (t in kept), (r, t)
 
 
 def test_circle_v_breakpoints_are_strictly_increasing():
