@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Console-script smoke test: every subcommand runs with numpy's
 # RuntimeWarnings as errors, inputs past the supported ranges exit 2 with a
-# named error, and the closed-form, Monte-Carlo and decay lines of the README
-# and one at a ragged sample count match fresh runs.
+# named error, the closed-form, Monte-Carlo and decay lines of the README
+# and one at a ragged sample count match fresh runs, and the README's verify
+# line passes.
 # Run from the root of a checkout with the `hypertransfer` script on PATH.
 set -euo pipefail
 export PYTHONWARNINGS=error::RuntimeWarning
@@ -55,6 +56,9 @@ exits_2 region 0 1 --samples 100000000000000000000
 hypertransfer verify --suite cases > /dev/null
 hypertransfer verify --suite decay > /dev/null
 hypertransfer verify --suite cocycle > /dev/null
+# the README's verify line exits 0, and its report passes as a whole
+report=$(hypertransfer verify --suite all --seed 7)
+grep -x -F '  "passed": true,' <<< "$report" > /dev/null
 
 # the $2 lines under the whole README line "$ $1"
 readme_output() {

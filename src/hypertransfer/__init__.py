@@ -15,7 +15,6 @@ from .cocycle import (
 )
 from .decay import (
     DecayRow,
-    LieDirection,
     ThetaBoundaries,
     hm_table,
     lie_derivative_mtilde,

@@ -5,7 +5,7 @@ Conventions: m_tilde depends on the operator norm n only, so at diag(r, 1/r),
 r in (0, 1), its one non-zero first derivative is f1(r) = -d m_tilde / d log n,
 the Lie derivative along X1; along X2 and X3 it is 0 by bi-K invariance, and
 the table's f2 column is 0.0. f1 is the mean over the Cartan circle of norm
-r of lie_derivative_mtt, the AN-chart Lie derivative of m_hat, along X1
+r of lie_derivative_mtt, the AN-chart Lie derivative of m_hat along X1,
 transported by the residual rotation (_lie_average). Every entry point
 refuses r outside (0, 1) through _check_radius.
 
@@ -19,7 +19,6 @@ stays only while the benchmark pins pool-thread row spans.
 from __future__ import annotations
 
 import concurrent.futures
-import enum
 import math
 from dataclasses import dataclass
 
@@ -35,22 +34,13 @@ from .regions import (
     _tan_roots,
     _transition_quadratics,
     case_transition_thetas,
-    m_hat_dgx,
+    m_hat_dgx,  # unused here, like m_hat_direct; the benchmark tracer wraps both
     m_hat_dgy,
-    m_hat_direct,  # unused here; the benchmark tracer wraps decay.m_hat_direct
+    m_hat_direct,
 )
 from .sl2 import ANCoords, _check_norm
 
 _HALF_PI = math.pi / 2.0
-
-
-class LieDirection(enum.Enum):
-    """The basis of the Lie algebra: X1 = (1 0; 0 -1), X2 = (0 1; 0 0) and
-    X3 = (0 1; -1 0), which generates the rotations."""
-
-    X1 = "X1"
-    X2 = "X2"
-    X3 = "X3"
 
 
 def _x1_transport(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -60,14 +50,10 @@ def _x1_transport(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c2, 2.0 * s2
 
 
-def lie_derivative_mtt(c: ANCoords, direction: LieDirection) -> float:
-    """Right Lie derivative of the inner symbol in the AN chart:
-    X1 -> 2 g_y d/dg_y, X2 -> g_y d/dg_x, X3 -> 0."""
-    if direction is LieDirection.X3:
-        return 0.0
-    if direction is LieDirection.X1:
-        return 2.0 * c.g_y * m_hat_dgy(c)
-    return c.g_y * m_hat_dgx(c)
+def lie_derivative_mtt(c: ANCoords) -> float:
+    """Right Lie derivative of the inner symbol along X1 = (1 0; 0 -1) in the
+    AN chart, 2 g_y dm/dg_y."""
+    return 2.0 * c.g_y * m_hat_dgy(c)
 
 
 def _residual_angle(r: float, theta: np.ndarray) -> np.ndarray:
@@ -126,13 +112,11 @@ def _lie_average(r: float) -> float:
     return float(val) / math.pi
 
 
-def lie_derivative_mtilde(r: float, direction: LieDirection) -> float:
-    """The Lie derivative of m_tilde at diag(r, 1/r), r in (0, 1), along X_j:
-    f1(r) = -d m_tilde / d log n for X1, and 0.0 for X2 and X3, along which
-    the norm is stationary (m_tilde is bi-K-invariant). r is checked first, so
-    every direction refuses the same radii."""
-    r = _check_radius(r)
-    return _lie_average(r) if direction is LieDirection.X1 else 0.0
+def lie_derivative_mtilde(r: float) -> float:
+    """f1(r) = -d m_tilde / d log n, the Lie derivative of m_tilde at
+    diag(r, 1/r), r in (0, 1), along X1; along X2 and X3 the norm is
+    stationary and the derivative is 0 (m_tilde is bi-K-invariant)."""
+    return _lie_average(_check_radius(r))
 
 
 @dataclass(frozen=True)

@@ -597,12 +597,13 @@ def _bracketed_root(coeffs: tuple[float, ...], lo: float, hi: float, x: float) -
 
 
 def _tan_roots(a: float, b: float, c: float) -> list[float]:
-    """Ascending angles in (-pi/2, pi/2] whose tangents solve a t^2 + b t + c = 0.
+    """Ascending angles in [-pi/2, pi/2] whose tangents solve a t^2 + b t + c = 0.
     The roots q/a and c/q, q = -(b + sign(b) sqrt(b^2 - 4ac))/2, are free of
-    cancellation; atan2 of numerator and denominator keeps a root near pi/2 to
-    full precision, and a zero denominator (a root at pi/2, or none) is dropped.
-    A root within an ulp of pi/2 still rounds onto it (a b8 root at r = 8.584e-5
-    or 1e-4 returns exactly pi/2)."""
+    cancellation; atan2 of numerator and denominator keeps a root near +-pi/2
+    to full precision, and a zero denominator (a root at pi/2, or none) is
+    dropped. A root within an ulp of +-pi/2 still rounds onto it: a b8 root
+    returns exactly pi/2 at r = 8.584e-5 and 1e-4, and a b5 or b6 root exactly
+    -pi/2 at r = 1e8."""
     disc = b * b - 4.0 * a * c
     if disc < 0.0:
         return []
@@ -621,25 +622,27 @@ class _TransitionAngles(tuple):
 
 @functools.lru_cache(maxsize=256)
 def case_transition_thetas(r: float) -> _TransitionAngles:
-    """Angles in (-pi/2, pi/2] where the cut structure of the section changes
+    """Angles in (-pi/2, pi/2) where the cut structure of the section changes
     along theta; used as quadrature breakpoints.
 
     The candidates are the roots of _transition_quadratics, where a section
     breakpoint reaches an end of (-1/2, 1/2), and the _meeting_thetas, where
     two breakpoints cross (those within 1e-12 of +-pi/2 are left out: the gap
-    to the end would be narrower than its midpoint can resolve). One root can
-    be exactly pi/2 (see _tan_roots), and quadrature.segment_edges drops it
-    as no interior breakpoint. A candidate is kept where the cut sequences at
-    the midpoints of its two gaps differ: the flag code of each live segment
-    of _section_segments, left to right, with consecutive repeats merged. The
-    candidates hold every change but the touches of the ellipse's extent end
-    with the unit circle, across which m_hat is twice differentiable and
-    which border no constant arc (see _meeting_thetas). So where the sequence
-    at one midpoint has no cut, m_hat is 0 on its whole arc (code 0
-    throughout), and where every section is the whole [ymin, inf), 1 (code
-    1, the circle alone); .constant records it. r must pass _check_norm."""
+    to the end would be narrower than its midpoint can resolve). A root that
+    rounds onto +-pi/2 (see _tan_roots) is an end of the circle, not an
+    interior angle, and is left out too. A candidate is kept where the cut
+    sequences at the midpoints of its two gaps differ: the flag code of each
+    live segment of _section_segments, left to right, with consecutive
+    repeats merged. The candidates hold every change but the touches of the
+    ellipse's extent end with the unit circle, across which m_hat is twice
+    differentiable and which border no constant arc (see _meeting_thetas).
+    So where the sequence at one midpoint has no cut, m_hat is 0 on its
+    whole arc (code 0 throughout), and where every section is the whole
+    [ymin, inf), 1 (code 1, the circle alone); .constant records it. r must
+    pass _check_norm."""
     _check_norm(r)
-    cands = {t for quad in _transition_quadratics(r).values() for t in _tan_roots(*quad)}
+    quads = _transition_quadratics(r).values()
+    cands = {t for quad in quads for t in _tan_roots(*quad) if abs(t) < _HALF_PI}
     cands.update(t for t in _meeting_thetas(r) if abs(t) < _HALF_PI - 1e-12)
     cands = sorted(cands)
     edges = np.array([-_HALF_PI, *cands, _HALF_PI])
@@ -674,7 +677,7 @@ def _circle_v_breakpoints(thetas: _TransitionAngles) -> list[float]:
     """Breakpoints in v of every circle average (see _circle_v_angles): v = 0,
     the kink of the Jacobian, and the v of each case_transition_thetas angle.
     quadrature.segment_edges sorts and filters them: b3's -0.0 repeats the
-    kink, and a b8 root near r = 1e-4 can round to pi/2."""
+    kink."""
     return [0.0, *(math.copysign(math.asin(math.sqrt(abs(t) / _HALF_PI)), t) for t in thetas)]
 
 

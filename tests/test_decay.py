@@ -14,7 +14,6 @@ import scipy.linalg
 from hypertransfer import decay, regions
 from hypertransfer.decay import (
     DecayRow,
-    LieDirection,
     _x1_transport,
     case8_second_derivative_factor,
     divergence_probe_onset,
@@ -37,15 +36,15 @@ from hypertransfer.sl2 import ANCoords, RealMat2, cartan_a, rotation
 
 SQRT3 = math.sqrt(3.0)
 
-# the basis that LieDirection names
+# the basis of the Lie algebra; X3 generates the rotations
 GENERATORS = {
-    LieDirection.X1: np.array([[1.0, 0.0], [0.0, -1.0]]),
-    LieDirection.X2: np.array([[0.0, 1.0], [0.0, 0.0]]),
-    LieDirection.X3: np.array([[0.0, 1.0], [-1.0, 0.0]]),
+    "X1": np.array([[1.0, 0.0], [0.0, -1.0]]),
+    "X2": np.array([[0.0, 1.0], [0.0, 0.0]]),
+    "X3": np.array([[0.0, 1.0], [-1.0, 0.0]]),
 }
 
 
-def lie_derivative_mtilde_fd(g: RealMat2, direction: LieDirection) -> float:
+def lie_derivative_mtilde_fd(g: RealMat2, direction: str) -> float:
     """Central difference, step 1e-4, of the K-averaged symbol along g exp(t X_j)."""
 
     def along(t: float) -> float:
@@ -75,7 +74,7 @@ def test_adjoint_reconstruction():
     a11, a12 = _x1_transport(rho)
     for th, b11, b12 in zip(rho, a11, a12):
         k = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-        m = k @ GENERATORS[LieDirection.X1] @ k.T
+        m = k @ GENERATORS["X1"] @ k.T
         assert abs(b11 - m[0, 0]) < 1e-12 and abs(b12 - (m[0, 1] + m[1, 0])) < 1e-12
 
 
@@ -84,9 +83,9 @@ def test_lie_exponential_closed_forms():
     # the unipotent (1 t; 0 1), and the rotations of sl2.rotation
     for t in (-0.7, 0.0, 0.3, 2.0):
         closed = {
-            LieDirection.X1: RealMat2(math.exp(t), 0.0, 0.0, math.exp(-t)),
-            LieDirection.X2: RealMat2(1.0, t, 0.0, 1.0),
-            LieDirection.X3: rotation(-t),
+            "X1": RealMat2(math.exp(t), 0.0, 0.0, math.exp(-t)),
+            "X2": RealMat2(1.0, t, 0.0, 1.0),
+            "X3": rotation(-t),
         }
         for d, got in closed.items():
             want = scipy.linalg.expm(t * GENERATORS[d])
@@ -94,41 +93,34 @@ def test_lie_exponential_closed_forms():
 
 
 def test_mtt_directional_values():
-    c = ANCoords(-0.19, 0.3)
-    assert lie_derivative_mtt(c, LieDirection.X3) == 0.0
+    # the chart X1 derivative vanishes where m_hat is constant
     c8 = ANCoords(-0.5, 1.5)
-    assert lie_derivative_mtt(c8, LieDirection.X1) == 0.0
-    c2 = ANCoords(0.27, 0.3)
-    h = 1e-5
-    fd = (m_hat_case(ANCoords(c2.g_x + h, c2.g_y)) - m_hat_case(ANCoords(c2.g_x - h, c2.g_y))) / (2 * h)
-    got = lie_derivative_mtt(c2, LieDirection.X2)
-    assert abs(got - c2.g_y * fd) <= 1e-3 * abs(c2.g_y * fd)
+    assert lie_derivative_mtt(c8) == 0.0
 
 
 def test_mtt_x1_is_gy_scaled_partial():
     c = ANCoords(-0.06, 0.1)
     h = 1e-5
     fd = (m_hat_case(ANCoords(c.g_x, c.g_y + h)) - m_hat_case(ANCoords(c.g_x, c.g_y - h))) / (2 * h)
-    got = lie_derivative_mtt(c, LieDirection.X1)
+    got = lie_derivative_mtt(c)
     assert abs(got - 2.0 * c.g_y * fd) <= 1e-3 * abs(2.0 * c.g_y * fd)
 
 
 def test_f_values_and_symmetry():
-    assert lie_derivative_mtilde(0.37, LieDirection.X3) == 0.0
-    assert lie_derivative_mtilde(0.37, LieDirection.X2) == 0.0
-    f1 = lie_derivative_mtilde(0.1, LieDirection.X1)
+    f1 = lie_derivative_mtilde(0.1)
     assert abs(f1) <= 0.12  # the 12 r^2 envelope at r = 0.1
     # radii past 1 are refused: they were answered with f1(1/r), where the X1
     # derivative of m_tilde at diag(r, 1/r), r > 1, is -f1(1/r)
     for r in (4.0, 1.0):
         with pytest.raises(DomainError, match=r"need r in \(0, 1\)"):
-            lie_derivative_mtilde(r, LieDirection.X1)
+            lie_derivative_mtilde(r)
     with pytest.raises(DomainError, match="need r > 0"):
-        lie_derivative_mtilde(0.0, LieDirection.X1)
+        lie_derivative_mtilde(0.0)
 
 
 def test_every_direction_refuses_the_same_radii():
-    # X2 and X3 answer 0 without integrating, but only for a radius X1 accepts
+    # the f2 column answers 0 without integrating, but only for a radius the
+    # X1 derivative accepts: a row carrying f2 = 0 refuses what f1 refuses
     for r, message in (
         (-1.0, "need r > 0"),
         (math.nan, "need r > 0"),
@@ -136,27 +128,33 @@ def test_every_direction_refuses_the_same_radii():
         (4.0, r"need r in \(0, 1\), got 4.0"),
         (1e-300, "supported range"),
     ):
-        for d in LieDirection:
+        for refuse in (
+            lie_derivative_mtilde,
+            lambda r: hm_table([r]),
+            lambda r: DecayRow(r=r, f1=0.0, f2=0.0),
+        ):
             with pytest.raises(DomainError, match=message):
-                lie_derivative_mtilde(r, d)
+                refuse(r)
 
 
 def test_f1_is_the_log_norm_derivative_of_m_tilde():
     # f1 is -d m_tilde / d log n, read off two m_tilde calls; the chart
     # average the table reported before read 0.0677 against 0.0991 at r = 0.5
     for r in (0.2, 0.5):
-        assert abs(lie_derivative_mtilde(r, LieDirection.X1) - log_norm_difference(r)) < 1e-6, r
+        assert abs(lie_derivative_mtilde(r) - log_norm_difference(r)) < 1e-6, r
 
 
 def test_interchange_against_finite_difference():
     # the transported integrand is what a finite difference of the average
     # sees; X1 at r = 0.2 frozen after the two routes agreed to 4e-9
-    f1 = lie_derivative_mtilde(0.2, LieDirection.X1)
-    fd = lie_derivative_mtilde_fd(cartan_a(0.2), LieDirection.X1)
+    f1 = lie_derivative_mtilde(0.2)
+    fd = lie_derivative_mtilde_fd(cartan_a(0.2), "X1")
     assert abs(f1 - 0.003912252) < 1e-7
     assert abs(f1 - fd) < 1e-6
-    fd2 = lie_derivative_mtilde_fd(cartan_a(0.2), LieDirection.X2)
-    assert lie_derivative_mtilde(0.2, LieDirection.X2) == 0.0 and abs(fd2) < 1e-6
+    # along X2 and X3 the norm is stationary, and so is m_tilde: the table's
+    # f2 column prints 0
+    for d in ("X2", "X3"):
+        assert abs(lie_derivative_mtilde_fd(cartan_a(0.2), d)) < 1e-6, d
 
 
 def test_hm_table_contract():
@@ -164,8 +162,8 @@ def test_hm_table_contract():
     assert [row.r for row in rows] == [0.1, 0.2]
     for row in rows:
         assert row.weighted == (abs(row.f1) + abs(row.f2)) / row.r
-        assert row.f1 == lie_derivative_mtilde(row.r, LieDirection.X1)
-        assert row.f2 == lie_derivative_mtilde(row.r, LieDirection.X2) == 0.0
+        assert row.f1 == lie_derivative_mtilde(row.r)
+        assert row.f2 == 0.0
     assert hm_table([]) == []
     with pytest.raises(DomainError):
         hm_table([0.1, 1.2])
@@ -174,8 +172,8 @@ def test_hm_table_contract():
 
 
 def test_table_rows_and_angles_refuse_the_same_radii(monkeypatch):
-    # one check holds r in (0, 1) inside the norm range for the table, its
-    # rows, the transition angles and the probe onset
+    # one check holds r in (0, 1) inside the norm range for f1, the table,
+    # its rows, the transition angles and the probe onset
     refusals = (
         (0.0, "need r > 0"),
         (-0.2, "need r > 0"),
@@ -188,6 +186,7 @@ def test_table_rows_and_angles_refuse_the_same_radii(monkeypatch):
     )
     for r, message in refusals:
         for refuse in (
+            lie_derivative_mtilde,
             lambda r: hm_table([0.3, r]),
             lambda r: DecayRow(r=r, f1=0.0, f2=0.0),
             theta_boundaries,
@@ -213,9 +212,9 @@ def test_decay_rejects_radii_past_the_norm_range():
         with pytest.raises(DomainError, match="supported range"):
             hm_table([1e-80])
         with pytest.raises(DomainError, match="supported range"):
-            lie_derivative_mtilde(1e-300, LieDirection.X1)
+            lie_derivative_mtilde(1e-300)
         with pytest.raises(DomainError, match="supported range"):
-            lie_derivative_mtilde(1e300, LieDirection.X2)
+            lie_derivative_mtilde(1e300)
         row = hm_table([1e-38])[0]
     assert math.isfinite(row.f1) and math.isfinite(row.f2)
 
@@ -432,9 +431,8 @@ def test_numpy_scalar_radius_gives_the_float_result():
     # whose np.bool_ flags counted a doubly active ellipse term once: f1 was
     # 0.010984 against 0.012392 (the chart average the table then reported)
     r = 0.29454545454545455
-    for d in (LieDirection.X1, LieDirection.X2):
-        assert lie_derivative_mtilde(np.float64(r), d) == lie_derivative_mtilde(r, d)
-    assert abs(lie_derivative_mtilde(r, LieDirection.X1) - log_norm_difference(r)) < 1e-6
+    assert lie_derivative_mtilde(np.float64(r)) == lie_derivative_mtilde(r)
+    assert abs(lie_derivative_mtilde(r) - log_norm_difference(r)) < 1e-6
 
 
 def test_lie_derivative_across_the_untracked_bump():
@@ -451,4 +449,4 @@ def test_lie_derivative_across_the_untracked_bump():
     ts = case_transition_thetas(r)
     for end in (1.0443925210, 1.0460827222):
         assert min(abs(t - end) for t in ts) < 1e-8
-    assert abs(lie_derivative_mtilde(r, LieDirection.X1) - 0.1863713068949) < 1e-10
+    assert abs(lie_derivative_mtilde(r) - 0.1863713068949) < 1e-10

@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hypertransfer.regions as regions
+from hypertransfer import decay
 from hypertransfer.cocycle import _domain_xy, _mean_se, _rng
 from hypertransfer.decay import theta_boundaries
 from hypertransfer.errors import AccuracyError, DomainError
@@ -773,14 +774,14 @@ def test_case_transitions_keep_the_candidates_where_the_structure_changes():
     # With the crossings among the candidates, on norms in [1e-3, 1e4] a
     # candidate is kept exactly where its sides differ, and over the whole
     # norm range no candidate whose sides differ is dropped (toward the ends
-    # of the range h falls to dust beside candidates that round onto
-    # +-pi/2 or each other, and their sides agree though they are kept)
+    # of the range h falls to dust beside candidates that round onto each
+    # other or near +-pi/2, and their sides agree though they are kept)
     half = math.pi / 2.0
     for r in [*np.geomspace(1e-3, 1e4, 200), *np.geomspace(1e-38, 1e38, 2000)]:
         r = float(r)
         kept = case_transition_thetas(r)
         quads = regions._transition_quadratics(r).values()
-        cands = {t for quad in quads for t in regions._tan_roots(*quad)}
+        cands = {t for quad in quads for t in regions._tan_roots(*quad) if abs(t) < half}
         cands = sorted(cands.union(t for t in regions._meeting_thetas(r) if abs(t) < half - 1e-12))
         edges = [-half, *cands, half]
         steps = [
@@ -794,11 +795,72 @@ def test_case_transitions_keep_the_candidates_where_the_structure_changes():
                 assert differ == (t in kept), (r, t)
 
 
+def _circle_ends_among_the_roots(r: float) -> list[float]:
+    """The roots of the transition quadratics at r that round onto +-pi/2."""
+    quads = regions._transition_quadratics(r).values()
+    return sorted({t for quad in quads for t in regions._tan_roots(*quad) if abs(t) == math.pi / 2.0})
+
+
+# a log-spread sweep of the norm range, and radii where a transition
+# quadratic has a root that rounds onto +-pi/2
+_SWEEP = [8.584e-5, 1e-4, 1e8, *np.geomspace(1e-38, 1e38, 3000)]
+
+
+def _radii_with_returned_ends() -> list[float]:
+    """The swept radii near 1e-4 and 1e8 with a root on +-pi/2: the windows
+    where the table returned one as an angle."""
+    near = [r for r in map(float, _SWEEP) if 5e-5 < r < 2e-4 or 5e7 < r < 2e8]
+    return [r for r in near if _circle_ends_among_the_roots(r)]
+
+
+def test_case_transitions_lie_strictly_inside_the_circle():
+    # a root within an ulp of +-pi/2 rounds onto it (_tan_roots): a b8 root
+    # to pi/2 near r = 1e-4, a b5 or b6 root to -pi/2 near r = 1e8. The table
+    # returned such an end of the circle as an angle, with a zero-width arc
+    # in .constant, at 14 of the 3 000 swept radii
+    half = math.pi / 2.0
+    for r in map(float, _SWEEP):
+        ts = case_transition_thetas(r)
+        assert all(-half < t < half for t in ts), r
+        assert len(ts.constant) == len(ts) + 1, r
+    assert len(_radii_with_returned_ends()) >= 14
+
+
+def test_circle_ends_change_no_circle_average(monkeypatch):
+    # with those ends put back, each bordering a zero-width arc of constant
+    # None as the table returned them, m_tilde_full, f1 and the theta
+    # boundaries keep their bits
+    table = case_transition_thetas
+    radii = _radii_with_returned_ends()
+    seen = []
+
+    def with_ends(r):
+        ts, ends = table(r), _circle_ends_among_the_roots(r)
+        seen.extend(ends)
+        out = regions._TransitionAngles(sorted([*ts, *ends]))
+        out.constant = (None,) * ends.count(-math.pi / 2.0) + ts.constant
+        out.constant += (None,) * ends.count(math.pi / 2.0)
+        return out
+
+    def results():
+        out = []
+        for r in radii:
+            out.append(m_tilde_full(cartan_a(r)))
+            if r < 1.0:
+                out.append((decay._lie_average(r), theta_boundaries(r)))
+        return out
+
+    before = results()
+    monkeypatch.setattr(regions, "case_transition_thetas", with_ends)
+    monkeypatch.setattr(decay, "case_transition_thetas", with_ends)
+    assert results() == before
+    assert math.pi / 2.0 in seen and -math.pi / 2.0 in seen
+
+
 def test_circle_v_breakpoints_are_strictly_increasing():
     # decay grades every segment between the ends segment_edges makes of
     # -pi/2, these points and pi/2 at both ends, so none may repeat: b3's
-    # root at theta = 0 gives v = -0.0 beside the Jacobian's kink at 0.0, and
-    # near r = 1e-4 a b8 root rounds to pi/2
+    # root at theta = 0 gives v = -0.0 beside the Jacobian's kink at 0.0
     half = math.pi / 2.0
     for r in [1e-4, 8.584e-5, *np.geomspace(1e-6, 1e6, 121)]:
         pts = regions._circle_v_breakpoints(case_transition_thetas(float(r)))

@@ -1,13 +1,16 @@
-"""Self-check suites: report structure, determinism, and sensitivity to an
-injected sign error."""
+"""Self-check suites: report structure, determinism, and that every check
+fails when its subject is broken."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 import hypertransfer.regions as regions
-from hypertransfer import verify
+from hypertransfer import cocycle, decay, modular, verify
 from hypertransfer.cli import main
 from hypertransfer.errors import DomainError, HypertransferError
+from hypertransfer.sl2 import ANCoords, HalfPlanePoint, mobius_act
 from hypertransfer.verify import (
     DEFAULT_SEED,
     SUITE_NAMES,
@@ -25,6 +28,9 @@ def test_all_suites_pass_and_report_shape():
         assert suite["checks"], suite["suite"]
         for check in suite["checks"]:
             assert check["passed"], f"{suite['suite']}::{check['name']}"
+    # and each check has a mutation that fails it
+    names = [(s["suite"], c["name"]) for s in report["suites"] for c in s["checks"]]
+    assert names == [(suite, name) for name, (suite, _) in MUTATIONS.items()]
 
 
 def test_single_suite_selection_and_unknown():
@@ -61,15 +67,144 @@ def test_reports_deterministic():
     assert run_verify(["cocycle"], 7) == run_verify(["cocycle"], 7)
 
 
-def test_sign_flip_mutation_is_caught(monkeypatch):
-    # flip the sign of the ellipse-root antiderivative: the closed form
-    # drifts while the direct oracle stays put, and the case-vs-direct check
-    # must notice
+def _flip_ellipse_sign(monkeypatch):
+    # the sign of the ellipse-root antiderivative: the closed form drifts
+    # while the direct oracle stays put
     orig = regions._ellipse_antiderivative
     monkeypatch.setattr(
         regions, "_ellipse_antiderivative", lambda *args: tuple(-v for v in orig(*args))
     )
+
+
+def test_sign_flip_mutation_is_caught(monkeypatch):
+    _flip_ellipse_sign(monkeypatch)
     report = suite_cases(DEFAULT_SEED)
     assert report["passed"] is False
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
     assert "case_vs_direct" in failed
+
+
+def _unsigned_beta(monkeypatch):
+    # beta up to sign only, as in PSL2(Z): the cocycle identity holds for
+    # the signed lattice element
+    cocycle_beta = cocycle.cocycle_beta
+
+    def unsigned(p, g):
+        res = cocycle_beta(p, g)
+        return dataclasses.replace(res, beta=res.beta.canonical_sign())
+
+    monkeypatch.setattr(verify, "cocycle_beta", unsigned)
+
+
+def _shadow_at_2i(monkeypatch):
+    # the shadow taken at 2i, which a right rotation of g moves, not at i
+    at_2i = HalfPlanePoint(0.0, 2.0)
+    monkeypatch.setattr(cocycle, "halfplane_image", lambda h: mobius_act(h, at_2i))
+
+
+def _inverse_gamma(monkeypatch):
+    # gamma^-1 for gamma: z0 = gamma(z) in place of z = gamma(z0)
+    reduce = modular.reduce_to_fundamental_domain
+
+    def inverted(z):
+        red = reduce(z)
+        return dataclasses.replace(red, gamma=red.gamma.inv())
+
+    monkeypatch.setattr(verify, "reduce_to_fundamental_domain", inverted)
+
+
+def _rounded_proposal_edge(monkeypatch):
+    # the area estimate's proposal starts at y = 0.86, not sqrt(3)/2
+    monkeypatch.setattr(cocycle, "_SQRT3_HALF", 0.86)
+
+
+def _shifted_shadow(monkeypatch):
+    # every Monte-Carlo shadow moved right by 0.3
+    shadow = cocycle._shadow_batch
+
+    def shifted(*args):
+        zx, zy = shadow(*args)
+        return zx + 0.3, zy
+
+    monkeypatch.setattr(cocycle, "_shadow_batch", shifted)
+
+
+def _word_table_zero_at_identity(monkeypatch):
+    # the two-round word table reads 0 on the code of +-I, where the word
+    # symbol is 1
+    table = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 0.0])
+    monkeypatch.setitem(modular._TWO_ROUND_TABLES, modular.symbol_m_word, table)
+
+
+def _flipped_gx(name):
+    # the subject reads g_x with the wrong sign
+    def mutate(monkeypatch):
+        orig = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda c, *args: orig(ANCoords(-c.g_x, c.g_y), *args))
+
+    return mutate
+
+
+def _chart_height_inverted(monkeypatch):
+    # the chart X1 column 2 g_y dm/dg_y read with 1/g_y for g_y, which
+    # weighs the small heights of the circle up by g_y^-2
+    closed_form = decay._closed_form
+
+    def inverted(gx, gy):
+        m, dgx, dgy = closed_form(gx, gy)
+        return m, dgx, dgy / (gy * gy)
+
+    monkeypatch.setattr(decay, "_closed_form", inverted)
+
+
+def _untransported_x1(monkeypatch):
+    # the chart X1 column averaged without the residual rotation
+    monkeypatch.setattr(decay, "_x1_transport", lambda rho: (np.ones_like(rho), np.zeros_like(rho)))
+
+
+def _angles_in_v(monkeypatch):
+    # the transition table handing over its angles in the v of the circle
+    # averages (_circle_v_breakpoints), not in theta
+    table = decay.case_transition_thetas
+
+    def in_v(r):
+        thetas = table(r)
+        out = regions._TransitionAngles(regions._circle_v_breakpoints(thetas)[1:])
+        out.constant = thetas.constant
+        return out
+
+    monkeypatch.setattr(decay, "case_transition_thetas", in_v)
+
+
+def _negated_factor(monkeypatch):
+    factor = decay.case8_second_derivative_factor
+    monkeypatch.setattr(decay, "case8_second_derivative_factor", lambda gx: -factor(gx))
+
+
+# every check of every suite, in report order: its suite and a mutation of
+# its subject that it must report
+MUTATIONS = {
+    "cocycle_identity_exact": ("cocycle", _unsigned_beta),
+    "k_shift_sign_only": ("cocycle", _shadow_at_2i),
+    "tiling_roundtrip": ("cocycle", _inverse_gamma),
+    "measure_pi_over_3": ("cocycle", _rounded_proposal_edge),
+    "mc_matches_scalar_cocycle": ("cocycle", _shifted_shadow),
+    "case1_and_case7_exact": ("cases", _flipped_gx("m_hat_case")),
+    "case_vs_direct": ("cases", _flip_ellipse_sign),
+    "monotone_in_gx": ("cases", _flipped_gx("m_hat_direct")),
+    "identity_value": ("cases", _word_table_zero_at_identity),
+    "f1_small_r_bound": ("decay", _chart_height_inverted),
+    "f1_matches_m_tilde_difference": ("decay", _untransported_x1),
+    "weighted_rows_finite": ("decay", _chart_height_inverted),
+    "theta_limits": ("decay", _angles_in_v),
+    "divergence_probe_increasing": ("decay", _negated_factor),
+}
+
+
+@pytest.mark.parametrize("name", MUTATIONS)
+def test_every_check_fails_under_a_mutation(monkeypatch, name):
+    suite, mutate = MUTATIONS[name]
+    mutate(monkeypatch)
+    report = run_verify([suite], DEFAULT_SEED)
+    (check,) = [c for c in report["suites"][0]["checks"] if c["name"] == name]
+    assert check["passed"] is False and report["passed"] is False
