@@ -42,6 +42,9 @@ test "$first" = "$second"
 exits_2 decay --rmin 1e-300 --rmax 0.5 --steps 2
 # past the AN shapes of supported norms region names its DomainError
 exits_2 region -0.1 1e200 --samples 3
+# an infinite tolerance is an unbounded target, refused by name
+exits_2 symbol 2 --rel-tol inf
+exits_2 symbol 2 --abs-tol inf
 # symbol --mode mc shares the norm range [1e-38, 1e38] of every symbol mode:
 # it runs at norm 1e20, and past 1e38, float64's reach included, it names the
 # DomainError of that range

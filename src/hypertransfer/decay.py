@@ -4,10 +4,13 @@ multiplier estimate, and the second-order divergence probe.
 Conventions: m_tilde depends on the operator norm n only, so at diag(r, 1/r),
 r in (0, 1), its one non-zero first derivative is f1(r) = -d m_tilde / d log n,
 the Lie derivative along X1; along X2 and X3 it is 0 by bi-K invariance, and
-the table's f2 column is 0.0. f1 is the mean over the Cartan circle of norm
-r of lie_derivative_mtt, the AN-chart Lie derivative of m_hat along X1,
-transported by the residual rotation (_lie_average). Every entry point
-refuses r outside (0, 1) through _check_radius.
+the table's f2 column is 0.0. m_tilde at diag(r, 1/r) is the mean of m_hat
+over the Cartan circle there, so f1 = d m_tilde / d log r is the mean of the
+derivative in log r of m_hat(g_x(theta, r), g_y(theta, r)) at fixed theta,
+the chain rule through the circle coordinates (_lie_average): the
+transition angles move with r, but m_hat is continuous across them, so no
+boundary terms appear. Every entry point refuses r outside (0, 1) through
+_check_radius.
 
 The table is a first-order estimate and reports no error bar, so the circle
 integral behind f1 runs at the package's default target and no function here
@@ -28,6 +31,7 @@ from .errors import DomainError
 from .quadrature import integrate, segment_edges
 from .regions import (
     _circle_coords,
+    _circle_coords_dlogr,
     _circle_v_angles,
     _circle_v_breakpoints,
     _closed_form,
@@ -43,22 +47,10 @@ from .sl2 import ANCoords, _check_norm
 _HALF_PI = math.pi / 2.0
 
 
-def _x1_transport(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(a11, a12) of Ad(k_rho) X1 = a11 X1 + a12 X2 - sin(2 rho) X3, at an
-    array of angles; the X3 term adds nothing in the AN chart."""
-    s2, c2 = np.sin(2.0 * rho), np.cos(2.0 * rho)
-    return c2, 2.0 * s2
-
-
 def lie_derivative_mtt(c: ANCoords) -> float:
     """Right Lie derivative of the inner symbol along X1 = (1 0; 0 -1) in the
     AN chart, 2 g_y dm/dg_y."""
     return 2.0 * c.g_y * m_hat_dgy(c)
-
-
-def _residual_angle(r: float, theta: np.ndarray) -> np.ndarray:
-    # K-part angle of rotation(theta) @ diag(r, 1/r), at an array of angles
-    return np.arctan2(r * np.sin(theta), np.cos(theta) / r)
 
 
 def _check_radius(r: float) -> float:
@@ -74,12 +66,12 @@ def _check_radius(r: float) -> float:
 def _lie_average(r: float) -> float:
     """f1(r) = -d m_tilde / d log n at a checked r in (0, 1): (1/pi) times an
     integral over the Cartan circle in its v-parametrisation
-    (regions._circle_v_angles), split at regions._circle_v_breakpoints, of the
-    chart X1 column lie_derivative_mtt transported by the residual rotation:
-    Ad of that rotation carries X1 to a11 X1 + a12 X2 + a13 X3, and X3 adds
-    nothing in the chart. The integrand is not smooth at the breakpoints, so
-    each v-segment [a, b] between them is graded at both ends: v = a + (b - a)
-    sin^2(pi s/2), which is (1 - cos(pi s))/2, for s in [0, 1], with Jacobian
+    (regions._circle_v_angles), split at regions._circle_v_breakpoints, of
+    d m_hat / d log r at fixed theta: the closed-form partials dotted with the
+    log-r derivatives of the circle coordinates (regions._circle_coords_dlogr).
+    The integrand is not smooth at the breakpoints, so each v-segment [a, b]
+    between them is graded at both ends: v = a + (b - a) sin^2(pi s/2),
+    which is (1 - cos(pi s))/2, for s in [0, 1], with Jacobian
     (b - a)(pi/2) sin(pi s) vanishing at both ends (Sidi's sin^m
     transformation, per segment). Segment j occupies u in [j, j + 1], and one
     integration over u runs with the integers as breakpoints; each quadrature
@@ -103,10 +95,9 @@ def _lie_average(r: float) -> float:
         v = lo[j] + width[j] * np.sin(half_s) ** 2
         dv = width[j] * _HALF_PI * np.sin(2.0 * half_s)
         t, jac = _circle_v_angles(v)
-        gx, gy = _circle_coords(r, t)
+        gx, gy, gx_r, gy_r = _circle_coords_dlogr(r, t)
         _, dgx, dgy = _closed_form(gx, gy)
-        a11, a12 = _x1_transport(_residual_angle(r, t))
-        return (a11 * 2.0 * gy * dgy + a12 * gy * dgx) * (jac * dv)
+        return (gx_r * dgx + gy_r * dgy) * (jac * dv)
 
     val, _ = integrate(integrand, 0.0, float(segments), points=range(1, segments))
     return float(val) / math.pi

@@ -90,8 +90,8 @@ class QuadratureConfig:
     rel_tol: float = 1e-7
 
     def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise DomainError(f"tolerances must be positive: {self}")
+        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
+            raise DomainError(f"tolerances must be finite and positive: {self}")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()

@@ -456,6 +456,18 @@ def _circle_coords(r: float, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return (r4 - 1.0) * st * ct / den, r * r / den
 
 
+def _circle_coords_dlogr(r: float, theta: np.ndarray) -> tuple[np.ndarray, ...]:
+    """_circle_coords(r, theta) followed by the derivatives of g_x and g_y in
+    log r at fixed theta: with den = cos^2 + r^4 sin^2,
+    d g_x / d log r = 4 r^4 sin cos / den^2 and
+    d g_y / d log r = 2 g_y (cos^2 - r^4 sin^2) / den."""
+    r4 = r ** 4
+    st, ct = np.sin(theta), np.cos(theta)
+    den = ct * ct + r4 * st * st
+    gx, gy = (r4 - 1.0) * st * ct / den, r * r / den
+    return gx, gy, 4.0 * r4 * st * ct / (den * den), 2.0 * gy * (ct * ct - r4 * st * st) / den
+
+
 def m_hat_at_angle(
     r: float,
     theta: np.ndarray,

@@ -1,6 +1,6 @@
-"""Decay estimates: X1 transport, Lie derivatives of the region symbol
-and of m_tilde, the weighted first-order table, transition angles, and the
-second-order divergence probe."""
+"""Decay estimates: the log-r derivatives of the circle coordinates, Lie
+derivatives of the region symbol and of m_tilde, the weighted first-order
+table, transition angles, and the second-order divergence probe."""
 
 import bisect
 import math
@@ -14,7 +14,6 @@ import scipy.linalg
 from hypertransfer import decay, regions
 from hypertransfer.decay import (
     DecayRow,
-    _x1_transport,
     case8_second_derivative_factor,
     divergence_probe_onset,
     hm_table,
@@ -28,6 +27,7 @@ from hypertransfer.errors import DomainError
 from hypertransfer.regions import (
     boundary_values,
     _circle_coords,
+    _circle_coords_dlogr,
     case_transition_thetas,
     m_hat_case,
     m_tilde,
@@ -59,23 +59,21 @@ def log_norm_difference(r: float) -> float:
     return (m_tilde(cartan_a(r * math.exp(1e-4))) - m_tilde(cartan_a(r * math.exp(-1e-4)))) / 2e-4
 
 
-def test_adjoint_examples():
-    # Ad(k_rho) X1 = cos(2 rho) X1 + 2 sin(2 rho) X2 - sin(2 rho) X3
-    assert _x1_transport(0.0) == (1.0, 0.0)
-    a11, a12 = _x1_transport(math.pi / 4.0)
-    assert abs(a11) < 1e-15 and abs(a12 - 2.0) < 1e-15
-
-
-def test_adjoint_reconstruction():
-    # k X1 k^T = a11 X1 + a12 X2 + a13 X3 reads a11 off its (0, 0) entry and
-    # a12 off the sum of its off-diagonal ones, where the X3 terms cancel
+def test_circle_coords_log_r_derivatives():
+    # d g_x / d log r and d g_y / d log r against a central difference of
+    # _circle_coords in log r. A real step cannot resolve them: at small r
+    # d g_x / d log r is about r^4 g_x, far below the rounding of g_x. An
+    # imaginary step h (r e^{+-ih}) takes the same central difference with
+    # no cancellation, to O(h^2)
     rng = np.random.default_rng(17)
-    rho = rng.uniform(-2 * math.pi, 2 * math.pi, 100)
-    a11, a12 = _x1_transport(rho)
-    for th, b11, b12 in zip(rho, a11, a12):
-        k = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-        m = k @ GENERATORS["X1"] @ k.T
-        assert abs(b11 - m[0, 0]) < 1e-12 and abs(b12 - (m[0, 1] + m[1, 0])) < 1e-12
+    theta = rng.uniform(-math.pi / 2.0, math.pi / 2.0, 2000)
+    radii = np.exp(rng.uniform(math.log(1e-6), math.log(0.999), 2000))
+    h = 1e-6
+    _, _, gx_r, gy_r = _circle_coords_dlogr(radii, theta)
+    up, down = (_circle_coords(radii * np.exp(s * h), theta) for s in (1j, -1j))
+    for got, hi, lo in zip((gx_r, gy_r), up, down):
+        want = ((hi - lo) / (2j * h)).real
+        assert np.all(np.abs(got - want) <= 1e-6 * np.abs(want))
 
 
 def test_lie_exponential_closed_forms():
@@ -145,8 +143,8 @@ def test_f1_is_the_log_norm_derivative_of_m_tilde():
 
 
 def test_interchange_against_finite_difference():
-    # the transported integrand is what a finite difference of the average
-    # sees; X1 at r = 0.2 frozen after the two routes agreed to 4e-9
+    # the log-r integrand is what a finite difference of the average sees;
+    # X1 at r = 0.2 frozen after the two routes agreed to 4e-9
     f1 = lie_derivative_mtilde(0.2)
     fd = lie_derivative_mtilde_fd(cartan_a(0.2), "X1")
     assert abs(f1 - 0.003912252) < 1e-7
@@ -220,12 +218,12 @@ def test_decay_rejects_radii_past_the_norm_range():
 
 
 def test_decay_table_shares_closed_form_nodes(monkeypatch):
-    # f1 of a row comes from one integration of the transported X1 column,
-    # with every segment graded at both ends, the arcs where m_hat is
+    # f1 of a row comes from one integration of d m_hat / d log r, with
+    # every segment graded at both ends, the arcs where m_hat is
     # constant left out and no split at a touch: the default table evaluates
-    # the closed form at 2 730 points in 25 calls (3 276 with the transported
-    # X2 column integrated on shared nodes as well, 3 150 for the chart
-    # columns the table reported before)
+    # the closed form at 2 730 points in 25 calls (3 276 with an X2 column
+    # integrated on shared nodes as well, 3 150 for the chart columns the
+    # table reported before)
     sizes = []
     closed_form = decay._closed_form
 
@@ -242,11 +240,12 @@ def _tanh_sinh_circle_average(r: float, touches: list[float], h: float = 1.0 / 6
     """f1 at r by a tanh-sinh rule in theta on each arc between the
     transition angles, the touches of the ellipse's extent end with the
     circle (which the table leaves out) and theta = 0, applied to the
-    closed-form partials, X1 transported by the residual rotation in its own
-    closed form: no quadrature.integrate, no v-parametrisation, no grading,
-    no _x1_transport and no arc left out. The rule's double-exponential
-    thinning at both ends of an arc absorbs the log|g_x| terms at theta = 0
-    and +-pi/2 and the kinks at the transition angles."""
+    closed-form partials, X1 transported by the residual rotation of the
+    Iwasawa decomposition, not the log-r derivatives of the circle
+    coordinates the table takes: no quadrature.integrate, no
+    v-parametrisation, no grading and no arc left out. The rule's
+    double-exponential thinning at both ends of an arc absorbs the log|g_x|
+    terms at theta = 0 and +-pi/2 and the kinks at the transition angles."""
     t = np.arange(-3.5, 3.5 + 0.5 * h, h)
     u = 0.5 * math.pi * np.sinh(t)
     gap = 1.0 / (np.exp(np.abs(u)) * np.cosh(u))  # 1 - |tanh u|, free of cancellation
@@ -437,14 +436,13 @@ def test_numpy_scalar_radius_gives_the_float_result():
 
 def test_lie_derivative_across_the_untracked_bump():
     # at r = 0.578... the chart X1 integrand rises from 0 to 8.5e-3 and back
-    # (the transported one from 0 to 1.1e-2, ending at 3.2e-3) between
+    # (the log-r one from 0 to 1.1e-2, ending at 3.2e-3) between
     # theta = 1.0443925210 (a b6 root: the line's ellipse crossing enters at
     # x = 1/2) and 1.0460827222 (the line, the circle and the ellipse meet
     # in one point); a theta rule with no node in the bump was 2.3e-6 off
     # while the right end was no transition angle. Both ends are transition
-    # angles now, and the reference is theta quadrature at 1e-13 of the X1
-    # column transported by the residual rotation, split at every transition
-    # angle
+    # angles now, and the reference is theta quadrature at 1e-13 of
+    # d m_hat / d log r, split at every transition angle
     r = 0.5780934891480582
     ts = case_transition_thetas(r)
     for end in (1.0443925210, 1.0460827222):

@@ -71,9 +71,12 @@ def test_accuracy_error_carries_achieved():
 def test_config_validation():
     assert DEFAULT_QUADRATURE.abs_tol == 1e-8
     assert DEFAULT_QUADRATURE.rel_tol == 1e-7
-    for bad in (dict(abs_tol=0.0), dict(rel_tol=-1e-9)):
-        with pytest.raises(DomainError):
-            QuadratureConfig(**bad)
+    # an infinite or NaN tolerance was taken, and symbol printed a value
+    # against an unbounded target
+    for bad in (0.0, -1e-9, math.inf, math.nan):
+        for name in ("abs_tol", "rel_tol"):
+            with pytest.raises(DomainError, match="finite and positive"):
+                QuadratureConfig(**{name: bad})
 
 
 def _unbroken_family():

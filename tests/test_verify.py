@@ -146,8 +146,8 @@ def _flipped_gx(name):
 
 
 def _chart_height_inverted(monkeypatch):
-    # the chart X1 column 2 g_y dm/dg_y read with 1/g_y for g_y, which
-    # weighs the small heights of the circle up by g_y^-2
+    # d g_y / d log r read with 1/g_y for g_y, which weighs the small heights
+    # of the circle up by g_y^-2
     closed_form = decay._closed_form
 
     def inverted(gx, gy):
@@ -157,9 +157,24 @@ def _chart_height_inverted(monkeypatch):
     monkeypatch.setattr(decay, "_closed_form", inverted)
 
 
-def _untransported_x1(monkeypatch):
-    # the chart X1 column averaged without the residual rotation
-    monkeypatch.setattr(decay, "_x1_transport", lambda rho: (np.ones_like(rho), np.zeros_like(rho)))
+def _log_r_derivatives(gx_scale, gy_scale):
+    # the circle coordinates' derivatives in log r scaled by the given factors
+    def mutate(monkeypatch):
+        coords = decay._circle_coords_dlogr
+
+        def scaled(r, theta):
+            gx, gy, gx_r, gy_r = coords(r, theta)
+            return gx, gy, gx_scale * gx_r, gy_scale * gy_r
+
+        monkeypatch.setattr(decay, "_circle_coords_dlogr", scaled)
+
+    return mutate
+
+
+def _v_jacobian_dropped(monkeypatch):
+    # the circle average taken in v without the Jacobian d theta / d v
+    v_angles = decay._circle_v_angles
+    monkeypatch.setattr(decay, "_circle_v_angles", lambda v: (v_angles(v)[0], 1.0))
 
 
 def _angles_in_v(monkeypatch):
@@ -193,9 +208,7 @@ MUTATIONS = {
     "case_vs_direct": ("cases", _flip_ellipse_sign),
     "monotone_in_gx": ("cases", _flipped_gx("m_hat_direct")),
     "identity_value": ("cases", _word_table_zero_at_identity),
-    "f1_small_r_bound": ("decay", _chart_height_inverted),
-    "f1_matches_m_tilde_difference": ("decay", _untransported_x1),
-    "weighted_rows_finite": ("decay", _chart_height_inverted),
+    "f1_matches_m_tilde_difference": ("decay", _log_r_derivatives(0.0, 1.0)),
     "theta_limits": ("decay", _angles_in_v),
     "divergence_probe_increasing": ("decay", _negated_factor),
 }
@@ -208,3 +221,22 @@ def test_every_check_fails_under_a_mutation(monkeypatch, name):
     report = run_verify([suite], DEFAULT_SEED)
     (check,) = [c for c in report["suites"][0]["checks"] if c["name"] == name]
     assert check["passed"] is False and report["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _chart_height_inverted,
+        _log_r_derivatives(0.0, 1.0),
+        _log_r_derivatives(-1.0, 1.0),
+        _log_r_derivatives(1.0, 0.5),
+        _v_jacobian_dropped,
+    ],
+    ids=["height_inverted", "gx_term_dropped", "gx_sign_flipped", "gy_half", "v_jacobian_dropped"],
+)
+def test_f1_check_catches_every_integrand_mutation(monkeypatch, mutate):
+    # the one f1 check of the decay suite holds each factor of the table's
+    # integrand, not only the one the mutation table above names
+    mutate(monkeypatch)
+    checks = {c["name"]: c["passed"] for c in verify.suite_decay()["checks"]}
+    assert checks["f1_matches_m_tilde_difference"] is False
