@@ -5,17 +5,17 @@ domain samples come from _domain_xy.
 
 A domain point is s0 * rotation(theta0) with pi(s0) in the fundamental domain
 and theta0 in [0, pi). For a group element g, the unique lattice matrix beta
-with beta^{-1} s0 k0 g back in the domain is computed by reducing the
-half-plane shadow and then fixing the sign so the residual rotation angle
-lands in [0, pi); cocycle_beta is the one function that forms it, to norm
-BETA_MAX_NORM. The Monte-Carlo average takes the norm range of every route
-to m_tilde and draws its samples block by block, from three streams placed
-at draws 0, n and 2n (_streams). It averages only the word and sign symbols:
-the word symbol reads only the first letter of beta, up to sign, and the sign
-symbol only the sign of Re beta(i), so the average reads both off the first
-two rounds of the reduction of each sample's shadow, which it forms in Mobius
-form, s0(k0(g(i))) = x + y k0(g(i)), from one tangent of theta0 per sample,
-and forms no beta.
+with beta^{-1} h back in the domain, h = s0 k0 g, is gamma, the reduction of
+h(i), with the sign that brings the angle of the bottom row of gamma^-1 h
+into [0, pi); cocycle_beta is the one function that forms it, to its
+accuracy bound BETA_MAX_NORM. The Monte-Carlo average takes the norm range
+of every route to m_tilde and draws its samples block by block, from three
+streams placed at draws 0, n and 2n (_streams). It averages only the word
+and sign symbols: the word symbol reads only the first letter of beta, up to
+sign, and the sign symbol only the sign of Re beta(i), so the average reads
+both off the first two rounds of the reduction of each sample's shadow,
+which it forms in Mobius form, s0(k0(g(i))) = x + y k0(g(i)), from one
+tangent of theta0 per sample, and forms no beta.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .sl2 import (
     an_coords,
     an_matrix,
     halfplane_image,
-    iwasawa_decompose,
     operator_norm,
     rotation,
 )
@@ -55,11 +54,11 @@ _SQRT3_HALF = math.sqrt(3.0) / 2.0
 # any block size; a 200 000-sample call peaks at 3.2 MB of numpy memory
 # (9.2 MB with the samples drawn whole, 17 MB in one block).
 _MC_BLOCK = 16_384
-# the largest operator norm of g that cocycle_beta accepts. It is no accuracy
-# bound: from about norm 1e6 on a shadow can lie below height 1e-12, where the
-# float64 rounding of its real part decides the lattice element, and from about
-# norm 1e8 some products raise RealMat2's DomainError for a lost determinant.
-BETA_MAX_NORM = 1e15
+# the largest operator norm of g that cocycle_beta accepts, an accuracy bound:
+# past it a shadow can lie below height 1e-12, where the float64 rounding of
+# its real part decides the lattice element (1 beta in 40 at norm 1e7 differs
+# from a 40-digit reduction, none of 1200 at this bound).
+BETA_MAX_NORM = 3e5
 
 
 @dataclass(frozen=True)
@@ -90,24 +89,24 @@ def domain_point(x: float, y: float, theta: float) -> DomainPoint:
 def cocycle_beta(p: DomainPoint, g: RealMat2) -> CocycleResult:
     """The unique lattice element beta with beta^{-1} (s0 k0 g) back in the
     domain; beta keeps its genuine sign (the sign selects the [0, pi) angle).
-    Operator norms of g past BETA_MAX_NORM are refused with a DomainError.
+    Operator norms of g past BETA_MAX_NORM, where float64 rounding starts to
+    decide beta, are refused with a DomainError.
     """
     if operator_norm(g) > BETA_MAX_NORM:
         raise DomainError(
             f"cocycle_beta refuses operator norm {operator_norm(g):.3g}: "
-            f"it forms beta in float64 only up to norm {BETA_MAX_NORM:g}"
+            f"past norm {BETA_MAX_NORM:g} float64 rounding can decide beta"
         )
     h = p.s0 @ rotation(p.k0_angle) @ g
     red = reduce_to_fundamental_domain(halfplane_image(h))
     gam = red.gamma
-    w = gam.inv().to_real() @ h
-    parts = iwasawa_decompose(w)
-    if parts.theta < math.pi:
-        beta, theta_new = gam, parts.theta
-    else:
-        beta, theta_new = gam.neg(), parts.theta - math.pi
-    moved = domain_point(red.z0.x, red.z0.y, theta_new)
-    return CocycleResult(beta=beta, moved=moved)
+    a, _, c, _ = gam.entries()
+    # the residual rotation angle in [0, 2 pi), off the bottom row of
+    # gamma^-1 h = (d -b; -c a) h; the sign of beta brings it into [0, pi)
+    theta = math.atan2(-c * h.a + a * h.c, -c * h.b + a * h.d) % (2.0 * math.pi)
+    if theta < math.pi:
+        return CocycleResult(gam, domain_point(red.z0.x, red.z0.y, theta))
+    return CocycleResult(gam.neg(), domain_point(red.z0.x, red.z0.y, theta - math.pi))
 
 
 def _check_seed(seed: int) -> int:

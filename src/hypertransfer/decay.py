@@ -7,10 +7,10 @@ the Lie derivative along X1; along X2 and X3 it is 0 by bi-K invariance, and
 the table's f2 column is 0.0. m_tilde at diag(r, 1/r) is the mean of m_hat
 over the Cartan circle there, so f1 = d m_tilde / d log r is the mean of the
 derivative in log r of m_hat(g_x(theta, r), g_y(theta, r)) at fixed theta,
-the chain rule through the circle coordinates (_lie_average): the
-transition angles move with r, but m_hat is continuous across them, so no
-boundary terms appear. Every entry point refuses r outside (0, 1) through
-_check_radius.
+the chain rule through the circle coordinates (_lie_average), split at
+m_tilde's v-segment ends: the transition angles move with r, but m_hat is
+continuous across them, so no boundary terms appear. Every entry point
+refuses r outside (0, 1) through _check_radius.
 
 The table is a first-order estimate and reports no error bar, so the circle
 integral behind f1 runs at the package's default target and no function here
@@ -28,12 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import integrate, segment_edges
+from .quadrature import integrate
 from .regions import (
     _circle_coords,
-    _circle_coords_dlogr,
     _circle_v_angles,
-    _circle_v_breakpoints,
+    _circle_v_edges,
     _closed_form,
     _tan_roots,
     _transition_quadratics,
@@ -66,11 +65,12 @@ def _check_radius(r: float) -> float:
 def _lie_average(r: float) -> float:
     """f1(r) = -d m_tilde / d log n at a checked r in (0, 1): (1/pi) times an
     integral over the Cartan circle in its v-parametrisation
-    (regions._circle_v_angles), split at regions._circle_v_breakpoints, of
-    d m_hat / d log r at fixed theta: the closed-form partials dotted with the
-    log-r derivatives of the circle coordinates (regions._circle_coords_dlogr).
-    The integrand is not smooth at the breakpoints, so each v-segment [a, b]
-    between them is graded at both ends: v = a + (b - a) sin^2(pi s/2),
+    (regions._circle_v_angles), over the v-segments between
+    regions._circle_v_edges, of d m_hat / d log r at fixed theta: the
+    closed-form partials dotted with the log-r derivatives of the circle
+    coordinates, which regions._circle_coords returns with the point.
+    The integrand is not smooth at the segment ends, so each v-segment [a, b]
+    is graded at both ends: v = a + (b - a) sin^2(pi s/2),
     which is (1 - cos(pi s))/2, for s in [0, 1], with Jacobian
     (b - a)(pi/2) sin(pi s) vanishing at both ends (Sidi's sin^m
     transformation, per segment). Segment j occupies u in [j, j + 1], and one
@@ -78,9 +78,9 @@ def _lie_average(r: float) -> float:
     round evaluates the closed-form partials at all its nodes in one batch.
     The arcs where m_hat is constant (the .constant of case_transition_thetas)
     have zero partials and are left out; each segment is one arc (up to the
-    slivers under 1e-13 that segment_edges merges), the arc at its midpoint."""
+    slivers under 1e-13 that the edges merge), the arc at its midpoint."""
     thetas = case_transition_thetas(r)
-    ends = segment_edges(-_HALF_PI, _HALF_PI, _circle_v_breakpoints(thetas))
+    ends = _circle_v_edges(thetas)
     mid, _ = _circle_v_angles(0.5 * (ends[:-1] + ends[1:]))
     constant = np.array(thetas.constant, dtype=float)[np.searchsorted(thetas, mid)]
     varies = np.isnan(constant)
@@ -95,7 +95,7 @@ def _lie_average(r: float) -> float:
         v = lo[j] + width[j] * np.sin(half_s) ** 2
         dv = width[j] * _HALF_PI * np.sin(2.0 * half_s)
         t, jac = _circle_v_angles(v)
-        gx, gy, gx_r, gy_r = _circle_coords_dlogr(r, t)
+        gx, gy, gx_r, gy_r = _circle_coords(r, t)
         _, dgx, dgy = _closed_form(gx, gy)
         return (gx_r * dgx + gy_r * dgy) * (jac * dv)
 
@@ -223,7 +223,7 @@ def second_order_divergence_probe(
     pref = 3.0 / math.pi
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        gx, gy = _circle_coords(r, t)
+        gx, gy, _, _ = _circle_coords(r, t)
         return gy * gy * pref * case8_second_derivative_factor(gx)
 
     # integrate the increments between consecutive upper limits, then

@@ -121,13 +121,16 @@ def _gauss_kronrod(
         return resk * half, err
 
 
-def segment_edges(a: float, b: float, points: Sequence[float] | None = None) -> np.ndarray:
-    """Ascending segment ends from min(a, b) to max(a, b), split at points:
-    sorted, kept only strictly inside (a, b), and a point within 1e-13 of
-    the last one kept is dropped (the first is kept however near a)."""
+def segment_edges(
+    a: float, b: float, points: Sequence[float] | np.ndarray | None = None
+) -> np.ndarray:
+    """Ascending segment ends from min(a, b) to max(a, b), split at points
+    (any sequence or 1-D array, or None): sorted, kept only strictly inside
+    (a, b), and a point within 1e-13 of the last one kept is dropped (the
+    first is kept however near a)."""
     lo, hi = min(a, b), max(a, b)
     edges = [lo]
-    for p in sorted(p for p in points or () if lo < p < hi):
+    for p in sorted(p for p in (() if points is None else points) if lo < p < hi):
         if len(edges) == 1 or p - edges[-1] > 1e-13:
             edges.append(p)
     return np.array(edges + [hi])
@@ -138,7 +141,7 @@ def integrate(
     a: float,
     b: float,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    points: Sequence[float] | None = None,
+    points: Sequence[float] | np.ndarray | None = None,
 ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Integral of f over [a, b] and the achieved error estimate.
 

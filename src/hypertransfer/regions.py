@@ -16,8 +16,11 @@ checks the antiderivatives. Monte-Carlo membership, which shares nothing with
 the section model, lives in the tests. The partials have no direct route
 here. The scalar entry points accept the AN shapes of operator norms up to
 MAX_NORM (_check_shape). The K-average m_tilde is the mean of m_hat over the
-Cartan circle, integrated in the one parametrisation of the circle that
-decay's averages share too (_circle_v_angles)."""
+Cartan circle, and decay's f1 is the same mean of d m_hat / d log r. Each
+thing the two averages share has one function: _circle_coords gives the
+circle's points with their log-r derivatives, _circle_v_angles the one
+parametrisation they integrate in, and _circle_v_edges the v-segment ends
+they split at."""
 
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate
+from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate, segment_edges
 from .sl2 import MAX_NORM, ANCoords, RealMat2, _check_norm, operator_norm
 
 SQRT3 = math.sqrt(3.0)
@@ -447,20 +450,11 @@ def m_hat_direct(c: ANCoords, q: QuadratureConfig = DEFAULT_QUADRATURE) -> float
 # K-averaged symbol
 
 
-def _circle_coords(r: float, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _circle_coords(r: float, theta: np.ndarray) -> tuple[np.ndarray, ...]:
     """(g_x, g_y) arrays of the Iwasawa AN part of rotation(theta) @ diag(r, 1/r)
-    at an array of angles."""
-    r4 = r ** 4
-    st, ct = np.sin(theta), np.cos(theta)
-    den = ct * ct + r4 * st * st
-    return (r4 - 1.0) * st * ct / den, r * r / den
-
-
-def _circle_coords_dlogr(r: float, theta: np.ndarray) -> tuple[np.ndarray, ...]:
-    """_circle_coords(r, theta) followed by the derivatives of g_x and g_y in
-    log r at fixed theta: with den = cos^2 + r^4 sin^2,
-    d g_x / d log r = 4 r^4 sin cos / den^2 and
-    d g_y / d log r = 2 g_y (cos^2 - r^4 sin^2) / den."""
+    at an array of angles, followed by their derivatives in log r at fixed
+    theta: with den = cos^2 + r^4 sin^2, d g_x / d log r = 4 r^4 sin cos / den^2
+    and d g_y / d log r = 2 g_y (cos^2 - r^4 sin^2) / den."""
     r4 = r ** 4
     st, ct = np.sin(theta), np.cos(theta)
     den = ct * ct + r4 * st * st
@@ -476,7 +470,7 @@ def m_hat_at_angle(
 ) -> np.ndarray:
     """m_hat along the Cartan circle at an array of angles: the closed form in
     one batch, or with force_direct m_hat_direct at each angle."""
-    gx, gy = _circle_coords(r, theta)
+    gx, gy, _, _ = _circle_coords(r, theta)
     if force_direct:
         return np.array([m_hat_direct(ANCoords(x, y), q) for x, y in zip(gx, gy)])
     return _clamp_unit(_closed_form(gx, gy)[0])
@@ -658,7 +652,7 @@ def case_transition_thetas(r: float) -> _TransitionAngles:
     cands.update(t for t in _meeting_thetas(r) if abs(t) < _HALF_PI - 1e-12)
     cands = sorted(cands)
     edges = np.array([-_HALF_PI, *cands, _HALF_PI])
-    gx, gy = _circle_coords(r, 0.5 * (edges[:-1] + edges[1:]))
+    gx, gy, _, _ = _circle_coords(r, 0.5 * (edges[:-1] + edges[1:]))
     _, live, (circle, lower, upper, line) = _section_segments(gx, gy)
     codes = zip((circle + 2 * lower + 4 * upper + 8 * line).tolist(), live.tolist())
     seqs = [[k for k, _ in itertools.groupby(itertools.compress(*row))] for row in codes]
@@ -685,12 +679,13 @@ def _circle_v_angles(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _HALF_PI * sv * np.abs(sv), math.pi * np.abs(sv) * np.cos(v)
 
 
-def _circle_v_breakpoints(thetas: _TransitionAngles) -> list[float]:
-    """Breakpoints in v of every circle average (see _circle_v_angles): v = 0,
-    the kink of the Jacobian, and the v of each case_transition_thetas angle.
-    quadrature.segment_edges sorts and filters them: b3's -0.0 repeats the
-    kink."""
-    return [0.0, *(math.copysign(math.asin(math.sqrt(abs(t) / _HALF_PI)), t) for t in thetas)]
+def _circle_v_edges(thetas: _TransitionAngles) -> np.ndarray:
+    """The ascending ends, from -pi/2 to pi/2, of the v-segments every circle
+    average splits at (see _circle_v_angles): segment_edges of v = 0, the
+    kink of the Jacobian, and the v of each case_transition_thetas angle
+    (b3's -0.0 repeats the kink)."""
+    vs = (math.copysign(math.asin(math.sqrt(abs(t) / _HALF_PI)), t) for t in thetas)
+    return segment_edges(-_HALF_PI, _HALF_PI, [0.0, *vs])
 
 
 # (g_x^2 + g_y^2 + 1)/g_y = N^2 + N^-2 at N = MAX_NORM, with room for the
@@ -726,7 +721,7 @@ def m_tilde_full(
     which is pi: a constant averages to itself exactly. Both integrals keep
     the scale of a theta integral, so q's tolerances mean what they would
     there. The error is the first integral's over the second's value. The
-    integrals split at _circle_v_breakpoints."""
+    integrals split at _circle_v_edges."""
     r = operator_norm(g)
     _check_norm(r)
 
@@ -734,8 +729,8 @@ def m_tilde_full(
         theta, jac = _circle_v_angles(v)
         return np.stack((m_hat_at_angle(r, theta, q, force_direct) * jac, jac))
 
-    pts = _circle_v_breakpoints(case_transition_thetas(r))
-    val, err = integrate(integrand, -_HALF_PI, _HALF_PI, q, points=pts)
+    edges = _circle_v_edges(case_transition_thetas(r))
+    val, err = integrate(integrand, -_HALF_PI, _HALF_PI, q, points=edges)
     return float(_clamp_unit(val[0] / val[1])), float(err[0] / val[1])
 
 

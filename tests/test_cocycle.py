@@ -11,6 +11,7 @@ import pytest
 
 from hypertransfer import cocycle
 from hypertransfer.cocycle import (
+    BETA_MAX_NORM,
     CocycleResult,
     DomainPoint,
     _domain_xy,
@@ -29,7 +30,9 @@ from hypertransfer.errors import DomainError
 from hypertransfer.modular import (
     _TWO_ROUND_TABLES,
     I2,
+    IntMat2,
     S_MAT,
+    _inverts,
     _two_round_codes,
     reduce_to_fundamental_domain,
     symbol_m_sign,
@@ -698,19 +701,67 @@ def test_mc_reduction_range_is_named():
             assert -1.0 <= est <= 1.0
 
 
-def test_scalar_cocycle_names_the_lost_determinant():
-    # at norm 1e9 the scalar route's products of factors with entries of
-    # about 1e9 round the determinant 1 to values such as -0.98 and -9.27, on
-    # 25 of these 50 samples
-    failures = 0
+def test_scalar_cocycle_refuses_the_norms_that_lose_determinants():
+    # at norm 1e9 the products of factors with entries of about 1e9 round the
+    # determinant 1 to values such as -0.98 and -9.27 on half of these
+    # samples (tests/test_sl2.py names that loss); the norm bound refuses
+    # every sample first, by name
     for p in sample_domain(1, 50):
-        try:
+        with pytest.raises(DomainError, match=r"refuses operator norm 1e\+09: past norm 300000"):
             cocycle_beta(p, cartan_a(1e9))
-        except DomainError as exc:
-            failures += 1
-            assert "lost to float64 rounding" in str(exc)
-            assert re.search(r"entries up to [\d.]+e\+0[89]$", str(exc)), str(exc)
-    assert failures > 10
+
+
+def mp_beta(p: DomainPoint, g: RealMat2) -> IntMat2:
+    """Reference for cocycle_beta in 40-digit mpmath: h = s0 k0 g from the
+    entries of s0 and g and the angle of k0, its shadow h(i) reduced with the
+    reduction's translation and boundary rule (modular._inverts), and the
+    sign of beta from the angle of the bottom row of gamma^-1 h."""
+    with mpmath.workdps(40):
+        ct, st = mpmath.cos(p.k0_angle), mpmath.sin(p.k0_angle)
+        s11, s12, s21, s22 = map(mpmath.mpf, p.s0.entries())
+        ga, gb, gc, gd = map(mpmath.mpf, g.entries())
+        k11, k12 = ct * ga - st * gc, ct * gb - st * gd
+        k21, k22 = st * ga + ct * gc, st * gb + ct * gd
+        h11, h12 = s11 * k11 + s12 * k21, s11 * k12 + s12 * k22
+        h21, h22 = s21 * k11 + s22 * k21, s21 * k12 + s22 * k22
+        z = (h11 * mpmath.j + h12) / (h21 * mpmath.j + h22)
+        x, y = z.real, z.imag
+        a, b, c, d = 1, 0, 0, 1
+        while True:
+            n = int(mpmath.floor(x + 0.5))
+            x, b, d = x - n, a * n + b, c * n + d
+            rr = x * x + y * y
+            if not _inverts(x, rr):
+                break
+            x, y = -x / rr, y / rr
+            a, b, c, d = -b, a, -d, c
+        gamma = IntMat2(a, b, c, d).canonical_sign()
+        a, _, c, _ = gamma.entries()
+        angle = mpmath.atan2(-c * h11 + a * h21, -c * h12 + a * h22)
+        return gamma if 0 <= angle < mpmath.pi else gamma.neg()
+
+
+def test_cocycle_beta_is_exact_to_its_norm_bound():
+    # 1200 samples just inside BETA_MAX_NORM, diagonal and rotated, against
+    # the 40-digit reference: none may differ. At norm 1e7 about 1 in 40
+    # does, so a bound raised that far fails here. (A rotated product's norm
+    # is known to about 1e-6 here: its renormalization divides by a
+    # determinant formed from entries of 1e5.) Just past the bound, the
+    # refusal names it
+    n = 0.999 * BETA_MAX_NORM
+    elements = [
+        cartan_a(n),
+        cartan_a(1.0 / n),
+        rotation(0.9) @ cartan_a(n) @ rotation(2.1),
+        rotation(2.5) @ cartan_a(n) @ rotation(0.4),
+    ]
+    for k, g in enumerate(elements):
+        for p in sample_domain(50 + k, 300):
+            assert cocycle_beta(p, g).beta == mp_beta(p, g), (g, p)
+    p = sample_domain(1, 1)[0]
+    for g in (cartan_a(1.001 * BETA_MAX_NORM), rotation(0.9) @ cartan_a(1.001 * BETA_MAX_NORM)):
+        with pytest.raises(DomainError, match="cocycle_beta refuses operator norm"):
+            cocycle_beta(p, g)
 
 
 def test_generic_symbols_are_refused_before_any_draw(monkeypatch):

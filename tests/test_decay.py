@@ -27,7 +27,6 @@ from hypertransfer.errors import DomainError
 from hypertransfer.regions import (
     boundary_values,
     _circle_coords,
-    _circle_coords_dlogr,
     case_transition_thetas,
     m_hat_case,
     m_tilde,
@@ -69,8 +68,8 @@ def test_circle_coords_log_r_derivatives():
     theta = rng.uniform(-math.pi / 2.0, math.pi / 2.0, 2000)
     radii = np.exp(rng.uniform(math.log(1e-6), math.log(0.999), 2000))
     h = 1e-6
-    _, _, gx_r, gy_r = _circle_coords_dlogr(radii, theta)
-    up, down = (_circle_coords(radii * np.exp(s * h), theta) for s in (1j, -1j))
+    _, _, gx_r, gy_r = _circle_coords(radii, theta)
+    up, down = (_circle_coords(radii * np.exp(s * h), theta)[:2] for s in (1j, -1j))
     for got, hi, lo in zip((gx_r, gy_r), up, down):
         want = ((hi - lo) / (2j * h)).real
         assert np.all(np.abs(got - want) <= 1e-6 * np.abs(want))
@@ -255,7 +254,7 @@ def _tanh_sinh_circle_average(r: float, touches: list[float], h: float = 1.0 / 6
     for a, b in zip(ends, ends[1:]):
         half = 0.5 * (b - a)
         theta = np.where(t < 0.0, a + half * gap, b - half * gap)
-        gx, gy = regions._circle_coords(r, theta)
+        gx, gy, _, _ = regions._circle_coords(r, theta)
         _, dgx, dgy = regions._closed_form(gx, gy)
         # Ad(k_rho) X1 = cos(2 rho) X1 + 2 sin(2 rho) X2 - sin(2 rho) X3
         rho2 = 2.0 * np.arctan2(r * np.sin(theta), np.cos(theta) / r)
@@ -318,10 +317,10 @@ def test_theta_boundaries_closed_forms():
         tb = theta_boundaries(r)
         assert tb.theta2 == -math.pi / 6.0
         # theta8 re-enters the narrow window: g_x crosses -2/sqrt(3)
-        gx8, _ = _circle_coords(r, tb.theta8)
+        gx8, _, _, _ = _circle_coords(r, tb.theta8)
         assert abs(gx8 + 2.0 / SQRT3) < 1e-10
         # theta7 hits the m_hat = 0 cutoff of the small-g_y regime
-        gx7, gy7 = _circle_coords(r, tb.theta7)
+        gx7, gy7, _, _ = _circle_coords(r, tb.theta7)
         assert abs(gx7 - boundary_values(float(gy7)).b7) < 1e-10
     tb = theta_boundaries(1e-3)
     assert abs(tb.theta7 - math.pi / 6.0) < 1e-6

@@ -51,6 +51,22 @@ def test_breakpoints_deduped_and_clipped():
     assert segment_edges(0.0, 1.0, None).tolist() == [0.0, 1.0]
 
 
+def test_breakpoints_take_any_sequence_or_array():
+    # lists, tuples, ranges and 1-D arrays, empty ones included, split alike
+    splits = {
+        (0.25, 0.5): ([0.25, 0.5], (0.25, 0.5), np.array([0.25, 0.5])),
+        (0.5,): ([0.5], (0.5,), np.array([0.5])),
+        (): ([], (), range(0), np.array([]), None),
+    }
+    for want, forms in splits.items():
+        ref = integrate(np.sin, 0.0, 1.0, points=list(want))
+        for pts in forms:
+            assert segment_edges(0.0, 1.0, pts).tolist() == [0.0, *want, 1.0], pts
+            assert integrate(np.sin, 0.0, 1.0, points=pts) == ref, pts
+    for pts in (range(1, 3), [1, 2], np.arange(1, 3)):
+        assert segment_edges(0.0, 3.0, pts).tolist() == [0.0, 1.0, 2.0, 3.0], pts
+
+
 def test_reversed_limits():
     v, _ = integrate(lambda x: x, 1.0, 0.0, points=[0.5])
     assert abs(v + 0.5) <= 1e-12

@@ -18,7 +18,7 @@ from hypertransfer import decay
 from hypertransfer.cocycle import _domain_xy, _mean_se, _rng
 from hypertransfer.decay import theta_boundaries
 from hypertransfer.errors import AccuracyError, DomainError
-from hypertransfer.quadrature import DEFAULT_QUADRATURE, QuadratureConfig, segment_edges
+from hypertransfer.quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 from hypertransfer.regions import (
     CaseRegime,
     _circle_coords,
@@ -539,11 +539,11 @@ def test_iwasawa_image_coords_examples():
     # _circle_coords gives the AN coordinates of the Iwasawa AN part of
     # rotation(theta) @ diag(r, 1/r)
     for th in (0.0, 0.4, 1.2, -2.0):
-        gx, gy = _circle_coords(1.0, th)
+        gx, gy, _, _ = _circle_coords(1.0, th)
         assert abs(gx) < 1e-15 and abs(gy - 1.0) < 1e-15
-    gx, gy = _circle_coords(0.7, 0.0)
+    gx, gy, _, _ = _circle_coords(0.7, 0.0)
     assert gx == 0.0 and abs(gy - 0.49) < 1e-15
-    gx, gy = _circle_coords(0.7, math.pi / 2.0)
+    gx, gy, _, _ = _circle_coords(0.7, math.pi / 2.0)
     assert abs(gx) < 1e-12 and abs(gy - 1.0 / 0.49) < 1e-12
     # g_y stays positive at both ends of the norm range; past them the
     # callers' _check_norm refuses (test_case_transitions_refuse_radii_past_the_norm_range)
@@ -556,7 +556,7 @@ def test_iwasawa_image_coords_vs_decomposition():
     for _ in range(100):
         r = float(np.exp(rng.uniform(-1.5, 1.5)))
         th = float(rng.uniform(-math.pi, math.pi))
-        gx, gy = _circle_coords(r, th)
+        gx, gy, _, _ = _circle_coords(r, th)
         parts = iwasawa_decompose(rotation(th) @ cartan_a(r))
         ref = an_coords(parts.s)
         assert abs(gx - ref.g_x) < 1e-10
@@ -599,7 +599,7 @@ def _cut_sequences_at(r: float, thetas, narrowest: float = 0.0) -> list:
     # the section's cut structure along the circle: the flag code of each
     # live segment wider than narrowest, left to right, with consecutive
     # repeats merged
-    gx, gy = regions._circle_coords(r, np.asarray(thetas, dtype=float))
+    gx, gy, _, _ = regions._circle_coords(r, np.asarray(thetas, dtype=float))
     edges, live, (circle, lower, upper, line) = regions._section_segments(gx, gy)
     live &= np.diff(edges, axis=1) > narrowest
     codes = circle + 2 * lower + 4 * upper + 8 * line
@@ -613,7 +613,7 @@ def test_case_transition_sliver_present():
     ts = case_transition_thetas(r)
     half = math.pi / 2.0
     assert any(half - 2.5e-4 < t < half for t in ts)
-    assert classify_case(ANCoords(*_circle_coords(r, half - 1e-5))) is CaseRegime.CASE8
+    assert classify_case(ANCoords(*_circle_coords(r, half - 1e-5)[:2])) is CaseRegime.CASE8
     # the transitions separate intervals of constant cut sequence
     probe = [-half + 1e-9, *ts, half - 1e-9]
     for lo, hi in zip(probe, probe[1:]):
@@ -625,7 +625,7 @@ def test_case_transition_sliver_present():
     for near, k in ((0.01118, math.sqrt(5.0) / 2.0), (0.01155, 2.0 / SQRT3)):
         hits = [t for t in ts if abs(t - near) < 1e-5]
         assert len(hits) == 1
-        c = ANCoords(*_circle_coords(r, hits[0]))
+        c = ANCoords(*_circle_coords(r, hits[0])[:2])
         assert abs(c.g_x + k * c.g_y) < 1e-12
     for r in (0.05, 0.1, 0.3, 10.0):
         ts = case_transition_thetas(r)
@@ -637,7 +637,7 @@ def test_case_transition_sliver_present():
             # re-entry for r = 0.05, where the float nearest the root leaves
             # a residual of 1.1e-11
             u = math.ulp(t)
-            points = [ANCoords(*_circle_coords(r, t + d)) for d in (0.0, -u, u)]
+            points = [ANCoords(*_circle_coords(r, t + d)[:2]) for d in (0.0, -u, u)]
             vals = zip(*([*_boundary_functions(c), *_event_functions(c)] for c in points))
             assert any(abs(f) < 1e-12 + abs(fp - fm) for f, fm, fp in vals), (r, t)
         if r < 1.0:
@@ -763,7 +763,7 @@ def test_case_transitions_include_minus_pi_over_6_in_the_fallback_band():
     # at g_y > 1/2 no label changes at theta = -pi/6, but the section gains
     # its ellipse cut there and the partials' slopes jump
     for r in (0.7, 0.9):
-        c = ANCoords(*_circle_coords(r, -math.pi / 6.0))
+        c = ANCoords(*_circle_coords(r, -math.pi / 6.0)[:2])
         assert classify_case(c) is CaseRegime.FALLBACK
         assert min(abs(t + math.pi / 6.0) for t in case_transition_thetas(r)) < 1e-15
 
@@ -857,14 +857,14 @@ def test_circle_ends_change_no_circle_average(monkeypatch):
     assert math.pi / 2.0 in seen and -math.pi / 2.0 in seen
 
 
-def test_circle_v_breakpoints_are_strictly_increasing():
-    # decay grades every segment between the ends segment_edges makes of
-    # -pi/2, these points and pi/2 at both ends, so none may repeat: b3's
-    # root at theta = 0 gives v = -0.0 beside the Jacobian's kink at 0.0
+def test_circle_v_edges_are_strictly_increasing():
+    # decay grades every segment between these ends at both ends, so none may
+    # repeat: b3's root at theta = 0 gives v = -0.0 beside the Jacobian's
+    # kink at 0.0
     half = math.pi / 2.0
     for r in [1e-4, 8.584e-5, *np.geomspace(1e-6, 1e6, 121)]:
-        pts = regions._circle_v_breakpoints(case_transition_thetas(float(r)))
-        ends = segment_edges(-half, half, pts).tolist()
+        ends = regions._circle_v_edges(case_transition_thetas(float(r))).tolist()
+        assert ends[0] == -half and ends[-1] == half, r
         assert ends.count(0.0) == 1, r
         assert all(b - a > 1e-13 for a, b in zip(ends, ends[1:])), (r, ends)
 
@@ -1050,7 +1050,7 @@ def test_scalar_entry_points_name_the_shape_range():
     assert classify_case(ANCoords(-0.001, 1e-160)) is CaseRegime.CASE6
     with pytest.raises(DomainError, match="supported range"):
         m_hat_case(ANCoords(-0.001, 1e-160))
-    past = ANCoords(*regions._circle_coords(1.001 * regions.MAX_NORM, np.float64(0.3)))
+    past = ANCoords(*regions._circle_coords(1.001 * regions.MAX_NORM, np.float64(0.3))[:2])
     entry_points = (
         _m_hat_closed_form,
         m_hat_case,
@@ -1080,7 +1080,7 @@ def test_scalar_entry_points_name_the_shape_range():
     half_pi = math.pi / 2.0
     for r in (regions.MAX_NORM, 1.0 / regions.MAX_NORM, *10.0 ** rng.uniform(0.0, 38.0, 20)):
         theta = np.concatenate((rng.uniform(-half_pi, half_pi, 5), [-half_pi, 0.0, half_pi]))
-        gx, gy = regions._circle_coords(float(r), theta)
+        gx, gy, _, _ = regions._circle_coords(float(r), theta)
         batch = regions._closed_form(gx, gy)
         for i, c in enumerate(map(ANCoords, gx, gy)):
             assert _m_hat_closed_form(c) == tuple(float(part[i]) for part in batch), c

@@ -160,13 +160,13 @@ def _chart_height_inverted(monkeypatch):
 def _log_r_derivatives(gx_scale, gy_scale):
     # the circle coordinates' derivatives in log r scaled by the given factors
     def mutate(monkeypatch):
-        coords = decay._circle_coords_dlogr
+        coords = decay._circle_coords
 
         def scaled(r, theta):
             gx, gy, gx_r, gy_r = coords(r, theta)
             return gx, gy, gx_scale * gx_r, gy_scale * gy_r
 
-        monkeypatch.setattr(decay, "_circle_coords_dlogr", scaled)
+        monkeypatch.setattr(decay, "_circle_coords", scaled)
 
     return mutate
 
@@ -179,12 +179,13 @@ def _v_jacobian_dropped(monkeypatch):
 
 def _angles_in_v(monkeypatch):
     # the transition table handing over its angles in the v of the circle
-    # averages (_circle_v_breakpoints), not in theta
+    # averages, not in theta: the inner ends of _circle_v_edges, where theta = 0
+    # is always a transition angle and so holds the Jacobian's kink
     table = decay.case_transition_thetas
 
     def in_v(r):
         thetas = table(r)
-        out = regions._TransitionAngles(regions._circle_v_breakpoints(thetas)[1:])
+        out = regions._TransitionAngles(regions._circle_v_edges(thetas)[1:-1].tolist())
         out.constant = thetas.constant
         return out
 
