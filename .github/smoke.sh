@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Console-script smoke test: every subcommand runs with numpy's
 # RuntimeWarnings as errors, inputs past the supported ranges exit 2 with a
-# named error, the closed-form, Monte-Carlo and decay lines of the README
-# and one at a ragged sample count match fresh runs, and the README's verify
-# line passes.
+# named error, the reduce, closed-form, Monte-Carlo, region and decay lines
+# of the README and one at a ragged sample count match fresh runs, and the
+# README's verify line passes.
 # Run from the root of a checkout with the `hypertransfer` script on PATH.
 set -euo pipefail
 export PYTHONWARNINGS=error::RuntimeWarning
@@ -67,10 +67,14 @@ grep -x -F '  "passed": true,' <<< "$report" > /dev/null
 readme_output() {
   grep -x -F -A "$2" "\$ $1" README.md | tail -n "$2"
 }
+hypertransfer reduce 5 2 | diff - <(readme_output 'hypertransfer reduce 5 2' 2)
 hypertransfer symbol 0.2 | diff - <(readme_output \
   'hypertransfer symbol 0.2                      # closed-form route' 2)
 command='hypertransfer symbol 0.2 --mode mc --n 200000 --seed 7'
 $command | diff - <(readme_output "$command" 2)
+# the case tag and the header; the README elides the polyline rows
+hypertransfer region -1 1.5 --samples 100 | sed -n 1,2p | diff - <(readme_output \
+  'hypertransfer region -1 1.5 --samples 100     # boundary polylines + case tag' 2)
 # the header, both rows and the summary of a two-row table
 hypertransfer decay --steps 2 | diff - <(readme_output \
   'hypertransfer decay --steps 2                # rows at rmin and rmax, 0.05 and 0.5' 4)

@@ -37,12 +37,10 @@ from .modular import (
     IntMat2,
     Letter,
     ReducedPoint,
-    enumerate_elements,
     first_letter,
     reduce_to_fundamental_domain,
     symbol_m_sign,
     symbol_m_word,
-    word_decompose,
 )
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 from .regions import (
@@ -60,13 +58,11 @@ from .sl2 import (
     ANCoords,
     HalfPlanePoint,
     IDENTITY,
-    IwasawaParts,
     RealMat2,
     an_coords,
     an_matrix,
     cartan_a,
     halfplane_image,
-    iwasawa_decompose,
     mobius_act,
     operator_norm,
     rotation,

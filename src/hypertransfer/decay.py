@@ -88,9 +88,10 @@ def _lie_average(r: float) -> float:
     segments = len(width)
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        # the map is continuous at the integers, so either side's segment
-        # serves a node that rounds onto one
-        j = np.clip(np.floor(u), 0, segments - 1).astype(int)
+        # no node lies below u = 0; the map is continuous at the integers, so
+        # either side's segment serves a node that rounds onto one, the last
+        # segment one that rounds onto u = segments
+        j = np.minimum(np.floor(u), segments - 1).astype(int)
         half_s = _HALF_PI * (u - j)
         v = lo[j] + width[j] * np.sin(half_s) ** 2
         dv = width[j] * _HALF_PI * np.sin(2.0 * half_s)

@@ -41,9 +41,6 @@ class IntMat2:
             self.c * other.b + self.d * other.d,
         )
 
-    def inv(self) -> "IntMat2":
-        return IntMat2(self.d, -self.b, -self.c, self.a)
-
     def neg(self) -> "IntMat2":
         return IntMat2(-self.a, -self.b, -self.c, -self.d)
 
@@ -66,9 +63,6 @@ I2 = IntMat2(1, 0, 0, 1)
 S_MAT = IntMat2(0, -1, 1, 0)
 T_MAT = IntMat2(1, 1, 0, 1)
 R_MAT = S_MAT @ T_MAT  # (0,-1;1,1), order 3 up to sign
-R2_MAT = R_MAT @ R_MAT
-S_INV = S_MAT.inv()  # (0,1;-1,0) = -S
-R_INV = R_MAT.inv()  # (1,1;-1,0) = -R^2
 
 
 class Letter(enum.Enum):
@@ -190,58 +184,6 @@ def _two_round_codes(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     zero = n2 == 0.0
     x2, y2 = x2[zero], y2[zero]
     return code, k[zero][_inverts(x2, x2 * x2 + y2 * y2)]
-
-
-def word_decompose(gamma: IntMat2) -> tuple[int, tuple[str, ...]]:
-    """Reduced free-product word: gamma = sign * product of letters in
-    {"S", "R", "R2"}, exact in integer arithmetic.
-
-    Greedy strip: classify the leading letter geometrically, remove it with
-    the exact inverse, repeat. An R-power is R^2 exactly when one R-strip
-    leaves another leading R.
-    """
-    letters: list[str] = []
-    g = gamma
-    for _ in range(_ITER_CAP):
-        fl = first_letter(g)
-        if fl is Letter.IDENTITY:
-            sign = 1 if g.a > 0 else -1
-            return sign, tuple(letters)
-        if fl is Letter.S_PREFIX:
-            letters.append("S")
-            g = S_INV @ g
-        else:
-            g = R_INV @ g
-            if first_letter(g) is Letter.R_PREFIX:
-                g = R_INV @ g
-                letters.append("R2")
-            else:
-                letters.append("R")
-    raise DegeneracyError("word decomposition exceeded the iteration cap")
-
-
-def enumerate_elements(max_letters: int) -> list[IntMat2]:
-    """All distinct products of at most max_letters factors from {S, R, R^2},
-    deduplicated up to sign; includes the identity. Deterministic order."""
-    if max_letters < 0:
-        raise DomainError("need max_letters >= 0")
-    letters = (S_MAT, R_MAT, R2_MAT)
-    start = I2.canonical_sign()
-    seen: dict[tuple[int, int, int, int], IntMat2] = {start.entries(): start}
-    frontier = [start]
-    for _ in range(max_letters):
-        nxt: list[IntMat2] = []
-        for g in frontier:
-            for letter in letters:
-                h = (g @ letter).canonical_sign()
-                key = h.entries()
-                if key not in seen:
-                    seen[key] = h
-                    nxt.append(h)
-        if not nxt:
-            break
-        frontier = nxt
-    return list(seen.values())
 
 
 def symbol_m_word(gamma: IntMat2) -> float:

@@ -1,5 +1,6 @@
 """2x2 real determinant-one matrices: Mobius action on the upper half-plane,
-Iwasawa and Cartan decompositions, operator norm and its range, AN coordinates.
+rotations and the Cartan factor diag(r, 1/r), operator norm and its range, AN
+coordinates.
 
 Everything here is closed-form 2x2 algebra; no general linear-algebra routines
 are involved.
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 from .errors import DomainError
 
 _DET_TOL = 1e-9
-_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -96,15 +96,6 @@ class ANCoords:
             raise DomainError(f"AN coordinates need finite g_x and g_y > 0, got {self}")
 
 
-@dataclass(frozen=True)
-class IwasawaParts:
-    """g = s @ k with s upper triangular (positive diagonal) and k = rotation(theta)."""
-
-    s: RealMat2
-    k: RealMat2
-    theta: float
-
-
 def mobius_act(g: RealMat2, z: HalfPlanePoint) -> HalfPlanePoint:
     """z -> (a z + b)/(c z + d), evaluated in real arithmetic."""
     u = g.c * z.x + g.d
@@ -135,17 +126,6 @@ def cartan_a(r: float) -> RealMat2:
     if not (math.isfinite(r) and r > 0.0):
         raise DomainError(f"cartan_a needs r > 0, got {r!r}")
     return RealMat2(r, 0.0, 0.0, 1.0 / r)
-
-
-def iwasawa_decompose(g: RealMat2) -> IwasawaParts:
-    """Unique g = s @ rotation(theta) with s upper triangular, diag > 0,
-    theta in [0, 2*pi). Closed form: theta = atan2(c, d)."""
-    h = math.hypot(g.c, g.d)
-    theta = math.atan2(g.c, g.d)
-    if theta < 0.0:
-        theta += _TWO_PI
-    s = RealMat2.renormalized(1.0 / h, (g.a * g.c + g.b * g.d) / h, 0.0, h)
-    return IwasawaParts(s=s, k=rotation(theta), theta=theta)
 
 
 def operator_norm(g: RealMat2) -> float:

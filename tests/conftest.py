@@ -1,11 +1,32 @@
-"""Shared test-side reference: the touches of the ellipse's extent end with the
-unit circle along the Cartan circle, which the transition table does not
-return."""
+"""Shared test-side references: the reduced words of the modular group, and
+the touches of the ellipse's extent end with the unit circle along the Cartan
+circle, which the transition table does not return."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+
+from hypertransfer.modular import I2, R_MAT, S_MAT, IntMat2
+
+_LETTERS = {"S": S_MAT, "R": R_MAT, "R2": R_MAT @ R_MAT}
+
+
+def _reduced_words(max_letters: int) -> list[tuple[tuple[str, ...], IntMat2]]:
+    """Every reduced word of PSL2(Z) = Z/2 * Z/3 with at most max_letters
+    letters, S alternating with R or R2 (the normal form of Serre, Trees,
+    I.4.2), the empty word first, each with its exact product."""
+    out = [((), I2)]
+    for n in range(1, max_letters + 1):
+        for s_first in (True, False):
+            slots = [("S",) if (i % 2 == 0) == s_first else ("R", "R2") for i in range(n)]
+            for word in itertools.product(*slots):
+                g = I2
+                for letter in word:
+                    g = g @ _LETTERS[letter]
+                out.append((word, g))
+    return out
 
 # where (1 + x)(1 + 2x)/(sqrt(1 - x^2) sqrt(x (x + 2))) is least on (0, 1/2) (mpmath)
 _TOUCH_SPLIT = 0.22668159690567747
@@ -67,3 +88,10 @@ def touch_thetas():
     """extent_touch_thetas, for the tests that hold the transition table
     against the touches it leaves out."""
     return extent_touch_thetas
+
+
+@pytest.fixture(scope="session")
+def reduced_words():
+    """_reduced_words, for the tests that take the normal form as the ground
+    truth of first_letter and of the discrete symbols."""
+    return _reduced_words

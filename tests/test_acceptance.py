@@ -18,12 +18,10 @@ from hypertransfer.decay import hm_table, second_order_divergence_probe, theta_b
 from hypertransfer.discrete import cesaro_positivity_check, cesaro_symbol, jodeit_extend_1d
 from hypertransfer.cli import main as cli_main
 from hypertransfer.modular import (
-    enumerate_elements,
     first_letter,
     Letter,
     reduce_to_fundamental_domain,
     symbol_m_word,
-    word_decompose,
 )
 from hypertransfer.regions import (
     CaseRegime,
@@ -126,16 +124,17 @@ def test_02_reduction_tiles_the_half_plane():
             assert red.z0.x ** 2 + red.z0.y ** 2 >= 1.0 - 1e-12
 
 
-def test_03_first_letter_matches_word_form_on_enumeration():
-    with budget("first-letter vs word decomposition, 442 elements", 30):
-        elems = enumerate_elements(12)
-        assert len(elems) == 442
-        for g in elems:
-            _, word = word_decompose(g)
+def test_03_first_letter_matches_word_form_on_enumeration(reduced_words):
+    with budget("first letter of 442 reduced words, both signs", 30):
+        words = reduced_words(12)
+        # a free product: distinct reduced words are distinct elements
+        assert len({g.canonical_sign().entries() for _, g in words}) == len(words) == 442
+        for word, g in words:
             want = Letter.IDENTITY if not word else (
                 Letter.S_PREFIX if word[0] == "S" else Letter.R_PREFIX
             )
-            assert first_letter(g) is want
+            assert first_letter(g) is want, word
+            assert first_letter(g.neg()) is want, word
 
 
 def test_04_domain_measure_is_pi_over_three():

@@ -159,7 +159,8 @@ def test_result_invariant_and_moved_validity():
         p, g = random_point(rng), random_group_elt(rng)
         res = cocycle_beta(p, g)
         assert isinstance(res, CocycleResult)
-        lhs = res.beta.inv().to_real() @ p.s0 @ rotation(p.k0_angle) @ g
+        a, b, c, d = res.beta.entries()
+        lhs = IntMat2(d, -b, -c, a).to_real() @ p.s0 @ rotation(p.k0_angle) @ g
         rhs = res.moved.s0 @ rotation(res.moved.k0_angle)
         for u, v in zip(lhs.entries(), rhs.entries()):
             assert abs(u - v) <= 1e-9

@@ -327,9 +327,11 @@ def test_theta_boundaries_closed_forms():
     assert abs(tb.theta8 - math.pi / 2.0) < 1e-3
     for r in np.linspace(0.02, 0.56, 28):
         assert theta_boundaries(float(r)).theta7 in case_transition_thetas(float(r))
+    assert abs(theta_boundaries(0.5646).theta7 - 0.68814) < 1e-5
     # above r = 0.56462 the smaller b7 root lies above g_y = 1/2, where
-    # classify_case does not use b7
-    for r in (0.58, 0.6):
+    # classify_case does not use b7; at r = 0.5647 the one arc where m_hat = 0
+    # starts at g_y = 0.50021
+    for r in (0.5647, 0.58, 0.6):
         with pytest.raises(DomainError, match="g_y"):
             theta_boundaries(r)
     with pytest.raises(DomainError):

@@ -1,5 +1,5 @@
-"""Fundamental-domain reduction, the region of the S-prefix tiles, word
-decomposition in the free-product structure, and both symbol forms."""
+"""Fundamental-domain reduction, the region of the S-prefix tiles, first
+letters in the free-product structure, and both symbol forms."""
 
 import math
 
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hypertransfer.errors import DomainError
 from hypertransfer.modular import (
     I2,
-    R2_MAT,
     R_MAT,
     S_MAT,
     T_MAT,
@@ -20,12 +19,10 @@ from hypertransfer.modular import (
     Letter,
     _in_domain,
     _two_round_codes,
-    enumerate_elements,
     first_letter,
     reduce_to_fundamental_domain,
     symbol_m_sign,
     symbol_m_word,
-    word_decompose,
 )
 from hypertransfer.sl2 import HalfPlanePoint, RealMat2, mobius_act
 
@@ -35,10 +32,9 @@ def as_real(g: IntMat2) -> RealMat2:
 
 def test_generator_relations():
     assert R_MAT == S_MAT @ T_MAT
-    assert R_MAT @ R_MAT == R2_MAT
     # S^2 = R^3 = -I
     assert S_MAT @ S_MAT == IntMat2(-1, 0, 0, -1)
-    assert R_MAT @ R2_MAT == IntMat2(-1, 0, 0, -1)
+    assert R_MAT @ R_MAT @ R_MAT == IntMat2(-1, 0, 0, -1)
 
 
 def test_intmat2_exact_det():
@@ -121,15 +117,7 @@ def in_region_A(z: HalfPlanePoint) -> bool:
     return dx * dx + z.y * z.y >= 1.0 - 1e-12
 
 
-def word_compose(sign: int, word: tuple[str, ...]) -> IntMat2:
-    """Exact product of the word letters times the sign; inverse of word_decompose."""
-    g = I2
-    for w in word:
-        g = g @ {"S": S_MAT, "R": R_MAT, "R2": R2_MAT}[w]
-    return g if sign == 1 else g.neg()
-
-
-def test_in_region_A():
+def test_in_region_A(reduced_words):
     assert in_region_A(HalfPlanePoint(0.0, 2.0))
     assert not in_region_A(HalfPlanePoint(-1.0, 0.5))
     assert not in_region_A(HalfPlanePoint(-0.6, 3.0))
@@ -139,7 +127,7 @@ def test_in_region_A():
             assert in_region_A(HalfPlanePoint(x, y))
     # first_letter's exact-integer probe agrees with the float membership of
     # the probe point's image
-    for g in enumerate_elements(8)[1:]:
+    for _, g in reduced_words(8)[1:]:
         inside = in_region_A(mobius_act(as_real(g), HalfPlanePoint(0.0, 2.0)))
         assert (first_letter(g) is Letter.S_PREFIX) == inside, g
 
@@ -149,46 +137,23 @@ def test_first_letter_examples():
     assert first_letter(IntMat2(-1, 0, 0, -1)) is Letter.IDENTITY
     assert first_letter(S_MAT) is Letter.S_PREFIX
     assert first_letter(R_MAT) is Letter.R_PREFIX
-    assert first_letter(R2_MAT) is Letter.R_PREFIX
+    assert first_letter(R_MAT @ R_MAT) is Letter.R_PREFIX
 
 
-def test_word_decompose_examples():
-    sgn, word = word_decompose(T_MAT)
-    assert word == ("S", "R")
-    assert word_compose(sgn, word) == T_MAT
-    sgn, word = word_decompose(S_MAT)
-    assert (sgn, word) == (1, ("S",))
-    sgn, word = word_decompose(R2_MAT)
-    assert (sgn, word) == (1, ("R2",))
-
-
-def test_word_decompose_reduced_and_exact():
-    for g in enumerate_elements(9):
-        sgn, word = word_decompose(g)
-        assert word_compose(sgn, word) == g
-        for u, v in zip(word, word[1:]):
-            # reduced: letters alternate between the S factor and the R factor
-            assert (u == "S") != (v == "S")
-
-
-def test_enumeration_size_and_dedup():
+def test_enumeration_size_and_dedup(reduced_words):
     # free product Z2 * Z3: 3,4,6,8,12,... alternating words per length, 442
     # distinct elements (up to sign) in <= 12 letters including the identity
-    elems = enumerate_elements(12)
-    assert len(elems) == 442
-    assert len({(g.a, g.b, g.c, g.d) for g in elems}) == 442
-    assert all(g == g.canonical_sign() for g in elems)
-    with pytest.raises(DomainError):
-        enumerate_elements(-1)
+    words = reduced_words(12)
+    assert len(words) == 442
+    assert len({g.canonical_sign().entries() for _, g in words}) == 442
 
 
-def test_first_letter_matches_word_oracle():
-    for g in enumerate_elements(8):
-        sgn, word = word_decompose(g)
+def test_first_letter_matches_word_oracle(reduced_words):
+    for word, g in reduced_words(8):
         want = Letter.IDENTITY if not word else (
             Letter.S_PREFIX if word[0] == "S" else Letter.R_PREFIX
         )
-        assert first_letter(g) is want
+        assert first_letter(g) is want, word
 
 
 def test_symbol_word_examples():
@@ -206,8 +171,8 @@ def test_symbol_sign_examples():
     assert symbol_m_sign(R_MAT) == -1
 
 
-def test_symbol_parity_on_enumeration():
-    for g in enumerate_elements(8):
+def test_symbol_parity_on_enumeration(reduced_words):
+    for _, g in reduced_words(8):
         neg = IntMat2(-g.a, -g.b, -g.c, -g.d)
         assert symbol_m_word(g) == symbol_m_word(neg)
         assert symbol_m_sign(g) == symbol_m_sign(neg)

@@ -41,9 +41,8 @@ from hypertransfer.sl2 import (
     IDENTITY,
     ANCoords,
     RealMat2,
-    an_coords,
     cartan_a,
-    iwasawa_decompose,
+    halfplane_image,
     rotation,
 )
 
@@ -363,6 +362,19 @@ def test_closed_form_makes_no_quadrature_call(monkeypatch):
         assert math.isfinite(m_hat_dgx(c)) and math.isfinite(m_hat_dgy(c))
 
 
+def test_clamp_unit_absorbs_rounding_only():
+    # the raw closed form leaves [0, 1] by rounding only (at most 2.2e-16
+    # above 1 on 300 000 log-spread shapes), so the clamp's window stays
+    # narrow enough that a real defect shows
+    rng = np.random.default_rng(38)
+    gy = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), 40_000))
+    gx = rng.choice([-1.0, 1.0], gy.size) * np.exp(rng.uniform(math.log(1e-9), math.log(1e3), gy.size))
+    value = regions._closed_form(gx, gy)[0]
+    assert np.all((-1e-15 <= value) & (value <= 1.0 + 1e-15))
+    clamped = regions._clamp_unit(np.array([-5e-7, 1.0 + 5e-7, -1e-5, 1.0 + 1e-5]))
+    assert clamped.tolist() == [0.0, 1.0, -1e-5, 1.0 + 1e-5]
+
+
 def test_closed_form_matches_monte_carlo_in_fallback_band():
     # membership sampling shares nothing with the section decomposition
     for gx, gy in ((-0.3265, 0.69), (0.2, 0.55), (-0.6, 1.0)):
@@ -557,10 +569,10 @@ def test_iwasawa_image_coords_vs_decomposition():
         r = float(np.exp(rng.uniform(-1.5, 1.5)))
         th = float(rng.uniform(-math.pi, math.pi))
         gx, gy, _, _ = _circle_coords(r, th)
-        parts = iwasawa_decompose(rotation(th) @ cartan_a(r))
-        ref = an_coords(parts.s)
-        assert abs(gx - ref.g_x) < 1e-10
-        assert abs(gy - ref.g_y) < 1e-10 * max(1.0, ref.g_y)
+        # g = s k with k a rotation, which fixes i: g(i) = s(i) = g_x + i g_y
+        ref = halfplane_image(rotation(th) @ cartan_a(r))
+        assert abs(gx - ref.x) < 1e-10
+        assert abs(gy - ref.y) < 1e-10 * max(1.0, ref.y)
 
 
 def _boundary_functions(c: ANCoords) -> list[float]:
@@ -644,6 +656,20 @@ def test_case_transition_sliver_present():
             tb = theta_boundaries(r)
             for angle in (tb.theta7, tb.theta8):
                 assert min(abs(angle - t) for t in ts) < 1e-14
+
+
+def test_root_split_is_where_the_meeting_function_is_least():
+    # the function of x behind _root_on_circle, whose least point on (0, 1/2)
+    # splits the brackets of the sextic's two roots
+    with mpmath.workdps(40):
+
+        def meeting(x):
+            return 2 * (3 * x**3 + 4 * x**2 + x + 1) / (
+                mpmath.sqrt(3) * mpmath.sqrt(1 - x**2) * x * (x + 2)
+            )
+
+        least = float(mpmath.findroot(lambda x: mpmath.diff(meeting, x), 0.39))
+    assert abs(regions._ROOT_SPLIT - least) <= math.ulp(least)
 
 
 def test_case_transitions_include_the_meeting_events(touch_thetas):

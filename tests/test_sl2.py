@@ -1,4 +1,4 @@
-"""Matrix-level algebra: Mobius action, Iwasawa split, Cartan radius."""
+"""Matrix-level algebra: Mobius action, Cartan radius."""
 
 import math
 
@@ -15,7 +15,6 @@ from hypertransfer.sl2 import (
     an_coords,
     an_matrix,
     cartan_a,
-    iwasawa_decompose,
     mobius_act,
     operator_norm,
     rotation,
@@ -70,44 +69,6 @@ def test_mobius_rejects_singular_denominator():
 def test_halfplane_requires_positive_y():
     with pytest.raises(DomainError):
         HalfPlanePoint(0.0, -1.0)
-
-
-def test_iwasawa_trivial_factors():
-    parts = iwasawa_decompose(IDENTITY)
-    assert abs(parts.k.a - 1.0) < 1e-12 and abs(parts.k.b) < 1e-12
-    a = cartan_a(2.0)
-    parts = iwasawa_decompose(a)
-    assert abs(parts.s.a - 2.0) < 1e-12 and abs(parts.k.b) < 1e-12
-    parts = iwasawa_decompose(rotation(math.pi / 3.0))
-    assert abs(parts.s.a - 1.0) < 1e-12 and abs(parts.s.b) < 1e-12
-    assert abs(parts.theta - math.pi / 3.0) < 1e-12
-
-
-def test_iwasawa_frozen_oracle():
-    # (2,1;1,1) = (1/sqrt2, 3/sqrt2; 0, sqrt2) * rotation(pi/4), by direct multiplication
-    parts = iwasawa_decompose(RealMat2(2.0, 1.0, 1.0, 1.0))
-    rt2 = math.sqrt(2.0)
-    assert abs(parts.s.a - 1.0 / rt2) < 1e-12
-    assert abs(parts.s.b - 3.0 / rt2) < 1e-12
-    assert parts.s.c == 0.0
-    assert abs(parts.s.d - rt2) < 1e-12
-    assert abs(parts.theta - math.pi / 4.0) < 1e-12
-
-
-def test_iwasawa_roundtrip_bulk():
-    rng = np.random.default_rng(23)
-    for _ in range(10_000):
-        g = random_sl2(rng)
-        parts = iwasawa_decompose(g)
-        back = parts.s @ parts.k
-        err = max(abs(back.a - g.a), abs(back.b - g.b), abs(back.c - g.c), abs(back.d - g.d))
-        assert err <= 1e-9
-        assert parts.s.c == 0.0 and parts.s.a > 0.0 and parts.s.d > 0.0
-        k = parts.k
-        # k^T k = I to 1e-12
-        assert abs(k.a * k.a + k.c * k.c - 1.0) <= 1e-12
-        assert abs(k.a * k.b + k.c * k.d) <= 1e-12
-        assert 0.0 <= parts.theta < 2.0 * math.pi
 
 
 def test_cartan_a():

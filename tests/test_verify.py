@@ -108,7 +108,8 @@ def _inverse_gamma(monkeypatch):
 
     def inverted(z):
         red = reduce(z)
-        return dataclasses.replace(red, gamma=red.gamma.inv())
+        a, b, c, d = red.gamma.entries()
+        return dataclasses.replace(red, gamma=modular.IntMat2(d, -b, -c, a))
 
     monkeypatch.setattr(verify, "reduce_to_fundamental_domain", inverted)
 
