@@ -59,12 +59,6 @@ class IntMat2:
         return RealMat2(float(self.a), float(self.b), float(self.c), float(self.d))
 
 
-I2 = IntMat2(1, 0, 0, 1)
-S_MAT = IntMat2(0, -1, 1, 0)
-T_MAT = IntMat2(1, 1, 0, 1)
-R_MAT = S_MAT @ T_MAT  # (0,-1;1,1), order 3 up to sign
-
-
 class Letter(enum.Enum):
     IDENTITY = "IDENTITY"
     S_PREFIX = "S_PREFIX"

@@ -234,14 +234,13 @@ SUITE_NAMES = tuple(_SUITES)
 
 def run_verify(suites: "list[str] | tuple[str, ...]", seed: int = DEFAULT_SEED) -> dict:
     """Run the named suites (SUITE_NAMES or "all") and merge their reports.
-    The seed is checked before any suite runs."""
+    The seed and every suite name are checked before any suite runs."""
     seed = _check_seed(seed)
-    wanted = list(SUITE_NAMES) if "all" in suites else list(suites)
-    reports = []
-    for name in wanted:
-        if name not in _SUITES:
+    for name in suites:
+        if name != "all" and name not in _SUITES:
             raise HypertransferError(f"unknown suite {name!r}")
-        reports.append(_SUITES[name](seed))
+    wanted = list(SUITE_NAMES) if "all" in suites else list(suites)
+    reports = [_SUITES[name](seed) for name in wanted]
     return {
         "seed": seed,
         "passed": all(r["passed"] for r in reports),

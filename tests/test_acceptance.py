@@ -11,7 +11,6 @@ import numpy as np
 from hypertransfer.cocycle import (
     cocycle_beta,
     domain_measure_mc,
-    domain_point,
     transferred_symbol_mc,
 )
 from hypertransfer.decay import hm_table, second_order_divergence_probe, theta_boundaries
@@ -41,6 +40,7 @@ from hypertransfer.sl2 import (
     mobius_act,
     rotation,
 )
+from reference import random_domain_point, reduced_words
 
 SEED = 20240914
 SQRT3 = math.sqrt(3.0)
@@ -53,12 +53,6 @@ def budget(label: str, seconds: float):
     dt = time.perf_counter() - t0
     print(f"[acceptance] {label}: PASS in {dt:.2f}s (budget {seconds:.0f}s)")
     assert dt < seconds, f"{label} exceeded its {seconds}s budget ({dt:.2f}s)"
-
-
-def _random_domain_point(rng):
-    x = float(rng.uniform(-0.5, 0.5))
-    y = float(math.sqrt(1.0 - x * x) / (1.0 - rng.uniform(0.0, 0.9)))
-    return domain_point(x, y, float(rng.uniform(0.0, math.pi)))
 
 
 def _random_bounded_elt(rng, max_norm=10.0):
@@ -100,7 +94,7 @@ def test_01_cocycle_identity_exact_on_random_triples():
     with budget("cocycle identity, 1000 random triples, exact", 10):
         rng = np.random.default_rng(SEED)
         for _ in range(1000):
-            p = _random_domain_point(rng)
+            p = random_domain_point(rng)
             g1 = _random_bounded_elt(rng)
             g2 = _random_bounded_elt(rng)
             whole = cocycle_beta(p, g1 @ g2).beta
@@ -124,7 +118,7 @@ def test_02_reduction_tiles_the_half_plane():
             assert red.z0.x ** 2 + red.z0.y ** 2 >= 1.0 - 1e-12
 
 
-def test_03_first_letter_matches_word_form_on_enumeration(reduced_words):
+def test_03_first_letter_matches_word_form_on_enumeration():
     with budget("first letter of 442 reduced words, both signs", 30):
         words = reduced_words(12)
         # a free product: distinct reduced words are distinct elements

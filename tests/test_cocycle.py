@@ -5,7 +5,6 @@ import math
 import re
 import tracemalloc
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -13,7 +12,6 @@ from hypertransfer import cocycle
 from hypertransfer.cocycle import (
     BETA_MAX_NORM,
     CocycleResult,
-    DomainPoint,
     _domain_xy,
     _mean_se,
     _rng,
@@ -29,10 +27,7 @@ from hypertransfer.cocycle import (
 from hypertransfer.errors import DomainError
 from hypertransfer.modular import (
     _TWO_ROUND_TABLES,
-    I2,
     IntMat2,
-    S_MAT,
-    _inverts,
     _two_round_codes,
     reduce_to_fundamental_domain,
     symbol_m_sign,
@@ -50,12 +45,16 @@ from hypertransfer.sl2 import (
     operator_norm,
     rotation,
 )
-
-
-def random_point(rng: np.random.Generator) -> DomainPoint:
-    x = float(rng.uniform(-0.5, 0.5))
-    y = float(math.sqrt(1.0 - x * x) / (1.0 - rng.uniform(0.0, 0.9)))
-    return domain_point(x, y, float(rng.uniform(0.0, math.pi)))
+from reference import (
+    I2,
+    S_MAT,
+    closed_form_rotated,
+    matrix_shadow,
+    mp_beta,
+    mp_shadow,
+    mp_two_round_codes,
+    random_domain_point,
+)
 
 
 def random_group_elt(rng: np.random.Generator) -> RealMat2:
@@ -65,6 +64,13 @@ def random_group_elt(rng: np.random.Generator) -> RealMat2:
         @ cartan_a(float(rng.uniform(0.5, 2.0)))
         @ rotation(float(rng.uniform(0, 2 * math.pi)))
     )
+
+
+def at_norm(g: RealMat2, n: float) -> RealMat2:
+    """g, after checking that it runs at the operator norm n that its test
+    names, within 1e-12 relative."""
+    assert abs(operator_norm(g) - n) <= 1e-12 * n, (n, operator_norm(g))
+    return g
 
 
 def scalar_results(
@@ -103,7 +109,7 @@ def seed_77_cases() -> list[tuple[np.ndarray, np.ndarray, np.ndarray, RealMat2]]
     x, y, theta = _sample_xyth(77, 300)
     elements = [rotation(0.7) @ cartan_a(0.3)]
     for k, r in ((1, 1.0), (2, 10.0), (3, 100.0), (4, 1e4), (5, 1e5)):
-        elements.append(rotation(0.4 * k) @ cartan_a(r) @ rotation(1.3 * k))
+        elements.append(at_norm(closed_form_rotated(r, 0.4 * k, 1.3 * k), r))
     return [(x, y, theta, g) for g in elements]
 
 
@@ -137,7 +143,7 @@ def test_domain_point_validation():
 def test_identity_gives_trivial_beta():
     rng = np.random.default_rng(7)
     for _ in range(20):
-        p = random_point(rng)
+        p = random_domain_point(rng)
         res = cocycle_beta(p, RealMat2(1.0, 0.0, 0.0, 1.0))
         assert res.beta == I2
         assert abs(res.moved.k0_angle - p.k0_angle) <= 1e-12
@@ -148,7 +154,7 @@ def test_identity_gives_trivial_beta():
 def test_rotation_gives_plusminus_identity():
     rng = np.random.default_rng(8)
     for _ in range(50):
-        p = random_point(rng)
+        p = random_domain_point(rng)
         res = cocycle_beta(p, rotation(float(rng.uniform(0, 2 * math.pi))))
         assert res.beta in (I2, I2.neg())
 
@@ -156,7 +162,7 @@ def test_rotation_gives_plusminus_identity():
 def test_result_invariant_and_moved_validity():
     rng = np.random.default_rng(9)
     for _ in range(200):
-        p, g = random_point(rng), random_group_elt(rng)
+        p, g = random_domain_point(rng), random_group_elt(rng)
         res = cocycle_beta(p, g)
         assert isinstance(res, CocycleResult)
         a, b, c, d = res.beta.entries()
@@ -171,7 +177,7 @@ def test_result_invariant_and_moved_validity():
 def test_right_cocycle_identity_exact():
     rng = np.random.default_rng(10)
     for _ in range(1000):
-        p = random_point(rng)
+        p = random_domain_point(rng)
         g1, g2 = random_group_elt(rng), random_group_elt(rng)
         whole = cocycle_beta(p, g1 @ g2).beta
         step1 = cocycle_beta(p, g1)
@@ -182,7 +188,7 @@ def test_right_cocycle_identity_exact():
 def test_k_shift_flips_at_most_sign():
     rng = np.random.default_rng(11)
     for _ in range(100):
-        p, g = random_point(rng), random_group_elt(rng)
+        p, g = random_domain_point(rng), random_group_elt(rng)
         k = rotation(float(rng.uniform(0, 2 * math.pi)))
         b = cocycle_beta(p, g).beta
         bk = cocycle_beta(p, g @ k).beta
@@ -362,7 +368,7 @@ def test_word_rule_matches_the_full_reduction():
     # shadow, sample by sample: rotated norms 1 to 1e5, diagonal ones to 1e12
     x, y, theta = _sample_xyth(19, 10_000)
     elements = [
-        rotation(0.4 * k) @ cartan_a(r) @ rotation(1.3 * k)
+        at_norm(closed_form_rotated(r, 0.4 * k, 1.3 * k), r)
         for k, r in enumerate((1.0, 10.0, 100.0, 1e3, 1e4, 1e5), 1)
     ]
     elements += [cartan_a(r) for r in (0.2, 1e-3, 1e6, 1e9, 1e12)]
@@ -403,22 +409,6 @@ def test_word_rule_finishes_a_double_inversion_on_the_scalar_reduction(monkeypat
     assert len(finished) == 2
 
 
-def matrix_shadow(x, y, theta, g):
-    """Reference for _shadow_batch: the shadow h(i) of the matrix product
-    h = s0 k0 g, with the sine and cosine of every theta."""
-    sy = np.sqrt(y)
-    cg, sg = np.cos(theta), np.sin(theta)
-    m21 = sg * g.a + cg * g.c
-    m22 = sg * g.b + cg * g.d
-    xs = x / sy
-    h11 = sy * (cg * g.a - sg * g.c) + xs * m21
-    h12 = sy * (cg * g.b - sg * g.d) + xs * m22
-    h21 = m21 / sy
-    h22 = m22 / sy
-    den = h21 * h21 + h22 * h22
-    return (h11 * h21 + h12 * h22) / den, 1.0 / den
-
-
 def test_mobius_shadow_gives_the_codes_of_the_matrix_shadow():
     # the one-tangent shadow against the matrix product it replaces, on
     # 17 x 65 536 samples: the two shadows round differently, but no sample
@@ -427,7 +417,7 @@ def test_mobius_shadow_gives_the_codes_of_the_matrix_shadow():
     tau = np.tan(theta)
     elements = [cartan_a(r) for r in (0.2, 1e-3, 10.0, 1e3, 1e6, 1e9, 1e12, 1e15)]
     elements += [
-        rotation(0.4 * k) @ cartan_a(r) @ rotation(1.3 * k)
+        at_norm(closed_form_rotated(r, 0.4 * k, 1.3 * k), r)
         for k, r in enumerate((1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8), 1)
     ]
     for g in elements:
@@ -435,39 +425,6 @@ def test_mobius_shadow_gives_the_codes_of_the_matrix_shadow():
         ref_code, ref_left = _two_round_codes(*matrix_shadow(x, y, theta, g))
         assert np.array_equal(code, ref_code), (g, np.flatnonzero(code != ref_code)[:5])
         assert np.array_equal(left, ref_left), g
-
-
-def mp_two_round_codes(x, y, theta, g):
-    """Reference for _two_round_codes(*_shadow_batch(...)): the code of each
-    sample's shadow x + y k0(g(i)), with g(i) from the entries of g, read off
-    the first two rounds of its reduction in 60-digit mpmath."""
-    codes = []
-    with mpmath.workdps(60):
-        a, b, c, d = map(mpmath.mpf, g.entries())
-        den = c * c + d * d
-        gi = mpmath.mpc((a * c + b * d) / den, 1 / den)
-        for xs, ys, ts in zip(x.tolist(), y.tolist(), theta.tolist()):
-            tau = mpmath.tan(ts)
-            z = xs + ys * (gi - tau) / (1 + tau * gi)
-            n1 = int(mpmath.floor(z.real + 0.5))
-            if n1 == 0 and abs(z) < 1:
-                n2 = int(mpmath.floor((-1 / z).real + 0.5))
-                codes.append(4 + (n2 > 0) - (n2 < 0))
-            else:
-                codes.append(1 + (n1 > 0) - (n1 < 0))
-    return np.array(codes)
-
-
-def closed_form_rotated(n, theta_a, theta_b):
-    """rotation(theta_a) @ cartan_a(n) @ rotation(theta_b) from its closed-form
-    entries: past about norm 1e8 the matrix products lose the determinant."""
-    ca, sa, cb, sb = math.cos(theta_a), math.sin(theta_a), math.cos(theta_b), math.sin(theta_b)
-    return RealMat2(
-        ca * n * cb - sa * sb / n,
-        -ca * n * sb - sa * cb / n,
-        sa * n * cb + ca * sb / n,
-        -sa * n * sb + ca * cb / n,
-    )
 
 
 @pytest.mark.parametrize(
@@ -500,12 +457,9 @@ def test_shadow_of_a_pole_at_the_end_of_the_norm_range():
     x, y = np.array([0.0, 0.3]), np.array([1.0, 2.5])
     with np.errstate(all="raise"):
         zx, zy = _shadow_batch(x, y, tau, g)
-    with mpmath.workdps(60):
-        z = s * mpmath.j / (s * mpmath.j + 1 / s)
-        k0 = (z - tau[0]) / (1 + tau[0] * z)
-        for i in range(2):
-            assert abs(zx[i] - (x[i] + y[i] * k0.real)) <= 1e-15 * abs(zx[i])
-            assert abs(zy[i] - y[i] * k0.imag) <= 1e-15 * zy[i]
+    ref_x, ref_y = mp_shadow(x, y, tau, g)
+    assert np.all(np.abs(zx - ref_x) <= 1e-15 * np.abs(zx))
+    assert np.all(np.abs(zy - ref_y) <= 1e-15 * zy)
 
 
 @pytest.mark.parametrize(
@@ -554,7 +508,7 @@ def test_transferred_sign_symbol_vanishes(k, r):
     # sgn(ac + bd) is the sign of Re(beta i): the average over the domain is
     # odd under g_x -> -g_x and so 0 at every norm; this holds the sign
     # symbol's two-round rule to it up to rotated norm 1e8
-    g = rotation(0.4 * k) @ cartan_a(r) @ rotation(1.3 * k)
+    g = at_norm(closed_form_rotated(r, 0.4 * k, 1.3 * k), r)
     est, se = transferred_symbol_mc(symbol_m_sign, g, 20_000, 30 + k)
     assert abs(est) <= 5.0 * se, (est, se)
 
@@ -712,49 +666,22 @@ def test_scalar_cocycle_refuses_the_norms_that_lose_determinants():
             cocycle_beta(p, cartan_a(1e9))
 
 
-def mp_beta(p: DomainPoint, g: RealMat2) -> IntMat2:
-    """Reference for cocycle_beta in 40-digit mpmath: h = s0 k0 g from the
-    entries of s0 and g and the angle of k0, its shadow h(i) reduced with the
-    reduction's translation and boundary rule (modular._inverts), and the
-    sign of beta from the angle of the bottom row of gamma^-1 h."""
-    with mpmath.workdps(40):
-        ct, st = mpmath.cos(p.k0_angle), mpmath.sin(p.k0_angle)
-        s11, s12, s21, s22 = map(mpmath.mpf, p.s0.entries())
-        ga, gb, gc, gd = map(mpmath.mpf, g.entries())
-        k11, k12 = ct * ga - st * gc, ct * gb - st * gd
-        k21, k22 = st * ga + ct * gc, st * gb + ct * gd
-        h11, h12 = s11 * k11 + s12 * k21, s11 * k12 + s12 * k22
-        h21, h22 = s21 * k11 + s22 * k21, s21 * k12 + s22 * k22
-        z = (h11 * mpmath.j + h12) / (h21 * mpmath.j + h22)
-        x, y = z.real, z.imag
-        a, b, c, d = 1, 0, 0, 1
-        while True:
-            n = int(mpmath.floor(x + 0.5))
-            x, b, d = x - n, a * n + b, c * n + d
-            rr = x * x + y * y
-            if not _inverts(x, rr):
-                break
-            x, y = -x / rr, y / rr
-            a, b, c, d = -b, a, -d, c
-        gamma = IntMat2(a, b, c, d).canonical_sign()
-        a, _, c, _ = gamma.entries()
-        angle = mpmath.atan2(-c * h11 + a * h21, -c * h12 + a * h22)
-        return gamma if 0 <= angle < mpmath.pi else gamma.neg()
-
-
 def test_cocycle_beta_is_exact_to_its_norm_bound():
     # 1200 samples just inside BETA_MAX_NORM, diagonal and rotated, against
     # the 40-digit reference: none may differ. At norm 1e7 about 1 in 40
-    # does, so a bound raised that far fails here. (A rotated product's norm
-    # is known to about 1e-6 here: its renormalization divides by a
-    # determinant formed from entries of 1e5.) Just past the bound, the
-    # refusal names it
+    # does, so a bound raised that far fails here. (A rotated product of
+    # three factors would run 1.9e-6 relative off this norm: its
+    # renormalization divides by a determinant formed from entries of 1e5.)
+    # Just past the bound, the refusal names it
     n = 0.999 * BETA_MAX_NORM
     elements = [
-        cartan_a(n),
-        cartan_a(1.0 / n),
-        rotation(0.9) @ cartan_a(n) @ rotation(2.1),
-        rotation(2.5) @ cartan_a(n) @ rotation(0.4),
+        at_norm(g, n)
+        for g in (
+            cartan_a(n),
+            cartan_a(1.0 / n),
+            closed_form_rotated(n, 0.9, 2.1),
+            closed_form_rotated(n, 2.5, 0.4),
+        )
     ]
     for k, g in enumerate(elements):
         for p in sample_domain(50 + k, 300):

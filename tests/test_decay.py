@@ -9,7 +9,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from hypertransfer import decay, regions
 from hypertransfer.decay import (
@@ -29,34 +28,17 @@ from hypertransfer.regions import (
     _circle_coords,
     case_transition_thetas,
     m_hat_case,
-    m_tilde,
 )
 from hypertransfer.sl2 import ANCoords, RealMat2, cartan_a, rotation
+from reference import (
+    extent_touch_thetas,
+    lie_derivative_mtilde_fd,
+    lie_exponential,
+    log_norm_difference,
+    tanh_sinh_circle_average,
+)
 
 SQRT3 = math.sqrt(3.0)
-
-# the basis of the Lie algebra; X3 generates the rotations
-GENERATORS = {
-    "X1": np.array([[1.0, 0.0], [0.0, -1.0]]),
-    "X2": np.array([[0.0, 1.0], [0.0, 0.0]]),
-    "X3": np.array([[0.0, 1.0], [-1.0, 0.0]]),
-}
-
-
-def lie_derivative_mtilde_fd(g: RealMat2, direction: str) -> float:
-    """Central difference, step 1e-4, of the K-averaged symbol along g exp(t X_j)."""
-
-    def along(t: float) -> float:
-        return m_tilde(g @ RealMat2(*scipy.linalg.expm(t * GENERATORS[direction]).ravel()))
-
-    return (along(1e-4) - along(-1e-4)) / 2e-4
-
-
-def log_norm_difference(r: float) -> float:
-    """Central difference, step 1e-4 in log r, of m_tilde(diag(r, 1/r)): for
-    r < 1 the norm is 1/r, so this is -d m_tilde / d log n."""
-    return (m_tilde(cartan_a(r * math.exp(1e-4))) - m_tilde(cartan_a(r * math.exp(-1e-4)))) / 2e-4
-
 
 def test_circle_coords_log_r_derivatives():
     # d g_x / d log r and d g_y / d log r against a central difference of
@@ -85,7 +67,7 @@ def test_lie_exponential_closed_forms():
             "X3": rotation(-t),
         }
         for d, got in closed.items():
-            want = scipy.linalg.expm(t * GENERATORS[d])
+            want = lie_exponential(d, t)
             assert np.max(np.abs(want - np.array(got.entries()).reshape(2, 2))) < 1e-12
 
 
@@ -235,52 +217,25 @@ def test_decay_table_shares_closed_form_nodes(monkeypatch):
     assert sum(sizes) <= 2730
 
 
-def _tanh_sinh_circle_average(r: float, touches: list[float], h: float = 1.0 / 64.0) -> float:
-    """f1 at r by a tanh-sinh rule in theta on each arc between the
-    transition angles, the touches of the ellipse's extent end with the
-    circle (which the table leaves out) and theta = 0, applied to the
-    closed-form partials, X1 transported by the residual rotation of the
-    Iwasawa decomposition, not the log-r derivatives of the circle
-    coordinates the table takes: no quadrature.integrate, no
-    v-parametrisation, no grading and no arc left out. The rule's
-    double-exponential thinning at both ends of an arc absorbs the log|g_x|
-    terms at theta = 0 and +-pi/2 and the kinks at the transition angles."""
-    t = np.arange(-3.5, 3.5 + 0.5 * h, h)
-    u = 0.5 * math.pi * np.sinh(t)
-    gap = 1.0 / (np.exp(np.abs(u)) * np.cosh(u))  # 1 - |tanh u|, free of cancellation
-    weight = h * 0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2
-    ends = [-math.pi / 2.0, *sorted({0.0, *case_transition_thetas(r), *touches}), math.pi / 2.0]
-    total = 0.0
-    for a, b in zip(ends, ends[1:]):
-        half = 0.5 * (b - a)
-        theta = np.where(t < 0.0, a + half * gap, b - half * gap)
-        gx, gy, _, _ = regions._circle_coords(r, theta)
-        _, dgx, dgy = regions._closed_form(gx, gy)
-        # Ad(k_rho) X1 = cos(2 rho) X1 + 2 sin(2 rho) X2 - sin(2 rho) X3
-        rho2 = 2.0 * np.arctan2(r * np.sin(theta), np.cos(theta) / r)
-        total += half * (weight @ (np.cos(rho2) * 2.0 * gy * dgy + 2.0 * np.sin(rho2) * gy * dgx))
-    return total / math.pi
-
-
-def test_decay_table_matches_a_theta_reference(touch_thetas):
+def test_decay_table_matches_a_theta_reference():
     # a second route to f1: the reference moves by at most 1.2e-16 when its
     # step halves or doubles, and the table was at most 9.4e-14 off it (at
     # r = 0.001)
     radii = [0.001, 0.05, 0.1, 0.2, 0.3, 0.45, 0.5780934891480582, 0.6, 0.7, 0.8466]
     rows = hm_table([*radii, 0.9, 0.97, 0.99])
-    for row, touches in zip(rows, touch_thetas([row.r for row in rows])):
-        ref = _tanh_sinh_circle_average(row.r, touches)
+    for row, touches in zip(rows, extent_touch_thetas([row.r for row in rows])):
+        ref = tanh_sinh_circle_average(row.r, touches)
         assert abs(row.f1 - ref) < 1e-9 and row.f2 == 0.0, (row, ref)
 
 
-def test_no_touch_borders_a_constant_arc(touch_thetas):
+def test_no_touch_borders_a_constant_arc():
     # the transition table returns no touch of the ellipse's extent end with
     # the circle, so an arc can span one, and .constant reads whether m_hat
     # is constant on an arc off the cut sequence at its midpoint; that is
     # right for the whole arc only while every arc that holds a touch varies
     seen = 0
     radii = np.geomspace(1e-38, 1e38, 3000)
-    for r, touches in zip(radii, touch_thetas(radii)):
+    for r, touches in zip(radii, extent_touch_thetas(radii)):
         thetas = case_transition_thetas(float(r))
         for t in touches:
             seen += 1

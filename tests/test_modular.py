@@ -8,12 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypertransfer.errors import DomainError
+from hypertransfer import modular
+from hypertransfer.errors import DegeneracyError, DomainError
 from hypertransfer.modular import (
-    I2,
-    R_MAT,
-    S_MAT,
-    T_MAT,
     _TWO_ROUND_TABLES,
     IntMat2,
     Letter,
@@ -25,6 +22,8 @@ from hypertransfer.modular import (
     symbol_m_word,
 )
 from hypertransfer.sl2 import HalfPlanePoint, RealMat2, mobius_act
+from reference import I2, R_MAT, S_MAT, T_MAT, in_region_A, reduced_words
+
 
 def as_real(g: IntMat2) -> RealMat2:
     return RealMat2(float(g.a), float(g.b), float(g.c), float(g.d))
@@ -81,6 +80,18 @@ def test_reduce_underflowing_point():
             reduce_to_fundamental_domain(HalfPlanePoint(x, y))
 
 
+def test_reduction_reaches_the_domain_below_its_round_cap(monkeypatch):
+    # the golden-ratio point at height 1e-300 takes 216 translate-and-invert
+    # rounds: it reaches the domain under the cap of 100 000, and a cap of 200
+    # names its DegeneracyError
+    z = HalfPlanePoint((math.sqrt(5.0) - 1.0) / 2.0, 1e-300)
+    rp = reduce_to_fundamental_domain(z)
+    assert _in_domain(rp.z0.x, rp.z0.y)
+    monkeypatch.setattr(modular, "_ITER_CAP", 200)
+    with pytest.raises(DegeneracyError, match="did not stabilize"):
+        reduce_to_fundamental_domain(z)
+
+
 def test_domain_membership_is_tolerant_by_the_circle_tolerance():
     inside = ((0.5, 0.9), (-0.5 - 5e-13, 2.0), (0.5 + 5e-13, 2.0), (0.0, 1.0 - 2e-13), (0.0, 7.0))
     outside = ((0.5 + 5e-12, 2.0), (-0.6, 2.0), (0.0, 1.0 - 2e-12), (0.3, 0.9), (math.nan, 2.0))
@@ -109,15 +120,7 @@ def test_canonical_sign():
     assert S_MAT.canonical_sign() == S_MAT
 
 
-def in_region_A(z: HalfPlanePoint) -> bool:
-    """Membership in {Re z >= -1/2} intersect {|z+1| >= 1}, tolerance 1e-12."""
-    if z.x < -0.5 - 1e-12:
-        return False
-    dx = z.x + 1.0
-    return dx * dx + z.y * z.y >= 1.0 - 1e-12
-
-
-def test_in_region_A(reduced_words):
+def test_in_region_A():
     assert in_region_A(HalfPlanePoint(0.0, 2.0))
     assert not in_region_A(HalfPlanePoint(-1.0, 0.5))
     assert not in_region_A(HalfPlanePoint(-0.6, 3.0))
@@ -140,7 +143,7 @@ def test_first_letter_examples():
     assert first_letter(R_MAT @ R_MAT) is Letter.R_PREFIX
 
 
-def test_enumeration_size_and_dedup(reduced_words):
+def test_enumeration_size_and_dedup():
     # free product Z2 * Z3: 3,4,6,8,12,... alternating words per length, 442
     # distinct elements (up to sign) in <= 12 letters including the identity
     words = reduced_words(12)
@@ -148,7 +151,7 @@ def test_enumeration_size_and_dedup(reduced_words):
     assert len({g.canonical_sign().entries() for _, g in words}) == 442
 
 
-def test_first_letter_matches_word_oracle(reduced_words):
+def test_first_letter_matches_word_oracle():
     for word, g in reduced_words(8):
         want = Letter.IDENTITY if not word else (
             Letter.S_PREFIX if word[0] == "S" else Letter.R_PREFIX
@@ -171,7 +174,7 @@ def test_symbol_sign_examples():
     assert symbol_m_sign(R_MAT) == -1
 
 
-def test_symbol_parity_on_enumeration(reduced_words):
+def test_symbol_parity_on_enumeration():
     for _, g in reduced_words(8):
         neg = IntMat2(-g.a, -g.b, -g.c, -g.d)
         assert symbol_m_word(g) == symbol_m_word(neg)

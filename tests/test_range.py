@@ -22,10 +22,8 @@ import math
 from hypertransfer.decay import _lie_average
 from hypertransfer.regions import m_tilde_full
 from hypertransfer.sl2 import cartan_a
+from reference import A, B, SLOPE
 
-SLOPE = 6.0 / math.pi**2
-A = 0.4605331
-B = -0.14739395
 ONE_PERCENT = (0.99, 1.01)
 
 

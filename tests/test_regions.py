@@ -7,7 +7,6 @@ import itertools
 import math
 import warnings
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -15,7 +14,6 @@ from hypothesis import strategies as st
 
 import hypertransfer.regions as regions
 from hypertransfer import decay
-from hypertransfer.cocycle import _domain_xy, _mean_se, _rng
 from hypertransfer.decay import theta_boundaries
 from hypertransfer.errors import AccuracyError, DomainError
 from hypertransfer.quadrature import DEFAULT_QUADRATURE, QuadratureConfig
@@ -45,20 +43,18 @@ from hypertransfer.sl2 import (
     halfplane_image,
     rotation,
 )
+from reference import (
+    companion_crossings,
+    extent_touch_thetas,
+    m_hat_mc,
+    mp_circle_and_line_residual,
+    mp_ellipse_antiderivatives,
+    mp_partials,
+    mp_root_split,
+    transition_residuals,
+)
 
 SQRT3 = math.sqrt(3.0)
-
-
-def m_hat_mc(c: ANCoords, n: int, rng_seed: int) -> tuple[float, float]:
-    """Monte-Carlo membership estimate of m_hat with its standard error; fully
-    independent of the section decomposition."""
-    if n < 1:
-        raise DomainError("need at least one sample")
-    rng = _rng(rng_seed, stream=2)
-    x, y = _domain_xy(rng.random(n), rng.random(n))
-    shifted = x + c.g_x * y
-    inside = (shifted > -0.5) & ((shifted + 1.0) ** 2 + (c.g_y * y) ** 2 > 1.0)
-    return _mean_se(inside.astype(np.float64))
 
 # Midpoints of the case windows at g_y in {0.1, 0.3} (cases 2-6) and two
 # abscissas inside the large-g_y window (case 8), frozen with their values and
@@ -288,14 +284,14 @@ def test_partials_match_high_precision_in_the_case_windows():
         if classify_case(c) is CaseRegime.FALLBACK:
             continue
         checked += 1
-        want_x, want_y = _mp_partials(c.g_x, c.g_y)
+        want_x, want_y = mp_partials(c.g_x, c.g_y)
         assert abs(m_hat_dgx(c) - want_x) < 1e-9, c
         assert abs(m_hat_dgy(c) - want_y) < 1e-9, c
     # the ellipse meets the circle 1.1e-3 from the end of its x-extent; a
     # section quadrature of d/dg_x without that breakpoint missed by 3.6e-3
     c = ANCoords(0.24670000817211535, 0.21929332666967025)
     assert classify_case(c) is CaseRegime.CASE2
-    assert abs(m_hat_dgx(c) - _mp_partials(c.g_x, c.g_y)[0]) < 1e-9
+    assert abs(m_hat_dgx(c) - mp_partials(c.g_x, c.g_y)[0]) < 1e-9
 
 
 def test_partials_match_finite_differences_in_fallback_band():
@@ -322,7 +318,7 @@ def test_partials_match_finite_differences_in_fallback_band():
         fdy = diff(lambda h: m_hat_direct(ANCoords(gx, gy + h), tight))
         assert abs(dgx - fdx) < 1e-6
         assert abs(dgy - fdy) < 1e-6
-        want_x, want_y = _mp_partials(gx, gy)
+        want_x, want_y = mp_partials(gx, gy)
         assert abs(dgx - want_x) < 1e-9 and abs(dgy - want_y) < 1e-9, c
     # a finite difference with h = 1e-5 at the default tolerances gave 0.1672223
     c = ANCoords(-0.18558571330701756, 0.7773898562284995)
@@ -347,7 +343,7 @@ def test_closed_form_matches_direct_oracle():
         c = ANCoords(gx, gy)
         value, dgx, dgy = _m_hat_closed_form(c)
         assert abs(value - m_hat_direct(c, value_ref)) < 1e-9
-        want_x, want_y = _mp_partials(gx, gy)
+        want_x, want_y = mp_partials(gx, gy)
         assert abs(dgx - want_x) < 1e-9 and abs(dgy - want_y) < 1e-9, c
 
 
@@ -398,65 +394,32 @@ def test_antiderivatives_differentiate_to_their_integrands():
     # integrand, with the ellipse roots and their parameter derivatives taken
     # straight from the root formula; the float evaluator matches the
     # antiderivatives it is built from
-    mp = mpmath.mp
     rng = np.random.default_rng(43)
-    with mpmath.workdps(30):
-
-        def root(x, gx, gy, sigma):
-            u = x + 1
-            s = gx * gx + gy * gy
-            return (sigma * mpmath.sqrt(s - gy * gy * u * u) - u * gx) / s
-
-        def parts(x, gx, gy, sigma):
-            # antiderivatives of d/dg_x and d/dg_y of sigma/y_sigma
-            u = x + 1
-            a = mpmath.asin(gy * u / mpmath.sqrt(gx * gx + gy * gy))
-            return -sigma * mpmath.log(root(x, gx, gy, sigma)), a
-
-        checked = 0
-        while checked < 40:
-            sigma = 1 if checked % 2 else -1
-            gx = mp.mpf(float(rng.uniform(-1.5, 1.0)))
-            gy = mp.mpf(float(rng.uniform(0.1, 1.5)))
-            x = mp.mpf(float(rng.uniform(-0.5, 0.5)))
-            u = x + 1
-            if gy * gy * u * u >= gx * gx + gy * gy or root(x, gx, gy, sigma) <= 0:
-                continue
-            checked += 1
-            integrand = sigma / root(x, gx, gy, sigma)
-            d_gx = mpmath.diff(lambda g: sigma / root(x, g, gy, sigma), gx)
-            d_gy = mpmath.diff(lambda g: sigma / root(x, gx, g, sigma), gy)
-            px = mpmath.diff(lambda t: parts(t, gx, gy, sigma)[0], x)
-            py = mpmath.diff(lambda t: parts(t, gx, gy, sigma)[1], x)
-            assert abs(px - d_gx) < mp.mpf(10) ** -20 * max(1, abs(d_gx))
-            assert abs(py - d_gy) < mp.mpf(10) ** -20 * max(1, abs(d_gy))
-            assert abs(gx * px + gy * py - integrand) < mp.mpf(10) ** -20 * max(1, abs(integrand))
-
-            c = ANCoords(float(gx), float(gy))
-            xe = math.sqrt(1.0 + c.g_x * c.g_x / (c.g_y * c.g_y)) - 1.0
-            log_lo, log_hi, a = _ellipse_antiderivative(float(x), c.g_x, c.g_y, xe)
-            got = (log_lo if sigma < 0 else -log_hi, a)
-            for g, want in zip(got, parts(x, gx, gy, sigma)):
-                assert abs(g - float(want)) < 1e-12 * max(1.0, abs(float(want)))
-
-        for x in (mp.mpf("-0.4"), mp.mpf("0.1"), mp.mpf("0.45")):
-            gx = mp.mpf("-0.7")
-            assert abs(mpmath.diff(mpmath.asin, x) - 1 / mpmath.sqrt(1 - x * x)) < mp.mpf(10) ** -25
-            line = mpmath.diff(lambda t: gx * mpmath.log(1 + 2 * t), x)
-            assert abs(line - 2 * gx / (1 + 2 * x)) < mp.mpf(10) ** -25
+    checked = 0
+    while checked < 40:
+        sigma = 1 if checked % 2 else -1
+        gx = float(rng.uniform(-1.5, 1.0))
+        gy = float(rng.uniform(0.1, 1.5))
+        x = float(rng.uniform(-0.5, 0.5))
+        want = mp_ellipse_antiderivatives(x, gx, gy, sigma)
+        if want is None:
+            continue
+        checked += 1
+        parts, residual = want
+        assert residual < 1e-20, (x, gx, gy, sigma)
+        xe = math.sqrt(1.0 + gx * gx / (gy * gy)) - 1.0
+        log_lo, log_hi, a = _ellipse_antiderivative(x, gx, gy, xe)
+        got = (log_lo if sigma < 0 else -log_hi, a)
+        for g, w in zip(got, parts):
+            assert abs(g - w) < 1e-12 * max(1.0, abs(w))
+    assert mp_circle_and_line_residual(("-0.4", "0.1", "0.45"), "-0.7") < 1e-25
 
 
 def test_crossing_finder_matches_companion_matrix_roots():
-    def reference(c):
-        s = c.g_x * c.g_x + c.g_y * c.g_y
-        roots = np.roots([1.0, 0.0, 2.0 - 4.0 * s, -8.0 * c.g_x, -3.0])
-        ts = {t.real for t in roots if abs(t.imag) < 1e-6 and 1.0 / SQRT3 < t.real < SQRT3}
-        return sorted((1.0 - t * t) / (1.0 + t * t) for t in ts)
-
     rng = np.random.default_rng(47)
     for gx, gy in _log_uniform_points(rng, 2000):
         c = ANCoords(gx, gy)
-        got, want = crossings(c), reference(c)
+        got, want = crossings(c), companion_crossings(gx, gy)
         assert len(got) == len(want)
         assert all(abs(g - w) < 1e-12 for g, w in zip(got, want))
     # a tangency at t0 = 1.2: p(t0) = p'(t0) = 0 fixes s and g_x
@@ -466,14 +429,6 @@ def test_crossing_finder_matches_companion_matrix_roots():
     c = ANCoords(gx, math.sqrt(s - gx * gx))
     x0 = (1.0 - t0 * t0) / (1.0 + t0 * t0)
     assert min(abs(x - x0) for x in crossings(c)) < 1e-6
-
-
-def companion_crossings(gx: float, gy: float) -> list[float]:
-    # the np.roots rule of test_crossing_finder_matches_companion_matrix_roots
-    s = gx * gx + gy * gy
-    roots = np.roots([1.0, 0.0, 2.0 - 4.0 * s, -8.0 * gx, -3.0])
-    ts = {t.real for t in roots if abs(t.imag) < 1e-6 and 1.0 / SQRT3 < t.real < SQRT3}
-    return sorted((1.0 - t * t) / (1.0 + t * t) for t in ts)
 
 
 def test_crossing_finder_at_tiny_gx():
@@ -575,38 +530,6 @@ def test_iwasawa_image_coords_vs_decomposition():
         assert abs(gy - ref.y) < 1e-10 * max(1.0, ref.y)
 
 
-def _boundary_functions(c: ANCoords) -> list[float]:
-    # every curve classify_case switches on, as a function that is 0 on it
-    gx, gy = c.g_x, c.g_y
-    s = gx * gx + gy * gy
-    return [
-        gy - 0.5,
-        gy - 2.0 / SQRT3,
-        s + 2.0 * gx / SQRT3 - 1.0,
-        gx,
-        s + 2.0 * gx,
-        gx + math.sqrt(5.0) * gy / 2.0,
-        gx + 2.0 * gy / SQRT3,
-        s + 2.0 * SQRT3 * gx + 5.0 / 3.0,
-        gx + 2.0 / SQRT3,
-    ]
-
-
-def _event_functions(c: ANCoords) -> list[float]:
-    # every crossing of two section breakpoints that _meeting_thetas solves,
-    # as a function that is 0 on it: the line, the circle and the ellipse
-    # through one point, and the other ellipse root on the circle at the
-    # line's ellipse crossing
-    gx, gy = c.g_x, c.g_y
-    s = gx * gx + gy * gy
-    x = -0.5 - SQRT3 * gx / (2.0 * gy)
-    other = -2.0 * (x + 1.0) * gx / s - SQRT3 / (2.0 * gy)
-    return [
-        3.0 * gy * gy - 2.0 * SQRT3 * gx * gy - 3.0 * gx * gx - 3.0,
-        x * x + other * other - 1.0,
-    ]
-
-
 def _cut_sequences_at(r: float, thetas, narrowest: float = 0.0) -> list:
     # the section's cut structure along the circle: the flag code of each
     # live segment wider than narrowest, left to right, with consecutive
@@ -650,7 +573,7 @@ def test_case_transition_sliver_present():
             # a residual of 1.1e-11
             u = math.ulp(t)
             points = [ANCoords(*_circle_coords(r, t + d)[:2]) for d in (0.0, -u, u)]
-            vals = zip(*([*_boundary_functions(c), *_event_functions(c)] for c in points))
+            vals = zip(*(transition_residuals(c.g_x, c.g_y) for c in points))
             assert any(abs(f) < 1e-12 + abs(fp - fm) for f, fm, fp in vals), (r, t)
         if r < 1.0:
             tb = theta_boundaries(r)
@@ -661,18 +584,11 @@ def test_case_transition_sliver_present():
 def test_root_split_is_where_the_meeting_function_is_least():
     # the function of x behind _root_on_circle, whose least point on (0, 1/2)
     # splits the brackets of the sextic's two roots
-    with mpmath.workdps(40):
-
-        def meeting(x):
-            return 2 * (3 * x**3 + 4 * x**2 + x + 1) / (
-                mpmath.sqrt(3) * mpmath.sqrt(1 - x**2) * x * (x + 2)
-            )
-
-        least = float(mpmath.findroot(lambda x: mpmath.diff(meeting, x), 0.39))
+    least = mp_root_split()
     assert abs(regions._ROOT_SPLIT - least) <= math.ulp(least)
 
 
-def test_case_transitions_include_the_meeting_events(touch_thetas):
+def test_case_transitions_include_the_meeting_events():
     # structural changes where two section breakpoints meet, seen with a
     # 20 000-angle cut-sequence scan plus bisection before they were
     # candidates (r = 0.578... is the radius of the Lie-derivative bump).
@@ -692,7 +608,7 @@ def test_case_transitions_include_the_meeting_events(touch_thetas):
         0.9: (),
         1.5: (-1.245983, -0.815455),
     }
-    for (r, angles), found in zip(crossings.items(), touch_thetas(list(crossings))):
+    for (r, angles), found in zip(crossings.items(), extent_touch_thetas(list(crossings))):
         ts = case_transition_thetas(r)
         for angle in angles:
             assert min(abs(angle - t) for t in ts) < 1e-6, (r, angle)
@@ -701,7 +617,7 @@ def test_case_transitions_include_the_meeting_events(touch_thetas):
             assert abs(angle - touch) < 1e-6 and min(abs(angle - t) for t in ts) > 1e-6, (r, angle)
 
 
-def test_case_transitions_return_no_touch(touch_thetas):
+def test_case_transitions_return_no_touch():
     # the touches of the ellipse's extent end with the circle need no angle:
     # m_hat is twice differentiable across them. Over the whole norm range
     # none is returned; the nearest returned angle lies 4e-7 relative from a
@@ -709,7 +625,7 @@ def test_case_transitions_return_no_touch(touch_thetas):
     half = math.pi / 2.0
     radii = np.geomspace(1e-38, 1e38, 3000)
     seen = 0
-    for r, touches in zip(radii, touch_thetas(radii)):
+    for r, touches in zip(radii, extent_touch_thetas(radii)):
         ts = case_transition_thetas(float(r))
         for touch in touches:
             if abs(touch) < half - 1e-12:
@@ -718,7 +634,7 @@ def test_case_transitions_return_no_touch(touch_thetas):
     assert seen > 1000
 
 
-def test_case_transitions_are_complete(touch_thetas):
+def test_case_transitions_are_complete():
     # every change of the cut sequence that a 4001-angle scan (uniform in
     # the v of _circle_v_angles, so both ends are resolved) and bisection
     # find lies within 1e-12 of a returned angle or of +-pi/2. Where the
@@ -731,7 +647,7 @@ def test_case_transitions_are_complete(touch_thetas):
     half = math.pi / 2.0
     grid, _ = regions._circle_v_angles(np.linspace(-half, half, 4003)[1:-1])
     radii = np.geomspace(1e-3, 1e4, 40)
-    for r, touches in zip(radii, touch_thetas(radii)):
+    for r, touches in zip(radii, extent_touch_thetas(radii)):
         r = float(r)
         ends = np.array([-half, *case_transition_thetas(r), half])
         seqs = _cut_sequences_at(r, grid)
@@ -992,49 +908,6 @@ def test_m_tilde_where_the_circle_passes_gx_zero_at_tiny_gy():
         assert abs(value - 0.5) < 1e-9 and err <= 1e-7, r
 
 
-def _mp_partials(gx: float, gy: float) -> tuple:
-    # (d m_hat/d g_x, d m_hat/d g_y) at 40 digits: the segment sums of the
-    # closed form, with every breakpoint and cut found in mpmath
-    mp = mpmath.mp
-    with mpmath.workdps(40):
-        gx, gy = mp.mpf(gx), mp.mpf(gy)
-        s = gx * gx + gy * gy
-        pts = [
-            -1 + mpmath.sqrt(s) / gy,
-            (-1 + abs(gx) * mpmath.sqrt(3 + 4 * gx * gx)) / (2 * (gx * gx + 1)),
-            -(mpmath.sqrt(3) * gx + gy) / (2 * gy),
-        ]
-        for t in mpmath.polyroots([1, 0, 2 - 4 * s, -8 * gx, -3], maxsteps=200, extraprec=200):
-            if abs(mpmath.im(t)) < mp.mpf(10) ** -30 and mpmath.re(t) > 0:
-                pts.append((1 - mpmath.re(t) ** 2) / (1 + mpmath.re(t) ** 2))
-        edges = [mp.mpf(-0.5), *sorted(p for p in pts if -0.5 < p < 0.5), mp.mpf(0.5)]
-
-        def roots(x):
-            q = mpmath.sqrt(max(gx * gx - gy * gy * x * (x + 2), 0))
-            return (-q - (x + 1) * gx) / s, (q - (x + 1) * gx) / s
-
-        def ellipse_asin(x):
-            return mpmath.asin(min(gy * (x + 1) / mpmath.sqrt(s), 1))
-
-        dgx = dgy = mp.mpf(0)
-        for a, b in zip(edges, edges[1:]):
-            x = (a + b) / 2
-            ymin = mpmath.sqrt(1 - x * x)
-            top = -(1 + 2 * x) / (2 * gx) if gx < 0 else mpmath.inf
-            lo, hi = roots(x)
-            ellipse = gx * gx - gy * gy * x * (x + 2) > 0 and hi > ymin and lo < top
-            lower, upper = ellipse and ymin < lo, ellipse and hi < top
-            if gx < 0 and ymin < top and (not ellipse or upper):
-                dgx += mpmath.log((1 + 2 * b) / (1 + 2 * a))
-            (la, ha), (lb, hb) = roots(a), roots(b)
-            if lower:
-                dgx += mpmath.log(lb / la)
-            if upper:
-                dgx -= mpmath.log(hb / ha)
-            dgy += (lower + upper) * (ellipse_asin(b) - ellipse_asin(a))
-        return float(3 * dgx / mp.pi), float(3 * dgy / mp.pi)
-
-
 def test_partials_at_extreme_shapes_match_high_precision():
     # at |g_x| ~ 1e-12, g_y ~ 1e-6 the extent end and a crossing sit near
     # x = 0, and d/dg_x has an inverse-square-root end at the extent end: a
@@ -1046,7 +919,7 @@ def test_partials_at_extreme_shapes_match_high_precision():
             float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-13, -11)),
             float(10.0 ** rng.uniform(-6.5, -5.5)),
         )
-        want_x, want_y = _mp_partials(c.g_x, c.g_y)
+        want_x, want_y = mp_partials(c.g_x, c.g_y)
         got_x, got_y = m_hat_partials(c)
         assert abs(got_x - want_x) < 1e-9 * abs(want_x), c
         assert abs(got_y - want_y) < 1e-9, c

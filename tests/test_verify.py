@@ -33,12 +33,24 @@ def test_all_suites_pass_and_report_shape():
     assert names == [(suite, name) for name, (suite, _) in MUTATIONS.items()]
 
 
-def test_single_suite_selection_and_unknown():
+def test_single_suite_selection_and_unknown(monkeypatch):
     report = run_verify(["decay"], 3)
     assert [s["suite"] for s in report["suites"]] == ["decay"]
     assert report["seed"] == 3
     with pytest.raises(HypertransferError):
         run_verify(["bogus"], 3)
+
+    # every name is checked before any suite runs: beside "all" an unknown
+    # name passed unnamed, and after "cases" it was named only once that
+    # suite had run
+    def no_suite(seed):
+        raise AssertionError("a suite ran before the suite names were checked")
+
+    for name in SUITE_NAMES:
+        monkeypatch.setitem(verify._SUITES, name, no_suite)
+    for suites in (["all", "bogus"], ["cases", "bogus"]):
+        with pytest.raises(HypertransferError, match="unknown suite 'bogus'"):
+            run_verify(suites, 3)
 
 
 def test_cli_suites_are_the_verify_suites(capsys):
