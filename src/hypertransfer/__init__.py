@@ -9,7 +9,6 @@ from .cocycle import (
     DomainPoint,
     cocycle_beta,
     domain_measure_mc,
-    domain_point,
     sample_domain,
     transferred_symbol_mc,
 )
@@ -59,7 +58,6 @@ from .sl2 import (
     HalfPlanePoint,
     IDENTITY,
     RealMat2,
-    an_coords,
     an_matrix,
     cartan_a,
     halfplane_image,

@@ -3,8 +3,9 @@ samplers, and the Monte-Carlo transferred-multiplier estimator. Every
 Monte-Carlo route draws from _rng and reports through _mean_se, and the
 domain samples come from _domain_xy.
 
-A domain point is s0 * rotation(theta0) with pi(s0) in the fundamental domain
-and theta0 in [0, pi). For a group element g, the unique lattice matrix beta
+A domain point is its coordinates (x, y, theta0): s0 * rotation(theta0), s0
+the AN element with s0(i) = x + iy in the fundamental domain and theta0 in
+[0, pi). For a group element g, the unique lattice matrix beta
 with beta^{-1} h back in the domain, h = s0 k0 g, is gamma, the reduction of
 h(i), with the sign that brings the angle of the bottom row of gamma^-1 h
 into [0, pi); cocycle_beta is the one function that forms it, to its
@@ -40,7 +41,6 @@ from .sl2 import (
     HalfPlanePoint,
     RealMat2,
     _check_norm,
-    an_coords,
     an_matrix,
     halfplane_image,
     operator_norm,
@@ -63,15 +63,17 @@ BETA_MAX_NORM = 3e5
 
 @dataclass(frozen=True)
 class DomainPoint:
-    """s0 in AN over the fundamental domain plus a rotation angle in [0, pi)."""
+    """x + iy in the fundamental domain plus a rotation angle in [0, pi)."""
 
-    s0: RealMat2
+    x: float
+    y: float
     k0_angle: float
 
     def __post_init__(self) -> None:
-        c = an_coords(self.s0)
-        if not _in_domain(c.g_x, c.g_y):
-            raise DomainError(f"AN part projects outside the fundamental domain: {c}")
+        if not (math.isfinite(self.x) and math.isfinite(self.y) and self.y > 0.0):
+            raise DomainError(f"domain point needs finite x and y > 0, got {self}")
+        if not _in_domain(self.x, self.y):
+            raise DomainError(f"{self.x!r}+{self.y!r}i is outside the fundamental domain")
         if not 0.0 <= self.k0_angle < math.pi:
             raise DomainError(f"k0 angle {self.k0_angle!r} outside [0, pi)")
 
@@ -80,10 +82,6 @@ class DomainPoint:
 class CocycleResult:
     beta: IntMat2
     moved: DomainPoint
-
-
-def domain_point(x: float, y: float, theta: float) -> DomainPoint:
-    return DomainPoint(s0=an_matrix(ANCoords(x, y)), k0_angle=theta)
 
 
 def cocycle_beta(p: DomainPoint, g: RealMat2) -> CocycleResult:
@@ -97,7 +95,7 @@ def cocycle_beta(p: DomainPoint, g: RealMat2) -> CocycleResult:
             f"cocycle_beta refuses operator norm {operator_norm(g):.3g}: "
             f"past norm {BETA_MAX_NORM:g} float64 rounding can decide beta"
         )
-    h = p.s0 @ rotation(p.k0_angle) @ g
+    h = an_matrix(ANCoords(p.x, p.y)) @ rotation(p.k0_angle) @ g
     red = reduce_to_fundamental_domain(halfplane_image(h))
     gam = red.gamma
     a, _, c, _ = gam.entries()
@@ -105,8 +103,8 @@ def cocycle_beta(p: DomainPoint, g: RealMat2) -> CocycleResult:
     # gamma^-1 h = (d -b; -c a) h; the sign of beta brings it into [0, pi)
     theta = math.atan2(-c * h.a + a * h.c, -c * h.b + a * h.d) % (2.0 * math.pi)
     if theta < math.pi:
-        return CocycleResult(gam, domain_point(red.z0.x, red.z0.y, theta))
-    return CocycleResult(gam.neg(), domain_point(red.z0.x, red.z0.y, theta - math.pi))
+        return CocycleResult(gam, DomainPoint(red.z0.x, red.z0.y, theta))
+    return CocycleResult(gam.neg(), DomainPoint(red.z0.x, red.z0.y, theta - math.pi))
 
 
 def _check_seed(seed: int) -> int:
@@ -189,7 +187,7 @@ def _sample_xyth(rng_seed: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 def sample_domain(rng_seed: int, n: int) -> list[DomainPoint]:
     x, y, theta = _sample_xyth(rng_seed, n)
-    return [domain_point(float(xi), float(yi), float(ti)) for xi, yi, ti in zip(x, y, theta)]
+    return [DomainPoint(float(xi), float(yi), float(ti)) for xi, yi, ti in zip(x, y, theta)]
 
 
 def domain_measure_mc(rng_seed: int, n: int) -> tuple[float, float]:

@@ -133,12 +133,12 @@ def _section_cuts(x, gx, gy):
     """The cuts of the y-section at abscissa x and which of its four mass
     terms are active; the one place that decides which cuts bound the section.
 
-    The cuts are (ymin, top, lo, hi, q): the circle height ymin, the line cut
+    The cuts are (ymin, top, lo, hi): the circle height ymin, the line cut
     top (y >= top is excluded; inf when g_x >= 0) and the ellipse roots
-    lo < hi with q the root of the radicand (NaN where the ellipse misses the
-    abscissa). The flags are boolean arrays (circle, lower, upper, line) for
-    the terms 1/ymin, -1/lo, +1/hi and -1/top: the section is [ymin, lo) if
-    lower, else [ymin, top), when circle, and [hi, top) when upper.
+    lo < hi (NaN where the ellipse misses the abscissa). The flags are
+    boolean arrays (circle, lower, upper, line) for the terms 1/ymin, -1/lo,
+    +1/hi and -1/top: the section is [ymin, lo) if lower, else [ymin, top),
+    when circle, and [hi, top) when upper. Every flag is False at x = NaN.
     """
     xe = _extent_end(gx, gy)
     negative = gx < 0.0
@@ -154,16 +154,14 @@ def _section_cuts(x, gx, gy):
     ellipse = (hi > ymin) & (lo < top)  # False where q is NaN
     cut, uncut = valid & ellipse, valid & ~ellipse
     lower, upper = cut & (ymin < lo), cut & (hi < top)
-    return (ymin, top, lo, hi, q), (uncut | lower, lower, upper, negative & (uncut | upper))
+    return (ymin, top, lo, hi), (uncut | lower, lower, upper, negative & (uncut | upper))
 
 
 def section_intervals(x: float, c: ANCoords) -> list[tuple[float, float]]:
     """Allowed y-intervals of the region above the circle at abscissa x; the
     upper endpoint may be math.inf."""
     _check_shape(c)
-    (ymin, top, lo, hi, _), (circle, lower, upper, _) = _section_cuts(
-        np.float64(x), c.g_x, c.g_y
-    )
+    (ymin, top, lo, hi), (circle, lower, upper, _) = _section_cuts(np.float64(x), c.g_x, c.g_y)
     segs = [(float(ymin), float(lo if lower else top))] if circle else []
     if upper:
         segs.append((float(hi), float(top)))
@@ -172,7 +170,7 @@ def section_intervals(x: float, c: ANCoords) -> list[tuple[float, float]]:
 
 def _section_mass(x, gx, gy):
     """Exact 1/y^2-mass of the allowed y-section at abscissa x."""
-    (ymin, top, lo, hi, _), (circle, lower, upper, _) = _section_cuts(x, gx, gy)
+    (ymin, top, lo, hi), (circle, lower, upper, _) = _section_cuts(x, gx, gy)
     with np.errstate(divide="ignore", invalid="ignore"):
         below = np.where(circle, 1.0 / ymin - 1.0 / np.where(lower, lo, top), 0.0)
         return below + np.where(upper, 1.0 / hi - 1.0 / top, 0.0)  # 1/inf is 0
@@ -307,13 +305,12 @@ def _ellipse_antiderivative(x, gx, gy, xe):
 
 def _section_segments(gx: np.ndarray, gy: np.ndarray):
     """(edges, live, flags), one row per point: the segments of (-1/2, 1/2)
-    between its _section_breakpoints, padded to one width with zero-length
-    segments at x = 1/2 (live marks the others), and the _section_cuts flags
-    at their midpoints, which hold on the whole segment."""
-    inner = _section_breakpoints(gx, gy)
+    between its _section_breakpoints, padded to one width with the NaN of
+    each absent breakpoint (sorted last), live marking the segments of
+    positive width, and the _section_cuts flags at their midpoints, which
+    hold on the whole segment and are all False on a NaN edge."""
     ends = np.full(len(gx), 0.5)
-    edges = np.column_stack((-ends, np.where(np.isnan(inner), 0.5, inner), ends))
-    edges.sort(axis=1)
+    edges = np.sort(np.column_stack((-ends, _section_breakpoints(gx, gy), ends)), axis=1)
     a, b = edges[:, :-1], edges[:, 1:]
     _, flags = _section_cuts(0.5 * (a + b), gx[:, None], gy[:, None])
     return edges, a < b, flags
@@ -333,9 +330,8 @@ def _closed_form(gx: np.ndarray, gy: np.ndarray) -> tuple[np.ndarray, np.ndarray
     also floors the logarithm against rounding.
     """
     gx, gy = np.asarray(gx, dtype=float), np.asarray(gy, dtype=float)
-    edges, live, (circle, lower, upper, line) = _section_segments(gx, gy)
+    edges, _, (circle, lower, upper, line) = _section_segments(gx, gy)
     gxc, gyc = gx[:, None], gy[:, None]
-    lower, upper = lower & live, upper & live
     asin = np.arcsin(edges)
     floor = -SQRT3 * gxc
     with np.errstate(divide="ignore"):
@@ -351,9 +347,9 @@ def _closed_form(gx: np.ndarray, gy: np.ndarray) -> tuple[np.ndarray, np.ndarray
     (bx, by), (ax, ay) = ellipse_at(np.s_[1:]), ellipse_at(np.s_[:-1])
     ellipse = lower | upper
     with np.errstate(invalid="ignore"):  # the masked-out differences of -inf
-        arc = np.where(circle & live, asin[:, 1:] - asin[:, :-1], 0.0).sum(axis=1)
+        arc = np.where(circle, asin[:, 1:] - asin[:, :-1], 0.0).sum(axis=1)
         dgx = (
-            np.where(line & live, log_line[:, 1:] - log_line[:, :-1], 0.0)
+            np.where(line, log_line[:, 1:] - log_line[:, :-1], 0.0)
             + np.where(ellipse, bx - ax, 0.0)
         ).sum(axis=1)
         dgy = np.where(ellipse, by - ay, 0.0).sum(axis=1)

@@ -1,6 +1,6 @@
 """2x2 real determinant-one matrices: Mobius action on the upper half-plane,
-rotations and the Cartan factor diag(r, 1/r), operator norm and its range, AN
-coordinates.
+rotations and the Cartan factor diag(r, 1/r), operator norm and its range, and
+the AN element of given coordinates.
 
 Everything here is closed-form 2x2 algebra; no general linear-algebra routines
 are involved.
@@ -157,13 +157,6 @@ def _check_norm(r: float) -> None:
             f"operator norm {norm!r} is outside the supported range [1, {MAX_NORM:g}] "
             f"(diag(r, 1/r) needs r in [{1.0 / MAX_NORM:g}, {MAX_NORM:g}])"
         )
-
-
-def an_coords(g_in_an: RealMat2) -> ANCoords:
-    """(g_x, g_y) of an upper-triangular positive-diagonal element."""
-    if abs(g_in_an.c) > 1e-12 or g_in_an.a <= 0.0 or g_in_an.d <= 0.0:
-        raise DomainError(f"not an AN element: {g_in_an}")
-    return ANCoords(g_x=g_in_an.b * g_in_an.a, g_y=g_in_an.a * g_in_an.a)
 
 
 def an_matrix(coords: ANCoords) -> RealMat2:

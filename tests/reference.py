@@ -22,11 +22,11 @@ import numpy as np
 import scipy.linalg
 
 from hypertransfer import regions
-from hypertransfer.cocycle import DomainPoint, _domain_xy, _mean_se, _rng, domain_point
+from hypertransfer.cocycle import DomainPoint, _domain_xy, _mean_se, _rng
 from hypertransfer.errors import DomainError
 from hypertransfer.modular import IntMat2, _inverts
 from hypertransfer.regions import case_transition_thetas, m_tilde
-from hypertransfer.sl2 import ANCoords, HalfPlanePoint, RealMat2, cartan_a
+from hypertransfer.sl2 import ANCoords, HalfPlanePoint, RealMat2, an_matrix, cartan_a
 
 SQRT3 = math.sqrt(3.0)
 
@@ -129,6 +129,38 @@ def companion_crossings(gx: float, gy: float) -> list[float]:
     roots = np.roots([1.0, 0.0, 2.0 - 4.0 * s, -8.0 * gx, -3.0])
     ts = {t.real for t in roots if abs(t.imag) < 1e-6 and 1.0 / SQRT3 < t.real < SQRT3}
     return sorted((1.0 - t * t) / (1.0 + t * t) for t in ts)
+
+
+def mp_circle_crossings(gx: float, gy: float) -> list[float]:
+    """Abscissas in (-1/2, 1/2) where the ellipse of (g_x, g_y) crosses the
+    unit circle: the real roots of [(1 - S) x^2 + 2x + S]^2 =
+    4 g_x^2 (1 + x)^3 (1 - x), S = g_x^2 + g_y^2, by 50-digit
+    mpmath.polyroots, kept where the unsquared equation
+    (1 - S) x^2 + 2x + S + 2 g_x (1 + x) sqrt(1 - x^2) = 0 holds.
+
+    Quantity: the real rows of regions._ellipse_circle_abscissas, in
+    relative terms near x = 0, where companion_crossings sees them only to
+    1e-12 absolute. Trusted: g_x != 0 (at g_x = 0 the squared quartic has
+    double roots), away from tangencies. Accuracy: 50 digits before the
+    final rounding to float; the finder matched it to 7.4e-16 relative, with
+    the same count, on 300 shapes with |g_x| log-spread over [1e-14, 1] and
+    g_y over [1e-3, 1.15]. Shares: none; its quartic in x shares no
+    coefficient with the finder's quartics in t = tan(phi/2) and
+    u = (1 - t)/(1 + t)."""
+    with mpmath.workdps(50):
+        gx, gy = mpmath.mpf(gx), mpmath.mpf(gy)
+        s, k = gx * gx + gy * gy, 4 * gx * gx
+        # P(x)^2 - 4 g_x^2 (1 + 2x - 2x^3 - x^4), P = (1 - S) x^2 + 2x + S
+        coeffs = [(1 - s) ** 2 + k, 4 * (1 - s) + 2 * k, 4 + 2 * (1 - s) * s, 4 * s - 2 * k, s * s - k]
+        out = []
+        for root in mpmath.polyroots(coeffs, maxsteps=200, extraprec=200):
+            x = mpmath.re(root)
+            if abs(mpmath.im(root)) > mpmath.mpf(10) ** -30 * max(1, abs(x)) or not -0.5 < x < 0.5:
+                continue
+            terms = ((1 - s) * x * x, 2 * x, s, 2 * gx * (1 + x) * mpmath.sqrt(1 - x * x))
+            if abs(sum(terms)) <= mpmath.mpf(10) ** -30 * sum(map(abs, terms)):
+                out.append(float(x))
+        return sorted(out)
 
 
 def mp_partials(gx: float, gy: float) -> tuple[float, float]:
@@ -376,7 +408,7 @@ def random_domain_point(rng: np.random.Generator) -> DomainPoint:
     helper, not a measure-exact one; it holds no package code."""
     x = float(rng.uniform(-0.5, 0.5))
     y = float(math.sqrt(1.0 - x * x) / (1.0 - rng.uniform(0.0, 0.9)))
-    return domain_point(x, y, float(rng.uniform(0.0, math.pi)))
+    return DomainPoint(x, y, float(rng.uniform(0.0, math.pi)))
 
 
 def closed_form_rotated(n: float, theta_a: float, theta_b: float) -> RealMat2:
@@ -473,9 +505,10 @@ def mp_two_round_codes(x, y, theta, g) -> np.ndarray:
 
 def mp_beta(p: DomainPoint, g: RealMat2) -> IntMat2:
     """cocycle_beta(p, g).beta in 40-digit mpmath: h = s0 k0 g from the
-    entries of s0 and g and the angle of k0, its shadow h(i) reduced with
-    the reduction's translation and boundary rule, and the sign of beta from
-    the angle of the bottom row of gamma^-1 h.
+    entries of g, the angle of k0 and the entries of s0, the float matrix
+    an_matrix(ANCoords(p.x, p.y)) that cocycle_beta multiplies; its shadow
+    h(i) reduced with the reduction's translation and boundary rule, and the
+    sign of beta from the angle of the bottom row of gamma^-1 h.
 
     Quantity: the lattice element beta. Trusted: norms up to BETA_MAX_NORM
     and past it; at norm 1e7 about 1 float64 beta in 40 differs from it.
@@ -484,10 +517,11 @@ def mp_beta(p: DomainPoint, g: RealMat2) -> IntMat2:
     samples, and it matched cocycle_beta on 1 200 samples at
     0.999 BETA_MAX_NORM.
     Shares: modular._inverts, the boundary rule on the unit circle, so a
-    change to _CIRCLE_TOL moves both routes alike."""
+    change to _CIRCLE_TOL moves both routes alike, and sl2.an_matrix, whose
+    float s0 is the input of both routes."""
     with mpmath.workdps(40):
         ct, st = mpmath.cos(p.k0_angle), mpmath.sin(p.k0_angle)
-        s11, s12, s21, s22 = map(mpmath.mpf, p.s0.entries())
+        s11, s12, s21, s22 = map(mpmath.mpf, an_matrix(ANCoords(p.x, p.y)).entries())
         ga, gb, gc, gd = map(mpmath.mpf, g.entries())
         k11, k12 = ct * ga - st * gc, ct * gb - st * gd
         k21, k22 = st * ga + ct * gc, st * gb + ct * gd

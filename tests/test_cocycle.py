@@ -2,16 +2,18 @@
 symbol."""
 
 import math
-import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypertransfer import cocycle
 from hypertransfer.cocycle import (
     BETA_MAX_NORM,
     CocycleResult,
+    DomainPoint,
     _domain_xy,
     _mean_se,
     _rng,
@@ -20,7 +22,6 @@ from hypertransfer.cocycle import (
     _shadow_batch,
     cocycle_beta,
     domain_measure_mc,
-    domain_point,
     sample_domain,
     transferred_symbol_mc,
 )
@@ -37,9 +38,10 @@ from hypertransfer.quadrature import QuadratureConfig
 from hypertransfer.regions import m_tilde_full
 from hypertransfer.sl2 import (
     IDENTITY,
+    ANCoords,
     HalfPlanePoint,
     RealMat2,
-    an_coords,
+    an_matrix,
     cartan_a,
     halfplane_image,
     operator_norm,
@@ -73,13 +75,18 @@ def at_norm(g: RealMat2, n: float) -> RealMat2:
     return g
 
 
+def s0(p: DomainPoint) -> RealMat2:
+    # the AN factor of a domain point, formed as cocycle_beta forms it
+    return an_matrix(ANCoords(p.x, p.y))
+
+
 def scalar_results(
     x: np.ndarray, y: np.ndarray, theta: np.ndarray, g: RealMat2
 ) -> list[CocycleResult]:
     """cocycle_beta of every sample (x, y, theta), one at a time: the
     reference the Monte-Carlo route's two-round rows are held against."""
     return [
-        cocycle_beta(domain_point(float(a), float(b), float(t)), g)
+        cocycle_beta(DomainPoint(float(a), float(b), float(t)), g)
         for a, b, t in zip(x, y, theta)
     ]
 
@@ -123,21 +130,26 @@ def unit_arc_cases() -> list[tuple[np.ndarray, np.ndarray, np.ndarray, RealMat2]
 
 
 def test_domain_point_validation():
-    domain_point(0.5, 0.9, 0.0)  # corner of the domain is fine
+    DomainPoint(0.5, 0.9, 0.0)  # corner of the domain is fine
     with pytest.raises(DomainError):
-        domain_point(0.6, 2.0, 0.0)
+        DomainPoint(0.6, 2.0, 0.0)
     with pytest.raises(DomainError):
-        domain_point(0.0, 0.9, 0.0)
+        DomainPoint(0.0, 0.9, 0.0)
     with pytest.raises(DomainError):
-        domain_point(0.0, 2.0, math.pi)
+        DomainPoint(0.0, 2.0, math.pi)
     with pytest.raises(DomainError):
-        domain_point(0.0, 2.0, -0.1)
+        DomainPoint(0.0, 2.0, -0.1)
     # modular._in_domain decides, with its 1e-12 tolerance past each edge
-    domain_point(0.5 + 5e-13, 2.0, 0.0)
-    domain_point(0.0, 1.0 - 2e-13, 0.0)
+    DomainPoint(0.5 + 5e-13, 2.0, 0.0)
+    DomainPoint(0.0, 1.0 - 2e-13, 0.0)
     for x, y in ((0.5 + 5e-12, 2.0), (0.0, 1.0 - 2e-12)):
         with pytest.raises(DomainError, match="outside the fundamental domain"):
-            domain_point(x, y, 0.0)
+            DomainPoint(x, y, 0.0)
+    # coordinates that no AN element has: y = inf and y < 0 would pass the
+    # domain's inequalities
+    for x, y in ((0.0, math.inf), (0.0, -2.0), (0.0, math.nan), (math.nan, 2.0), (math.inf, 2.0)):
+        with pytest.raises(DomainError, match="needs finite x and y > 0"):
+            DomainPoint(x, y, 0.0)
 
 
 def test_identity_gives_trivial_beta():
@@ -147,7 +159,7 @@ def test_identity_gives_trivial_beta():
         res = cocycle_beta(p, RealMat2(1.0, 0.0, 0.0, 1.0))
         assert res.beta == I2
         assert abs(res.moved.k0_angle - p.k0_angle) <= 1e-12
-        for u, v in zip(res.moved.s0.entries(), p.s0.entries()):
+        for u, v in ((res.moved.x, p.x), (res.moved.y, p.y)):
             assert abs(u - v) <= 1e-12 * max(1.0, abs(v))
 
 
@@ -166,8 +178,8 @@ def test_result_invariant_and_moved_validity():
         res = cocycle_beta(p, g)
         assert isinstance(res, CocycleResult)
         a, b, c, d = res.beta.entries()
-        lhs = IntMat2(d, -b, -c, a).to_real() @ p.s0 @ rotation(p.k0_angle) @ g
-        rhs = res.moved.s0 @ rotation(res.moved.k0_angle)
+        lhs = IntMat2(d, -b, -c, a).to_real() @ s0(p) @ rotation(p.k0_angle) @ g
+        rhs = s0(res.moved) @ rotation(res.moved.k0_angle)
         for u, v in zip(lhs.entries(), rhs.entries()):
             assert abs(u - v) <= 1e-9
         # moved passed DomainPoint validation already; spot-check the angle
@@ -199,9 +211,7 @@ def test_sample_domain_deterministic():
     a = sample_domain(123, 50)
     b = sample_domain(123, 50)
     assert len(a) == 50
-    for p, q in zip(a, b):
-        assert p.s0.entries() == q.s0.entries()
-        assert p.k0_angle == q.k0_angle
+    assert a == b
     c = sample_domain(124, 50)
     assert any(p.k0_angle != q.k0_angle for p, q in zip(a, c))
     with pytest.raises(DomainError):
@@ -242,7 +252,7 @@ def test_sample_counts_are_integers_of_at_least_one():
     )
     assert domain_measure_mc(5, np.int64(1000)) == domain_measure_mc(5, 1000)
     a, b = sample_domain(1, np.int64(3)), sample_domain(1, 3)
-    assert [(p.s0, p.k0_angle) for p in a] == [(p.s0, p.k0_angle) for p in b]
+    assert a == b
     for route in (
         lambda n: transferred_symbol_mc(symbol_m_word, g, n, 2),
         lambda n: domain_measure_mc(5, n),
@@ -317,7 +327,7 @@ def test_batch_beta_matches_scalar_on_the_unit_arc():
     for case in unit_arc_cases():
         for res in cocycle_results(*case):
             assert res.beta in (S_MAT, S_MAT.neg()), case[3]
-            assert an_coords(res.moved.s0).g_x < 0.0, case[3]
+            assert res.moved.x < 0.0, case[3]
 
 
 def test_batch_beta_of_a_half_turn():
@@ -690,6 +700,25 @@ def test_cocycle_beta_is_exact_to_its_norm_bound():
     for g in (cartan_a(1.001 * BETA_MAX_NORM), rotation(0.9) @ cartan_a(1.001 * BETA_MAX_NORM)):
         with pytest.raises(DomainError, match="cocycle_beta refuses operator norm"):
             cocycle_beta(p, g)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    log_norm=st.floats(0.0, math.log(0.999 * BETA_MAX_NORM)),
+    theta_a=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+    theta_b=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+    seed=st.integers(0, 2**63),
+)
+def test_mc_symbols_are_the_mean_over_cocycle_beta(log_norm, theta_a, theta_b, seed):
+    # on 64 samples, the two-round route's word and sign averages are, bit
+    # for bit, the mean and standard error of the symbols of the scalar betas
+    # of the samples it draws, at any rotated norm up to the bound. A
+    # mismatch inside the range would mean BETA_MAX_NORM is set too high
+    g = closed_form_rotated(math.exp(log_norm), theta_a, theta_b)
+    betas = [cocycle_beta(p, g).beta for p in sample_domain(seed, 64)]
+    for symbol in _TWO_ROUND_TABLES:
+        want = _mean_se(np.array([float(symbol(beta)) for beta in betas]))
+        assert transferred_symbol_mc(symbol, g, 64, seed) == want, symbol
 
 
 def test_generic_symbols_are_refused_before_any_draw(monkeypatch):

@@ -1,6 +1,7 @@
 """The test-side references of tests/reference.py: each one fails its
 comparison under a named mutation of the package code it holds, and no test
-module defines a reference of its own or imports mpmath or scipy."""
+module defines a reference of its own, imports mpmath or scipy, or keeps an
+import it does not use."""
 
 import __future__
 
@@ -99,6 +100,17 @@ def _crossings_match_the_companion_roots() -> bool:
             want = reference.companion_crossings(gx, gy)
             if len(got) != len(want) or any(abs(g - w) >= 1e-6 for g, w in zip(got, want)):
                 return False
+    return True
+
+
+def _crossings_match_mpmath_in_relative_terms() -> bool:
+    # crossings within 1e-5 of x = 0, held to the test's 1e-14 relative
+    for gx, gy in ((-1e-8, 1.1e-3), (-1e-4, 1.7e-3), (1.5e-14, 2.3e-3), (-0.3, 0.7)):
+        row = regions._ellipse_circle_abscissas(np.array([gx]), np.array([gy]))[0]
+        got = sorted(float(x) for x in row if not math.isnan(x))
+        want = reference.mp_circle_crossings(gx, gy)
+        if len(got) != len(want) or any(abs(g - w) > 1e-14 * abs(w) for g, w in zip(got, want)):
+            return False
     return True
 
 
@@ -206,7 +218,9 @@ def _set_root_split(monkeypatch):
     monkeypatch.setattr(regions, "_ROOT_SPLIT", 0.3900)
 
 
-# reference -> (mutation of the package code it holds, comparison)
+# row -> (mutation of the package code the reference holds, comparison); a
+# row is named after its reference, with "/" and the mutant's name where the
+# reference has more than one
 MUTATIONS = {
     "reduced_words": (
         # +-T^n taken for the identity
@@ -243,6 +257,23 @@ MUTATIONS = {
             regions, "_ellipse_circle_abscissas", "spare = (-4e-12 <= disc)", "spare = (-4e-6 <= disc)"
         ),
         _crossings_match_the_companion_roots,
+    ),
+    "mp_circle_crossings/newton": (
+        # the finishing Newton step on the quartic in u dropped
+        _source_mutation(
+            regions, "_ellipse_circle_abscissas", "us = np.where(better, newton, us)", "us = us"
+        ),
+        _crossings_match_mpmath_in_relative_terms,
+    ),
+    "mp_circle_crossings/small_m": (
+        # the resolvent root taken as z - b/3 also where it cancels
+        _source_mutation(
+            regions,
+            "_ellipse_circle_abscissas",
+            "m = np.where(small < 1e-8, small, np.maximum(z - b / 3.0, 0.0))",
+            "m = np.maximum(z - b / 3.0, 0.0)",
+        ),
+        _crossings_match_mpmath_in_relative_terms,
     ),
     "mp_partials": (
         # the sign of the ellipse-root logarithms
@@ -348,8 +379,9 @@ def _reference_names(public_only: bool = False) -> set:
 
 
 def test_every_public_reference_has_a_mutation_or_a_reason():
-    assert set(MUTATIONS) | NO_MUTATION == _reference_names(public_only=True)
-    assert not set(MUTATIONS) & NO_MUTATION
+    mutated = {row.split("/")[0] for row in MUTATIONS}
+    assert mutated | NO_MUTATION == _reference_names(public_only=True)
+    assert not mutated & NO_MUTATION
 
 
 @pytest.mark.parametrize("name", MUTATIONS)
@@ -370,18 +402,24 @@ def test_each_reference_fails_under_its_mutation(monkeypatch, name):
 
 
 def _violations(source: str, references: set) -> list:
-    """The lines of a test module's source that import mpmath or scipy or
-    define a function with the name of a reference."""
+    """The lines of a test module's source that import mpmath or scipy,
+    import a name the module never reads, or define a function with the name
+    of a reference."""
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     out = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             modules = [alias.name for alias in node.names]
+            bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             modules = [node.module or ""]
+            bound = [alias.asname or alias.name for alias in node.names]
         else:
-            modules = []
+            modules, bound = [], []
         if any(m.split(".")[0] in ("mpmath", "scipy") for m in modules):
             out.append((node.lineno, "imports " + ", ".join(modules)))
+        out.extend((node.lineno, f"never reads {name}") for name in bound if name not in read)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in references:
             out.append((node.lineno, f"defines {node.name}"))
     return out
@@ -390,8 +428,16 @@ def _violations(source: str, references: set) -> list:
 def test_only_the_reference_module_holds_references():
     references = _reference_names()
     # the scan sees each kind of violation
-    planted = "import scipy.linalg\nfrom mpmath import mp\n\ndef f():\n    def mp_beta(p, g):\n        pass\n"
-    assert [line for line, _ in _violations(planted, references)] == [1, 2, 5]
+    planted = (
+        "import re\nimport scipy.linalg\nfrom mpmath import mp\nfrom math import pi as half_turn\n\n"
+        "def f():\n    def mp_beta(p, g):\n        return re, scipy.linalg.expm(mp)\n"
+    )
+    assert _violations(planted, references) == [
+        (2, "imports scipy.linalg"),
+        (3, "imports mpmath"),
+        (4, "never reads half_turn"),
+        (7, "defines mp_beta"),
+    ]
     modules = sorted(Path(__file__).parent.glob("test_*.py"))
     assert len(modules) >= 12
     for path in modules:

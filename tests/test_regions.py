@@ -16,7 +16,7 @@ import hypertransfer.regions as regions
 from hypertransfer import decay
 from hypertransfer.decay import theta_boundaries
 from hypertransfer.errors import AccuracyError, DomainError
-from hypertransfer.quadrature import DEFAULT_QUADRATURE, QuadratureConfig
+from hypertransfer.quadrature import QuadratureConfig
 from hypertransfer.regions import (
     CaseRegime,
     _circle_coords,
@@ -48,6 +48,7 @@ from reference import (
     extent_touch_thetas,
     m_hat_mc,
     mp_circle_and_line_residual,
+    mp_circle_crossings,
     mp_ellipse_antiderivatives,
     mp_partials,
     mp_root_split,
@@ -439,6 +440,22 @@ def test_crossing_finder_at_tiny_gx():
             got, want = crossings(ANCoords(gx, gy)), companion_crossings(gx, gy)
             assert len(got) == len(want)
             assert all(abs(g - w) < 1e-12 for g, w in zip(got, want))
+
+
+def test_crossing_finder_is_relatively_exact_near_zero():
+    # against the 50-digit roots of the squared quartic in x: near x = 0 the
+    # crossings hold 1e-14 relative, where the companion roots see them only
+    # to 1e-12 absolute. The finder is within 4.4e-16 relative on these
+    # shapes; dropping its Newton step misses by 1.3e-9, and dropping the
+    # small-m branch of its resolvent by 7.9e-12
+    rng = np.random.default_rng(0)
+    n = 100
+    gx = np.where(rng.random(n) < 0.5, -1.0, 1.0) * 10.0 ** rng.uniform(-14.0, 0.0, n)
+    gy = 10.0 ** rng.uniform(-3.0, math.log10(1.15), n)
+    for c in map(ANCoords, gx, gy):
+        got, want = crossings(c), mp_circle_crossings(c.g_x, c.g_y)
+        assert len(got) == len(want), c
+        assert all(abs(g - w) <= 1e-14 * abs(w) for g, w in zip(got, want)), c
 
 
 def test_crossing_finder_near_tangency():

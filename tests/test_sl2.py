@@ -11,7 +11,6 @@ from hypertransfer.sl2 import (
     ANCoords,
     HalfPlanePoint,
     RealMat2,
-    an_coords,
     an_matrix,
     cartan_a,
     mobius_act,
@@ -128,27 +127,14 @@ def test_operator_norm_symmetries():
         assert abs(n - operator_norm(tr)) <= 1e-12 * max(1.0, n)
 
 
-def test_an_coords_roundtrip():
-    assert an_coords(IDENTITY) == ANCoords(0.0, 1.0)
-    c = an_coords(RealMat2(math.sqrt(2.0), 0.0, 0.0, 1.0 / math.sqrt(2.0)))
-    assert abs(c.g_x) < 1e-12 and abs(c.g_y - 2.0) < 1e-12
-    c = an_coords(RealMat2(1.0, 3.0, 0.0, 1.0))
-    assert abs(c.g_x - 3.0) < 1e-12 and abs(c.g_y - 1.0) < 1e-12
+def test_an_matrix_maps_i_to_its_coordinates():
     rng = np.random.default_rng(7)
     for _ in range(100):
         coords = ANCoords(float(rng.uniform(-4, 4)), float(np.exp(rng.uniform(-2, 2))))
-        back = an_coords(an_matrix(coords))
-        assert abs(back.g_x - coords.g_x) <= 1e-12 * max(1.0, abs(coords.g_x))
-        assert abs(back.g_y - coords.g_y) <= 1e-12 * coords.g_y
         # pi(an_matrix(x,y)) = x + iy
         z = mobius_act(an_matrix(coords), HalfPlanePoint(0.0, 1.0))
         assert abs(z.x - coords.g_x) <= 1e-12 * max(1.0, abs(coords.g_x))
         assert abs(z.y - coords.g_y) <= 1e-12 * coords.g_y
-
-
-def test_an_coords_rejects_non_an_input():
-    with pytest.raises(DomainError):
-        an_coords(S_REAL)
     with pytest.raises(DomainError):
         an_matrix(ANCoords(0.0, -1.0))
 
