@@ -38,6 +38,12 @@ hypertransfer decay --rmin 0.001 --rmax 0.99 --steps 6 > /dev/null
 first=$(hypertransfer decay)
 second=$(hypertransfer decay)
 test "$first" = "$second"
+# the reduction runs exactly on the float input, and z0 is its exact point
+# rounded once: 0.30001110223024625157 + 100000.0000000000045i to 20 digits
+hypertransfer reduce 0.3 1e-7 | diff - <(printf '%s\n' \
+  gamma_a,gamma_b,gamma_c,gamma_d,z0_x,z0_y 3,-1,10,-3,0.30001110223024624,100000)
+# where the reduced point overflows float64 reduce names its DomainError
+exits_2 reduce 0 5e-324
 # past the supported norm range decay names its DomainError
 exits_2 decay --rmin 1e-300 --rmax 0.5 --steps 2
 # past the AN shapes of supported norms region names its DomainError

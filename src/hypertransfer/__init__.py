@@ -28,7 +28,6 @@ from .discrete import (
 )
 from .errors import (
     AccuracyError,
-    DegeneracyError,
     DomainError,
     HypertransferError,
 )

@@ -3,20 +3,16 @@ samplers, and the Monte-Carlo transferred-multiplier estimator. Every
 Monte-Carlo route draws from _rng and reports through _mean_se, and the
 domain samples come from _domain_xy.
 
-A domain point is its coordinates (x, y, theta0): s0 * rotation(theta0), s0
-the AN element with s0(i) = x + iy in the fundamental domain and theta0 in
-[0, pi). For a group element g, the unique lattice matrix beta
-with beta^{-1} h back in the domain, h = s0 k0 g, is gamma, the reduction of
-h(i), with the sign that brings the angle of the bottom row of gamma^-1 h
-into [0, pi); cocycle_beta is the one function that forms it, to its
-accuracy bound BETA_MAX_NORM. The Monte-Carlo average takes the norm range
-of every route to m_tilde and draws its samples block by block, from three
-streams placed at draws 0, n and 2n (_streams). It averages only the word
-and sign symbols: the word symbol reads only the first letter of beta, up to
-sign, and the sign symbol only the sign of Re beta(i), so the average reads
-both off the first two rounds of the reduction of each sample's shadow,
-which it forms in Mobius form, s0(k0(g(i))) = x + y k0(g(i)), from one
-tangent of theta0 per sample, and forms no beta.
+A domain point (x, y, theta0) is s0 rotation(theta0), s0 the AN element with
+s0(i) = x + iy in the fundamental domain and theta0 in [0, pi). For a group
+element g, beta is the reduction gamma of h(i), h = s0 k0 g, with the sign
+that brings the angle of the bottom row of gamma^-1 h into [0, pi);
+cocycle_beta alone forms it, exactly at every norm. The Monte-Carlo average
+takes the norm range of every route to m_tilde and draws its samples block
+by block from three streams (_streams). Its word and sign symbols read only
+the first letter of beta, up to sign, and the sign of Re beta(i), so it
+reads both off the first two rounds of the reduction of each sample's shadow
+x + y k0(g(i)), from one tangent of theta0 per sample, and forms no beta.
 """
 
 from __future__ import annotations
@@ -33,6 +29,8 @@ from .modular import (
     _TWO_ROUND_TABLES,
     IntMat2,
     _in_domain,
+    _integer_entries,
+    _lattice_reduce,
     _two_round_codes,
     reduce_to_fundamental_domain,
 )
@@ -54,11 +52,6 @@ _SQRT3_HALF = math.sqrt(3.0) / 2.0
 # any block size; a 200 000-sample call peaks at 3.2 MB of numpy memory
 # (9.2 MB with the samples drawn whole, 17 MB in one block).
 _MC_BLOCK = 16_384
-# the largest operator norm of g that cocycle_beta accepts, an accuracy bound:
-# past it a shadow can lie below height 1e-12, where the float64 rounding of
-# its real part decides the lattice element (1 beta in 40 at norm 1e7 differs
-# from a 40-digit reduction, none of 1200 at this bound).
-BETA_MAX_NORM = 3e5
 
 
 @dataclass(frozen=True)
@@ -84,27 +77,33 @@ class CocycleResult:
     moved: DomainPoint
 
 
+def _product(m: list[int], n: list[int]) -> list[int]:
+    (a, b, c, d), (e, f, g, h) = m, n
+    return [a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h]
+
+
 def cocycle_beta(p: DomainPoint, g: RealMat2) -> CocycleResult:
     """The unique lattice element beta with beta^{-1} (s0 k0 g) back in the
     domain; beta keeps its genuine sign (the sign selects the [0, pi) angle).
-    Operator norms of g past BETA_MAX_NORM, where float64 rounding starts to
-    decide beta, are refused with a DomainError.
-    """
-    if operator_norm(g) > BETA_MAX_NORM:
-        raise DomainError(
-            f"cocycle_beta refuses operator norm {operator_norm(g):.3g}: "
-            f"past norm {BETA_MAX_NORM:g} float64 rounding can decide beta"
-        )
-    h = an_matrix(ANCoords(p.x, p.y)) @ rotation(p.k0_angle) @ g
-    red = reduce_to_fundamental_domain(halfplane_image(h))
-    gam = red.gamma
-    a, _, c, _ = gam.entries()
-    # the residual rotation angle in [0, 2 pi), off the bottom row of
-    # gamma^-1 h = (d -b; -c a) h; the sign of beta brings it into [0, pi)
-    theta = math.atan2(-c * h.a + a * h.c, -c * h.b + a * h.d) % (2.0 * math.pi)
-    if theta < math.pi:
-        return CocycleResult(gam, DomainPoint(red.z0.x, red.z0.y, theta))
-    return CocycleResult(gam.neg(), DomainPoint(red.z0.x, red.z0.y, theta - math.pi))
+    The float factors an_matrix(ANCoords(x, y)), rotation(k0_angle) and g are
+    multiplied and reduced exactly on integers at every norm, and the moved
+    point and its angle are each rounded once. A g whose float entries have
+    an exact determinant <= 0 (RealMat2 admits some) raises a DomainError."""
+    gm = _integer_entries(*g.entries())
+    if gm[0] * gm[3] - gm[1] * gm[2] <= 0:
+        raise DomainError(f"cocycle_beta needs det g > 0, and the float entries of {g} have det <= 0")
+    s0 = _integer_entries(*an_matrix(ANCoords(p.x, p.y)).entries())
+    k0 = _integer_entries(*rotation(p.k0_angle).entries())
+    gamma, z0, m21, m22 = _lattice_reduce(*_product(_product(s0, k0), gm))
+    # the sign turns the bottom row of beta^-1 h, shifted into float range, to
+    # an angle in [0, pi); one that rounds onto pi is 0 for the other sign
+    if m21 < 0 or (m21 == 0 and m22 < 0):
+        gamma, m21, m22 = gamma.neg(), -m21, -m22
+    s = 1 << max(0, m21.bit_length() - 1000, m22.bit_length() - 1000)
+    theta = math.atan2(m21 / s, m22 / s)
+    if theta == math.pi:
+        gamma, theta = gamma.neg(), 0.0
+    return CocycleResult(gamma, DomainPoint(z0.x, z0.y, theta))
 
 
 def _check_seed(seed: int) -> int:

@@ -9,12 +9,8 @@ class HypertransferError(Exception):
 
 class DomainError(HypertransferError, ValueError):
     """Input outside an operation's domain or supported range (bad
-    determinant, nonpositive height, an operator norm past sl2.MAX_NORM, or
-    in cocycle_beta past BETA_MAX_NORM, r = 1 on the Lie-derivative grid, ...)."""
-
-
-class DegeneracyError(HypertransferError, RuntimeError):
-    """Iteration cap exceeded in a reduction loop."""
+    determinant, in cocycle_beta a float det g <= 0, nonpositive height, an
+    operator norm past sl2.MAX_NORM, a reduced point past float64, ...)."""
 
 
 class AccuracyError(HypertransferError, RuntimeError):

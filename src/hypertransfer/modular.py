@@ -6,18 +6,16 @@ free-product structure, and both forms of the multiplier symbol.
 from __future__ import annotations
 
 import enum
-import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, DomainError
+from .errors import DomainError
 from .sl2 import HalfPlanePoint
 
-_ITER_CAP = 100_000
 _CIRCLE_TOL = 1e-12
-_TINY = sys.float_info.min  # below this, x^2 + y^2 has underflowed
+# its exact value t: the reduction compares |z|^2 with the rationals 1 -+ t
+_TOL_NUM, _TOL_DEN = _CIRCLE_TOL.as_integer_ratio()
 
 
 @dataclass(frozen=True)
@@ -65,25 +63,6 @@ class Letter(enum.Enum):
     R_PREFIX = "R_PREFIX"
 
 
-def _invert_scaled(x: float, y: float) -> tuple[float, float]:
-    """-1/z for z = x + iy where x^2 + y^2 underflows: z is scaled by its
-    largest part first. The reduction takes this path only on underflow, so
-    every other input keeps its bits."""
-    s = max(abs(x), y)
-    xs, ys = x / s, y / s
-    rr = xs * xs + ys * ys
-    nx, ny = -xs / rr / s, ys / rr / s
-    if not (math.isfinite(nx) and math.isfinite(ny)):
-        raise DomainError(f"-1/z overflows for z = {x!r}+{y!r}i")
-    return nx, ny
-
-
-def _inverts(x, rr):
-    """The reduction's inversion test at x + iy, rr = x^2 + y^2, on floats or
-    arrays: inside the unit circle, or on it (within _CIRCLE_TOL) at x > 0."""
-    return (rr < 1.0 - _CIRCLE_TOL) | ((rr < 1.0 + _CIRCLE_TOL) & (x > 0.0))
-
-
 def _in_domain(x: float, y: float) -> bool:
     """The fundamental domain within _CIRCLE_TOL: |x| <= 1/2 and x^2 + y^2 >= 1."""
     return abs(x) <= 0.5 + _CIRCLE_TOL and x * x + y * y >= 1.0 - _CIRCLE_TOL
@@ -95,31 +74,55 @@ class ReducedPoint:
     z0: HalfPlanePoint
 
 
-def reduce_to_fundamental_domain(z: HalfPlanePoint) -> ReducedPoint:
-    """Write z = rho_gamma(z0) with z0 in the fundamental domain.
+def _integer_entries(a: float, b: float, c: float, d: float) -> list[int]:
+    """Float entries as integers on one power of two: every float is a dyadic
+    rational, and the Mobius action ignores scale."""
+    (a, p), (b, q), (c, r), (d, s) = (v.as_integer_ratio() for v in (a, b, c, d))
+    k = max(p, q, r, s)
+    return [a * (k // p), b * (k // q), c * (k // r), d * (k // s)]
 
-    Classical translate/invert loop. Boundary conventions: Re z0 in [-1/2, 1/2)
-    (half-open, enforced by the floor-based translation) and on the unit circle
-    the representative with Re <= 0 (_inverts). gamma is sign-canonicalized.
-    Its entries (a b; c d) are kept as Python ints: gamma T^n is
-    (a, an + b; c, cn + d) and gamma S^-1 is (-b, a; -d, c).
+
+def _lattice_reduce(m11: int, m12: int, m21: int, m22: int) -> tuple[IntMat2, HalfPlanePoint, int, int]:
+    """gamma with z = gamma(z0) for z = M(i), M = (m11 m12; m21 m22) an
+    integer matrix with det M > 0, z0 in the fundamental domain rounded once
+    (a DomainError past float64), and the bottom row of gamma^-1 M; gamma
+    keeps the sign the loop gives it.
+
+    Lagrange-Gauss reduction of the rows of M (B. Vallee, "Gauss' algorithm
+    revisited", J. Algorithms 12, 1991): x = num/den and |z|^2 are integer
+    ratios, so every test is exact. A translation by n = floor(x + 1/2)
+    subtracts n times the bottom row from the top one. An inversion
+    z -> -1/z, inside the unit circle or within t = _CIRCLE_TOL of it at
+    x > 0, maps M to (-m21, -m22; m11, m12); -1/z has |z|^2 > 1 + t, or
+    x < 0 and |z|^2 > 1 - t, so no zero translation lies between two
+    inversions. The loop ends without a cap: an inversion at |z|^2 < 1 maps
+    den to the smaller positive integer m11^2 + m12^2, and the next round
+    keeps -1/z of one at 1 <= |z|^2 < 1 + t, where 0 < x < 1/2.
     """
-    x, y = z.x, z.y
     a, b, c, d = 1, 0, 0, 1
-    for _ in range(_ITER_CAP):
-        n = int(math.floor(x + 0.5))
-        if n != 0:
-            x -= n
-            b, d = a * n + b, c * n + d
-        rr = x * x + y * y
-        if _inverts(x, rr):
-            x, y = (-x / rr, y / rr) if rr >= _TINY else _invert_scaled(x, y)
-            a, b, c, d = -b, a, -d, c
-        else:
-            break
-    else:
-        raise DegeneracyError("fundamental-domain reduction did not stabilize")
-    return ReducedPoint(gamma=IntMat2(a, b, c, d).canonical_sign(), z0=HalfPlanePoint(x, y))
+    while True:
+        den = m21 * m21 + m22 * m22
+        num = m11 * m21 + m12 * m22
+        n = (2 * num + den) // (2 * den)
+        m11, m12, num = m11 - n * m21, m12 - n * m22, num - n * den
+        b, d = a * n + b, c * n + d
+        top = (m11 * m11 + m12 * m12) * _TOL_DEN
+        if top >= den * (_TOL_DEN + _TOL_NUM) or (top >= den * (_TOL_DEN - _TOL_NUM) and num <= 0):
+            try:
+                z0 = HalfPlanePoint(num / den, (m11 * m22 - m12 * m21) / den)
+            except OverflowError:
+                raise DomainError("the reduced point overflows float64") from None
+            return IntMat2(a, b, c, d), z0, m21, m22
+        m11, m12, m21, m22 = -m21, -m22, m11, m12
+        a, b, c, d = -b, a, -d, c
+
+
+def reduce_to_fundamental_domain(z: HalfPlanePoint) -> ReducedPoint:
+    """Write z = rho_gamma(z0) with z0 in the fundamental domain, by
+    _lattice_reduce of M = (y x; 0 1), exact on the floats x and y, with z0
+    rounded once and gamma sign-canonicalized."""
+    gamma, z0, _, _ = _lattice_reduce(*_integer_entries(z.y, z.x, 0.0, 1.0))
+    return ReducedPoint(gamma=gamma.canonical_sign(), z0=z0)
 
 
 def _probe_in_region_A(a: int, b: int, c: int, d: int) -> bool:
@@ -152,32 +155,31 @@ def first_letter(gamma: IntMat2) -> Letter:
 
 def _two_round_codes(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A code in 0..5 for the gamma that reduce_to_fundamental_domain finds
-    for each z = x + iy (arrays), read off its first two rounds with the same
-    float operations, and the indices of the samples the code leaves open.
+    for each z = x + iy (arrays), read off its first two rounds, and the
+    indices of the samples the code leaves open.
 
     The reduction writes gamma = +-T^n1 S^-1 T^n2 S^-1 ... T^nK, and the code
     is 1 + sgn n1, or 4 + sgn n2 after an inversion at n1 = 0:
     0: n1 < 0, 1: +-I, 2: n1 > 0, 3: n2 < 0, 4: +-S^-1, 5: n2 > 0.
-    A middle step n_k (1 < k < K) is never 0: after an inversion |z| > 1, so
-    a zero step ends the reduction. Only at the _CIRCLE_TOL edge can the
-    second round invert again after n2 = 0, and there S^-1 S^-1 cancels:
-    those samples are left open. _TWO_ROUND_TABLES gives each discrete
-    symbol's value on the codes.
+    No middle step n_k (1 < k < K) is 0 (_lattice_reduce). sgn n1 is +1 for
+    x >= 1/2 and -1 for x < -1/2; after -1/z, sgn n2 is +1 for -2x >= rr and
+    -1 for 2x > rr, rr = x^2 + y^2. Only rr is rounded, by less than 1e-15 rr
+    or 1e-300, so a sample is left open where rr lies within 1e-14 of
+    1 -+ _CIRCLE_TOL, or inverts with 2|x| within 1e-14 rr + 1e-300 of rr.
+    _TWO_ROUND_TABLES gives each discrete symbol's value on the codes.
     """
-    n1 = np.floor(x + 0.5)
-    code = np.sign(n1).astype(np.intp) + 1
+    n1 = (x >= 0.5).astype(np.intp) - (x < -0.5)
+    code = n1 + 1
     # the second round decides the code only at n1 = 0, where x - n1 is x
-    k = np.flatnonzero(n1 == 0.0)
+    k = np.flatnonzero(n1 == 0)
     x, y = x[k], y[k]
     rr = x * x + y * y
-    inv = _inverts(x, rr)
-    k, rr = k[inv], rr[inv]
-    x2, y2 = -x[inv] / rr, y[inv] / rr
-    n2 = np.floor(x2 + 0.5)
-    code[k] = np.sign(n2).astype(np.intp) + 4
-    zero = n2 == 0.0
-    x2, y2 = x2[zero], y2[zero]
-    return code, k[zero][_inverts(x2, x2 * x2 + y2 * y2)]
+    lo, hi = 1.0 - _CIRCLE_TOL, 1.0 + _CIRCLE_TOL
+    inv = (rr < lo) | ((rr < hi) & (x > 0.0))
+    code[k[inv]] = 4 + (-2.0 * x[inv] >= rr[inv]) - (2.0 * x[inv] > rr[inv])
+    edge = (np.abs(rr - lo) <= 1e-14) | (np.abs(rr - hi) <= 1e-14)
+    edge |= inv & (np.abs(2.0 * np.abs(x) - rr) <= 1e-14 * rr + 1e-300)
+    return code, k[edge]
 
 
 def symbol_m_word(gamma: IntMat2) -> float:

@@ -16,6 +16,7 @@ and input constructors get no mutation.
 
 import itertools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -24,9 +25,9 @@ import scipy.linalg
 from hypertransfer import regions
 from hypertransfer.cocycle import DomainPoint, _domain_xy, _mean_se, _rng
 from hypertransfer.errors import DomainError
-from hypertransfer.modular import IntMat2, _inverts
+from hypertransfer.modular import _CIRCLE_TOL, IntMat2
 from hypertransfer.regions import case_transition_thetas, m_tilde
-from hypertransfer.sl2 import ANCoords, HalfPlanePoint, RealMat2, an_matrix, cartan_a
+from hypertransfer.sl2 import ANCoords, HalfPlanePoint, RealMat2, an_matrix, cartan_a, rotation
 
 SQRT3 = math.sqrt(3.0)
 
@@ -416,7 +417,7 @@ def closed_form_rotated(n: float, theta_a: float, theta_b: float) -> RealMat2:
     entries, an input constructor. A float product of the three factors
     renormalizes and can land on another norm: the tests' products ran
     7.6e-6 relative off at norm 1e6, 1.5e-8 at 1e5 and 1.9e-6 at
-    0.999 BETA_MAX_NORM. These entries kept operator_norm within 2.8e-16
+    0.999 * 3e5. These entries kept operator_norm within 2.8e-16
     relative of max(n, 1/n) at 400 log-spread norms in [1e-38, 1e38].
     Shares: RealMat2's determinant check only."""
     ca, sa, cb, sb = math.cos(theta_a), math.sin(theta_a), math.cos(theta_b), math.sin(theta_b)
@@ -503,30 +504,19 @@ def mp_two_round_codes(x, y, theta, g) -> np.ndarray:
     return np.array(codes)
 
 
-def mp_beta(p: DomainPoint, g: RealMat2) -> IntMat2:
-    """cocycle_beta(p, g).beta in 40-digit mpmath: h = s0 k0 g from the
-    entries of g, the angle of k0 and the entries of s0, the float matrix
-    an_matrix(ANCoords(p.x, p.y)) that cocycle_beta multiplies; its shadow
-    h(i) reduced with the reduction's translation and boundary rule, and the
-    sign of beta from the angle of the bottom row of gamma^-1 h.
-
-    Quantity: the lattice element beta. Trusted: norms up to BETA_MAX_NORM
-    and past it; at norm 1e7 about 1 float64 beta in 40 differs from it.
-    Accuracy: exact, unless a shadow lies within about 1e-40 of a side of
-    the domain; at norm 1e7 its 40 digits gave the beta of 80 digits on 200
-    samples, and it matched cocycle_beta on 1 200 samples at
-    0.999 BETA_MAX_NORM.
-    Shares: modular._inverts, the boundary rule on the unit circle, so a
-    change to _CIRCLE_TOL moves both routes alike, and sl2.an_matrix, whose
-    float s0 is the input of both routes."""
-    with mpmath.workdps(40):
-        ct, st = mpmath.cos(p.k0_angle), mpmath.sin(p.k0_angle)
-        s11, s12, s21, s22 = map(mpmath.mpf, an_matrix(ANCoords(p.x, p.y)).entries())
-        ga, gb, gc, gd = map(mpmath.mpf, g.entries())
-        k11, k12 = ct * ga - st * gc, ct * gb - st * gd
-        k21, k22 = st * ga + ct * gc, st * gb + ct * gd
-        h11, h12 = s11 * k11 + s12 * k21, s11 * k12 + s12 * k22
-        h21, h22 = s21 * k11 + s22 * k21, s21 * k12 + s22 * k22
+def _mp_cocycle(p: DomainPoint, g: RealMat2, dps: int):
+    """beta, the moved point and its angle at dps digits: h = s0 k0 g from
+    the float entries of an_matrix(ANCoords(p.x, p.y)), rotation(p.k0_angle)
+    and g, its image of i reduced by the reduction's translation and boundary
+    rule, and the sign of beta from the angle of the bottom row of
+    beta^-1 h."""
+    with mpmath.workdps(dps):
+        t = mpmath.mpf(_CIRCLE_TOL)
+        h11, h12, h21, h22 = 1, 0, 0, 1
+        for factor in (an_matrix(ANCoords(p.x, p.y)), rotation(p.k0_angle), g):
+            a, b, c, d = map(mpmath.mpf, factor.entries())
+            h11, h12 = h11 * a + h12 * c, h11 * b + h12 * d
+            h21, h22 = h21 * a + h22 * c, h21 * b + h22 * d
         z = (h11 * mpmath.j + h12) / (h21 * mpmath.j + h22)
         x, y = z.real, z.imag
         a, b, c, d = 1, 0, 0, 1
@@ -534,14 +524,66 @@ def mp_beta(p: DomainPoint, g: RealMat2) -> IntMat2:
             n = int(mpmath.floor(x + 0.5))
             x, b, d = x - n, a * n + b, c * n + d
             rr = x * x + y * y
-            if not _inverts(x, rr):
+            if not (rr < 1 - t or (rr < 1 + t and x > 0)):
                 break
             x, y = -x / rr, y / rr
             a, b, c, d = -b, a, -d, c
         gamma = IntMat2(a, b, c, d).canonical_sign()
         a, _, c, _ = gamma.entries()
         angle = mpmath.atan2(-c * h11 + a * h21, -c * h12 + a * h22)
-        return gamma if 0 <= angle < mpmath.pi else gamma.neg()
+        beta = gamma if 0 <= angle < mpmath.pi else gamma.neg()
+        return beta, (float(x), float(y), float(angle - mpmath.pi * mpmath.floor(angle / mpmath.pi)))
+
+
+def mp_beta(p: DomainPoint, g: RealMat2) -> IntMat2:
+    """cocycle_beta(p, g).beta in mpmath, at 60 digits plus 5 per decade of
+    the largest entry of g: h = s0 k0 g from the float entries of its three
+    factors, reduced with the reduction's translation and boundary rule.
+
+    Quantity: the lattice element beta. Trusted: every norm to 1e38.
+    Accuracy: exact, unless a shadow lies within about 10^-digits of a side
+    of the domain; twice the digits changed no beta on 120 samples at each
+    of 0.999 * 3e5, 1e7, 1e15 and 1e38 (250 digits there), and the package
+    matched it on 1 200 samples at each of these norms. Shares:
+    modular._CIRCLE_TOL, the width of the boundary band, and sl2.an_matrix
+    and sl2.rotation, whose float factors are the input of both routes."""
+    digits = 60 + 5 * max(0, math.ceil(math.log10(max(map(abs, g.entries())))))
+    return _mp_cocycle(p, g, digits)[0]
+
+
+def mp_moved(p: DomainPoint, g: RealMat2) -> tuple[float, float, float]:
+    """cocycle_beta(p, g).moved as (x, y, k0_angle), from the same
+    reduction as mp_beta at 120 digits, each rounded to float.
+
+    Quantity: the moved domain point. Trusted: norms up to 3e5, where the
+    120-digit product of the float factors is exact. Accuracy: 120 digits
+    before the rounding; the package lies within 1 ulp of it on 900
+    samples at norms 1e3, 3e4 and 2.9e5, diagonal and rotated, where a
+    float reduction of the float product was more than 1 ulp off on every
+    sample, by up to 1.2e-3. Shares: as mp_beta."""
+    return _mp_cocycle(p, g, 120)[1]
+
+
+def fraction_reduce(x: float, y: float) -> tuple[IntMat2, float, float]:
+    """reduce_to_fundamental_domain(HalfPlanePoint(x, y)) as (gamma, z0.x,
+    z0.y), by the translate/invert loop on exact fractions.Fraction values:
+    a translation by floor(x + 1/2), and an inversion inside the unit circle
+    or, within _CIRCLE_TOL of it, at x > 0; z0 rounded once.
+
+    Quantity: gamma with its canonical sign and z0. Trusted: every float
+    input whose z0 is finite. Accuracy: exact before the final rounding.
+    Shares: modular._CIRCLE_TOL, the width of the boundary band, and
+    IntMat2.canonical_sign."""
+    t, x, y = Fraction(_CIRCLE_TOL), Fraction(x), Fraction(y)
+    a, b, c, d = 1, 0, 0, 1
+    while True:
+        n = math.floor(x + Fraction(1, 2))
+        x, b, d = x - n, a * n + b, c * n + d
+        rr = x * x + y * y
+        if not (rr < 1 - t or (rr < 1 + t and x > 0)):
+            return IntMat2(a, b, c, d).canonical_sign(), float(x), float(y)
+        x, y = -x / rr, y / rr
+        a, b, c, d = -b, a, -d, c
 
 
 # ---------------------------------------------------------------------------

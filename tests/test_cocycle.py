@@ -3,6 +3,7 @@ symbol."""
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 
 from hypertransfer import cocycle
 from hypertransfer.cocycle import (
-    BETA_MAX_NORM,
     CocycleResult,
     DomainPoint,
     _domain_xy,
@@ -53,6 +53,7 @@ from reference import (
     closed_form_rotated,
     matrix_shadow,
     mp_beta,
+    mp_moved,
     mp_shadow,
     mp_two_round_codes,
     random_domain_point,
@@ -312,10 +313,7 @@ def test_transferred_symbol_range_and_evenness():
 
 def test_batch_beta_matches_scalar():
     # the two-round rule of the word and sign symbols against the scalar
-    # cocycle_beta, sample by sample. From norm 1e6 on some full betas differ
-    # from a 60-digit reference: their shadows lie below height 1e-12, where
-    # the float64 rounding of h moves the reduced point across a side of the
-    # domain (see BETA_MAX_NORM)
+    # cocycle_beta, sample by sample
     for case in seed_77_cases():
         cocycle_results(*case)
 
@@ -394,16 +392,19 @@ def test_word_rule_matches_the_full_reduction():
 
 
 def test_word_rule_finishes_a_double_inversion_on_the_scalar_reduction(monkeypatch):
-    # rr lies one step below 1 - 1e-12 and Re z < 0: the first round inverts,
-    # the second takes n2 = 0 and, at the tolerance edge, inverts again, so
-    # S^-1 S^-1 cancels and the reduction ends on +-I
+    # rr rounds to one step below 1 - 1e-12 and Re z < 0: a float loop
+    # inverts, takes n2 = 0 and, at the tolerance edge, inverts again, so
+    # S^-1 S^-1 cancels to +-I. The exact rr lies below 1 - t, and 1/rr above
+    # 1 + t, so the exact loop stops after one inversion, on +-S. The
+    # two-round rule leaves the sample open, and the scalar reduction
+    # finishes it
     zx, zy = np.array([-0.029199522301274216]), np.array([0.9995736030410053])
     rr = float(zx[0] * zx[0] + zy[0] * zy[0])
     assert 1.0 - 1e-12 - 1e-15 < rr < 1.0 - 1e-12
     _, left = _two_round_codes(zx, zy)
     assert left.tolist() == [0]
     red = reduce_to_fundamental_domain(HalfPlanePoint(float(zx[0]), float(zy[0])))
-    assert red.gamma == I2
+    assert red.gamma == S_MAT
     finished = []
 
     def counting_reduce(z):
@@ -413,9 +414,9 @@ def test_word_rule_finishes_a_double_inversion_on_the_scalar_reduction(monkeypat
     monkeypatch.setattr(cocycle, "_shadow_batch", lambda *args: (zx, zy))
     monkeypatch.setattr(cocycle, "reduce_to_fundamental_domain", counting_reduce)
     one = np.ones(1)
-    assert _sample_symbols(symbol_m_word, one, one, one, IDENTITY).tolist() == [1.0]
+    assert _sample_symbols(symbol_m_word, one, one, one, IDENTITY).tolist() == [symbol_m_word(S_MAT)]
     (sign,) = _sample_symbols(symbol_m_sign, one, one, one, IDENTITY)
-    assert (sign, math.copysign(1.0, sign)) == (0.0, 1.0)
+    assert (sign, math.copysign(1.0, sign)) == (0.0, 1.0) and symbol_m_sign(S_MAT) == 0
     assert len(finished) == 2
 
 
@@ -654,8 +655,7 @@ def test_mc_reduction_range_is_named():
         for r in (1e39, 1e160, 1e200):
             with pytest.raises(DomainError, match=r"supported range \[1, 1e\+38\]"):
                 transferred_symbol_mc(symbol, cartan_a(r), 10, 0)
-    # inside the range a generic symbol is refused: the route forms no beta,
-    # so BETA_MAX_NORM does not apply to it
+    # inside the range a generic symbol is refused: the route forms no beta
     for r in (1.1e15, 1e20):
         with pytest.raises(DomainError, match="averages only symbol_m_word and symbol_m_sign"):
             transferred_symbol_mc(generic, cartan_a(r), 1000, 1)
@@ -666,45 +666,61 @@ def test_mc_reduction_range_is_named():
             assert -1.0 <= est <= 1.0
 
 
-def test_scalar_cocycle_refuses_the_norms_that_lose_determinants():
-    # at norm 1e9 the products of factors with entries of about 1e9 round the
-    # determinant 1 to values such as -0.98 and -9.27 on half of these
-    # samples (tests/test_sl2.py names that loss); the norm bound refuses
-    # every sample first, by name
-    for p in sample_domain(1, 50):
-        with pytest.raises(DomainError, match=r"refuses operator norm 1e\+09: past norm 300000"):
-            cocycle_beta(p, cartan_a(1e9))
-
-
-def test_cocycle_beta_is_exact_to_its_norm_bound():
-    # 1200 samples just inside BETA_MAX_NORM, diagonal and rotated, against
-    # the 40-digit reference: none may differ. At norm 1e7 about 1 in 40
-    # does, so a bound raised that far fails here. (A rotated product of
-    # three factors would run 1.9e-6 relative off this norm: its
-    # renormalization divides by a determinant formed from entries of 1e5.)
-    # Just past the bound, the refusal names it
-    n = 0.999 * BETA_MAX_NORM
-    elements = [
-        at_norm(g, n)
-        for g in (
-            cartan_a(n),
-            cartan_a(1.0 / n),
-            closed_form_rotated(n, 0.9, 2.1),
-            closed_form_rotated(n, 2.5, 0.4),
-        )
-    ]
-    for k, g in enumerate(elements):
-        for p in sample_domain(50 + k, 300):
-            assert cocycle_beta(p, g).beta == mp_beta(p, g), (g, p)
+def test_scalar_cocycle_refuses_a_nonpositive_determinant():
+    # RealMat2's tolerance grows with |ad| + |bc|, so it admits float entries
+    # whose exact determinant is <= 0, which no lattice reduction takes:
+    # cocycle_beta refuses them by name. This rotated element at norm 1e10
+    # has the exact determinant -949.5. cartan_a(1e9), which keeps its
+    # determinant, reduces to the exact beta
+    rotated = closed_form_rotated(1e10, 0.9, 0.3)
+    a, b, c, d = map(Fraction, rotated.entries())
+    assert a * d - b * c < -900
     p = sample_domain(1, 1)[0]
-    for g in (cartan_a(1.001 * BETA_MAX_NORM), rotation(0.9) @ cartan_a(1.001 * BETA_MAX_NORM)):
-        with pytest.raises(DomainError, match="cocycle_beta refuses operator norm"):
+    for g in (RealMat2(1e20, 1e20, 1e20, 1e20), rotated):
+        with pytest.raises(DomainError, match=r"cocycle_beta needs det g > 0"):
             cocycle_beta(p, g)
+    g = cartan_a(1e9)
+    for p in sample_domain(1, 50):
+        assert cocycle_beta(p, g).beta == mp_beta(p, g), p
+
+
+def test_cocycle_beta_is_exact_at_every_norm():
+    # 1 200 samples at each norm against the reference of enough digits: none
+    # may differ. A float reduction of the float product differs on about 1
+    # sample in 40 at 1e7. From about 1e9 on the float entries of a rotated
+    # element lose their determinant, so 1e15 and 1e38 run diagonal ones
+    n = 0.999 * 3e5
+    rotated = [(0.9, 2.1), (2.5, 0.4)]
+    cases = {
+        n: [cartan_a(n), cartan_a(1.0 / n)] + [closed_form_rotated(n, *t) for t in rotated],
+        1e7: [cartan_a(1e7), cartan_a(1e-7)] + [closed_form_rotated(1e7, *t) for t in rotated],
+        1e15: [cartan_a(1e15), cartan_a(1e-15)],
+        1e38: [cartan_a(1e38), cartan_a(1e-38)],
+    }
+    for norm, elements in cases.items():
+        count = 1200 // len(elements)
+        for k, g in enumerate(elements):
+            at_norm(g, norm)
+            for p in sample_domain(50 + k, count):
+                assert cocycle_beta(p, g).beta == mp_beta(p, g), (g, p)
+
+
+def test_cocycle_moved_point_is_within_an_ulp():
+    # x, y and the angle of the moved point, each rounded once, within 1 ulp
+    # of the 120-digit reduction of the same float factors; a float
+    # reduction of the float product is more than 1 ulp off on all 900
+    # samples, by up to 1.2e-3
+    for k, norm in enumerate((1e3, 3e4, 2.9e5)):
+        for g in (cartan_a(norm), at_norm(closed_form_rotated(norm, 0.7 + k, 1.9 - k), norm)):
+            for p in sample_domain(60 + k, 150):
+                moved = cocycle_beta(p, g).moved
+                for got, want in zip((moved.x, moved.y, moved.k0_angle), mp_moved(p, g)):
+                    assert abs(got - want) <= math.ulp(want), (g, p, got, want)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
-    log_norm=st.floats(0.0, math.log(0.999 * BETA_MAX_NORM)),
+    log_norm=st.floats(0.0, math.log(0.999 * 3e5)),
     theta_a=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
     theta_b=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
     seed=st.integers(0, 2**63),
@@ -712,8 +728,7 @@ def test_cocycle_beta_is_exact_to_its_norm_bound():
 def test_mc_symbols_are_the_mean_over_cocycle_beta(log_norm, theta_a, theta_b, seed):
     # on 64 samples, the two-round route's word and sign averages are, bit
     # for bit, the mean and standard error of the symbols of the scalar betas
-    # of the samples it draws, at any rotated norm up to the bound. A
-    # mismatch inside the range would mean BETA_MAX_NORM is set too high
+    # of the samples it draws, at any rotated norm up to 0.999 * 3e5
     g = closed_form_rotated(math.exp(log_norm), theta_a, theta_b)
     betas = [cocycle_beta(p, g).beta for p in sample_domain(seed, 64)]
     for symbol in _TWO_ROUND_TABLES:

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypertransfer import modular
-from hypertransfer.errors import DegeneracyError, DomainError
+from hypertransfer.errors import DomainError
 from hypertransfer.modular import (
     _TWO_ROUND_TABLES,
     IntMat2,
@@ -22,7 +21,7 @@ from hypertransfer.modular import (
     symbol_m_word,
 )
 from hypertransfer.sl2 import HalfPlanePoint, RealMat2, mobius_act
-from reference import I2, R_MAT, S_MAT, T_MAT, in_region_A, reduced_words
+from reference import I2, R_MAT, S_MAT, T_MAT, fraction_reduce, in_region_A, reduced_words
 
 
 def as_real(g: IntMat2) -> RealMat2:
@@ -80,16 +79,13 @@ def test_reduce_underflowing_point():
             reduce_to_fundamental_domain(HalfPlanePoint(x, y))
 
 
-def test_reduction_reaches_the_domain_below_its_round_cap(monkeypatch):
+def test_reduction_reaches_the_domain_after_216_rounds():
     # the golden-ratio point at height 1e-300 takes 216 translate-and-invert
-    # rounds: it reaches the domain under the cap of 100 000, and a cap of 200
-    # names its DegeneracyError
-    z = HalfPlanePoint((math.sqrt(5.0) - 1.0) / 2.0, 1e-300)
-    rp = reduce_to_fundamental_domain(z)
+    # rounds, on integers of up to 2 000 bits, to the point of the exact loop
+    z = ((math.sqrt(5.0) - 1.0) / 2.0, 1e-300)
+    rp = reduce_to_fundamental_domain(HalfPlanePoint(*z))
     assert _in_domain(rp.z0.x, rp.z0.y)
-    monkeypatch.setattr(modular, "_ITER_CAP", 200)
-    with pytest.raises(DegeneracyError, match="did not stabilize"):
-        reduce_to_fundamental_domain(z)
+    assert (rp.gamma, rp.z0.x, rp.z0.y) == fraction_reduce(*z)
 
 
 def test_domain_membership_is_tolerant_by_the_circle_tolerance():
@@ -221,3 +217,22 @@ def test_word_rule_matches_the_scalar_reduction(z):
             assert (got, math.copysign(1.0, got)) == (exact, math.copysign(1.0, exact)), (
                 symbol, x, y, gamma,
             )
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(
+        st.tuples(st.floats(-1e6, 1e6), st.floats(-300.0, 300.0).map(lambda e: 10.0**e)),
+        _shadows(),
+    )
+)
+@example((0.3, 1e-7))
+@example((0.28, 0.96))
+@example((0.5, math.sqrt(3.0) / 2.0))
+def test_reduction_is_the_exact_fraction_loop(z):
+    # gamma equal to that of the translate/invert loop on exact fractions,
+    # and z0 its exact point rounded once, from heights 1e-300 to 1e300 and on
+    # the sides of the domain. At (0.3, 1e-7) a float loop gives
+    # z0_x = 0.29997337947221947 for the exact 0.30001110223024625
+    rp = reduce_to_fundamental_domain(HalfPlanePoint(*z))
+    assert (rp.gamma, rp.z0.x, rp.z0.y) == fraction_reduce(*z), z

@@ -16,7 +16,7 @@ import pytest
 
 import reference
 from hypertransfer import cli, cocycle, decay, modular, quadrature, regions, sl2, verify
-from hypertransfer.cocycle import BETA_MAX_NORM, _sample_xyth, sample_domain
+from hypertransfer.cocycle import _sample_xyth, sample_domain
 from hypertransfer.modular import Letter
 from hypertransfer.sl2 import ANCoords, HalfPlanePoint, RealMat2, cartan_a
 
@@ -191,8 +191,30 @@ def _two_round_codes_match_mpmath() -> bool:
 
 
 def _beta_matches_mpmath() -> bool:
-    g = reference.closed_form_rotated(0.999 * BETA_MAX_NORM, 0.9, 2.1)
+    g = reference.closed_form_rotated(0.999 * 3e5, 0.9, 2.1)
     return all(cocycle.cocycle_beta(p, g).beta == reference.mp_beta(p, g) for p in sample_domain(50, 40))
+
+
+def _moved_matches_mpmath() -> bool:
+    g = reference.closed_form_rotated(2.9e5, 0.7, 1.9)
+    for p in sample_domain(60, 40):
+        moved = cocycle.cocycle_beta(p, g).moved
+        got = (moved.x, moved.y, moved.k0_angle)
+        if any(abs(a - b) > math.ulp(b) for a, b in zip(got, reference.mp_moved(p, g))):
+            return False
+    return True
+
+
+def _reduction_matches_fractions() -> bool:
+    # points on the unit arc with 0 < Re z < 1/2, where the edge clause
+    # decides, and a low one that takes many rounds
+    points = [(math.cos(phi), math.sin(phi)) for phi in np.linspace(1.1, 1.5, 9)]
+    points.append((0.3, 1e-7))
+    for x, y in points:
+        red = modular.reduce_to_fundamental_domain(HalfPlanePoint(x, y))
+        if (red.gamma, red.z0.x, red.z0.y) != reference.fraction_reduce(x, y):
+            return False
+    return True
 
 
 def _rotation_matches_the_exponential() -> bool:
@@ -328,17 +350,38 @@ MUTATIONS = {
         _pole_shadow_matches_mpmath,
     ),
     "mp_two_round_codes": (
-        # the translation step rounds toward zero, not down
-        _source_mutation(modular, "_two_round_codes", "n1 = np.floor(x + 0.5)", "n1 = np.trunc(x + 0.5)"),
+        # sgn n2 read off 2x >= rr, the side of z, not of -1/z
+        _source_mutation(modular, "_two_round_codes", "(-2.0 * x[inv] >= rr[inv])", "(2.0 * x[inv] >= rr[inv])"),
         _two_round_codes_match_mpmath,
     ),
     "mp_beta": (
-        # beta up to sign only: the sign that brings the angle into [0, pi)
-        # dropped
-        _source_mutation(
-            cocycle, "cocycle_beta", "return CocycleResult(gam.neg(),", "return CocycleResult(gam,"
-        ),
+        # h formed as k0 s0 g: the integer factors multiplied out of order
+        _source_mutation(cocycle, "cocycle_beta", "_product(_product(s0, k0), gm)", "_product(_product(k0, s0), gm)"),
         _beta_matches_mpmath,
+    ),
+    "mp_moved": (
+        # the moved point of the float product h, reduced from its rounded
+        # image of i, as before the reduction ran on integers
+        _source_mutation(
+            cocycle,
+            "cocycle_beta",
+            "return CocycleResult(gamma, DomainPoint(z0.x, z0.y, theta))",
+            "h = an_matrix(ANCoords(p.x, p.y)) @ rotation(p.k0_angle) @ g\n"
+            "    z0 = reduce_to_fundamental_domain(halfplane_image(h)).z0\n"
+            "    return CocycleResult(gamma, DomainPoint(z0.x, z0.y, theta))",
+        ),
+        _moved_matches_mpmath,
+    ),
+    "fraction_reduce": (
+        # the edge clause dropped: points within _CIRCLE_TOL of the unit arc
+        # at Re z > 0 are kept, not inverted
+        _source_mutation(
+            modular,
+            "_lattice_reduce",
+            "top >= den * (_TOL_DEN + _TOL_NUM) or (top >= den * (_TOL_DEN - _TOL_NUM) and num <= 0)",
+            "top >= den * (_TOL_DEN - _TOL_NUM)",
+        ),
+        _reduction_matches_fractions,
     ),
     "lie_exponential": (
         # the rotation turned the other way

@@ -10,7 +10,7 @@ import hypertransfer.regions as regions
 from hypertransfer import cocycle, decay, modular, verify
 from hypertransfer.cli import main
 from hypertransfer.errors import DomainError, HypertransferError
-from hypertransfer.sl2 import ANCoords, HalfPlanePoint, mobius_act
+from hypertransfer.sl2 import ANCoords
 from hypertransfer.verify import (
     DEFAULT_SEED,
     SUITE_NAMES,
@@ -79,6 +79,17 @@ def test_reports_deterministic():
     assert run_verify(["cocycle"], 7) == run_verify(["cocycle"], 7)
 
 
+def test_the_default_seed_is_20240914(capsys):
+    # verify without --seed reports seed 20240914 and prints the bytes of
+    # --seed 20240914
+    outputs = []
+    for argv in ([], ["--seed", "20240914"]):
+        assert main(["verify", "--suite", "cocycle", *argv]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert '"seed": 20240914' in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
 def _flip_ellipse_sign(monkeypatch):
     # the sign of the ellipse-root antiderivative: the closed form drifts
     # while the direct oracle stays put
@@ -109,9 +120,10 @@ def _unsigned_beta(monkeypatch):
 
 
 def _shadow_at_2i(monkeypatch):
-    # the shadow taken at 2i, which a right rotation of g moves, not at i
-    at_2i = HalfPlanePoint(0.0, 2.0)
-    monkeypatch.setattr(cocycle, "halfplane_image", lambda h: mobius_act(h, at_2i))
+    # the shadow taken at 2i, which a right rotation of g moves, not at i:
+    # the reduction runs on h diag(2, 1), whose image of i is h(2i)
+    reduce = cocycle._lattice_reduce
+    monkeypatch.setattr(cocycle, "_lattice_reduce", lambda a, b, c, d: reduce(2 * a, b, 2 * c, d))
 
 
 def _inverse_gamma(monkeypatch):
