@@ -17,11 +17,12 @@ exits_2() {
 hypertransfer reduce 5 2
 # a point on the unit arc with Re > 0 reduces to its mirror image
 hypertransfer reduce 0.28 0.96
-hypertransfer symbol 0.2
+# one norm inside each row of the transition table, at c = r^2 + r^-2 =
+# 2.34, 2.986, 3.0002, 3.0596, 3.0748, 3.138 and 25.04
+for r in 0.75 0.62 0.618 0.61 0.608 0.6 0.2; do
+  hypertransfer symbol "$r"
+done
 hypertransfer symbol 0.2 --mode direct
-# norms 1.33 and 1.67 cross the band where section breakpoints meet
-hypertransfer symbol 0.75
-hypertransfer symbol 0.6
 hypertransfer symbol 1
 hypertransfer symbol 1e30
 hypertransfer region -1 1.5 --samples 5
@@ -33,6 +34,8 @@ hypertransfer region -1 1.5 --samples 5 --format json
 hypertransfer region 0.01 0.05 --samples 5
 hypertransfer decay --steps 2
 hypertransfer decay --rmin 0.001 --rmax 0.99 --steps 6 > /dev/null
+# a grid from c = 2.92 to 3.14, across five of the six events
+hypertransfer decay --rmin 0.6 --rmax 0.63 --steps 7 > /dev/null
 # the default table has more rows than a small runner has CPUs; two runs of
 # it print the same bytes
 first=$(hypertransfer decay)

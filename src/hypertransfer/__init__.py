@@ -28,6 +28,7 @@ from .discrete import (
 )
 from .errors import (
     AccuracyError,
+    ConvergenceError,
     DomainError,
     HypertransferError,
 )

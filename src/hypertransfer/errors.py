@@ -13,6 +13,11 @@ class DomainError(HypertransferError, ValueError):
     operator norm past sl2.MAX_NORM, a reduced point past float64, ...)."""
 
 
+class ConvergenceError(HypertransferError, RuntimeError):
+    """An iteration used up its steps without converging (a root search of
+    regions._bracketed_root)."""
+
+
 class AccuracyError(HypertransferError, RuntimeError):
     """Quadrature finished without reaching the requested tolerance.
 

@@ -24,16 +24,16 @@ they split at."""
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate, segment_edges
 from .sl2 import MAX_NORM, ANCoords, RealMat2, _check_norm, operator_norm
 
@@ -494,9 +494,11 @@ def _transition_quadratics(r: float) -> dict[str, tuple[float, float, float]]:
     }
 
 
-def _meeting_thetas(r: float) -> list[float]:
+def _meeting_thetas(r: float) -> dict[str, float]:
     """Angles in [-pi/2, pi/2] where two section breakpoints cross inside
-    (-1/2, 1/2) along the Cartan circle of norm r.
+    (-1/2, 1/2) along the Cartan circle of norm r, by label: T for the
+    triple meeting, Xlo and Xhi for the sextic's roots below and above
+    _ROOT_SPLIT.
 
     The circle of norm r is the Euclidean circle g_x^2 + g_y^2 + 1 = c g_y
     with c = r^2 + 1/r^2 (the same for 1/r, whose circle is the circle of r
@@ -516,11 +518,10 @@ def _meeting_thetas(r: float) -> list[float]:
     The sextic's function of x falls from infinity at x = 0 to a least value
     at _ROOT_SPLIT (mpmath) and rises to x = 1/2, so the sextic, which has
     the sign of the function minus c, has one root on each side of the split
-    where its value there is negative; each is found by Newton steps kept
-    inside its bracket. An angle is 1/2 atan2 of sin 2 theta and
-    cos 2 theta, 2 rho k and 2 rho/g_y - 1 - rho^2 (for r < 1; negated, which
-    turns it by -pi/2, for r > 1), which keeps angles near 0 and +-pi/2 to
-    full precision.
+    where its value there is negative; each is found by _bracketed_root.
+    An angle is 1/2 atan2 of sin 2 theta and cos 2 theta, 2 rho k and
+    2 rho/g_y - 1 - rho^2 (for r < 1; negated, which turns it by -pi/2, for
+    r > 1), which keeps angles near 0 and +-pi/2 to full precision.
 
     The ellipse's extent end meets the unit circle too, but it only touches
     it, and that needs no angle: the new segment of the section grows like
@@ -529,27 +530,27 @@ def _meeting_thetas(r: float) -> list[float]:
     is constant."""
     rho = min(r, 1.0 / r) ** 2
     if rho == 1.0:
-        return []
+        return {}
     c = rho + 1.0 / rho
-    events = []  # (k, 1/g_y) of each crossing
+    events = {}  # (k, 1/g_y) of each crossing
     if c < 10.0 / 3.0:
         d = 3.0 * rho * rho + 1.0
-        events.append((SQRT3 * (1.0 - rho * rho) / d, 4.0 * rho / d))
+        events["T"] = (SQRT3 * (1.0 - rho * rho) / d, 4.0 * rho / d)
     e = 1.0 / (c * c)
     coeffs = _root_on_circle(e)
     if _horner(coeffs, _ROOT_SPLIT)[0] < 0.0:
-        xs = [_bracketed_root(coeffs, 0.0, _ROOT_SPLIT, min(math.sqrt(e / 3.0), 0.5 * _ROOT_SPLIT))]
+        xs = {"Xlo": _bracketed_root(coeffs, 0.0, _ROOT_SPLIT, min(math.sqrt(e / 3.0), 0.5 * _ROOT_SPLIT))}
         if _horner(coeffs, 0.5)[0] > 0.0:
-            xs.append(_bracketed_root(coeffs, _ROOT_SPLIT, 0.5, 0.5 * (_ROOT_SPLIT + 0.5)))
-        for x in xs:
+            xs["Xhi"] = _bracketed_root(coeffs, _ROOT_SPLIT, 0.5, 0.5 * (_ROOT_SPLIT + 0.5))
+        for label, x in xs.items():
             w, d = math.sqrt((1.0 - x) * (1.0 + x)), x * (x + 2.0)
-            events.append(((2.0 * x + 1.0) / SQRT3, 2.0 * w * (x * x + x + 1.0) / (SQRT3 * d)))
+            events[label] = ((2.0 * x + 1.0) / SQRT3, 2.0 * w * (x * x + x + 1.0) / (SQRT3 * d))
     sign = 1.0 if r < 1.0 else -1.0
 
     def angle(k: float, inv_gy: float) -> float:
         return 0.5 * math.atan2(sign * 2.0 * rho * k, sign * (2.0 * rho * inv_gy - 1.0 - rho * rho))
 
-    return [angle(*event) for event in events]
+    return {label: angle(*event) for label, event in events.items()}
 
 
 def _root_on_circle(e: float) -> tuple[float, ...]:
@@ -579,15 +580,22 @@ def _horner(coeffs: tuple[float, ...], x: float) -> tuple[float, float]:
     return p, dp
 
 
+# the step budget of _bracketed_root
+_ROOT_STEPS = 400
+
+
 def _bracketed_root(coeffs: tuple[float, ...], lo: float, hi: float, x: float) -> float:
     """The root of the polynomial coeffs in (lo, hi), where it changes sign
     once, by Newton steps from x that fall back to bisection when they leave
-    the bracket."""
+    the bracket. Newton steps that about halve x walk a bisection back down
+    to a small root: to Xlo's least root on the norm range, about 6e-77,
+    that took up to 277 steps from 0.2. Past _ROOT_STEPS steps it raises
+    ConvergenceError; it returns no point that is not a root."""
     rising = _horner(coeffs, lo)[0] < 0.0
-    for _ in range(100):
+    for _ in range(_ROOT_STEPS):
         p, dp = _horner(coeffs, x)
         if p == 0.0:
-            break
+            return x
         lo, hi = (x, hi) if (p < 0.0) == rising else (lo, x)
         step = x - p / dp if dp != 0.0 else lo
         if not lo < step < hi:
@@ -595,7 +603,7 @@ def _bracketed_root(coeffs: tuple[float, ...], lo: float, hi: float, x: float) -
         if abs(step - x) <= 2e-16 * x:
             return step
         x = step
-    return x
+    raise ConvergenceError(f"no root of {coeffs!r} in ({lo!r}, {hi!r}) after {_ROOT_STEPS} steps")
 
 
 def _tan_roots(a: float, b: float, c: float) -> list[float]:
@@ -622,43 +630,75 @@ class _TransitionAngles(tuple):
     constant: tuple[Optional[float], ...]
 
 
+# c = r^2 + r^-2 at the events where the kept candidates change
+_EVENTS = (
+    2.9279568582575184,  # the meeting function's least value, at _ROOT_SPLIT: Xlo, Xhi born
+    3.0,  # b5's double root
+    math.sqrt(28.0 / 3.0),  # the double root of b6, b7 and b8
+    46.0 / 15.0,  # Xhi reaches x = 1/2, and b7.0 passes b6.1
+    math.sqrt(48.0 / 5.0),  # the extent end crosses (1/2, sqrt(3)/2): b5.1 meets b7.1
+    10.0 / 3.0,  # T's meeting reaches x = 1/2
+)
+# per c-interval between _EVENTS, the kept labels (for r > 1 read b2.1 for
+# b2.0), and those whose following arc has m_hat = 0
+_TRANSITION_TABLE = (
+    ("b2.0 b3.0 T", ""),
+    ("b2.0 b3.0 T Xlo Xhi", ""),
+    ("b2.0 b3.0 T Xlo Xhi b5.0 b5.1", ""),
+    ("b2.0 b3.0 T Xlo Xhi b5.0 b5.1 b6.0 b6.1 b7.0 b7.1 b8.0 b8.1", "b8.0"),
+    ("b2.0 b3.0 T Xlo b5.0 b5.1 b6.0 b6.1 b7.0 b7.1 b8.0 b8.1", "b7.0 b8.0"),
+    ("b2.0 b3.0 T Xlo b5.0 b6.0 b6.1 b7.0 b7.1 b8.0 b8.1", "b7.0 b8.0"),
+    ("b2.0 b3.0 Xlo b5.0 b6.0 b7.0 b8.1", "b7.0"),
+)
+
+
 @functools.lru_cache(maxsize=256)
 def case_transition_thetas(r: float) -> _TransitionAngles:
     """Angles in (-pi/2, pi/2) where the cut structure of the section changes
-    along theta; used as quadrature breakpoints.
+    along theta; used as quadrature breakpoints. r must pass _check_norm.
 
-    The candidates are the roots of _transition_quadratics, where a section
-    breakpoint reaches an end of (-1/2, 1/2), and the _meeting_thetas, where
-    two breakpoints cross (those within 1e-12 of +-pi/2 are left out: the gap
-    to the end would be narrower than its midpoint can resolve). A root that
-    rounds onto +-pi/2 (see _tan_roots) is an end of the circle, not an
-    interior angle, and is left out too. A candidate is kept where the cut
-    sequences at the midpoints of its two gaps differ: the flag code of each
-    live segment of _section_segments, left to right, with consecutive
-    repeats merged. The candidates hold every change but the touches of the
-    ellipse's extent end with the unit circle, across which m_hat is twice
-    differentiable and which border no constant arc (see _meeting_thetas).
-    So where the sequence at one midpoint has no cut, m_hat is 0 on its
-    whole arc (code 0 throughout), and where every section is the whole
-    [ymin, inf), 1 (code 1, the circle alone); .constant records it. r must
-    pass _check_norm."""
+    The candidates are labelled: bK.j is the j-th root, ascending, of
+    quadratic bK of _transition_quadratics, and T, Xlo and Xhi are the
+    _meeting_thetas. Which are kept depends on c = r^2 + r^-2 alone, and
+    only changes at the _EVENTS, so a bisect on c picks the row of
+    _TRANSITION_TABLE that names them. (The table was read off the
+    midpoint cut-sequence scan that tests/reference.py keeps.) m_hat is 1
+    on the arc that ends at b2.0 (b2.1 for r > 1) and 0 on the arc that
+    starts at b8.0 and, from c = 46/15 on, at b7.0. A kept root that rounds
+    onto +-pi/2, or a meeting root within 1e-12 of it, is an end of the
+    circle: at pi/2 its outer arc goes with it, and at -pi/2 the first arc
+    takes the constant of the arc it starts. Roots that round onto one
+    float give one angle. A kept label with no root raises DomainError
+    naming it, except within 1e-9 relative of an end of its row, where
+    roots are born or reach x = 1/2. At r = 1 the circle is the one point
+    (0, 1): no angle, and m_hat = 1."""
     _check_norm(r)
-    quads = _transition_quadratics(r).values()
-    cands = {t for quad in quads for t in _tan_roots(*quad) if abs(t) < _HALF_PI}
-    cands.update(t for t in _meeting_thetas(r) if abs(t) < _HALF_PI - 1e-12)
-    cands = sorted(cands)
-    edges = np.array([-_HALF_PI, *cands, _HALF_PI])
-    gx, gy, _, _ = _circle_coords(r, 0.5 * (edges[:-1] + edges[1:]))
-    _, live, (circle, lower, upper, line) = _section_segments(gx, gy)
-    codes = zip((circle + 2 * lower + 4 * upper + 8 * line).tolist(), live.tolist())
-    seqs = [[k for k, _ in itertools.groupby(itertools.compress(*row))] for row in codes]
-    kept = [i for i, (left, right) in enumerate(zip(seqs, seqs[1:])) if left != right]
-    out = _TransitionAngles(cands[i] for i in kept)
-    out.constant = tuple(_CONSTANT_M_HAT.get(tuple(seqs[i])) for i in [0, *(i + 1 for i in kept)])
+    arcs = [(-_HALF_PI, 1.0)]  # (start, constant) of each arc
+    if r != 1.0:
+        rho = min(r, 1.0 / r) ** 2
+        c = rho + 1.0 / rho
+        row = bisect.bisect_right(_EVENTS, c)
+        kept, zero_after = _TRANSITION_TABLE[row]
+        quads = _transition_quadratics(r).items()
+        roots = {f"{name}.{j}": t for name, quad in quads for j, t in enumerate(_tan_roots(*quad))}
+        for label, t in _meeting_thetas(r).items():
+            roots[label] = t if abs(t) < _HALF_PI - 1e-12 else math.copysign(_HALF_PI, t)
+        one_before = "b2.0" if r < 1.0 else "b2.1"
+        points = []
+        for label in kept.replace("b2.0", one_before).split():
+            if label in roots:
+                points.append((roots[label], label))
+            elif not any(abs(c - b) <= 1e-9 * b for b in _EVENTS[max(row - 1, 0) : row + 1]):
+                raise DomainError(f"no {label} root at r={r!r}, c={c!r}, where the table keeps it")
+        ends = [(-_HALF_PI, ""), *sorted(points), (_HALF_PI, "")]
+        arcs = [
+            (a, 1.0 if right == one_before else 0.0 if left in zero_after.split() else None)
+            for (a, left), (b, right) in zip(ends, ends[1:])
+            if a < b
+        ]
+    out = _TransitionAngles(a for a, _ in arcs[1:])
+    out.constant = tuple(m for _, m in arcs)
     return out
-
-
-_CONSTANT_M_HAT = {(0,): 0.0, (1,): 1.0}
 
 
 def _circle_v_angles(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -400,6 +400,114 @@ def extent_touch_thetas(radii) -> list[list[float]]:
 
 
 # ---------------------------------------------------------------------------
+# regions: the transition table of the Cartan circle
+
+
+def mp_xlo_angle(r: float) -> float:
+    """The angle of the meeting Xlo on the Cartan circle of norm r < 1, at
+    50 digits: the root x nearest 1/(sqrt(3) c), c = r^2 + r^-2, of
+    4 (3x^3 + 4x^2 + x + 1)^2 = 3 c^2 (1 - x^2) x^2 (x + 2)^2, found in
+    u = sqrt(3) c x, where the equation reads 4 - 4u^2 + O(x) at every
+    scale, and then 1/2 atan2(2 rho k, 2 rho/g_y - 1 - rho^2), rho = r^2,
+    with k and g_y of the crossing as in regions._meeting_thetas.
+
+    Quantity: regions._meeting_thetas(r)["Xlo"]. Trusted: r from 1e-38 to
+    about 0.6. Accuracy: 50 digits of the exact equation at the float r.
+    Shares: none; the sextic is formed here from its definition."""
+    with mpmath.workdps(50):
+        rho = mpmath.mpf(r) ** 2
+        c = rho + 1 / rho
+        sqrt3 = mpmath.sqrt(3)
+
+        def sextic(u):
+            x = u / (sqrt3 * c)
+            return 4 * (3 * x**3 + 4 * x**2 + x + 1) ** 2 - u**2 * (1 - x**2) * (x + 2) ** 2
+
+        x = mpmath.findroot(sextic, 1) / (sqrt3 * c)
+        k = (2 * x + 1) / sqrt3
+        inv_gy = 2 * mpmath.sqrt(1 - x**2) * (x * x + x + 1) / (sqrt3 * x * (x + 2))
+        return float(mpmath.atan2(2 * rho * k, 2 * rho * inv_gy - 1 - rho**2) / 2)
+
+
+def transition_events() -> list[float]:
+    """The six values of c = r^2 + r^-2, ascending, where the kept labels of
+    case_transition_thetas change, in closed form (R = r^4, so that a
+    quadratic's discriminant over R is a function of c^2 = R + 2 + 1/R):
+    - the least value of the meeting function behind regions._root_on_circle,
+      at mp_root_split, where Xlo and Xhi are born;
+    - 3: b5's discriminant (R - 1)^2 - 5R over R is c^2 - 9;
+    - sqrt(28/3): b6's and b8's, (R - 1)^2 - (16/3) R over R, is
+      c^2 - 28/3, and b7's, (16/3)(R + 1/R) - 352/9, too;
+    - 46/15: the meeting function at x = 1/2, where Xhi leaves (-1/2, 1/2);
+    - sqrt(48/5): on b5 (g_x = -sqrt(5) g_y/2) the extent end is 1/2, and b7's
+      s + 2 sqrt(3) g_x + 5/3 = 0 has the double root g_y = 2 sqrt(15)/9 there,
+      the corner (1/2, sqrt(3)/2); c = (S + 1)/g_y = 4 sqrt(15)/5;
+    - 10/3: the triple meeting's abscissa -1/2 + sqrt(3) k/2 reaches 1/2 at
+      k = 2/sqrt(3), rho = 1/3.
+
+    Quantity: regions._EVENTS. Trusted: exact up to the rounding of each
+    form. Accuracy: c_min at 40 digits (2.92795685825751850...); the others
+    to an ulp. Shares: none."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(mp_root_split())
+        least = 2 * (3 * x**3 + 4 * x**2 + x + 1) / (mpmath.sqrt(3) * mpmath.sqrt(1 - x**2) * x * (x + 2))
+    return [float(least), 3.0, math.sqrt(28.0 / 3.0), 46.0 / 15.0, 4.0 * math.sqrt(15.0) / 5.0, 10.0 / 3.0]
+
+
+def radius_at(c: float) -> float:
+    """The norm r < 1 with r^2 + r^-2 = c >= 2: r^2 = 2/(c + sqrt(c^2 - 4)),
+    free of cancellation."""
+    return math.sqrt(2.0 / (c + math.sqrt(c * c - 4.0)))
+
+
+def keep_rule_scan(radii) -> list[tuple[list[float], tuple]]:
+    """For each norm r in radii, the transition angles and arc constants
+    by the scan the table replaced. The candidates are the roots of
+    regions._transition_quadratics inside (-pi/2, pi/2) and the
+    regions._meeting_thetas more than 1e-12 inside it; one is kept
+    where the cut sequences at the midpoints of its two gaps differ, the
+    sequence being the flag code of each live segment of
+    regions._section_segments, left to right, with consecutive repeats
+    merged. An arc whose sequence is (0,), no cut, has m_hat = 0, and one
+    whose sequence is (1,), the circle alone, 1. All midpoints go through
+    one _section_segments call.
+
+    Quantity: case_transition_thetas(r), its angles and .constant.
+    Trusted: norms up to about 1e7, away from the events: within 1e-9
+    relative below 4 sqrt(15)/5 its midpoint cannot split b5.1 from b7.1,
+    and at r > 1 from n of about 1.08e7 it drops b6.0 one ulp off b5.0.
+    Accuracy: bit for bit with the table on 20 000 log-spread norms in
+    (1, 9000] at r and 1/r, near the identity and at 1e-8 relative of each
+    event. Shares: the candidates' roots (_transition_quadratics, _tan_roots
+    and _meeting_thetas), regions._circle_coords and
+    regions._section_segments; no label, row, event or constant rule of the
+    table."""
+    half = math.pi / 2.0
+    cands = []
+    for r in map(float, radii):
+        quads = regions._transition_quadratics(r).values()
+        ts = {t for quad in quads for t in regions._tan_roots(*quad) if abs(t) < half}
+        cands.append(sorted(ts.union(t for t in regions._meeting_thetas(r).values() if abs(t) < half - 1e-12)))
+    mids, norms = [], []
+    for r, ts in zip(radii, cands):
+        edges = np.array([-half, *ts, half])
+        mids.append(0.5 * (edges[:-1] + edges[1:]))
+        norms.append(np.full(len(ts) + 1, float(r)))
+    gx, gy, _, _ = regions._circle_coords(np.concatenate(norms), np.concatenate(mids))
+    _, live, (circle, lower, upper, line) = regions._section_segments(gx, gy)
+    codes = zip((circle + 2 * lower + 4 * upper + 8 * line).tolist(), live.tolist())
+    seqs = [tuple(k for k, _ in itertools.groupby(itertools.compress(*row))) for row in codes]
+    constant = {(0,): 0.0, (1,): 1.0}
+    out, at = [], 0
+    for ts in cands:
+        arcs = seqs[at : at + len(ts) + 1]
+        at += len(ts) + 1
+        kept = [i for i, (left, right) in enumerate(zip(arcs, arcs[1:])) if left != right]
+        out.append(([ts[i] for i in kept], tuple(constant.get(arcs[i]) for i in [0, *(i + 1 for i in kept)])))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # cocycle: domain points, elements and shadows
 
 

@@ -17,6 +17,7 @@ import pytest
 import reference
 from hypertransfer import cli, cocycle, decay, modular, quadrature, regions, sl2, verify
 from hypertransfer.cocycle import _sample_xyth, sample_domain
+from hypertransfer.errors import ConvergenceError
 from hypertransfer.modular import Letter
 from hypertransfer.sl2 import ANCoords, HalfPlanePoint, RealMat2, cartan_a
 
@@ -148,6 +149,36 @@ def _no_touch_borders_a_constant_arc() -> bool:
     return True
 
 
+def _table_matches_the_scan(radii) -> bool:
+    radii = [float(x) for r in radii for x in (r, 1.0 / r)]
+    for r, (angles, constant) in zip(radii, reference.keep_rule_scan(radii)):
+        thetas = regions.case_transition_thetas(r)
+        if [t.hex() for t in thetas] != [t.hex() for t in angles] or thetas.constant != constant:
+            return False
+    return True
+
+
+def _table_matches_the_scan_inside_each_row() -> bool:
+    # a norm in the middle of each c-interval of the table
+    events = [2.0, *reference.transition_events(), 25.0]
+    return _table_matches_the_scan([reference.radius_at(0.5 * (a + b)) for a, b in zip(events, events[1:])])
+
+
+def _events_match_the_closed_forms() -> bool:
+    return all(abs(a - b) <= math.ulp(b) for a, b in zip(regions._EVENTS, reference.transition_events()))
+
+
+def _xlo_matches_mpmath() -> bool:
+    for r in np.geomspace(1e-38, 1e-15, 60):
+        try:
+            got = regions._meeting_thetas(float(r))["Xlo"]
+        except ConvergenceError:
+            return False
+        if abs(got / reference.mp_xlo_angle(float(r)) - 1.0) > 1e-12:
+            return False
+    return True
+
+
 def _transition_angles_lie_on_the_curves() -> bool:
     for r in (0.05, 0.1, 0.3, 10.0):
         for t in regions.case_transition_thetas(r):
@@ -240,6 +271,24 @@ def _set_root_split(monkeypatch):
     monkeypatch.setattr(regions, "_ROOT_SPLIT", 0.3900)
 
 
+def _set_table_row(index: int, kept: str, zero_after: str):
+    def mutate(monkeypatch):
+        table = list(regions._TRANSITION_TABLE)
+        table[index] = (kept, zero_after)
+        monkeypatch.setattr(regions, "_TRANSITION_TABLE", tuple(table))
+
+    return mutate
+
+
+def _scale_event(index: int, factor: float):
+    def mutate(monkeypatch):
+        events = list(regions._EVENTS)
+        events[index] *= factor
+        monkeypatch.setattr(regions, "_EVENTS", tuple(events))
+
+    return mutate
+
+
 # row -> (mutation of the package code the reference holds, comparison); a
 # row is named after its reference, with "/" and the mutant's name where the
 # reference has more than one
@@ -318,14 +367,26 @@ MUTATIONS = {
         _root_split_is_the_minimiser,
     ),
     "extent_touch_thetas": (
-        # an arc's constant read off its first segment's cut code only
-        _source_mutation(
-            regions,
-            "case_transition_thetas",
-            "_CONSTANT_M_HAT.get(tuple(seqs[i]))",
-            "_CONSTANT_M_HAT.get(tuple(seqs[i][:1]))",
-        ),
+        # past c = 10/3 the arc after b3.0 taken for m_hat = 0 too: it holds
+        # the touch below Xlo
+        _set_table_row(6, "b2.0 b3.0 Xlo b5.0 b6.0 b7.0 b8.1", "b3.0 b7.0"),
         _no_touch_borders_a_constant_arc,
+    ),
+    "keep_rule_scan": (
+        # b5.1 kept past 4 sqrt(15)/5, where it meets b7.1
+        _set_table_row(5, "b2.0 b3.0 T Xlo b5.0 b5.1 b6.0 b6.1 b7.0 b7.1 b8.0 b8.1", "b7.0 b8.0"),
+        _table_matches_the_scan_inside_each_row,
+    ),
+    "transition_events": (
+        # the event where Xhi leaves moved up by 1%
+        _scale_event(3, 1.01),
+        _events_match_the_closed_forms,
+    ),
+    "mp_xlo_angle": (
+        # the root search's step budget cut to 100, which the walk back down
+        # to a small root overruns
+        lambda monkeypatch: monkeypatch.setattr(regions, "_ROOT_STEPS", 100),
+        _xlo_matches_mpmath,
     ),
     "transition_residuals": (
         # the meeting angle's cos 2 theta read with +rho^2 for -rho^2
@@ -405,10 +466,10 @@ MUTATIONS = {
     ),
 }
 
-# references with no mutation: a sampling helper, an input constructor, and
+# references with no mutation: a sampling helper, two input constructors, and
 # a check of formulas that holds no package code. The law constants SLOPE, A
 # and B take their 1% perturbation in tests/test_range.py
-NO_MUTATION = {"random_domain_point", "closed_form_rotated", "mp_circle_and_line_residual"}
+NO_MUTATION = {"random_domain_point", "closed_form_rotated", "radius_at", "mp_circle_and_line_residual"}
 
 
 def _reference_names(public_only: bool = False) -> set:

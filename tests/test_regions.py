@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import hypertransfer.regions as regions
 from hypertransfer import decay
 from hypertransfer.decay import theta_boundaries
-from hypertransfer.errors import AccuracyError, DomainError
+from hypertransfer.errors import AccuracyError, ConvergenceError, DomainError
 from hypertransfer.quadrature import QuadratureConfig
 from hypertransfer.regions import (
     CaseRegime,
@@ -46,12 +46,16 @@ from hypertransfer.sl2 import (
 from reference import (
     companion_crossings,
     extent_touch_thetas,
+    keep_rule_scan,
     m_hat_mc,
     mp_circle_and_line_residual,
     mp_circle_crossings,
     mp_ellipse_antiderivatives,
     mp_partials,
     mp_root_split,
+    mp_xlo_angle,
+    radius_at,
+    transition_events,
     transition_residuals,
 )
 
@@ -681,25 +685,21 @@ def test_case_transitions_are_complete():
             assert near < (1e-7 if before == after else 1e-12), (r, a, near)
 
 
-def test_case_transitions_read_the_section_once_per_miss(monkeypatch):
-    calls = []
-    breakpoints = regions._section_breakpoints
-
-    def counting(gx, gy):
-        calls.append(len(gx))
-        return breakpoints(gx, gy)
+def test_case_transitions_read_no_section(monkeypatch):
+    # the table is a lookup: a miss forms the candidates' roots and reads
+    # neither the section nor a case label
+    def no_section(*args):
+        raise AssertionError("the transition angles read no section")
 
     def no_labels(*args):
         raise AssertionError("the transition angles read no case label")
 
-    monkeypatch.setattr(regions, "_section_breakpoints", counting)
+    monkeypatch.setattr(regions, "_section_cuts", no_section)
+    monkeypatch.setattr(regions, "_section_breakpoints", no_section)
     monkeypatch.setattr(regions, "classify_case", no_labels)
-    for r in (0.1, 0.3, 5.0, 50.0):
+    for r in (0.1, 0.3, 0.61, 1.0, 5.0, 50.0):
         case_transition_thetas.cache_clear()
-        calls.clear()
-        case_transition_thetas(r)
-        case_transition_thetas(r)
-        assert len(calls) == 1 and 0 < calls[0] <= 20
+        assert len(case_transition_thetas(r).constant) == len(case_transition_thetas(r)) + 1
     case_transition_thetas.cache_clear()
 
 
@@ -741,7 +741,8 @@ def test_case_transitions_keep_the_candidates_where_the_structure_changes():
         kept = case_transition_thetas(r)
         quads = regions._transition_quadratics(r).values()
         cands = {t for quad in quads for t in regions._tan_roots(*quad) if abs(t) < half}
-        cands = sorted(cands.union(t for t in regions._meeting_thetas(r) if abs(t) < half - 1e-12))
+        meetings = regions._meeting_thetas(r).values()
+        cands = sorted(cands.union(t for t in meetings if abs(t) < half - 1e-12))
         edges = [-half, *cands, half]
         steps = [
             min(1e-6, 0.25 * (t - lo), 0.25 * (hi - t))
@@ -752,6 +753,138 @@ def test_case_transitions_keep_the_candidates_where_the_structure_changes():
             differ = sides[2 * i] != sides[2 * i + 1]
             if differ or 1e-3 <= r <= 1e4:
                 assert differ == (t in kept), (r, t)
+
+
+def _hexes(angles) -> list[str]:
+    return [float(t).hex() for t in angles]
+
+
+def _table_and_scan_differ(radii) -> list[float]:
+    """The radii, each at r and 1/r, where case_transition_thetas and the
+    keep-rule scan differ in any bit of an angle or in .constant."""
+    radii = [float(x) for r in radii for x in (r, 1.0 / r)]
+    return [
+        r
+        for r, (angles, constant) in zip(radii, keep_rule_scan(radii))
+        if _hexes(case_transition_thetas(r)) != _hexes(angles) or case_transition_thetas(r).constant != constant
+    ]
+
+
+def _radii_beside_the_events(events, gap: float = 1e-8) -> list[float]:
+    return [radius_at(c * f) for c in events for f in (1.0 - gap, 1.0 + gap)]
+
+
+def test_transition_table_matches_the_keep_rule_scan():
+    # bit for bit, angles and .constant, on log-spread norms in (1, 9000],
+    # near the identity and at 1e-8 relative beside each event; the scan
+    # differs within 1e-9 below 4 sqrt(15)/5 (it drops b5.1) and, at r > 1
+    # from n of about 1.08e7, where b5.0 and b6.0 lie an ulp apart
+    rng = np.random.default_rng(25)
+    norms = np.exp(rng.uniform(0.0, math.log(9000.0), 10_000))
+    near_identity = np.exp(np.geomspace(1e-12, 1e-3, 3000))
+    assert _table_and_scan_differ([*norms, *near_identity]) == []
+    events = transition_events()
+    assert _table_and_scan_differ(_radii_beside_the_events(events)) == []
+    assert _table_and_scan_differ([radius_at(events[4] * (1.0 - 1e-10))])
+
+
+def test_transition_events_are_closed_forms_that_a_1_percent_change_breaks(monkeypatch):
+    # moved by 1%, each event puts the radii on one side of it into the
+    # wrong row: the table then differs from the scan, or misses a root
+    events = transition_events()
+    assert all(abs(a - b) <= math.ulp(b) for a, b in zip(regions._EVENTS, events))
+    beside = _radii_beside_the_events(events)
+    for i, f in itertools.product(range(len(events)), (0.99, 1.01)):
+        moved = list(regions._EVENTS)
+        moved[i] *= f
+        monkeypatch.setattr(regions, "_EVENTS", tuple(moved))
+        case_transition_thetas.cache_clear()
+        try:
+            assert _table_and_scan_differ(beside), (i, f)
+        except DomainError:
+            pass
+    case_transition_thetas.cache_clear()
+
+
+def test_case_transitions_at_the_identity():
+    # the circle of norm 1 is the one point (0, 1), where m_hat = 1; the
+    # scan agrees, and so does the table an ulp away, where it keeps b2.0,
+    # b3.0 and T
+    ts = case_transition_thetas(1.0)
+    assert ts == () and ts.constant == (1.0,)
+    assert keep_rule_scan([1.0]) == [([], (1.0,))]
+    for r in (1.0 - 2.0**-53, 1.0 + 2.0**-52):
+        assert len(case_transition_thetas(r)) == 3
+        one = 0 if r < 1.0 else 2  # the arc that ends at b2.0, or at b2.1
+        assert case_transition_thetas(r).constant == tuple(1.0 if i == one else None for i in range(4))
+
+
+def test_case_transitions_drop_a_root_on_pi_over_2_with_its_outer_arc():
+    # at r = 1e-4 b8.1 rounds onto pi/2; the arc after it goes, and the arc
+    # from b7.0, where m_hat = 0, ends the circle. At 2e-4 b8.1 is inside
+    half = math.pi / 2.0
+    for r, inside in ((1e-4, False), (2e-4, True)):
+        b8 = regions._tan_roots(*regions._transition_quadratics(r)["b8"])
+        assert (b8[1] < half) is inside
+        ts = case_transition_thetas(r)
+        assert ts.constant == (1.0, None, None, None, None, None, 0.0, *((None,) if inside else ()))
+        assert (ts[-1] == b8[1]) is inside
+
+
+def test_case_transitions_give_the_first_arc_the_constant_of_a_root_on_minus_pi_over_2(monkeypatch):
+    # at r = 1e6 Xlo lies within the 1e-12 meeting guard of -pi/2, so it is
+    # an end of the circle; with a table that calls the arc after Xlo
+    # constant, the first arc takes that constant
+    r, half = 1e6, math.pi / 2.0
+    assert 0.0 < regions._meeting_thetas(r)["Xlo"] + half < 1e-12
+    plain = case_transition_thetas(r)
+    assert plain.constant[0] is None and all(t > -half + 1e-12 for t in plain)
+    table = list(regions._TRANSITION_TABLE)
+    table[6] = (table[6][0], "Xlo b7.0")
+    monkeypatch.setattr(regions, "_TRANSITION_TABLE", tuple(table))
+    case_transition_thetas.cache_clear()
+    marked = case_transition_thetas(r)
+    case_transition_thetas.cache_clear()
+    assert list(marked) == list(plain) and marked.constant == (0.0, *plain.constant[1:])
+
+
+def test_case_transitions_name_a_kept_label_with_no_root(monkeypatch):
+    # away from the events a missing root is an error that names its label;
+    # within 1e-9 of an end of its row, where roots are born, it is left out
+    meetings = regions._meeting_thetas
+
+    def without_xhi(r):
+        return {k: t for k, t in meetings(r).items() if k != "Xhi"}
+
+    monkeypatch.setattr(regions, "_meeting_thetas", without_xhi)
+    case_transition_thetas.cache_clear()
+    try:
+        with pytest.raises(DomainError, match="no Xhi root"):
+            case_transition_thetas(radius_at(2.96))
+        for c in (transition_events()[0] * (1.0 + 1e-10), transition_events()[3] * (1.0 - 1e-10)):
+            r = radius_at(c)
+            assert meetings(r)["Xhi"] not in case_transition_thetas(r)
+    finally:
+        case_transition_thetas.cache_clear()
+
+
+def test_meeting_root_is_found_at_every_scale(monkeypatch):
+    # the root search walked back from a bisection by Newton steps that
+    # about halve x; with its old budget of 100 steps it returned a point
+    # that is no root at 263 of these radii. Now Xlo is within 1e-12 of its
+    # 50-digit angle, and a search cut short raises ConvergenceError
+    radii = [float(r) for r in np.geomspace(1e-38, 1e-15, 2000)]
+    xlo = [regions._meeting_thetas(r)["Xlo"] for r in radii]
+    for r, t in zip(radii, xlo):
+        assert abs(t / mp_xlo_angle(r) - 1.0) <= 1e-12, r
+    monkeypatch.setattr(regions, "_ROOT_STEPS", 100)
+    cut = 0
+    for r, t in zip(radii[::10], xlo[::10]):
+        try:
+            assert regions._meeting_thetas(r)["Xlo"] == t
+        except ConvergenceError:
+            cut += 1
+    assert cut > 10
 
 
 def _circle_ends_among_the_roots(r: float) -> list[float]:
